@@ -19,6 +19,7 @@ from .errors import (
     MavarError,
     NegativeEntryError,
     NegativeOffDiagonalError,
+    NonFiniteInputError,
     NotAntisymmetricError,
     NotCenteredError,
     NotPeskunOrderedError,
@@ -39,12 +40,14 @@ from .kernel import (
     DEFAULT_TOL,
     MeanZeroFrame,
     Observable,
+    ReducedChain,
     SpectralDecomposition,
     StationaryDist,
     StochasticKernel,
     adjoint,
     as_observable,
     centered,
+    check_finite,
     is_irreducible,
     is_reversible,
     pi_inner,
@@ -52,6 +55,7 @@ from .kernel import (
     spectral_decomposition_reversible,
     spectral_radius_mean_zero,
     stationary_distribution,
+    stationary_residual,
     validate_kernel,
 )
 from .montecarlo import AvarEstimate, Trajectory, batch_means_avar, kernel_fingerprint, simulate

@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .kernel import (
-    MeanZeroFrame,
     StationaryDist,
+    _as_chain,
     stationary_distribution,
     validate_kernel,
 )
@@ -219,12 +219,13 @@ def form_coefficients(P, pi) -> np.ndarray:
     Centered observables on three states are parameterized by (f1, f2)
     with f3 eliminated through the stationary weights.
     """
-    w = pi.weights if isinstance(pi, StationaryDist) else np.asarray(pi, float)
+    chain = _as_chain(P, pi)
+    w = chain.pi
     e1 = np.array([1.0, 0.0, -w[0] / w[2]])
     e2 = np.array([0.0, 1.0, -w[1] / w[2]])
-    a = solve_dual_pair(P, w, e1).sigma2
-    c = solve_dual_pair(P, w, e2).sigma2
-    both = solve_dual_pair(P, w, e1 + e2).sigma2
+    a = solve_dual_pair(chain, w, e1).sigma2
+    c = solve_dual_pair(chain, w, e2).sigma2
+    both = solve_dual_pair(chain, w, e1 + e2).sigma2
     return np.array([a, both - a - c, c])
 
 
@@ -300,9 +301,8 @@ def _four_cycle_kernel():
 
 def _four_cycle_domination():
     fx = four_cycle_lift()
-    frame = MeanZeroFrame.from_pi(fx["pi"].weights)
-    FK = variance_form_reduced(fx["K"], fx["pi"].weights, frame)
-    FP = variance_form_reduced(fx["P"], fx["pi"].weights, frame)
+    FK = variance_form_reduced(fx["K"], fx["pi"])
+    FP = variance_form_reduced(fx["P"], fx["pi"])
     return float(np.min(np.linalg.eigvalsh(FK - FP)))
 
 

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse or validation error, 3 reducible kernel,
-4 degenerate kernel (Poisson equation unsolvable), 5 route or identity
-disagreement, 6 stationary-distribution mismatch, 7 unexplained fixture
-deviation.  The MAVAR_TOL environment variable overrides the default
+Exit codes: 0 success, 2 parse or validation error (including a NaN or
+infinite input, and a variance that overflows float64), 3 reducible
+kernel, 4 degenerate kernel (Poisson equation unsolvable), 5 route or
+identity disagreement, 6 stationary-distribution mismatch, 7 unexplained
+fixture deviation.  The MAVAR_TOL environment variable overrides the default
 verification tolerance; an explicit --tol flag wins over both.
 """
 
@@ -29,15 +30,18 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
+    ReducedChain,
     StationaryDist,
     adjoint,
     as_observable,
     centered,
+    check_finite,
     is_irreducible,
     is_reversible,
     pi_inner,
     spectral_radius_mean_zero,
     stationary_distribution,
+    stationary_residual,
     validate_kernel,
 )
 from .montecarlo import batch_means_avar, simulate as run_chain
@@ -124,9 +128,10 @@ def _load_kernel_file(path, tol):
     embedded = None
     if payload.get("pi") is not None:
         pi = np.asarray(payload["pi"], dtype=float)
-        if pi.shape != (kernel.n,) or pi.min() <= 0 or abs(pi.sum() - 1.0) > tol:
+        # written so that a NaN entry fails too
+        if pi.shape != (kernel.n,) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
             _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
-        if np.max(np.abs(pi @ kernel.rows - pi)) > max(tol, 1e-9):
+        if stationary_residual(kernel, pi) > max(tol, 1e-9):
             _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
         embedded = StationaryDist(pi)
     return kernel, embedded, payload.get("labels")
@@ -152,6 +157,10 @@ def _load_observable_file(path, n):
         _fail(EXIT_PARSE, f"{path}: {exc}")
     if f.ndim != 1 or f.shape[0] != n:
         _fail(EXIT_PARSE, f"{path}: expected {n} values, got shape {f.shape}")
+    try:
+        check_finite(f, "observable")
+    except MavarError as exc:
+        _fail(EXIT_PARSE, f"{path}: {exc}")
     return f
 
 
@@ -230,15 +239,16 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     pi = _resolve_pi(kernel, embedded)
     raw = _load_observable_file(observable_file, kernel.n)
     f, was_centered = _resolve_observable(raw, pi, tol, center)
+    chain = ReducedChain(kernel, pi)
     try:
-        sol = solve_dual_pair(kernel, pi, f, tol)
+        sol = solve_dual_pair(chain, pi, f, tol)
     except DegenerateKernelError as exc:
         _fail(EXIT_DEGENERATE, str(exc))
-    except NotCenteredError as exc:
+    except (NotCenteredError, NumericalFailureError) as exc:
         _fail(EXIT_PARSE, str(exc))
     routes = {"dual-pair": sol.sigma2}
     try:
-        routes["factored-operator"] = avar_via_factored_operator(kernel, pi, f, tol)
+        routes["factored-operator"] = avar_via_factored_operator(chain, pi, f, tol)
     except NumericalFailureError as exc:
         _fail(EXIT_ROUTES, str(exc))
     reversible = is_reversible(kernel, pi, 1e-10)
@@ -250,7 +260,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
         routes["spectral"] = float(spectral)
     spread = max(routes.values()) - min(routes.values())
     agree = spread <= ROUTE_AGREEMENT * max(1.0, abs(sol.sigma2))
-    radius = spectral_radius_mean_zero(kernel, pi)
+    radius = spectral_radius_mean_zero(chain, pi)
     report = {
         "n": kernel.n,
         "reversible": reversible,
@@ -311,7 +321,7 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     try:
         pi = _resolve_pi(k1, embedded)
         for label, kern in (("first", k1), ("second", k2)):
-            resid = np.max(np.abs(pi.weights @ kern.rows - pi.weights))
+            resid = stationary_residual(kern, pi)
             if resid > max(tol, 1e-9):
                 raise StationaryMismatchError(
                     f"{label} kernel moves the shared pi by {resid}")
@@ -320,8 +330,9 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
             "dirichlet": (dirichlet_order(k1, k2, pi), dirichlet_order(k2, k1, pi)),
             "fill_kahn": (fk_order(k1, k2, pi), fk_order(k2, k1, pi)),
         }
-        dom_fwd = uniform_variance_domination(k1, k2, pi)
-        dom_rev = uniform_variance_domination(k2, k1, pi)
+        c1, c2 = ReducedChain(k1, pi), ReducedChain(k2, pi)
+        dom_fwd = uniform_variance_domination(c1, c2, pi)
+        dom_rev = uniform_variance_domination(c2, c1, pi)
     except StationaryMismatchError as exc:
         _fail(EXIT_STATIONARY, str(exc))
     except ReducibleError as exc:
@@ -400,8 +411,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
         _fail(EXIT_PARSE, str(exc))
     except MavarError as exc:
         _fail(EXIT_PARSE, str(exc))
-    diagnostics["stationary_residual"] = float(
-        np.max(np.abs(pi.weights @ result.rows - pi.weights)))
+    diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
         click.echo(json.dumps({
             "n": result.n,
@@ -440,11 +450,14 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
         checks.append({"name": name, "residual": float(residual),
                        "bound": float(bound), "passed": bool(residual <= bound)})
 
+    chain = ReducedChain(kernel, pi)
     try:
-        sol = solve_dual_pair(kernel, pi, f, tol)
-        saddle = saddle_point(kernel, pi, f)
+        sol = solve_dual_pair(chain, pi, f, tol)
+        saddle = saddle_point(chain, pi, f)
     except DegenerateKernelError as exc:
         _fail(EXIT_DEGENERATE, str(exc))
+    except NumericalFailureError as exc:
+        _fail(EXIT_PARSE, str(exc))
     except ZeroVarianceError as exc:
         _fail(EXIT_PARSE, f"observable too close to zero: {exc}")
     w = pi.weights
@@ -460,7 +473,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
            abs(pi_inner(sol.phi, f, w) - pi_inner(f, sol.phi_star, w)),
            1e-10 * max(1.0, abs(sol.sigma2)))
     try:
-        t_route = avar_via_factored_operator(kernel, pi, f, tol)
+        t_route = avar_via_factored_operator(chain, pi, f, tol)
         record("factored-operator route", abs(t_route - sol.sigma2),
                ROUTE_AGREEMENT * max(1.0, abs(sol.sigma2)))
     except NumericalFailureError:
@@ -491,7 +504,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
                               saddle.xi_star.values - saddle.eta_star.values)
                - value),
            ROUTE_AGREEMENT * max(1.0, value))
-    _, sup_at_star = inner_sup(kernel, pi, f, saddle.xi_star, tol)
+    _, sup_at_star = inner_sup(chain, pi, f, saddle.xi_star, tol)
     record("inner sup at xi*", abs(sup_at_star - value),
            ROUTE_AGREEMENT * max(1.0, value))
     rng = np.random.default_rng(seed)
@@ -499,7 +512,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     for _ in range(trials):
         shift = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
         xi = saddle.xi_star.values + shift
-        _, sup_val = inner_sup(kernel, pi, f, xi, tol)
+        _, sup_val = inner_sup(chain, pi, f, xi, tol)
         worst_inf = min(worst_inf, sup_val)
     record("inf side: min over random xi of sup >= 1/sigma^2",
            max(0.0, value - worst_inf), ROUTE_AGREEMENT * max(1.0, value))
@@ -512,9 +525,12 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
         worst_sup = max(worst_sup, probe)
     record("sup side: max over random eta <= 1/sigma^2",
            max(0.0, worst_sup - value), ROUTE_AGREEMENT * max(1.0, value))
-    _, t_inf = factored_operator_inf(kernel, pi, f)
-    record("factored-operator minimum", abs(t_inf - value),
-           ROUTE_AGREEMENT * max(1.0, value))
+    try:
+        _, t_inf = factored_operator_inf(chain, pi, f)
+        record("factored-operator minimum", abs(t_inf - value),
+               ROUTE_AGREEMENT * max(1.0, value))
+    except NumericalFailureError:
+        record("factored-operator minimum", np.inf, ROUTE_AGREEMENT)
     worst_orth = 0.0
     for _ in range(trials):
         probe = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
@@ -526,7 +542,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            1e-10 * max(1.0, abs(sol.sigma2)) * max(1.0, float(np.max(np.abs(f)))) * 10)
     if reversible:
-        xi_min, inf_val = reversible_inf(kernel, pi, f)
+        xi_min, inf_val = reversible_inf(chain, pi, f)
         record("reversible minimum", abs(inf_val - value),
                ROUTE_AGREEMENT * max(1.0, value))
         record("eta* vanishes (reversible)",
@@ -582,6 +598,8 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
                     abs(estimate.value - sol.avar) / estimate.std_error)
         except DegenerateKernelError:
             pass
+        except NumericalFailureError as exc:
+            _fail(EXIT_PARSE, str(exc))
     if as_json:
         click.echo(json.dumps(report))
     else:

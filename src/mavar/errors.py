@@ -15,6 +15,10 @@ class DimensionMismatchError(MavarError):
     """Operands have incompatible shapes, or a matrix is not square."""
 
 
+class NonFiniteInputError(MavarError):
+    """A kernel, distribution or observable has a NaN or infinite entry."""
+
+
 class NegativeEntryError(MavarError):
     """A kernel entry is below -tol."""
 

@@ -4,33 +4,44 @@ A kernel is a row-stochastic matrix P acting on functions f: states -> R
 by (Pf)_i = sum_j P_ij f_j.  All inner products are weighted by a
 stationary distribution pi.  The workhorse is MeanZeroFrame, an
 orthonormal basis of the pi-mean-zero subspace in which the pi-inner
-product becomes Euclidean and the pi-adjoint becomes the transpose.
+product becomes Euclidean and the pi-adjoint becomes the transpose;
+ReducedChain keeps one chain's reduced operator and its factorizations.
 """
 
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgecon, dpocon
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import (
+    DegenerateKernelError,
     DimensionMismatchError,
     NegativeEntryError,
+    NonFiniteInputError,
     NotReversibleError,
     NotStationaryError,
     NumericalFailureError,
     ReducibleError,
     RowSumViolationError,
+    SingularReversibilizationError,
 )
 
 DEFAULT_TOL = 1e-9
 STRICT_TOL = 1e-12
+SOLVABLE_TOL = 1e-12
+# condition estimates can undershoot a norm by a small factor (Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 15), so they gate with this margin
+GATE_SAFETY = 1e6
 
 
 def _as_matrix(P):
-    """Plain float matrix from a StochasticKernel or array."""
-    if isinstance(P, StochasticKernel):
+    """Plain float matrix from a StochasticKernel, ReducedChain or array."""
+    if isinstance(P, (StochasticKernel, ReducedChain)):
         return P.rows
     return np.asarray(P, dtype=float)
 
@@ -115,6 +126,15 @@ class SpectralDecomposition:
     pi: np.ndarray
 
 
+def check_finite(values, what: str):
+    """Raise NonFiniteInputError naming the first NaN or infinite entry."""
+    a = np.asarray(values, dtype=float)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        raise NonFiniteInputError(f"{what} entry {idx[0] if a.ndim == 1 else idx} is {a[idx]}")
+
+
 def as_observable(values, pi) -> Observable:
     """Wrap values with their pi-mean."""
     v = _as_values(values)
@@ -122,33 +142,29 @@ def as_observable(values, pi) -> Observable:
     if v.shape != w.shape:
         raise DimensionMismatchError(
             f"observable has length {v.shape}, distribution has {w.shape}")
+    check_finite(v, "observable")
     return Observable(v, float(w @ v))
 
 
 def centered(values, pi) -> Observable:
     """Subtract the pi-mean; the result has pi_mean 0."""
-    v = _as_values(values)
-    w = _as_weights(pi)
-    if v.shape != w.shape:
-        raise DimensionMismatchError(
-            f"observable has length {v.shape}, distribution has {w.shape}")
-    return Observable(v - float(w @ v), 0.0)
+    obs = as_observable(values, pi)
+    return Observable(obs.values - obs.pi_mean, 0.0)
 
 
 def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> StochasticKernel:
     """Check and normalize a candidate transition matrix.
 
     Entries in [-tol, 0) are clamped to 0 and the row renormalized.
-    Raises NegativeEntryError, RowSumViolationError, or
-    DimensionMismatchError.
+    Raises NonFiniteInputError, NegativeEntryError, RowSumViolationError,
+    or DimensionMismatchError.
     """
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"kernel must be square, got shape {M.shape}")
     if M.shape[0] < 2:
         raise DimensionMismatchError("kernel needs at least 2 states")
-    if not np.all(np.isfinite(M)):
-        raise NegativeEntryError("kernel has non-finite entries")
+    check_finite(M, "kernel")
     low = M.min()
     if low < -tol:
         i, j = np.unravel_index(np.argmin(M), M.shape)
@@ -197,10 +213,10 @@ def stationary_distribution(P) -> StationaryDist:
     return StationaryDist(x)
 
 
-def _check_stationary(M, w, tol):
-    resid = np.max(np.abs(w @ M - w))
-    if resid > tol:
-        raise NotStationaryError(f"pi P differs from pi by {resid}")
+def stationary_residual(P, pi) -> float:
+    """max_j |(pi P)_j - pi_j|: how far P moves pi."""
+    w = _as_weights(pi)
+    return float(np.max(np.abs(w @ _as_matrix(P) - w)))
 
 
 def adjoint(P, pi) -> StochasticKernel:
@@ -208,7 +224,9 @@ def adjoint(P, pi) -> StochasticKernel:
     M = _as_matrix(P)
     w = _as_weights(pi)
     tol = P.tol if isinstance(P, StochasticKernel) else DEFAULT_TOL
-    _check_stationary(M, w, tol)
+    resid = stationary_residual(M, w)
+    if resid > tol:
+        raise NotStationaryError(f"pi P differs from pi by {resid}")
     rev = (w[None, :] * M.T) / w[:, None]
     return validate_kernel(rev, tol)
 
@@ -248,41 +266,51 @@ class MeanZeroFrame:
     the complement of sqrt(pi).  Mapping f to y = basis^T (sqrt(pi) * f)
     turns the pi-inner product into the Euclidean one, and conjugating a
     pi-stationary kernel into these coordinates turns the pi-adjoint
-    into the plain matrix transpose.
+    into the plain matrix transpose.  basis is columns 1.. of the
+    Householder reflection H = I - 2 v v^T sending e_0 to sqrt(pi), so
+    products with it are rank-1 updates and it is formed only when read.
     """
 
     pi: np.ndarray
     sqrt_pi: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
     @classmethod
     def from_pi(cls, pi) -> "MeanZeroFrame":
         w = _as_weights(pi)
         s = np.sqrt(w)
-        n = w.shape[0]
-        # Householder reflection sending e_0 to sqrt(pi); remaining columns
-        # form an orthonormal basis of its complement
         v = s.copy()
         v[0] -= 1.0
         nv = np.linalg.norm(v)
-        if nv < 1e-15:
-            H = np.eye(n)
-        else:
-            v /= nv
-            H = np.eye(n) - 2.0 * np.outer(v, v)
-        return cls(w, s, H[:, 1:])
+        return cls(w, s, v / nv if nv >= 1e-15 else 0.0 * v)  # H = I
 
     @property
     def n(self) -> int:
         return self.pi.shape[0]
 
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """The n x (n-1) matrix of basis vectors."""
+        return self._expand(np.eye(self.n - 1))
+
+    def _expand(self, y):
+        """basis @ y for y of n-1 rows."""
+        out = np.zeros((self.n,) + y.shape[1:])
+        out[1:] = y
+        out -= 2.0 * np.multiply.outer(self.v, self.v[1:] @ y)
+        return out
+
+    def _contract(self, x):
+        """basis^T @ x for x of n rows."""
+        return x[1:] - 2.0 * np.multiply.outer(self.v[1:], self.v @ x)
+
     def reduce(self, f) -> np.ndarray:
         """Coordinates of the centered part of f."""
-        return self.basis.T @ (self.sqrt_pi * _as_values(f))
+        return self._contract(self.sqrt_pi * _as_values(f))
 
     def lift(self, y) -> np.ndarray:
         """The mean-zero function with the given coordinates."""
-        return (self.basis @ np.asarray(y, dtype=float)) / self.sqrt_pi
+        return self._expand(np.asarray(y, dtype=float)) / self.sqrt_pi
 
     def operator(self, P) -> np.ndarray:
         """The kernel's action on mean-zero coordinates.
@@ -291,9 +319,109 @@ class MeanZeroFrame:
         symmetrized conjugate D^{1/2} P D^{-1/2}; its transpose is the
         reduced adjoint.
         """
-        M = _as_matrix(P)
-        C = (self.sqrt_pi[:, None] * M) / self.sqrt_pi[None, :]
-        return self.basis.T @ C @ self.basis
+        C = self.sqrt_pi[:, None] * _as_matrix(P)
+        C /= self.sqrt_pi[None, :]
+        return self._contract(self._contract(C.T).T)
+
+
+def _gate_by_spectrum(A):
+    """Fail if I - A is (near) singular on the mean-zero subspace.
+
+    For a stochastic kernel this happens exactly when a second
+    eigenvalue sits at 1, i.e. the chain is reducible up to 1e-12.
+    Periodic chains (eigenvalues on the unit circle away from 1) pass.
+    """
+    eigs = np.linalg.eigvals(A)
+    radius = float(np.max(np.abs(eigs)))
+    separation = float(np.min(np.abs(1.0 - eigs)))
+    if separation <= SOLVABLE_TOL:
+        raise DegenerateKernelError(
+            f"Poisson operator singular: spectrum reaches 1 "
+            f"(radius {radius}, separation {separation})",
+            radius=radius,
+            separation=separation,
+        )
+
+
+class ReducedChain:
+    """One chain (P, pi) in mean-zero coordinates, factored at most once.
+
+    Holds the frame, the reduced operator A, the LU of I - A, the
+    Cholesky factor of I - S with S = (A + A^T)/2, the factored operator
+    T = (I - A)(I - S)^{-1}(I - A)^T and the variance form, each built
+    on first use.  Every function that takes (P, pi) accepts a chain in
+    place of P, and then uses the chain's pi.
+    """
+
+    def __init__(self, P, pi, frame: MeanZeroFrame | None = None):
+        self.rows = _as_matrix(P)
+        self.frame = MeanZeroFrame.from_pi(pi) if frame is None else frame
+        self.pi = self.frame.pi
+        self.m = self.frame.n - 1
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The reduced operator, frame.operator(P)."""
+        return self.frame.operator(self.rows)
+
+    @cached_property
+    def lu(self):
+        """LU of I - A; raises DegenerateKernelError if it is singular.
+
+        |1 - lambda| >= sigma_min(I - A) for every eigenvalue of A, so a
+        condition estimate bounding sigma_min(I - A) well above
+        SOLVABLE_TOL passes; otherwise the spectrum of A decides.
+        """
+        B = np.negative(self.A, order="F")  # Fortran order: factored in place
+        B[np.diag_indices(self.m)] += 1.0
+        anorm = np.linalg.norm(B, 1)
+        with warnings.catch_warnings():  # a singular I - A is the gate's to report
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            lu = scipy.linalg.lu_factor(B, overwrite_a=True)
+        # rcond = 1 / (||B||_1 ||B^-1||_1) and ||B^-1||_2 <= sqrt(m) ||B^-1||_1
+        if not dgecon(lu[0], anorm)[0] * anorm / np.sqrt(self.m) > GATE_SAFETY * SOLVABLE_TOL:
+            _gate_by_spectrum(self.A)
+        return lu
+
+    @cached_property
+    def cho(self):
+        """Cholesky factor of I - S; raises SingularReversibilizationError
+        if it is singular: when the factorization fails, or when neither a
+        condition estimate nor the smallest eigenvalue clears SOLVABLE_TOL.
+        """
+        C = np.eye(self.m) - 0.5 * (self.A + self.A.T)
+        anorm = np.linalg.norm(C, 1)
+        try:
+            cho = scipy.linalg.cho_factor(C)
+        except np.linalg.LinAlgError:
+            cho = None
+        # for symmetric positive definite C, 1 / lambda_min <= ||C^-1||_1
+        if cho is None or (not dpocon(cho[0], anorm)[0] * anorm > GATE_SAFETY * SOLVABLE_TOL
+                           and np.min(np.linalg.eigvalsh(C)) <= SOLVABLE_TOL):
+            raise SingularReversibilizationError(
+                "reversibilized operator singular on the mean-zero subspace")
+        return cho
+
+    @cached_property
+    def T(self) -> np.ndarray:
+        """The symmetric positive definite factored operator."""
+        B = np.eye(self.m) - self.A
+        return B @ scipy.linalg.cho_solve(self.cho, B.T)
+
+    @cached_property
+    def variance_form(self) -> np.ndarray:
+        """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y."""
+        inv = scipy.linalg.lu_solve(self.lu, np.eye(self.m), overwrite_b=True)
+        inv += inv.T
+        inv *= 0.5
+        return inv
+
+
+def _as_chain(P, pi=None) -> ReducedChain:
+    """P itself if it is a ReducedChain, else the chain of (P, pi)."""
+    if isinstance(P, ReducedChain):
+        return P
+    return ReducedChain(P, stationary_distribution(P) if pi is None else pi)
 
 
 def spectral_radius_mean_zero(P, pi=None) -> float:
@@ -302,12 +430,9 @@ def spectral_radius_mean_zero(P, pi=None) -> float:
     This is the modulus of the largest non-Perron eigenvalue.  Raises
     ReducibleError for reducible kernels.
     """
-    M = _as_matrix(P)
-    if not is_irreducible(M):
+    if not is_irreducible(P):
         raise ReducibleError("kernel is not irreducible")
-    w = stationary_distribution(M) if pi is None else pi
-    frame = MeanZeroFrame.from_pi(w)
-    A = frame.operator(M)
+    A = _as_chain(P, pi).A
     if A.size == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(A))))

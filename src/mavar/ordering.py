@@ -16,14 +16,13 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    MeanZeroFrame,
     Observable,
+    _as_chain,
     _as_matrix,
-    _as_values,
     _as_weights,
     stationary_distribution,
+    stationary_residual,
 )
-from .poisson import variance_form_reduced
 
 ORDER_TOL = 1e-10
 
@@ -74,7 +73,7 @@ def _shared_stationary(P1, P2, pi, tol):
             f"kernels have shapes {M1.shape} and {M2.shape}")
     w = _as_weights(stationary_distribution(M1) if pi is None else pi)
     for label, M in (("first", M1), ("second", M2)):
-        resid = np.max(np.abs(w @ M - w))
+        resid = stationary_residual(M, w)
         if resid > tol:
             raise StationaryMismatchError(
                 f"{label} kernel moves pi by {resid}")
@@ -217,13 +216,12 @@ def uniform_variance_domination(P1, P2, pi=None, tol: float = ORDER_TOL):
     Tests positive semidefiniteness of the difference of the two
     variance quadratic forms on the mean-zero subspace.  Returns
     (holds, witness); the witness is a centered observable whose
-    variance ordering is violated, present only on failure.
+    variance ordering is violated, present only on failure.  Passing
+    ReducedChains reuses their variance forms across calls.
     """
-    M1, M2, w = _shared_stationary(P1, P2, pi, DEFAULT_TOL)
-    frame = MeanZeroFrame.from_pi(w)
-    F1 = variance_form_reduced(M1, w, frame)
-    F2 = variance_form_reduced(M2, w, frame)
-    vals, vecs = np.linalg.eigh(F1 - F2)
+    _, _, w = _shared_stationary(P1, P2, pi, DEFAULT_TOL)
+    c1, c2 = _as_chain(P1, w), _as_chain(P2, w)
+    vals, vecs = np.linalg.eigh(c1.variance_form - c2.variance_form)
     if vals[0] >= -tol:
         return True, None
-    return False, Observable(frame.lift(vecs[:, 0]), 0.0)
+    return False, Observable(c1.frame.lift(vecs[:, 0]), 0.0)

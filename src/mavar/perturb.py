@@ -31,6 +31,7 @@ from .kernel import (
     _as_matrix,
     _as_weights,
     stationary_distribution,
+    stationary_residual,
     validate_kernel,
 )
 from .ordering import peskun_order
@@ -114,7 +115,7 @@ def make_nonreversible(K, pi, spec: VorticitySpec) -> StochasticKernel:
     MK, w, G = _shapes(K, pi, checked.gamma, "vorticity")
     tol = K.tol if isinstance(K, StochasticKernel) else DEFAULT_TOL
     P = validate_kernel(MK + G, tol)
-    resid = np.max(np.abs(w @ P.rows - w))
+    resid = stationary_residual(P, w)
     if resid > 1e-10:
         raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
     return P
@@ -172,7 +173,7 @@ def apply_drift(K, pi, spec: DriftSpec) -> StochasticKernel:
     MK, w, L = _shapes(K, pi, checked.lam, "drift")
     tol = K.tol if isinstance(K, StochasticKernel) else DEFAULT_TOL
     P = validate_kernel(MK + L / w[:, None], tol)
-    resid = np.max(np.abs(w @ P.rows - w))
+    resid = stationary_residual(P, w)
     if resid > 1e-10:
         raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
     report = peskun_order(MK, P, w)

@@ -13,26 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateKernelError,
-    NotCenteredError,
-    NumericalFailureError,
-    SingularReversibilizationError,
-)
+from .errors import NotCenteredError, NumericalFailureError
 from .kernel import (
     DEFAULT_TOL,
+    SOLVABLE_TOL,
     MeanZeroFrame,
     Observable,
+    ReducedChain,
+    _as_chain,
     _as_matrix,
     _as_values,
-    _as_weights,
     adjoint,
     is_reversible,
     pi_inner,
     spectral_decomposition_reversible,
 )
 
-SOLVABLE_TOL = 1e-12
 ROUTE_TOL = 1e-9
 
 
@@ -105,45 +101,13 @@ def _check_centered(fv, w, tol):
         raise NotCenteredError(f"observable has pi-mean {mean}")
 
 
-def _reduced(P, pi):
-    frame = MeanZeroFrame.from_pi(pi)
-    return frame, frame.operator(_as_matrix(P))
-
-
-def _gate_solvable(A):
-    """Fail if I - A is (near) singular on the mean-zero subspace.
-
-    For a stochastic kernel this happens exactly when a second
-    eigenvalue sits at 1, i.e. the chain is reducible up to 1e-12.
-    Periodic chains (eigenvalues on the unit circle away from 1) pass.
-    """
-    if A.size == 0:
-        return
-    eigs = np.linalg.eigvals(A)
-    radius = float(np.max(np.abs(eigs)))
-    separation = float(np.min(np.abs(1.0 - eigs)))
-    if separation <= SOLVABLE_TOL:
-        raise DegenerateKernelError(
-            f"Poisson operator singular: spectrum reaches 1 "
-            f"(radius {radius}, separation {separation})",
-            radius=radius,
-            separation=separation,
-        )
-
-
 def solve_poisson(P, pi, f, tol: float = DEFAULT_TOL) -> Observable:
     """Solve (I - P) phi = f for the mean-zero solution phi.
 
     Raises NotCenteredError if pi(f) != 0 within tol and
     DegenerateKernelError if the mean-zero operator is singular.
     """
-    w = _as_weights(pi)
-    fv = _as_values(f)
-    _check_centered(fv, w, tol)
-    frame, A = _reduced(P, pi)
-    _gate_solvable(A)
-    y = np.linalg.solve(np.eye(A.shape[0]) - A, frame.reduce(fv))
-    return Observable(frame.lift(y), 0.0)
+    return solve_dual_pair(P, pi, f, tol).phi
 
 
 def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
@@ -152,22 +116,26 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     One LU factorization serves both systems: the adjoint becomes the
     transpose in mean-zero coordinates, so the dual solve is the
     transposed solve.  Returns phi, phi*, sigma^2 = <phi, f>_pi and
-    avar = 2 sigma^2 - <f, f>_pi.
+    avar = 2 sigma^2 - <f, f>_pi.  Raises NumericalFailureError when
+    either variance overflows float64.
     """
-    w = _as_weights(pi)
+    chain = _as_chain(P, pi)
     fv = _as_values(f)
-    _check_centered(fv, w, tol)
-    frame, A = _reduced(P, pi)
-    _gate_solvable(A)
-    fy = frame.reduce(fv)
-    lu = scipy.linalg.lu_factor(np.eye(A.shape[0]) - A)
+    _check_centered(fv, chain.pi, tol)
+    lu = chain.lu
+    fy = chain.frame.reduce(fv)
     y = scipy.linalg.lu_solve(lu, fy, trans=0)
     y_star = scipy.linalg.lu_solve(lu, fy, trans=1)
-    sigma2 = float(fy @ y)
-    avar = 2.0 * sigma2 - float(fy @ fy)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        sigma2 = float(fy @ y)
+        avar = 2.0 * sigma2 - float(fy @ fy)
+    if not (np.isfinite(sigma2) and np.isfinite(avar)):
+        raise NumericalFailureError(
+            f"variance overflows float64 (sigma^2 = {sigma2}, avar = {avar}); "
+            f"rescale the observable")
     return PoissonSolution(
-        phi=Observable(frame.lift(y), 0.0),
-        phi_star=Observable(frame.lift(y_star), 0.0),
+        phi=Observable(chain.frame.lift(y), 0.0),
+        phi_star=Observable(chain.frame.lift(y_star), 0.0),
         sigma2=sigma2,
         avar=avar,
     )
@@ -178,32 +146,24 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
 
     In mean-zero coordinates the operator
     T = (I - A) (I - S)^{-1} (I - A)^T with S = (A + A^T)/2 is symmetric
-    positive definite and sigma^2 = <f, T^{-1} f>.  Cross-checked against
+    positive definite and sigma^2 = <f, T^{-1} f>.  The route solves
+    with T alone, never with the LU of I - A.  Cross-checked against
     the dual-pair route at 1e-9; disagreement raises
     NumericalFailureError.
     """
-    w = _as_weights(pi)
+    chain = _as_chain(P, pi)
     fv = _as_values(f)
-    _check_centered(fv, w, tol)
-    frame, A = _reduced(P, pi)
-    _gate_solvable(A)
-    m = A.shape[0]
-    eye = np.eye(m)
-    S = 0.5 * (A + A.T)
-    if m and np.min(np.linalg.eigvalsh(eye - S)) <= SOLVABLE_TOL:
-        raise SingularReversibilizationError(
-            "reversibilized operator singular on the mean-zero subspace")
-    B = eye - A
-    T = B @ np.linalg.solve(eye - S, B.T)
-    fy = frame.reduce(fv)
-    ybar = np.linalg.solve(T, fy) if m else fy
+    _check_centered(fv, chain.pi, tol)
+    chain.lu  # the solvability gate, so a singular I - A raises first
+    fy = chain.frame.reduce(fv)
+    ybar = np.linalg.solve(chain.T, fy)
     sigma2 = float(fy @ ybar)
-    ref = solve_dual_pair(P, pi, fv, tol)
+    ref = solve_dual_pair(chain, None, fv, tol)
     scale = max(1.0, abs(ref.sigma2))
     if abs(sigma2 - ref.sigma2) > ROUTE_TOL * scale:
         raise NumericalFailureError(
             f"factored-operator route {sigma2} disagrees with dual pair {ref.sigma2}")
-    mid = 0.5 * (frame.reduce(ref.phi) + frame.reduce(ref.phi_star))
+    mid = 0.5 * (chain.frame.reduce(ref.phi) + chain.frame.reduce(ref.phi_star))
     if np.max(np.abs(ybar - mid), initial=0.0) > ROUTE_TOL * max(1.0, np.max(np.abs(mid), initial=0.0)):
         raise NumericalFailureError("T^{-1} f differs from (phi + phi*)/2")
     return sigma2
@@ -218,10 +178,10 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL):
     INFINITE_VARIANCE marker is returned.  Raises NotReversibleError
     for non-reversible input.
     """
-    w = _as_weights(pi)
+    w = _as_chain(P, pi).pi
     fv = _as_values(f)
     _check_centered(fv, w, tol)
-    dec = spectral_decomposition_reversible(P, pi)
+    dec = spectral_decomposition_reversible(P, w)
     coeffs = dec.eigenvectors.T @ (w * fv)
     unit = dec.eigenvalues > 1.0 - SOLVABLE_TOL
     scale = max(1.0, np.max(np.abs(fv), initial=0.0))
@@ -242,7 +202,7 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve
     if b.ndim != 1 or b.size == 0 or np.any(b <= 0.0) or np.any(np.diff(b) >= 0.0):
         raise ValueError("betas must be positive and strictly decreasing")
     M = _as_matrix(P)
-    w = _as_weights(pi)
+    w = _as_chain(P, pi).pi
     fv = _as_values(f)
     _check_centered(fv, w, tol)
     n = M.shape[0]
@@ -260,8 +220,9 @@ def check_dual_equality(P, pi, f, tol: float = 1e-10):
 
     Raises NumericalFailureError if they disagree beyond tol.
     """
-    first = solve_dual_pair(P, pi, f).avar
-    second = solve_dual_pair(adjoint(P, pi), pi, f).avar
+    chain = _as_chain(P, pi)
+    first = solve_dual_pair(chain, None, f).avar
+    second = solve_dual_pair(adjoint(P, chain.pi), chain.pi, f).avar
     if abs(first - second) > tol * max(1.0, abs(first)):
         raise NumericalFailureError(
             f"avar differs between P ({first}) and its adjoint ({second})")
@@ -274,12 +235,8 @@ def variance_form_reduced(P, pi, frame: MeanZeroFrame | None = None) -> np.ndarr
     sigma^2(P, f) = y^T Msym y where y are the coordinates of f and
     Msym = ((I - A)^{-1} + (I - A)^{-T}) / 2.
     """
-    if frame is None:
-        frame = MeanZeroFrame.from_pi(pi)
-    A = frame.operator(_as_matrix(P))
-    _gate_solvable(A)
-    inv = np.linalg.solve(np.eye(A.shape[0]) - A, np.eye(A.shape[0]))
-    return 0.5 * (inv + inv.T)
+    chain = P if isinstance(P, ReducedChain) else ReducedChain(P, pi, frame)
+    return chain.variance_form
 
 
 def sigma2_quadratic_form(P, pi) -> np.ndarray:
@@ -288,7 +245,6 @@ def sigma2_quadratic_form(P, pi) -> np.ndarray:
     Valid for centered f; non-centered input is projected by the form
     itself since the frame drops the mean component.
     """
-    frame = MeanZeroFrame.from_pi(pi)
-    Msym = variance_form_reduced(P, pi, frame)
-    half = frame.sqrt_pi[:, None] * frame.basis
-    return half @ Msym @ half.T
+    chain = _as_chain(P, pi)
+    half = chain.frame.sqrt_pi[:, None] * chain.frame.basis
+    return half @ chain.variance_form @ half.T

@@ -12,25 +12,24 @@ Dirichlet form.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     InfeasibleConstraintError,
     NotReversibleError,
     NumericalFailureError,
-    SingularReversibilizationError,
     ZeroVarianceError,
 )
 from .kernel import (
     DEFAULT_TOL,
-    MeanZeroFrame,
     Observable,
+    _as_chain,
     _as_matrix,
     _as_values,
-    _as_weights,
     is_reversible,
     pi_inner,
 )
-from .poisson import ROUTE_TOL, SOLVABLE_TOL, solve_dual_pair
+from .poisson import ROUTE_TOL, solve_dual_pair
 
 ZERO_VARIANCE_TOL = 1e-12
 
@@ -53,7 +52,7 @@ def dirichlet_form(P, pi, xi, eta) -> float:
     M = _as_matrix(P)
     xv = _as_values(xi)
     ev = _as_values(eta)
-    return pi_inner(xv - M @ xv, ev, pi)
+    return pi_inner(xv - M @ xv, ev, _as_chain(P, pi).pi)
 
 
 def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
@@ -86,38 +85,29 @@ def saddle_point(P, pi, f, tol: float = ZERO_VARIANCE_TOL) -> SaddlePoint:
 def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     """Maximize <(I - P)(xi + eta), xi - eta>_pi over pi(f eta) = 0.
 
-    The objective is concave in eta; the unique stationary point solves
-    a KKT system built from the reversibilized operator.  Returns
+    The objective is concave in eta, with S = (A + A^T)/2 its curvature.
+    Its stationary point on the constraint is
+    e = (I - S)^{-1} (drive - mu f) / 2, with mu chosen so that f^T e = 0:
+    two solves with the chain's Cholesky factor of I - S.  Returns
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
     equality at xi = xi*.  Raises InfeasibleConstraintError if
     pi(f xi) != 1.
     """
-    w = _as_weights(pi)
+    chain = _as_chain(P, pi)
     fv = _as_values(f)
     xv = _as_values(xi)
-    norm = pi_inner(fv, xv, w)
+    norm = pi_inner(fv, xv, chain.pi)
     if abs(norm - 1.0) > tol:
         raise InfeasibleConstraintError(f"pi(f xi) = {norm}, expected 1")
-    frame = MeanZeroFrame.from_pi(w)
-    A = frame.operator(_as_matrix(P))
-    m = A.shape[0]
-    eye = np.eye(m)
-    S = 0.5 * (A + A.T)
-    if m and np.min(np.linalg.eigvalsh(eye - S)) <= SOLVABLE_TOL:
-        raise SingularReversibilizationError(
-            "reversibilized operator singular on the mean-zero subspace")
-    fy = frame.reduce(fv)
-    xy = frame.reduce(xv)
-    drive = (A - A.T) @ xy
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * (eye - S)
-    kkt[:m, m] = fy
-    kkt[m, :m] = fy
-    rhs = np.concatenate([drive, [0.0]])
-    sol = np.linalg.solve(kkt, rhs)
-    ey = sol[:m]
-    value = float(xy @ ((eye - A) @ xy) + ey @ drive - ey @ ((eye - S) @ ey))
-    return Observable(frame.lift(ey), 0.0), value
+    fy = chain.frame.reduce(fv)
+    xy = chain.frame.reduce(xv)
+    Ax = chain.A @ xy
+    drive = Ax - xy @ chain.A
+    u, v = scipy.linalg.cho_solve(chain.cho, np.column_stack([drive, fy])).T
+    ey = 0.5 * (u - (fy @ u) / (fy @ v) * v)
+    # (I - S) e = (drive - mu f)/2 and f^T e = 0 give e^T (I - S) e = e^T drive / 2
+    value = float(xy @ (xy - Ax) + 0.5 * (ey @ drive))
+    return Observable(chain.frame.lift(ey), 0.0), value
 
 
 def reversible_inf(P, pi, f, tol: float = 1e-10):
@@ -129,14 +119,14 @@ def reversible_inf(P, pi, f, tol: float = 1e-10):
     infinite-variance marker, since on a finite irreducible space the
     variance is always finite.
     """
-    w = _as_weights(pi)
-    if not is_reversible(P, w, tol):
+    chain = _as_chain(P, pi)
+    if not is_reversible(chain, chain.pi, tol):
         raise NotReversibleError("kernel is not reversible for the given pi")
-    sol = solve_dual_pair(P, pi, f)
+    sol = solve_dual_pair(chain, None, f)
     if sol.sigma2 <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
     xi = Observable(sol.phi.values / sol.sigma2, 0.0)
-    value = dirichlet_form(P, pi, xi, xi)
+    value = dirichlet_form(chain, chain.pi, xi, xi)
     return xi, value
 
 
@@ -147,25 +137,15 @@ def factored_operator_inf(P, pi, f):
     (phi + phi*) / 2 normalized by its pairing with f; the minimum
     equals 1/sigma^2.  Cross-checked against the saddle value at 1e-9.
     """
-    w = _as_weights(pi)
-    sol = solve_dual_pair(P, pi, f)
+    chain = _as_chain(P, pi)
+    sol = solve_dual_pair(chain, None, f)
     if sol.sigma2 <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
     bar = 0.5 * (sol.phi.values + sol.phi_star.values)
-    denom = pi_inner(bar, f, w)
+    denom = pi_inner(bar, f, chain.pi)
     xi = Observable(bar / denom, 0.0)
-    frame = MeanZeroFrame.from_pi(w)
-    A = frame.operator(_as_matrix(P))
-    m = A.shape[0]
-    eye = np.eye(m)
-    S = 0.5 * (A + A.T)
-    if m and np.min(np.linalg.eigvalsh(eye - S)) <= SOLVABLE_TOL:
-        raise SingularReversibilizationError(
-            "reversibilized operator singular on the mean-zero subspace")
-    B = eye - A
-    T = B @ np.linalg.solve(eye - S, B.T)
-    xy = frame.reduce(xi.values)
-    value = float(xy @ (T @ xy))
+    xy = chain.frame.reduce(xi.values)
+    value = float(xy @ (chain.T @ xy))
     expected = 1.0 / sol.sigma2
     if abs(value - expected) > ROUTE_TOL * max(1.0, expected):
         raise NumericalFailureError(

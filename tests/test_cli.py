@@ -8,6 +8,8 @@ from click.testing import CliRunner
 import mavar.cli
 from mavar import catalog
 from mavar.cli import main
+from mavar.generators import random_centered_observable, random_irreducible_kernel
+from mavar.kernel import stationary_distribution
 
 
 @pytest.fixture(scope="module")
@@ -392,3 +394,86 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert result.output.strip() == f"mavar, version {mavar.__version__}"
+
+
+def test_validate_rejects_non_finite_kernel(runner, tmp_path):
+    path = write_json(tmp_path / "nan.json", {"rows": [[0.5, float("nan")], [0.5, 0.5]]})
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2
+    assert "kernel entry (0, 1) is nan" in result.output
+
+
+def test_validate_rejects_non_finite_embedded_pi(runner, tmp_path):
+    path = write_json(tmp_path / "nan.json", {"rows": [[0.5, 0.5], [0.5, 0.5]],
+                                              "pi": [float("nan"), 0.5]})
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2
+    assert "embedded pi is not a probability vector" in result.output
+
+
+def test_analyze_rejects_non_finite_observable(runner, tmp_path):
+    kernel = write_json(tmp_path / "flip.json", {"rows": [[0, 1], [1, 0]]})
+    obs = write_json(tmp_path / "f.json", [float("nan"), 1.0])
+    result = runner.invoke(main, ["analyze", kernel, obs])
+    assert result.exit_code == 2
+    assert "observable entry 0 is nan" in result.output
+    assert "pi-mean" not in result.output
+
+
+def test_analyze_overflow_exit_code(runner, tmp_path):
+    kernel = write_json(tmp_path / "flat.json", {"rows": [[0.5, 0.5], [0.5, 0.5]]})
+    obs = write_json(tmp_path / "f.json", [1e308, -1e308])
+    result = runner.invoke(main, ["analyze", kernel, obs])
+    assert result.exit_code == 2
+    assert "overflows float64" in result.output
+
+
+def nonreversible_files(tmp_path, n, seed):
+    rng = np.random.default_rng(seed)
+    kernel = random_irreducible_kernel(n, rng)
+    f = random_centered_observable(stationary_distribution(kernel), rng)
+    return (write_json(tmp_path / "P.json", {"rows": kernel.rows.tolist()}),
+            write_json(tmp_path / "f.json", f.tolist()))
+
+
+def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatch):
+    class CorruptedChain(mavar.cli.ReducedChain):
+        @property
+        def lu(self):
+            lu, piv = super().lu
+            bad = lu.copy()
+            bad[0, 0] *= 1.001
+            return bad, piv
+
+    monkeypatch.setattr(mavar.cli, "ReducedChain", CorruptedChain)
+    kernel, obs = nonreversible_files(tmp_path, 8, 5)
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    assert result.exit_code == 5
+    payload = json.loads(result.output.splitlines()[0])
+    records = {c["name"]: c for c in payload["checks"]}
+    assert records["factored-operator route"]["passed"] is False
+    assert records["factored-operator minimum"]["passed"] is False
+
+
+def test_verify_factors_the_chain_once(runner, tmp_path, monkeypatch):
+    # guards the factor-once design: one reduced operator per chain, and the
+    # condition estimate, not the spectrum, clears a well-conditioned chain
+    counts = {"eigvals": 0, "operator": 0}
+    eigvals = np.linalg.eigvals
+    operator = mavar.kernel.MeanZeroFrame.operator
+
+    def counted_eigvals(*args, **kwargs):
+        counts["eigvals"] += 1
+        return eigvals(*args, **kwargs)
+
+    def counted_operator(*args, **kwargs):
+        counts["operator"] += 1
+        return operator(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    monkeypatch.setattr(mavar.kernel.MeanZeroFrame, "operator", counted_operator)
+    kernel, obs = nonreversible_files(tmp_path, 30, 9)
+    result = runner.invoke(main, ["verify", "--json", kernel, obs])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["all_pass"] is True
+    assert counts == {"eigvals": 0, "operator": 1}

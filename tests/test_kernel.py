@@ -6,6 +6,7 @@ from mavar import (
     DimensionMismatchError,
     MeanZeroFrame,
     NegativeEntryError,
+    NonFiniteInputError,
     NotStationaryError,
     Observable,
     ReducibleError,
@@ -63,6 +64,21 @@ def test_validate_kernel_rejects_negative_entry():
     rows = np.array([[1.1, -0.1], [0.5, 0.5]])
     with pytest.raises(NegativeEntryError):
         validate_kernel(rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_kernel_rejects_non_finite_entry(bad):
+    rows = np.array([[0.5, bad], [0.5, 0.5]])
+    with pytest.raises(NonFiniteInputError, match=r"kernel entry \(0, 1\) is"):
+        validate_kernel(rows)
+
+
+def test_observable_rejects_non_finite_entry():
+    pi = StationaryDist(np.array([0.5, 0.5]))
+    with pytest.raises(NonFiniteInputError, match="observable entry 0 is nan"):
+        as_observable([np.nan, 1.0], pi)
+    with pytest.raises(NonFiniteInputError, match="observable entry 1 is -inf"):
+        centered([1.0, -np.inf], pi)
 
 
 def test_validate_kernel_rejects_bad_row_sum():
@@ -243,6 +259,28 @@ def test_frame_operator_symmetric_iff_reversible(rng):
     pi2 = stationary_distribution(skew)
     a2 = MeanZeroFrame.from_pi(pi2).operator(skew)
     assert np.max(np.abs(a2 - a2.T)) > 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_frame_rank_one_products_match_dense_basis(rng, n):
+    # the frame applies its Householder reflection by rank-1 updates; check
+    # them against products with the explicit dense reflection
+    w = rng.random(n) + 0.1
+    w /= w.sum()
+    s = np.sqrt(w)
+    v = s - np.eye(n)[0]
+    v /= np.linalg.norm(v)
+    basis = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
+    frame = MeanZeroFrame.from_pi(StationaryDist(w))
+    M = rng.random((n, n))
+    M /= M.sum(axis=1, keepdims=True)
+    C = (s[:, None] * M) / s[None, :]
+    f = rng.standard_normal(n)
+    y = rng.standard_normal(n - 1)
+    npt.assert_allclose(frame.basis, basis, rtol=0, atol=1e-13)
+    npt.assert_allclose(frame.operator(M), basis.T @ C @ basis, rtol=0, atol=1e-13)
+    npt.assert_allclose(frame.reduce(f), basis.T @ (s * f), rtol=0, atol=1e-13)
+    npt.assert_allclose(frame.lift(y), (basis @ y) / s, rtol=0, atol=1e-13)
 
 
 def test_spectral_radius_six_cycle(six):

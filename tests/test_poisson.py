@@ -6,6 +6,9 @@ from mavar import (
     DegenerateKernelError,
     INFINITE_VARIANCE,
     NotCenteredError,
+    NumericalFailureError,
+    ReducedChain,
+    SingularReversibilizationError,
     StationaryDist,
     adjoint,
     avar_spectral,
@@ -21,6 +24,7 @@ from mavar import (
     validate_kernel,
     variance_form_reduced,
 )
+from mavar.kernel import SOLVABLE_TOL
 from mavar.generators import (
     random_centered_observable,
     random_irreducible_kernel,
@@ -118,6 +122,74 @@ def test_degenerate_gate_rejects_disconnected_kernel():
         solve_poisson(kernel, pi, np.array([1.0, -1.0, 1.0, -1.0]))
     assert info.value.separation <= 1e-12
     assert info.value.radius == pytest.approx(1.0, abs=1e-12)
+
+
+def coupled_blocks(eps):
+    """Two lazy 3-cycles joined by total coupling eps.
+
+    Doubly stochastic, so pi is uniform, and non-reversible.  The
+    block-sign vector has eigenvalue 1 - 2 eps, so I - A and I - S both
+    approach singular as eps -> 0.
+    """
+    rotation = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
+    rows = np.full((6, 6), eps / 3.0)
+    rows[:3, :3] = rows[3:, 3:] = (1.0 - eps) * rotation
+    return validate_kernel(rows), StationaryDist(np.full(6, 1.0 / 6.0))
+
+
+def test_condition_gates_raise_exactly_where_the_spectrum_does(monkeypatch):
+    eigvals = np.linalg.eigvals
+    spectrum_calls = []
+
+    def counted(a):
+        spectrum_calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    outcomes = []
+    for k in range(2, 15):
+        kernel, pi = coupled_blocks(10.0 ** -k)
+        chain = ReducedChain(kernel, pi)
+        before = len(spectrum_calls)
+        try:
+            chain.lu
+            degenerate = False
+        except DegenerateKernelError as exc:
+            degenerate = True
+            assert exc.separation <= SOLVABLE_TOL
+            assert exc.radius == pytest.approx(1.0, abs=1e-12)
+        estimate_only = len(spectrum_calls) == before
+        assert degenerate == (np.min(np.abs(1.0 - eigvals(chain.A))) <= SOLVABLE_TOL)
+        try:
+            chain.cho
+            singular = False
+        except SingularReversibilizationError:
+            singular = True
+        sym = np.eye(chain.m) - 0.5 * (chain.A + chain.A.T)
+        assert singular == (np.min(np.linalg.eigvalsh(sym)) <= SOLVABLE_TOL)
+        outcomes.append((degenerate, singular, estimate_only))
+    assert outcomes[0] == (False, False, True)
+    assert outcomes[-1][:2] == (True, True)
+
+
+def test_factored_route_catches_a_corrupted_lu(rng):
+    kernel = random_irreducible_kernel(8, rng)
+    pi = stationary_distribution(kernel)
+    f = random_centered_observable(pi, rng)
+    chain = ReducedChain(kernel, pi)
+    assert avar_via_factored_operator(chain, pi, f) == pytest.approx(
+        solve_dual_pair(kernel, pi, f).sigma2, rel=1e-9)
+    # the factored route solves with T, never with the LU of I - A
+    chain.lu[0][0, 0] *= 1.001
+    with pytest.raises(NumericalFailureError):
+        avar_via_factored_operator(chain, pi, f)
+
+
+def test_overflowing_variance_is_a_numerical_failure():
+    kernel = validate_kernel(np.full((2, 2), 0.5))
+    pi = StationaryDist(np.array([0.5, 0.5]))
+    with pytest.raises(NumericalFailureError, match="overflows float64"):
+        solve_dual_pair(kernel, pi, np.array([1e308, -1e308]))
 
 
 def test_dual_pair_properties_random(rng):
