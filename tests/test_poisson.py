@@ -24,12 +24,12 @@ from mavar import (
     validate_kernel,
     variance_form_reduced,
 )
-from mavar.kernel import SOLVABLE_TOL
 from mavar.generators import (
     random_centered_observable,
     random_irreducible_kernel,
     random_reversible_kernel,
 )
+from mavar.kernel import SOLVABLE_TOL
 
 
 def cycle_poisson_oracle(f):
