@@ -480,8 +480,7 @@ def run_all(tol: float = 1e-9, only: str | None = None) -> list:
 
 
 def _kernel_payload(P, pi) -> dict:
-    w = pi.weights if isinstance(pi, StationaryDist) else np.asarray(pi, float)
-    return {"n": P.n, "rows": P.rows.tolist(), "pi": w.tolist()}
+    return {"n": P.n, "rows": P.rows.tolist(), "pi": pi.weights.tolist()}
 
 
 def fixture_files() -> dict:

@@ -4,8 +4,11 @@ Exit codes: 0 success, 2 parse or validation error (including a NaN or
 infinite input, and a variance that overflows float64), 3 reducible
 kernel, 4 degenerate kernel (Poisson equation unsolvable), 5 route or
 identity disagreement, 6 stationary-distribution mismatch, 7 unexplained
-fixture deviation.  The MAVAR_TOL environment variable overrides the default
-verification tolerance; an explicit --tol flag wins over both.
+fixture deviation.  A library error that escapes a command gets its code from
+one table keyed by error class, EXIT_CODES, applied once by the command group,
+so every command maps an error the same way (a degenerate pair exits 4 from
+compare as from analyze).  The MAVAR_TOL environment variable overrides the
+default verification tolerance; an explicit --tol flag wins over both.
 """
 
 import json
@@ -17,16 +20,11 @@ import numpy as np
 
 from . import __version__, catalog
 from .errors import (
-    AlphaOutOfRangeError,
-    BadInitialError,
     DegenerateKernelError,
     MavarError,
-    NotCenteredError,
     NumericalFailureError,
     ReducibleError,
     StationaryMismatchError,
-    TrajectoryTooShortError,
-    ZeroVarianceError,
 )
 from .kernel import (
     DEFAULT_TOL,
@@ -53,6 +51,7 @@ from .ordering import (
 )
 from .perturb import apply_drift, family_alpha, validate_drift, validate_vorticity
 from .poisson import (
+    ROUTE_TOL,
     avar_spectral,
     avar_via_factored_operator,
     is_infinite,
@@ -75,7 +74,13 @@ EXIT_ROUTES = 5
 EXIT_STATIONARY = 6
 EXIT_FIXTURE = 7
 
-ROUTE_AGREEMENT = 1e-9
+# exit code of a library error: the entry of its most specific listed class
+EXIT_CODES = {
+    ReducibleError: EXIT_REDUCIBLE,
+    DegenerateKernelError: EXIT_DEGENERATE,
+    StationaryMismatchError: EXIT_STATIONARY,
+    MavarError: EXIT_PARSE,
+}
 
 
 def _fmt(x) -> str:
@@ -113,6 +118,14 @@ def _read_json(path):
         _fail(EXIT_PARSE, f"{path} is not valid JSON: {exc}")
 
 
+def _checked(path, convert, *args):
+    """convert(*args); a parse or validation failure exits 2 naming the file."""
+    try:
+        return convert(*args)
+    except (MavarError, TypeError, ValueError) as exc:
+        _fail(EXIT_PARSE, f"{path}: {exc}")
+
+
 def _load_kernel_file(path, tol):
     """Returns (kernel, embedded stationary or None, labels or None)."""
     payload = _read_json(path)
@@ -121,13 +134,10 @@ def _load_kernel_file(path, tol):
     rows = payload["rows"]
     if "n" in payload and (not isinstance(rows, list) or len(rows) != payload["n"]):
         _fail(EXIT_PARSE, f"{path}: 'n' does not match the matrix size")
-    try:
-        kernel = validate_kernel(np.array(rows, dtype=float), tol)
-    except (MavarError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
+    kernel = _checked(path, validate_kernel, rows, tol)
     embedded = None
     if payload.get("pi") is not None:
-        pi = np.asarray(payload["pi"], dtype=float)
+        pi = _checked(path, np.asarray, payload["pi"], float)
         # written so that a NaN entry fails too
         if pi.shape != (kernel.n,) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
             _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
@@ -139,42 +149,30 @@ def _load_kernel_file(path, tol):
 
 def _load_observable_file(path, n):
     if str(path).endswith(".json"):
-        payload = _read_json(path)
-        if not isinstance(payload, list):
+        values = _read_json(path)
+        if not isinstance(values, list):
             _fail(EXIT_PARSE, f"{path}: expected a JSON array of numbers")
-        values = payload
     else:
         try:
             with open(path) as handle:
-                values = [float(line) for line in handle if line.strip()]
+                values = [line for line in handle if line.strip()]
         except OSError as exc:
             _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
-        except ValueError as exc:
-            _fail(EXIT_PARSE, f"{path}: {exc}")
-    try:
-        f = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
+    f = _checked(path, check_finite, values, "observable")
     if f.ndim != 1 or f.shape[0] != n:
         _fail(EXIT_PARSE, f"{path}: expected {n} values, got shape {f.shape}")
-    try:
-        check_finite(f, "observable")
-    except MavarError as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
     return f
 
 
 def _resolve_pi(kernel, embedded):
     if embedded is not None:
         return embedded
-    if not is_irreducible(kernel):
-        _fail(EXIT_REDUCIBLE, "kernel is reducible and no stationary law was supplied")
     try:
         return stationary_distribution(kernel)
     except NumericalFailureError as exc:
         # an irreducible kernel whose stationary solve still fails is, for all
         # practical purposes, numerically decoupled
-        _fail(EXIT_DEGENERATE, f"stationary solve failed: {exc}")
+        raise DegenerateKernelError(f"stationary solve failed: {exc}") from exc
 
 
 def _resolve_observable(f, pi, tol, center):
@@ -191,7 +189,29 @@ def _resolve_observable(f, pi, tol, center):
           f"observable has pi-mean {obs.pi_mean}; pass --center to subtract it")
 
 
-@click.group()
+def _load_analysis(kernel_file, observable_file, tol, center):
+    """The start of analyze and verify: (kernel, pi, f, centered?, chain)."""
+    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
+    if not is_irreducible(kernel):
+        raise ReducibleError("kernel is reducible")
+    pi = _resolve_pi(kernel, embedded)
+    raw = _load_observable_file(observable_file, kernel.n)
+    f, was_centered = _resolve_observable(raw, pi, tol, center)
+    return kernel, pi, f, was_centered, ReducedChain(kernel, pi)
+
+
+class _Group(click.Group):
+    """Exits with EXIT_CODES' code for a library error escaping a command."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except MavarError as exc:
+            _fail(next(EXIT_CODES[c] for c in type(exc).__mro__ if c in EXIT_CODES),
+                  str(exc))
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="mavar")
 def main():
     """Asymptotic variance of finite-state Markov chains."""
@@ -233,19 +253,9 @@ def validate(kernel_file, tol, as_json):
 def analyze(kernel_file, observable_file, center, tol, as_json):
     """Solve the Poisson equation and report the variance by every route."""
     tol = _resolve_tol(tol)
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
-    if not is_irreducible(kernel):
-        _fail(EXIT_REDUCIBLE, "kernel is reducible")
-    pi = _resolve_pi(kernel, embedded)
-    raw = _load_observable_file(observable_file, kernel.n)
-    f, was_centered = _resolve_observable(raw, pi, tol, center)
-    chain = ReducedChain(kernel, pi)
-    try:
-        sol = solve_dual_pair(chain, pi, f, tol)
-    except DegenerateKernelError as exc:
-        _fail(EXIT_DEGENERATE, str(exc))
-    except (NotCenteredError, NumericalFailureError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    kernel, pi, f, was_centered, chain = _load_analysis(
+        kernel_file, observable_file, tol, center)
+    sol = solve_dual_pair(chain, pi, f, tol)
     routes = {"dual-pair": sol.sigma2}
     try:
         routes["factored-operator"] = avar_via_factored_operator(chain, pi, f, tol)
@@ -259,7 +269,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
                   "spectral route reports infinite variance, other routes do not")
         routes["spectral"] = float(spectral)
     spread = max(routes.values()) - min(routes.values())
-    agree = spread <= ROUTE_AGREEMENT * max(1.0, abs(sol.sigma2))
+    agree = spread <= ROUTE_TOL * max(1.0, abs(sol.sigma2))
     radius = spectral_radius_mean_zero(chain, pi)
     report = {
         "n": kernel.n,
@@ -287,7 +297,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
         click.echo(f"avar: {_fmt(sol.avar)}")
         for name, value in routes.items():
             click.echo(f"route {name}: {_fmt(value)}")
-        click.echo(f"routes agree within {ROUTE_AGREEMENT:g}: {'yes' if agree else 'no'}")
+        click.echo(f"routes agree within {ROUTE_TOL:g}: {'yes' if agree else 'no'}")
     if not agree:
         _fail(EXIT_ROUTES,
               f"variance routes disagree by {spread} (values {routes})")
@@ -315,28 +325,17 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     tol = _resolve_tol(tol)
     k1, pi1, _ = _load_kernel_file(kernel_file_1, tol)
     k2, pi2, _ = _load_kernel_file(kernel_file_2, tol)
-    if k1.n != k2.n:
-        _fail(EXIT_PARSE, f"kernels have {k1.n} and {k2.n} states")
-    embedded = pi1 if pi1 is not None else pi2
-    try:
-        pi = _resolve_pi(k1, embedded)
-        for label, kern in (("first", k1), ("second", k2)):
-            resid = stationary_residual(kern, pi)
-            if resid > max(tol, 1e-9):
-                raise StationaryMismatchError(
-                    f"{label} kernel moves the shared pi by {resid}")
-        orders = {
-            "peskun": (peskun_order(k1, k2, pi), peskun_order(k2, k1, pi)),
-            "dirichlet": (dirichlet_order(k1, k2, pi), dirichlet_order(k2, k1, pi)),
-            "fill_kahn": (fk_order(k1, k2, pi), fk_order(k2, k1, pi)),
-        }
-        c1, c2 = ReducedChain(k1, pi), ReducedChain(k2, pi)
-        dom_fwd = uniform_variance_domination(c1, c2, pi)
-        dom_rev = uniform_variance_domination(c2, c1, pi)
-    except StationaryMismatchError as exc:
-        _fail(EXIT_STATIONARY, str(exc))
-    except ReducibleError as exc:
-        _fail(EXIT_REDUCIBLE, str(exc))
+    pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
+    # the orders check that the sizes match and that both kernels keep pi
+    orders = {
+        "peskun": (peskun_order(k1, k2, pi), peskun_order(k2, k1, pi)),
+        "dirichlet": (dirichlet_order(k1, k2, pi), dirichlet_order(k2, k1, pi)),
+        "fill_kahn": (fk_order(k1, k2, pi), fk_order(k2, k1, pi)),
+    }
+    c1, c2 = ReducedChain(k1, pi), ReducedChain(k2, pi)
+    dom_fwd = uniform_variance_domination(c1, c2, pi)
+    dom_rev = uniform_variance_domination(c2, c1, pi)
+
     def _dom_payload(result):
         holds, witness = result
         payload = {"holds": holds}
@@ -393,24 +392,19 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     if payload["kind"] != want:
         _fail(EXIT_PARSE,
               f"{path}: kind {payload['kind']!r} does not match the flag ({want})")
-    matrix = np.array(payload["matrix"], dtype=float)
+    matrix = _checked(path, check_finite, payload["matrix"], "perturbation matrix")
     diagnostics = {}
-    try:
-        if want == "vorticity":
-            spec = validate_vorticity(kernel, pi, matrix, tol)
-            result = family_alpha(kernel, pi, spec, alpha)
-            diagnostics["max_density"] = float(np.max(np.abs(alpha * spec.h)))
-            diagnostics["alpha"] = alpha
-        else:
-            if alpha != 1.0:
-                _fail(EXIT_PARSE, "--alpha applies only to vorticity perturbations")
-            spec = validate_drift(kernel, pi, matrix, tol)
-            result = apply_drift(kernel, pi, spec)
-            diagnostics["peskun_margin"] = peskun_order(kernel, result, pi).margin
-    except AlphaOutOfRangeError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except MavarError as exc:
-        _fail(EXIT_PARSE, str(exc))
+    if want == "vorticity":
+        spec = validate_vorticity(kernel, pi, matrix, tol)
+        result = family_alpha(kernel, pi, spec, alpha)
+        diagnostics["max_density"] = float(np.max(np.abs(alpha * spec.h)))
+        diagnostics["alpha"] = alpha
+    else:
+        if alpha != 1.0:
+            _fail(EXIT_PARSE, "--alpha applies only to vorticity perturbations")
+        spec = validate_drift(kernel, pi, matrix, tol)
+        result = apply_drift(kernel, pi, spec)
+        diagnostics["peskun_margin"] = peskun_order(kernel, result, pi).margin
     diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
         click.echo(json.dumps({
@@ -438,28 +432,15 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     """Run the variational identity battery for one kernel and observable."""
     tol = _resolve_tol(tol)
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
-    if not is_irreducible(kernel):
-        _fail(EXIT_REDUCIBLE, "kernel is reducible")
-    pi = _resolve_pi(kernel, embedded)
-    raw = _load_observable_file(observable_file, kernel.n)
-    f, _ = _resolve_observable(raw, pi, tol, center)
+    kernel, pi, f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
     checks = []
 
     def record(name, residual, bound):
         checks.append({"name": name, "residual": float(residual),
                        "bound": float(bound), "passed": bool(residual <= bound)})
 
-    chain = ReducedChain(kernel, pi)
-    try:
-        sol = solve_dual_pair(chain, pi, f, tol)
-        saddle = saddle_point(chain, pi, f)
-    except DegenerateKernelError as exc:
-        _fail(EXIT_DEGENERATE, str(exc))
-    except NumericalFailureError as exc:
-        _fail(EXIT_PARSE, str(exc))
-    except ZeroVarianceError as exc:
-        _fail(EXIT_PARSE, f"observable too close to zero: {exc}")
+    sol = solve_dual_pair(chain, pi, f, tol)
+    saddle = saddle_point(chain, pi, f)
     w = pi.weights
     fscale = max(1.0, float(np.max(np.abs(f))))
     resid_primal = np.max(np.abs(
@@ -475,21 +456,21 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     try:
         t_route = avar_via_factored_operator(chain, pi, f, tol)
         record("factored-operator route", abs(t_route - sol.sigma2),
-               ROUTE_AGREEMENT * max(1.0, abs(sol.sigma2)))
+               ROUTE_TOL * max(1.0, abs(sol.sigma2)))
     except NumericalFailureError:
-        record("factored-operator route", np.inf, ROUTE_AGREEMENT)
+        record("factored-operator route", np.inf, ROUTE_TOL)
     reversible = is_reversible(kernel, pi, 1e-10)
     if reversible:
         spectral = avar_spectral(kernel, pi, f, tol)
         record("spectral route", abs(spectral - sol.sigma2),
-               ROUTE_AGREEMENT * max(1.0, abs(sol.sigma2)))
+               ROUTE_TOL * max(1.0, abs(sol.sigma2)))
     betas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     curve = resolvent_curve(kernel, pi, f, betas, tol)
     phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
     record("resolvent tail", abs(curve.values[-1] - sol.sigma2),
            10.0 * betas[-1] * phi_norm)
     value = saddle.value
-    record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_AGREEMENT)
+    record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_TOL)
     record("constraint pi(f xi*) = 1",
            abs(pi_inner(f, saddle.xi_star, w) - 1.0), 1e-10)
     record("constraint pi(f eta*) = 0",
@@ -497,16 +478,16 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     combined = saddle.xi_star.values + saddle.eta_star.values
     record("xi* + eta* = phi / sigma^2",
            np.max(np.abs(combined - sol.phi.values / sol.sigma2)),
-           ROUTE_AGREEMENT * max(1.0, np.max(np.abs(combined))))
+           ROUTE_TOL * max(1.0, np.max(np.abs(combined))))
     record("saddle Dirichlet identity",
            abs(dirichlet_form(kernel, pi,
                               saddle.xi_star.values + saddle.eta_star.values,
                               saddle.xi_star.values - saddle.eta_star.values)
                - value),
-           ROUTE_AGREEMENT * max(1.0, value))
+           ROUTE_TOL * max(1.0, value))
     _, sup_at_star = inner_sup(chain, pi, f, saddle.xi_star, tol)
     record("inner sup at xi*", abs(sup_at_star - value),
-           ROUTE_AGREEMENT * max(1.0, value))
+           ROUTE_TOL * max(1.0, value))
     rng = np.random.default_rng(seed)
     worst_inf = np.inf
     for _ in range(trials):
@@ -515,7 +496,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
         _, sup_val = inner_sup(chain, pi, f, xi, tol)
         worst_inf = min(worst_inf, sup_val)
     record("inf side: min over random xi of sup >= 1/sigma^2",
-           max(0.0, value - worst_inf), ROUTE_AGREEMENT * max(1.0, value))
+           max(0.0, value - worst_inf), ROUTE_TOL * max(1.0, value))
     worst_sup = -np.inf
     for _ in range(trials):
         eta = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
@@ -524,13 +505,13 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
                                saddle.xi_star.values - eta)
         worst_sup = max(worst_sup, probe)
     record("sup side: max over random eta <= 1/sigma^2",
-           max(0.0, worst_sup - value), ROUTE_AGREEMENT * max(1.0, value))
+           max(0.0, worst_sup - value), ROUTE_TOL * max(1.0, value))
     try:
         _, t_inf = factored_operator_inf(chain, pi, f)
         record("factored-operator minimum", abs(t_inf - value),
-               ROUTE_AGREEMENT * max(1.0, value))
+               ROUTE_TOL * max(1.0, value))
     except NumericalFailureError:
-        record("factored-operator minimum", np.inf, ROUTE_AGREEMENT)
+        record("factored-operator minimum", np.inf, ROUTE_TOL)
     worst_orth = 0.0
     for _ in range(trials):
         probe = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
@@ -544,7 +525,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     if reversible:
         xi_min, inf_val = reversible_inf(chain, pi, f)
         record("reversible minimum", abs(inf_val - value),
-               ROUTE_AGREEMENT * max(1.0, value))
+               ROUTE_TOL * max(1.0, value))
         record("eta* vanishes (reversible)",
                np.max(np.abs(saddle.eta_star.values)), 1e-9)
     all_pass = all(c["passed"] for c in checks)
@@ -576,11 +557,8 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     tol = _resolve_tol(tol)
     kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
     f = _load_observable_file(observable_file, kernel.n)
-    try:
-        trajectory = run_chain(kernel, n_steps, seed, initial)
-        estimate = batch_means_avar(trajectory, f, batch_len)
-    except (BadInitialError, TrajectoryTooShortError) as exc:
-        _fail(EXIT_PARSE, str(exc))
+    trajectory = run_chain(kernel, n_steps, seed, initial)
+    estimate = batch_means_avar(trajectory, f, batch_len)
     report = {
         "value": estimate.value,
         "std_error": estimate.std_error,
@@ -597,9 +575,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
                 report["deviation_sigmas"] = (
                     abs(estimate.value - sol.avar) / estimate.std_error)
         except DegenerateKernelError:
-            pass
-        except NumericalFailureError as exc:
-            _fail(EXIT_PARSE, str(exc))
+            pass  # a degenerate chain has no analytic value to compare with
     if as_json:
         click.echo(json.dumps(report))
     else:
@@ -622,9 +598,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def reproduce_examples(only, dump_dir, tol, as_json):
     """Recompute every bundled reference value and report deviations."""
-    if tol is None:
-        env = os.environ.get("MAVAR_TOL")
-        tol = float(env) if env else 1e-9
+    tol = _resolve_tol(tol)
     if dump_dir is not None:
         written = catalog.dump_fixtures(dump_dir)
         if not as_json:

@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from .kernel import StationaryDist, StochasticKernel, validate_kernel
+from .kernel import (
+    StationaryDist,
+    StochasticKernel,
+    _as_matrix,
+    _as_weights,
+    validate_kernel,
+)
 from .perturb import DriftSpec, VorticitySpec, validate_drift, validate_vorticity
 
 
@@ -40,14 +46,14 @@ def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
     sums without losing antisymmetry, and scales so the largest density
     |h| equals target_density.
     """
-    w = pi.weights if isinstance(pi, StationaryDist) else np.asarray(pi, float)
+    w = _as_weights(pi)
     n = w.shape[0]
     B = rng.standard_normal((n, n))
     B = B - B.T
     r = B.sum(axis=1)
     # (r 1^T - 1 r^T)/n is antisymmetric with the same row sums as B
     B -= (r[:, None] - r[None, :]) / n
-    Kt = w[:, None] * (K.rows if isinstance(K, StochasticKernel) else np.asarray(K, float))
+    Kt = w[:, None] * _as_matrix(K)
     mask = Kt > 0.0
     density = np.zeros_like(B)
     density[mask] = B[mask] / Kt[mask]
@@ -66,8 +72,8 @@ def random_drift(K, pi, rng, slack: float = 0.1) -> DriftSpec:
     The whole matrix is scaled so the diagonal bound holds with the
     given slack fraction of min_i pi_i K_ii.
     """
-    MK = K.rows if isinstance(K, StochasticKernel) else np.asarray(K, float)
-    w = pi.weights if isinstance(pi, StationaryDist) else np.asarray(pi, float)
+    MK = _as_matrix(K)
+    w = _as_weights(pi)
     n = w.shape[0]
     S = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(S, 0.0)
@@ -89,7 +95,7 @@ def random_drift(K, pi, rng, slack: float = 0.1) -> DriftSpec:
 
 def random_centered_observable(pi, rng, scale: float = 1.0) -> np.ndarray:
     """A pi-centered Gaussian observable bounded away from zero."""
-    w = pi.weights if isinstance(pi, StationaryDist) else np.asarray(pi, float)
+    w = _as_weights(pi)
     while True:
         g = scale * rng.standard_normal(w.shape[0])
         g -= float(w @ g)

@@ -127,12 +127,13 @@ class SpectralDecomposition:
 
 
 def check_finite(values, what: str):
-    """Raise NonFiniteInputError naming the first NaN or infinite entry."""
+    """values as a float array; raises NonFiniteInputError at a NaN or inf entry."""
     a = np.asarray(values, dtype=float)
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         raise NonFiniteInputError(f"{what} entry {idx[0] if a.ndim == 1 else idx} is {a[idx]}")
+    return a
 
 
 def as_observable(values, pi) -> Observable:

@@ -118,6 +118,10 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     transposed solve.  Returns phi, phi*, sigma^2 = <phi, f>_pi and
     avar = 2 sigma^2 - <f, f>_pi.  Raises NumericalFailureError when
     either variance overflows float64.
+
+    An avar below 0 by at most the rounding bound of that subtraction,
+    4 eps (2 sigma^2 + <f, f>_pi), is returned as 0.0: an exact zero (P f = -f
+    on a periodic chain, say) can round a few ulps negative.
     """
     chain = _as_chain(P, pi)
     fv = _as_values(f)
@@ -128,11 +132,14 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     y_star = scipy.linalg.lu_solve(lu, fy, trans=1)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sigma2 = float(fy @ y)
-        avar = 2.0 * sigma2 - float(fy @ fy)
+        ff = float(fy @ fy)
+        avar = 2.0 * sigma2 - ff
     if not (np.isfinite(sigma2) and np.isfinite(avar)):
         raise NumericalFailureError(
             f"variance overflows float64 (sigma^2 = {sigma2}, avar = {avar}); "
             f"rescale the observable")
+    if -4.0 * np.finfo(float).eps * (2.0 * abs(sigma2) + ff) <= avar < 0.0:
+        avar = 0.0
     return PoissonSolution(
         phi=Observable(chain.frame.lift(y), 0.0),
         phi_star=Observable(chain.frame.lift(y_star), 0.0),

@@ -213,6 +213,46 @@ def test_compare_size_mismatch(runner, fixture_dir):
     assert result.exit_code == 2
 
 
+def two_block_rows(coupling):
+    on, off = 0.5 - coupling / 2, coupling / 2
+    return [[on, on, off, off], [on, on, off, off],
+            [off, off, on, on], [off, off, on, on]]
+
+
+@pytest.mark.parametrize("kernels, code, message", [
+    # DimensionMismatchError from the orders: any other MavarError exits 2
+    (["six-cycle/P1.json", "uniform3/K.json"], 2, "kernels have shapes"),
+    ([[[1.0, 0.0], [0.0, 1.0]]] * 2, 3, "kernel is not irreducible"),
+    # a near-decomposable pair: coupling 1e-13 between two blocks
+    ([two_block_rows(1e-13)] * 2, 4, "Poisson operator singular"),
+    (["uniform3/K.json", "three-state-pair/P1.json"], 6, "second kernel moves pi by"),
+], ids=["other", "reducible", "degenerate", "stationary"])
+def test_library_errors_exit_by_class(runner, fixture_dir, tmp_path, kernels, code, message):
+    # a fixture file by name, or rows written to a file
+    paths = [str(fixture_dir / k) if isinstance(k, str)
+             else write_json(tmp_path / f"k{i}.json", {"rows": k})
+             for i, k in enumerate(kernels)]
+    result = runner.invoke(main, ["compare", *paths])
+    assert result.exit_code == code
+    assert f"error: {message}" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.0, 1.0], [1.0]], "inhomogeneous shape"),
+    ("abc", "could not convert string to float"),
+    ([[0.0, float("nan")], [0.0, 0.0]], "perturbation matrix entry (0, 1) is nan"),
+], ids=["ragged", "non-numeric", "nan"])
+def test_perturb_rejects_a_malformed_matrix(runner, tmp_path, matrix, message):
+    kernel = write_json(tmp_path / "flip.json", {"rows": [[0, 1], [1, 0]]})
+    gamma = write_json(tmp_path / "gamma.json", {"kind": "vorticity", "matrix": matrix})
+    result = runner.invoke(main, ["perturb", kernel, "--gamma", gamma])
+    assert result.exit_code == 2
+    assert f"error: {gamma}: " in result.output
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+
+
 def test_perturb_vorticity(runner, fixture_dir):
     result = runner.invoke(main, [
         "perturb", "--json",
@@ -304,7 +344,7 @@ def test_verify_json_and_seed(runner, fixture_dir):
 
 def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     # force every bound negative to exercise the failure path
-    monkeypatch.setattr(mavar.cli, "ROUTE_AGREEMENT", -1.0)
+    monkeypatch.setattr(mavar.cli, "ROUTE_TOL", -1.0)
     result = runner.invoke(main, [
         "verify",
         str(fixture_dir / "six-cycle" / "P2.json"),
@@ -380,6 +420,13 @@ def test_reproduce_examples_strict_tol_fails(runner):
     assert result.exit_code == 7
 
 
+@pytest.mark.parametrize("env", ["abc", ""])
+def test_reproduce_examples_rejects_a_bad_mavar_tol(runner, env):
+    result = runner.invoke(main, ["reproduce-examples"], env={"MAVAR_TOL": env})
+    assert result.exit_code == 2
+    assert f"MAVAR_TOL = {env!r} is not a number" in result.output
+
+
 def test_reproduce_examples_dump(runner, tmp_path):
     target = tmp_path / "out"
     result = runner.invoke(main, [
@@ -409,6 +456,13 @@ def test_validate_rejects_non_finite_embedded_pi(runner, tmp_path):
     result = runner.invoke(main, ["validate", path])
     assert result.exit_code == 2
     assert "embedded pi is not a probability vector" in result.output
+
+
+def test_validate_rejects_a_non_numeric_embedded_pi(runner, tmp_path):
+    path = write_json(tmp_path / "pi.json", {"rows": [[0.5, 0.5], [0.5, 0.5]], "pi": "abc"})
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2
+    assert f"error: {path}: could not convert string to float" in result.output
 
 
 def test_analyze_rejects_non_finite_observable(runner, tmp_path):

@@ -192,6 +192,20 @@ def test_overflowing_variance_is_a_numerical_failure():
         solve_dual_pair(kernel, pi, np.array([1e308, -1e308]))
 
 
+@pytest.mark.parametrize("rows, f", [
+    ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0]),
+    (np.roll(np.eye(6), 1, axis=1) / 2 + np.roll(np.eye(6), -1, axis=1) / 2,
+     [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]),
+])
+def test_exact_zero_avar_is_reported_as_zero(rows, f):
+    # P f = -f on a period-two chain: avar = 2 sigma^2 - <f, f> = 0 exactly,
+    # which the subtraction can round a few ulps below zero
+    kernel = validate_kernel(rows)
+    sol = solve_dual_pair(kernel, stationary_distribution(kernel), np.array(f))
+    assert sol.sigma2 == pytest.approx(0.5)
+    assert sol.avar == 0.0
+
+
 def test_dual_pair_properties_random(rng):
     for trial in range(20):
         n = int(rng.integers(2, 10))
