@@ -8,7 +8,8 @@ fixture deviation.  A library error that escapes a command gets its code from
 one table keyed by error class, EXIT_CODES, applied once by the command group,
 so every command maps an error the same way (a degenerate pair exits 4 from
 compare as from analyze).  The MAVAR_TOL environment variable overrides the
-default verification tolerance; an explicit --tol flag wins over both.
+default verification tolerance; an explicit --tol flag wins over both, and
+either must be positive and finite.
 """
 
 import json
@@ -97,15 +98,17 @@ def _fail(code: int, message: str):
 
 
 def _resolve_tol(tol):
-    if tol is not None:
-        return tol
-    env = os.environ.get("MAVAR_TOL")
-    if env is not None:
+    if tol is None:
+        env = os.environ.get("MAVAR_TOL")
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             _fail(EXIT_PARSE, f"MAVAR_TOL = {env!r} is not a number")
-    return DEFAULT_TOL
+    if not 0.0 < tol < np.inf:  # written so that NaN fails too
+        _fail(EXIT_PARSE, f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 def _read_json(path):
@@ -426,7 +429,8 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 @click.argument("observable_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--center", is_flag=True, help="subtract the pi-mean first")
 @click.option("--seed", type=int, default=0, help="seed for random test functions")
-@click.option("--trials", type=int, default=20, help="random test functions per check")
+@click.option("--trials", type=click.IntRange(min=1), default=20,
+              help="random test functions per check")
 @click.option("--tol", type=float, default=None, help="verification tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):

@@ -8,15 +8,10 @@ product becomes Euclidean and the pi-adjoint becomes the transpose;
 ReducedChain keeps one chain's reduced operator and its factorizations.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgecon, dpocon
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateKernelError,
@@ -34,8 +29,8 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 STRICT_TOL = 1e-12
 SOLVABLE_TOL = 1e-12
-# condition estimates can undershoot a norm by a small factor (Higham, Accuracy
-# and Stability of Numerical Algorithms, ch. 15), so they gate with this margin
+# an inverse computed near singularity is itself inaccurate, so the norm gates
+# pass only with this margin over SOLVABLE_TOL and leave closer calls to the spectrum
 GATE_SAFETY = 1e6
 
 
@@ -179,12 +174,24 @@ def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> StochasticKernel:
     return StochasticKernel(M, tol)
 
 
+def _reaches_all(G) -> bool:
+    """True iff every state is reachable from state 0 along G's edges.
+
+    Each state joins the frontier once, so the sweeps read O(n^2) entries.
+    """
+    seen = np.zeros(G.shape[0], dtype=bool)
+    seen[:1] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = G[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.size and seen.all())  # no states: not irreducible
+
+
 def is_irreducible(P) -> bool:
     """True iff the support digraph is strongly connected."""
-    M = _as_matrix(P)
-    graph = csr_matrix(M > 0.0)
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    return ncomp == 1
+    G = _as_matrix(P) > 0.0
+    return _reaches_all(G) and _reaches_all(G.T)
 
 
 def stationary_distribution(P) -> StationaryDist:
@@ -202,9 +209,11 @@ def stationary_distribution(P) -> StationaryDist:
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    lu = scipy.linalg.lu_factor(A)
-    x = scipy.linalg.lu_solve(lu, b)
-    x += scipy.linalg.lu_solve(lu, b - A @ x)
+    try:
+        x = np.linalg.solve(A, b)
+        x += np.linalg.solve(A, b - A @ x)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"stationary solve failed: {exc}") from exc
     if x.min() <= 0.0:
         raise NumericalFailureError("stationary solve produced a nonpositive weight")
     x /= x.sum()
@@ -347,8 +356,8 @@ def _gate_by_spectrum(A):
 class ReducedChain:
     """One chain (P, pi) in mean-zero coordinates, factored at most once.
 
-    Holds the frame, the reduced operator A, the LU of I - A, the
-    Cholesky factor of I - S with S = (A + A^T)/2, the factored operator
+    Holds the frame, the reduced operator A, the inverse of I - A, the
+    inverse of I - S with S = (A + A^T)/2, the factored operator
     T = (I - A)(I - S)^{-1}(I - A)^T and the variance form, each built
     on first use.  Every function that takes (P, pi) accepts a chain in
     place of P, and then uses the chain's pi.
@@ -366,56 +375,56 @@ class ReducedChain:
         return self.frame.operator(self.rows)
 
     @cached_property
-    def lu(self):
-        """LU of I - A; raises DegenerateKernelError if it is singular.
+    def inv(self) -> np.ndarray:
+        """(I - A)^{-1}; raises DegenerateKernelError if I - A is singular.
 
-        |1 - lambda| >= sigma_min(I - A) for every eigenvalue of A, so a
-        condition estimate bounding sigma_min(I - A) well above
-        SOLVABLE_TOL passes; otherwise the spectrum of A decides.
+        |1 - lambda| >= sigma_min(I - A) >= 1 / (sqrt(m) ||(I - A)^{-1}||_1)
+        for every eigenvalue of A, so a bound clearing SOLVABLE_TOL by
+        GATE_SAFETY passes; otherwise the spectrum of A decides, and an
+        inverse that failed or overflowed raises NumericalFailureError.
         """
-        B = np.negative(self.A, order="F")  # Fortran order: factored in place
-        B[np.diag_indices(self.m)] += 1.0
-        anorm = np.linalg.norm(B, 1)
-        with warnings.catch_warnings():  # a singular I - A is the gate's to report
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu = scipy.linalg.lu_factor(B, overwrite_a=True)
-        # rcond = 1 / (||B||_1 ||B^-1||_1) and ||B^-1||_2 <= sqrt(m) ||B^-1||_1
-        if not dgecon(lu[0], anorm)[0] * anorm / np.sqrt(self.m) > GATE_SAFETY * SOLVABLE_TOL:
+        try:
+            inv = np.linalg.inv(np.eye(self.m) - self.A)
+            bound = np.sqrt(self.m) * np.linalg.norm(inv, 1)
+        except np.linalg.LinAlgError:
+            bound = np.inf
+        if not bound < 1.0 / (GATE_SAFETY * SOLVABLE_TOL):
             _gate_by_spectrum(self.A)
-        return lu
+            if not np.isfinite(bound):
+                raise NumericalFailureError("I - A is singular to working precision")
+        return inv
 
     @cached_property
-    def cho(self):
-        """Cholesky factor of I - S; raises SingularReversibilizationError
-        if it is singular: when the factorization fails, or when neither a
-        condition estimate nor the smallest eigenvalue clears SOLVABLE_TOL.
+    def cinv(self) -> np.ndarray:
+        """(I - S)^{-1}; raises SingularReversibilizationError if I - S is
+        singular: when its Cholesky factorization fails, or when neither the
+        inverse's 1-norm nor the smallest eigenvalue clears SOLVABLE_TOL.
         """
         C = np.eye(self.m) - 0.5 * (self.A + self.A.T)
-        anorm = np.linalg.norm(C, 1)
         try:
-            cho = scipy.linalg.cho_factor(C)
+            np.linalg.cholesky(C)  # raises unless C is positive definite
+            cinv = np.linalg.inv(C)
         except np.linalg.LinAlgError:
-            cho = None
+            cinv = None
         # for symmetric positive definite C, 1 / lambda_min <= ||C^-1||_1
-        if cho is None or (not dpocon(cho[0], anorm)[0] * anorm > GATE_SAFETY * SOLVABLE_TOL
-                           and np.min(np.linalg.eigvalsh(C)) <= SOLVABLE_TOL):
+        if cinv is None or (not np.linalg.norm(cinv, 1) < 1.0 / (GATE_SAFETY * SOLVABLE_TOL)
+                            and np.min(np.linalg.eigvalsh(C)) <= SOLVABLE_TOL):
             raise SingularReversibilizationError(
                 "reversibilized operator singular on the mean-zero subspace")
-        return cho
+        return cinv
 
     @cached_property
     def T(self) -> np.ndarray:
         """The symmetric positive definite factored operator."""
         B = np.eye(self.m) - self.A
-        return B @ scipy.linalg.cho_solve(self.cho, B.T)
+        return B @ self.cinv @ B.T
 
     @cached_property
     def variance_form(self) -> np.ndarray:
         """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y."""
-        inv = scipy.linalg.lu_solve(self.lu, np.eye(self.m), overwrite_b=True)
-        inv += inv.T
-        inv *= 0.5
-        return inv
+        form = self.inv + self.inv.T
+        form *= 0.5
+        return form
 
 
 def _as_chain(P, pi=None) -> ReducedChain:

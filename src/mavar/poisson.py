@@ -11,7 +11,6 @@ decomposition (reversible case), and a resolvent limit.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotCenteredError, NumericalFailureError
 from .kernel import (
@@ -113,9 +112,9 @@ def solve_poisson(P, pi, f, tol: float = DEFAULT_TOL) -> Observable:
 def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     """Solve the Poisson equation for P and its pi-adjoint together.
 
-    One LU factorization serves both systems: the adjoint becomes the
-    transpose in mean-zero coordinates, so the dual solve is the
-    transposed solve.  Returns phi, phi*, sigma^2 = <phi, f>_pi and
+    One inverse of I - A serves both systems: the adjoint becomes the
+    transpose in mean-zero coordinates, so the dual solution is the
+    product from the left.  Returns phi, phi*, sigma^2 = <phi, f>_pi and
     avar = 2 sigma^2 - <f, f>_pi.  Raises NumericalFailureError when
     either variance overflows float64.
 
@@ -126,10 +125,9 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     chain = _as_chain(P, pi)
     fv = _as_values(f)
     _check_centered(fv, chain.pi, tol)
-    lu = chain.lu
     fy = chain.frame.reduce(fv)
-    y = scipy.linalg.lu_solve(lu, fy, trans=0)
-    y_star = scipy.linalg.lu_solve(lu, fy, trans=1)
+    y = chain.inv @ fy
+    y_star = fy @ chain.inv
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         sigma2 = float(fy @ y)
         ff = float(fy @ fy)
@@ -154,14 +152,14 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     In mean-zero coordinates the operator
     T = (I - A) (I - S)^{-1} (I - A)^T with S = (A + A^T)/2 is symmetric
     positive definite and sigma^2 = <f, T^{-1} f>.  The route solves
-    with T alone, never with the LU of I - A.  Cross-checked against
+    with T alone, never with the inverse of I - A.  Cross-checked against
     the dual-pair route at 1e-9; disagreement raises
     NumericalFailureError.
     """
     chain = _as_chain(P, pi)
     fv = _as_values(f)
     _check_centered(fv, chain.pi, tol)
-    chain.lu  # the solvability gate, so a singular I - A raises first
+    chain.inv  # the solvability gate, so a singular I - A raises first
     fy = chain.frame.reduce(fv)
     ybar = np.linalg.solve(chain.T, fy)
     sigma2 = float(fy @ ybar)

@@ -12,7 +12,6 @@ Dirichlet form.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InfeasibleConstraintError,
@@ -88,7 +87,7 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     The objective is concave in eta, with S = (A + A^T)/2 its curvature.
     Its stationary point on the constraint is
     e = (I - S)^{-1} (drive - mu f) / 2, with mu chosen so that f^T e = 0:
-    two solves with the chain's Cholesky factor of I - S.  Returns
+    two products with the chain's inverse of I - S.  Returns
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
     equality at xi = xi*.  Raises InfeasibleConstraintError if
     pi(f xi) != 1.
@@ -103,7 +102,7 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     xy = chain.frame.reduce(xv)
     Ax = chain.A @ xy
     drive = Ax - xy @ chain.A
-    u, v = scipy.linalg.cho_solve(chain.cho, np.column_stack([drive, fy])).T
+    u, v = (chain.cinv @ np.column_stack([drive, fy])).T
     ey = 0.5 * (u - (fy @ u) / (fy @ v) * v)
     # (I - S) e = (drive - mu f)/2 and f^T e = 0 give e^T (I - S) e = e^T drive / 2
     value = float(xy @ (xy - Ax) + 0.5 * (ey @ drive))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -165,6 +169,22 @@ def test_mavar_tol_env_override(runner, fixture_dir, tmp_path):
     result = runner.invoke(main, ["analyze", kernel, obs],
                            env={"MAVAR_TOL": "banana"})
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_nonpositive_or_non_finite_tolerance_exits_2(runner, tmp_path, source, value):
+    kernel = write_json(tmp_path / "flip.json", {"rows": [[0, 1], [1, 0]]})
+    obs = write_json(tmp_path / "f.json", [1.0, -1.0])
+    args, env = ["analyze", kernel, obs], {}
+    if source == "flag":
+        args += ["--tol", value]
+    else:
+        env["MAVAR_TOL"] = value
+    result = runner.invoke(main, args, env=env)
+    assert result.exit_code == 2
+    assert "tolerance must be positive and finite" in result.output
+    assert "below -tol" not in result.output
 
 
 def test_compare_six_cycle(runner, fixture_dir):
@@ -354,6 +374,18 @@ def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     assert "FAIL" in result.output
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(runner, fixture_dir, trials):
+    result = runner.invoke(main, [
+        "verify", "--trials", trials,
+        str(fixture_dir / "six-cycle" / "P2.json"),
+        str(fixture_dir / "six-cycle" / "f1.json"),
+    ])
+    assert result.exit_code == 2
+    assert "--trials" in result.output
+    assert "PASS" not in result.output
+
+
 def test_simulate_reports_estimate(runner, fixture_dir):
     result = runner.invoke(main, [
         "simulate", "--json", "--n", "20000", "--seed", "11",
@@ -493,11 +525,10 @@ def nonreversible_files(tmp_path, n, seed):
 def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatch):
     class CorruptedChain(mavar.cli.ReducedChain):
         @property
-        def lu(self):
-            lu, piv = super().lu
-            bad = lu.copy()
+        def inv(self):
+            bad = super().inv.copy()
             bad[0, 0] *= 1.001
-            return bad, piv
+            return bad
 
     monkeypatch.setattr(mavar.cli, "ReducedChain", CorruptedChain)
     kernel, obs = nonreversible_files(tmp_path, 8, 5)
@@ -531,3 +562,34 @@ def test_verify_factors_the_chain_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert json.loads(result.output)["all_pass"] is True
     assert counts == {"eigvals": 0, "operator": 1}
+
+
+IMPORT_GUARD = """
+import json, sys
+from mavar.cli import main
+for args in json.loads(sys.argv[1]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_cli_commands_never_import_scipy(fixture_dir):
+    # scipy costs most of a command's wall clock to import; numpy covers mavar's needs
+    six = fixture_dir / "six-cycle"
+    commands = [
+        ["analyze", str(six / "P1.json"), str(six / "f1.json")],
+        ["analyze", str(six / "P2.json"), str(six / "f1.json")],
+        ["verify", "--trials", "3", str(six / "P2.json"), str(six / "f1.json")],
+        ["compare", str(six / "P1.json"), str(six / "P2.json")],
+    ]
+    src = str(Path(mavar.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "sigma^2" in done.stdout and "shared pi" in done.stdout
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -115,6 +115,56 @@ def test_is_irreducible_matches_dfs_oracle(rng):
         assert is_irreducible(kernel) == strongly_connected_oracle(kernel.rows)
 
 
+def closure_oracle(matrix):
+    # reachability by repeated squaring of the boolean matrix I + G
+    reach = np.eye(len(matrix), dtype=bool) | (np.asarray(matrix) > 0)
+    while True:
+        step = (reach.astype(int) @ reach.astype(int)) > 0
+        if np.array_equal(step, reach):
+            return bool(reach.all())
+        reach = step
+
+
+def test_is_irreducible_matches_transitive_closure_on_sparse_digraphs():
+    rng = np.random.default_rng(20201)
+    outcomes = set()
+    for trial in range(200):
+        n = int(rng.integers(2, 40))
+        # about 1.5 expected out-edges per state: some graphs connect, some do not
+        graph = rng.random((n, n)) < 1.5 / n
+        expected = closure_oracle(graph)
+        assert is_irreducible(graph.astype(float)) == expected, trial
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_is_irreducible_on_a_one_way_ring():
+    ring = np.roll(np.eye(1000), 1, axis=1)  # i -> i+1: the sweeps take 1000 steps
+    assert is_irreducible(ring)
+    ring[500, 501] = 0.0
+    ring[500, 500] = 1.0
+    assert not is_irreducible(ring)
+
+
+def test_only_self_loops_is_reducible():
+    assert not is_irreducible(validate_kernel(np.eye(5)))
+
+
+def test_an_empty_support_graph_is_not_irreducible():
+    assert not is_irreducible(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("transpose", [False, True], ids=["reaches-all", "reached-by-all"])
+def test_is_irreducible_needs_both_directions(transpose):
+    # a one-way path 0 -> 1 -> ... -> 5: state 0 reaches every state, none returns
+    path = np.roll(np.eye(6), 1, axis=1)
+    path[5] = 0.0
+    path[5, 5] = 1.0
+    graph = path.T if transpose else path
+    assert closure_oracle(graph) is False
+    assert not is_irreducible(graph)
+
+
 def test_six_cycle_kernels_irreducible(six):
     assert is_irreducible(six["P1"])
     assert is_irreducible(six["P2"])

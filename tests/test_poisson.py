@@ -152,7 +152,7 @@ def test_condition_gates_raise_exactly_where_the_spectrum_does(monkeypatch):
         chain = ReducedChain(kernel, pi)
         before = len(spectrum_calls)
         try:
-            chain.lu
+            chain.inv
             degenerate = False
         except DegenerateKernelError as exc:
             degenerate = True
@@ -161,7 +161,7 @@ def test_condition_gates_raise_exactly_where_the_spectrum_does(monkeypatch):
         estimate_only = len(spectrum_calls) == before
         assert degenerate == (np.min(np.abs(1.0 - eigvals(chain.A))) <= SOLVABLE_TOL)
         try:
-            chain.cho
+            chain.cinv
             singular = False
         except SingularReversibilizationError:
             singular = True
@@ -179,10 +179,26 @@ def test_factored_route_catches_a_corrupted_lu(rng):
     chain = ReducedChain(kernel, pi)
     assert avar_via_factored_operator(chain, pi, f) == pytest.approx(
         solve_dual_pair(kernel, pi, f).sigma2, rel=1e-9)
-    # the factored route solves with T, never with the LU of I - A
-    chain.lu[0][0, 0] *= 1.001
+    # the factored route solves with T, never with the inverse of I - A
+    chain.inv[0, 0] *= 1.001
     with pytest.raises(NumericalFailureError):
         avar_via_factored_operator(chain, pi, f)
+
+
+@pytest.mark.parametrize("broken", ["zero pivot", "overflow"])
+def test_a_broken_inverse_that_the_spectrum_clears_is_a_numerical_failure(
+        rng, monkeypatch, broken):
+    kernel = random_irreducible_kernel(6, rng)
+    chain = ReducedChain(kernel, stationary_distribution(kernel))
+
+    def inverse(a):
+        if broken == "zero pivot":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(a, np.inf)
+
+    monkeypatch.setattr(np.linalg, "inv", inverse)
+    with pytest.raises(NumericalFailureError, match="singular to working precision"):
+        chain.inv
 
 
 def test_overflowing_variance_is_a_numerical_failure():
