@@ -6,7 +6,7 @@ variational formulas for the reciprocal variance, kernel orders, and
 variance-reducing perturbations of reversible kernels.
 """
 
-from . import catalog, generators
+from . import catalog, checks, generators
 from .errors import (
     AlphaOutOfRangeError,
     BadInitialError,
@@ -81,19 +81,14 @@ from .perturb import (
     validate_vorticity,
 )
 from .poisson import (
-    INFINITE_VARIANCE,
-    InfiniteVariance,
     PoissonSolution,
     ResolventCurve,
     avar_spectral,
     avar_via_factored_operator,
     check_dual_equality,
-    is_infinite,
     resolvent_curve,
     sigma2_quadratic_form,
     solve_dual_pair,
-    solve_poisson,
-    variance_form_reduced,
 )
 from .variational import (
     SaddlePoint,

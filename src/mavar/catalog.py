@@ -22,7 +22,7 @@ from .kernel import (
 )
 from .ordering import fk_order
 from .perturb import DriftSpec, apply_drift, make_nonreversible, validate_vorticity
-from .poisson import solve_dual_pair, variance_form_reduced
+from .poisson import solve_dual_pair
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -264,9 +264,9 @@ def _six_sigma2(which, f_name):
     return run
 
 
-def _three_form(which):
+def _form(builder, which):
     def run():
-        fx = three_state_pair()
+        fx = builder()
         return form_coefficients(fx[which], fx["pi"])
 
     return run
@@ -282,14 +282,6 @@ def _three_gap(obs):
     return run
 
 
-def _fk_form(which):
-    def run():
-        fx = fk_pair()
-        return form_coefficients(fx[which], fx["pi"])
-
-    return run
-
-
 def _fk_margin():
     fx = fk_pair()
     return fk_order(fx["Q"], fx["P"], fx["pi"]).margin
@@ -301,21 +293,13 @@ def _four_cycle_kernel():
 
 def _four_cycle_domination():
     fx = four_cycle_lift()
-    FK = variance_form_reduced(fx["K"], fx["pi"])
-    FP = variance_form_reduced(fx["P"], fx["pi"])
+    FK = _as_chain(fx["K"], fx["pi"]).variance_form
+    FP = _as_chain(fx["P"], fx["pi"]).variance_form
     return float(np.min(np.linalg.eigvalsh(FK - FP)))
 
 
 def _tridiag_kernel():
     return tridiag_drift()["P"].rows
-
-
-def _uniform3_form(which):
-    def run():
-        fx = uniform3()
-        return form_coefficients(fx[which], fx["pi"])
-
-    return run
 
 
 def _uniform3_domination():
@@ -371,13 +355,13 @@ FIXTURE_ROWS = (
         "three-state-pair/form(P1)", "three-state-pair",
         (Q(126, 294), Q(252, 294), Q(448, 294)),
         (Q(126, 294), Q(252, 294), Q(448, 294)),
-        _three_form("P1"),
+        _form(three_state_pair, "P1"),
     ),
     FixtureRow(
         "three-state-pair/form(P2)", "three-state-pair",
         (Q(105, 294), Q(280, 294), Q(448, 294)),
         (Q(105, 294), Q(280, 294), Q(448, 294)),
-        _three_form("P2"),
+        _form(three_state_pair, "P2"),
     ),
     FixtureRow(
         "three-state-pair/gap(1,1,-11/3)", "three-state-pair",
@@ -393,13 +377,13 @@ FIXTURE_ROWS = (
         "fk-pair/form(P)", "fk-pair",
         (Q(4, 9), Q(4, 9), Q(4, 9)),
         (Q(4, 9), Q(4, 9), Q(4, 9)),
-        _fk_form("P"),
+        _form(fk_pair, "P"),
     ),
     FixtureRow(
         "fk-pair/form(Q)", "fk-pair",
         (Q(2, 5), Q(3, 5), Q(2, 5)),
         (Q(2, 5), Q(2, 5), Q(3, 5)),
-        _fk_form("Q"),
+        _form(fk_pair, "Q"),
         flagged=True,
         note=("stated cross and f2^2 coefficients are swapped: the stated "
               "form is not invariant under the kernel's own 1<->3 relabeling "
@@ -433,7 +417,7 @@ FIXTURE_ROWS = (
         "uniform3/form(vorticity)", "uniform3",
         (Q(1, 2), Q(1, 2), Q(1, 2)),
         (Q(1, 2), Q(1, 2), Q(1, 2)),
-        _uniform3_form("P"),
+        _form(uniform3, "P"),
         note=("the stated vorticity matrix is the pi-weighted one; the "
               "kernel-level perturbation is diag(pi)^{-1} times it, matching "
               "the four-state construction and the stated variance form"),
@@ -442,13 +426,13 @@ FIXTURE_ROWS = (
         "uniform3/form(drift-1)", "uniform3",
         (Q(3, 5), Q(4, 5), Q(3, 5)),
         (Q(3, 5), Q(4, 5), Q(3, 5)),
-        _uniform3_form("P1"),
+        _form(uniform3, "P1"),
     ),
     FixtureRow(
         "uniform3/form(drift-2)", "uniform3",
         (Q(3, 7), Q(3, 7), Q(3, 7)),
         (Q(3, 7), Q(3, 7), Q(3, 7)),
-        _uniform3_form("P2"),
+        _form(uniform3, "P2"),
     ),
     FixtureRow(
         "uniform3/domination-margin(vorticity,drift-2)", "uniform3",

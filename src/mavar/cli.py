@@ -1,13 +1,17 @@
-"""Command-line interface.
+"""Command-line interface: load the inputs, call the library, render.
+
+analyze and verify render mavar.checks: the routes and the verify battery
+are computed there, and a command only prints them and picks the exit code.
 
 Exit codes: 0 success, 2 parse or validation error (including a NaN or
 infinite input, and a variance that overflows float64), 3 reducible
 kernel, 4 degenerate kernel (Poisson equation unsolvable), 5 route or
-identity disagreement, 6 stationary-distribution mismatch, 7 unexplained
-fixture deviation.  A library error that escapes a command gets its code from
-one table keyed by error class, EXIT_CODES, applied once by the command group,
-so every command maps an error the same way (a degenerate pair exits 4 from
-compare as from analyze).  The MAVAR_TOL environment variable overrides the
+identity disagreement (a route that failed its own cross-check is inf),
+6 stationary-distribution mismatch, 7 unexplained fixture deviation.  A
+library error that escapes a command gets its code from one table keyed by
+error class, EXIT_CODES, applied once by the command group, so every command
+maps an error the same way (a degenerate pair exits 4 from compare as from
+analyze).  The MAVAR_TOL environment variable overrides the
 default verification tolerance; an explicit --tol flag wins over both, and
 either must be positive and finite.
 """
@@ -19,7 +23,7 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, catalog
+from . import __version__, catalog, checks
 from .errors import (
     DegenerateKernelError,
     MavarError,
@@ -31,13 +35,11 @@ from .kernel import (
     DEFAULT_TOL,
     ReducedChain,
     StationaryDist,
-    adjoint,
     as_observable,
     centered,
     check_finite,
     is_irreducible,
     is_reversible,
-    pi_inner,
     spectral_radius_mean_zero,
     stationary_distribution,
     stationary_residual,
@@ -51,22 +53,7 @@ from .ordering import (
     uniform_variance_domination,
 )
 from .perturb import apply_drift, family_alpha, validate_drift, validate_vorticity
-from .poisson import (
-    ROUTE_TOL,
-    avar_spectral,
-    avar_via_factored_operator,
-    is_infinite,
-    resolvent_curve,
-    solve_dual_pair,
-)
-from .variational import (
-    dirichlet_form,
-    factored_operator_inf,
-    inner_sup,
-    project_to_constraint,
-    reversible_inf,
-    saddle_point,
-)
+from .poisson import ROUTE_TOL, solve_dual_pair
 
 EXIT_PARSE = 2
 EXIT_REDUCIBLE = 3
@@ -193,14 +180,14 @@ def _resolve_observable(f, pi, tol, center):
 
 
 def _load_analysis(kernel_file, observable_file, tol, center):
-    """The start of analyze and verify: (kernel, pi, f, centered?, chain)."""
+    """The start of analyze and verify: (f, centered?, chain)."""
     kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
     if not is_irreducible(kernel):
         raise ReducibleError("kernel is reducible")
     pi = _resolve_pi(kernel, embedded)
     raw = _load_observable_file(observable_file, kernel.n)
     f, was_centered = _resolve_observable(raw, pi, tol, center)
-    return kernel, pi, f, was_centered, ReducedChain(kernel, pi)
+    return f, was_centered, ReducedChain(kernel, pi)
 
 
 class _Group(click.Group):
@@ -233,7 +220,7 @@ def validate(kernel_file, tol, as_json):
     if irreducible:
         pi = _resolve_pi(kernel, embedded)
         info["pi"] = pi.weights.tolist()
-        info["reversible"] = is_reversible(kernel, pi, 1e-10)
+        info["reversible"] = is_reversible(kernel, pi)
     if as_json:
         click.echo(json.dumps(info))
     else:
@@ -256,29 +243,17 @@ def validate(kernel_file, tol, as_json):
 def analyze(kernel_file, observable_file, center, tol, as_json):
     """Solve the Poisson equation and report the variance by every route."""
     tol = _resolve_tol(tol)
-    kernel, pi, f, was_centered, chain = _load_analysis(
-        kernel_file, observable_file, tol, center)
-    sol = solve_dual_pair(chain, pi, f, tol)
-    routes = {"dual-pair": sol.sigma2}
-    try:
-        routes["factored-operator"] = avar_via_factored_operator(chain, pi, f, tol)
-    except NumericalFailureError as exc:
-        _fail(EXIT_ROUTES, str(exc))
-    reversible = is_reversible(kernel, pi, 1e-10)
-    if reversible:
-        spectral = avar_spectral(kernel, pi, f, tol)
-        if is_infinite(spectral):
-            _fail(EXIT_ROUTES,
-                  "spectral route reports infinite variance, other routes do not")
-        routes["spectral"] = float(spectral)
+    f, was_centered, chain = _load_analysis(kernel_file, observable_file, tol, center)
+    sol, routes, reversible = checks.routes(chain, f, tol)
+    # a route that failed is inf, so the spread is inf or NaN and agree is False
     spread = max(routes.values()) - min(routes.values())
     agree = spread <= ROUTE_TOL * max(1.0, abs(sol.sigma2))
-    radius = spectral_radius_mean_zero(chain, pi)
+    radius = spectral_radius_mean_zero(chain)
     report = {
-        "n": kernel.n,
+        "n": chain.m + 1,
         "reversible": reversible,
         "spectral_radius_mean_zero": radius,
-        "pi": pi.weights.tolist(),
+        "pi": chain.pi.tolist(),
         "centered_applied": was_centered,
         "phi": sol.phi.values.tolist(),
         "phi_star": sol.phi_star.values.tolist(),
@@ -290,10 +265,10 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     if as_json:
         click.echo(json.dumps(report))
     else:
-        click.echo(f"states: {kernel.n}")
+        click.echo(f"states: {chain.m + 1}")
         click.echo(f"reversible: {'yes' if reversible else 'no'}")
         click.echo(f"spectral radius (mean-zero): {_fmt(radius)}")
-        click.echo(f"pi: {_fmt_vec(pi.weights)}")
+        click.echo(f"pi: {_fmt_vec(chain.pi)}")
         click.echo(f"phi: {_fmt_vec(sol.phi.values)}")
         click.echo(f"phi*: {_fmt_vec(sol.phi_star.values)}")
         click.echo(f"sigma^2: {_fmt(sol.sigma2)}")
@@ -302,8 +277,9 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
             click.echo(f"route {name}: {_fmt(value)}")
         click.echo(f"routes agree within {ROUTE_TOL:g}: {'yes' if agree else 'no'}")
     if not agree:
-        _fail(EXIT_ROUTES,
-              f"variance routes disagree by {spread} (values {routes})")
+        worst = max(routes, key=lambda name: abs(routes[name] - sol.sigma2))
+        _fail(EXIT_ROUTES, f"variance routes disagree by {spread}, the {worst} route "
+                           f"most (values {routes})")
 
 
 def _order_line(label, report):
@@ -428,7 +404,8 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 @click.argument("kernel_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("observable_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--center", is_flag=True, help="subtract the pi-mean first")
-@click.option("--seed", type=int, default=0, help="seed for random test functions")
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              help="seed for random test functions")
 @click.option("--trials", type=click.IntRange(min=1), default=20,
               help="random test functions per check")
 @click.option("--tol", type=float, default=None, help="verification tolerance")
@@ -436,112 +413,18 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     """Run the variational identity battery for one kernel and observable."""
     tol = _resolve_tol(tol)
-    kernel, pi, f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
-    checks = []
-
-    def record(name, residual, bound):
-        checks.append({"name": name, "residual": float(residual),
-                       "bound": float(bound), "passed": bool(residual <= bound)})
-
-    sol = solve_dual_pair(chain, pi, f, tol)
-    saddle = saddle_point(chain, pi, f)
-    w = pi.weights
-    fscale = max(1.0, float(np.max(np.abs(f))))
-    resid_primal = np.max(np.abs(
-        sol.phi.values - kernel.rows @ sol.phi.values - f))
-    record("poisson residual (primal)", resid_primal, 1e-10 * fscale)
-    star = sol.phi_star.values
-    Pstar = adjoint(kernel, pi)
-    record("poisson residual (dual)",
-           np.max(np.abs(star - Pstar.rows @ star - f)), 1e-10 * fscale)
-    record("pairing equality <phi,f> vs <f,phi*>",
-           abs(pi_inner(sol.phi, f, w) - pi_inner(f, sol.phi_star, w)),
-           1e-10 * max(1.0, abs(sol.sigma2)))
-    try:
-        t_route = avar_via_factored_operator(chain, pi, f, tol)
-        record("factored-operator route", abs(t_route - sol.sigma2),
-               ROUTE_TOL * max(1.0, abs(sol.sigma2)))
-    except NumericalFailureError:
-        record("factored-operator route", np.inf, ROUTE_TOL)
-    reversible = is_reversible(kernel, pi, 1e-10)
-    if reversible:
-        spectral = avar_spectral(kernel, pi, f, tol)
-        record("spectral route", abs(spectral - sol.sigma2),
-               ROUTE_TOL * max(1.0, abs(sol.sigma2)))
-    betas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    curve = resolvent_curve(kernel, pi, f, betas, tol)
-    phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
-    record("resolvent tail", abs(curve.values[-1] - sol.sigma2),
-           10.0 * betas[-1] * phi_norm)
-    value = saddle.value
-    record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_TOL)
-    record("constraint pi(f xi*) = 1",
-           abs(pi_inner(f, saddle.xi_star, w) - 1.0), 1e-10)
-    record("constraint pi(f eta*) = 0",
-           abs(pi_inner(f, saddle.eta_star, w)), 1e-10)
-    combined = saddle.xi_star.values + saddle.eta_star.values
-    record("xi* + eta* = phi / sigma^2",
-           np.max(np.abs(combined - sol.phi.values / sol.sigma2)),
-           ROUTE_TOL * max(1.0, np.max(np.abs(combined))))
-    record("saddle Dirichlet identity",
-           abs(dirichlet_form(kernel, pi,
-                              saddle.xi_star.values + saddle.eta_star.values,
-                              saddle.xi_star.values - saddle.eta_star.values)
-               - value),
-           ROUTE_TOL * max(1.0, value))
-    _, sup_at_star = inner_sup(chain, pi, f, saddle.xi_star, tol)
-    record("inner sup at xi*", abs(sup_at_star - value),
-           ROUTE_TOL * max(1.0, value))
-    rng = np.random.default_rng(seed)
-    worst_inf = np.inf
-    for _ in range(trials):
-        shift = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
-        xi = saddle.xi_star.values + shift
-        _, sup_val = inner_sup(chain, pi, f, xi, tol)
-        worst_inf = min(worst_inf, sup_val)
-    record("inf side: min over random xi of sup >= 1/sigma^2",
-           max(0.0, value - worst_inf), ROUTE_TOL * max(1.0, value))
-    worst_sup = -np.inf
-    for _ in range(trials):
-        eta = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
-        probe = dirichlet_form(kernel, pi,
-                               saddle.xi_star.values + eta,
-                               saddle.xi_star.values - eta)
-        worst_sup = max(worst_sup, probe)
-    record("sup side: max over random eta <= 1/sigma^2",
-           max(0.0, worst_sup - value), ROUTE_TOL * max(1.0, value))
-    try:
-        _, t_inf = factored_operator_inf(chain, pi, f)
-        record("factored-operator minimum", abs(t_inf - value),
-               ROUTE_TOL * max(1.0, value))
-    except NumericalFailureError:
-        record("factored-operator minimum", np.inf, ROUTE_TOL)
-    worst_orth = 0.0
-    for _ in range(trials):
-        probe = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
-        worst_orth = max(
-            worst_orth,
-            abs(dirichlet_form(kernel, pi, sol.phi, probe)),
-            abs(dirichlet_form(kernel, pi, probe, sol.phi_star)),
-        )
-    record("orthogonality of phi against pi(f .) = 0", worst_orth,
-           1e-10 * max(1.0, abs(sol.sigma2)) * max(1.0, float(np.max(np.abs(f)))) * 10)
-    if reversible:
-        xi_min, inf_val = reversible_inf(chain, pi, f)
-        record("reversible minimum", abs(inf_val - value),
-               ROUTE_TOL * max(1.0, value))
-        record("eta* vanishes (reversible)",
-               np.max(np.abs(saddle.eta_star.values)), 1e-9)
-    all_pass = all(c["passed"] for c in checks)
+    f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
+    records, sigma2 = checks.battery(chain, f, seed, trials, tol)
+    all_pass = all(c["passed"] for c in records)
     if as_json:
-        click.echo(json.dumps({"checks": checks, "all_pass": all_pass,
-                               "sigma2": sol.sigma2, "seed": seed}))
+        click.echo(json.dumps({"checks": records, "all_pass": all_pass,
+                               "sigma2": sigma2, "seed": seed}))
     else:
-        for c in checks:
+        for c in records:
             mark = "PASS" if c["passed"] else "FAIL"
             click.echo(f"{mark} {c['name']} (residual {_fmt(c['residual'])}"
                        f" <= {_fmt(c['bound'])})")
-        click.echo(f"sigma^2: {_fmt(sol.sigma2)}")
+        click.echo(f"sigma^2: {_fmt(sigma2)}")
     if not all_pass:
         _fail(EXIT_ROUTES, "at least one variational identity failed")
 
@@ -550,7 +433,7 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
 @click.argument("kernel_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("observable_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--n", "n_steps", type=int, required=True, help="number of transitions")
-@click.option("--seed", type=int, default=0, help="RNG seed")
+@click.option("--seed", type=click.IntRange(min=0), default=0, help="RNG seed")
 @click.option("--batch-len", type=int, default=None, help="batch length")
 @click.option("--initial", type=int, default=0, help="initial state")
 @click.option("--tol", type=float, default=None, help="validation tolerance")

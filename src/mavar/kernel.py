@@ -69,11 +69,6 @@ class StochasticKernel:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    def __matmul__(self, other):
-        if isinstance(other, StochasticKernel):
-            return StochasticKernel(self.rows @ other.rows, min(self.tol, other.tol))
-        return self.rows @ _as_values(other)
-
 
 @dataclass(frozen=True)
 class StationaryDist:
@@ -363,9 +358,9 @@ class ReducedChain:
     place of P, and then uses the chain's pi.
     """
 
-    def __init__(self, P, pi, frame: MeanZeroFrame | None = None):
+    def __init__(self, P, pi):
         self.rows = _as_matrix(P)
-        self.frame = MeanZeroFrame.from_pi(pi) if frame is None else frame
+        self.frame = MeanZeroFrame.from_pi(pi)
         self.pi = self.frame.pi
         self.m = self.frame.n - 1
 

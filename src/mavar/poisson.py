@@ -16,9 +16,7 @@ from .errors import NotCenteredError, NumericalFailureError
 from .kernel import (
     DEFAULT_TOL,
     SOLVABLE_TOL,
-    MeanZeroFrame,
     Observable,
-    ReducedChain,
     _as_chain,
     _as_matrix,
     _as_values,
@@ -29,49 +27,6 @@ from .kernel import (
 )
 
 ROUTE_TOL = 1e-9
-
-
-class InfiniteVariance:
-    """Order-compatible marker for an infinite asymptotic variance.
-
-    Compares strictly above every float, so variance values from
-    different kernels stay comparable when one of them diverges.
-    """
-
-    _singleton = None
-
-    def __new__(cls):
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self):
-        return "InfiniteVariance"
-
-    def __eq__(self, other):
-        return isinstance(other, InfiniteVariance)
-
-    def __hash__(self):
-        return hash("InfiniteVariance")
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, InfiniteVariance)
-
-    def __gt__(self, other):
-        return not isinstance(other, InfiniteVariance)
-
-    def __ge__(self, other):
-        return True
-
-
-INFINITE_VARIANCE = InfiniteVariance()
-
-
-def is_infinite(value) -> bool:
-    return isinstance(value, InfiniteVariance)
 
 
 @dataclass(frozen=True)
@@ -98,15 +53,6 @@ def _check_centered(fv, w, tol):
     mean = abs(float(w @ fv))
     if mean > tol * max(1.0, np.max(np.abs(fv)) if fv.size else 1.0):
         raise NotCenteredError(f"observable has pi-mean {mean}")
-
-
-def solve_poisson(P, pi, f, tol: float = DEFAULT_TOL) -> Observable:
-    """Solve (I - P) phi = f for the mean-zero solution phi.
-
-    Raises NotCenteredError if pi(f) != 0 within tol and
-    DegenerateKernelError if the mean-zero operator is singular.
-    """
-    return solve_dual_pair(P, pi, f, tol).phi
 
 
 def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
@@ -174,14 +120,14 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     return sigma2
 
 
-def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL):
+def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     """Spectral-route variance for a reversible kernel.
 
     sigma^2 = sum_k <u_k, f>_pi^2 / (1 - lambda_k) over non-unit
-    eigenvalues.  If a unit eigenvalue carries weight of f (possible
-    only for reducible input) the variance is infinite and the
-    INFINITE_VARIANCE marker is returned.  Raises NotReversibleError
-    for non-reversible input.
+    eigenvalues.  If a unit eigenvalue carries weight of f (reducible
+    input, or a chain decoupled to within 1e-12) the variance is
+    infinite and inf is returned.  Raises NotReversibleError for
+    non-reversible input.
     """
     w = _as_chain(P, pi).pi
     fv = _as_values(f)
@@ -191,7 +137,7 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL):
     unit = dec.eigenvalues > 1.0 - SOLVABLE_TOL
     scale = max(1.0, np.max(np.abs(fv), initial=0.0))
     if np.any(np.abs(coeffs[unit]) > 1e-10 * scale):
-        return INFINITE_VARIANCE
+        return np.inf
     keep = ~unit
     return float(np.sum(coeffs[keep] ** 2 / (1.0 - dec.eigenvalues[keep])))
 
@@ -232,16 +178,6 @@ def check_dual_equality(P, pi, f, tol: float = 1e-10):
         raise NumericalFailureError(
             f"avar differs between P ({first}) and its adjoint ({second})")
     return first, second
-
-
-def variance_form_reduced(P, pi, frame: MeanZeroFrame | None = None) -> np.ndarray:
-    """Symmetric matrix representing sigma^2 in mean-zero coordinates.
-
-    sigma^2(P, f) = y^T Msym y where y are the coordinates of f and
-    Msym = ((I - A)^{-1} + (I - A)^{-T}) / 2.
-    """
-    chain = P if isinstance(P, ReducedChain) else ReducedChain(P, pi, frame)
-    return chain.variance_form
 
 
 def sigma2_quadratic_form(P, pi) -> np.ndarray:

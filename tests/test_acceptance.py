@@ -11,7 +11,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from mavar import (
-    MeanZeroFrame,
+    ReducedChain,
     avar_spectral,
     avar_via_factored_operator,
     batch_means_avar,
@@ -32,7 +32,6 @@ from mavar import (
     spectral_radius_mean_zero,
     stationary_distribution,
     uniform_variance_domination,
-    variance_form_reduced,
 )
 from mavar.cli import main as cli_main
 from mavar.generators import (
@@ -51,11 +50,11 @@ def report(number, ok, detail):
 
 def avar_evaluator(kernel, pi):
     """Fast per-kernel closure: f -> asymptotic variance."""
-    frame = MeanZeroFrame.from_pi(pi)
-    form = variance_form_reduced(kernel, pi, frame)
+    chain = ReducedChain(kernel, pi)
+    form = chain.variance_form
 
     def evaluate(f):
-        y = frame.reduce(f)
+        y = chain.frame.reduce(f)
         return 2.0 * (y @ form @ y) - y @ y
 
     return evaluate
@@ -108,25 +107,10 @@ def test_criterion_2_documented_discrepancy(six):
            f"row flagged, reproduce-examples exits 0")
 
 
-def variational_cases(rng, count):
-    six = catalog.six_cycle()
-    three = catalog.three_state_pair()
-    fk = catalog.fk_pair()
-    uni = catalog.uniform3()
-    probe3 = np.array([1.0, 0.0, -1.0])
-    cases = [
-        (six["P1"], six["f1"]), (six["P1"], six["f2"]),
-        (six["P2"], six["f1"]), (six["P2"], six["f2"]),
-        (three["P1"], three["g1"]), (three["P1"], three["g2"]),
-        (three["P2"], three["g1"]), (three["P2"], three["g2"]),
-        (fk["P"], probe3), (fk["Q"], probe3),
-        (uni["P"], probe3), (uni["P1"], probe3), (uni["P2"], probe3),
-    ]
-    out = []
-    for kernel, f in cases:
-        pi = stationary_distribution(kernel)
-        out.append((kernel, pi, np.asarray(f, dtype=float)))
-    while len(out) < len(cases) + count:
+def variational_cases(catalog_cases, rng, count):
+    """The catalog cases followed by count random irreducible ones."""
+    out = list(catalog_cases)
+    while len(out) < len(catalog_cases) + count:
         n = int(rng.integers(2, 13))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
@@ -136,10 +120,10 @@ def variational_cases(rng, count):
     return out
 
 
-def test_criterion_3_variational_suite():
+def test_criterion_3_variational_suite(catalog_cases):
     rng = np.random.default_rng(2026)
     start = time.perf_counter()
-    cases = variational_cases(rng, 100)
+    cases = variational_cases(catalog_cases, rng, 100)
     worst = 0.0
     checks = 0
     for kernel, pi, f in cases:
@@ -169,9 +153,9 @@ def test_criterion_3_variational_suite():
            f"worst normalized violation {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_4_route_agreement():
+def test_criterion_4_route_agreement(catalog_cases):
     rng = np.random.default_rng(2026)
-    cases = variational_cases(rng, 100)
+    cases = variational_cases(catalog_cases, rng, 100)
     worst = 0.0
     spectral_checked = 0
     for kernel, pi, f in cases:

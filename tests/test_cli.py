@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 from click.testing import CliRunner
 
+import mavar.checks
 import mavar.cli
 from mavar import catalog
 from mavar.cli import main
@@ -364,7 +365,7 @@ def test_verify_json_and_seed(runner, fixture_dir):
 
 def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     # force every bound negative to exercise the failure path
-    monkeypatch.setattr(mavar.cli, "ROUTE_TOL", -1.0)
+    monkeypatch.setattr(mavar.checks, "ROUTE_TOL", -1.0)
     result = runner.invoke(main, [
         "verify",
         str(fixture_dir / "six-cycle" / "P2.json"),
@@ -386,6 +387,18 @@ def test_verify_rejects_nonpositive_trials(runner, fixture_dir, trials):
     assert "PASS" not in result.output
 
 
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_rejects_a_negative_seed(runner, fixture_dir, seed):
+    result = runner.invoke(main, [
+        "verify", "--seed", seed,
+        str(fixture_dir / "six-cycle" / "P2.json"),
+        str(fixture_dir / "six-cycle" / "f1.json"),
+    ])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+    assert "PASS" not in result.output
+
+
 def test_simulate_reports_estimate(runner, fixture_dir):
     result = runner.invoke(main, [
         "simulate", "--json", "--n", "20000", "--seed", "11",
@@ -398,6 +411,18 @@ def test_simulate_reports_estimate(runner, fixture_dir):
     assert payload["n_batches"] >= 2
     assert payload["analytic_avar"] == pytest.approx(2 / 3, abs=1e-12)
     assert payload["deviation_sigmas"] < 5.0
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_simulate_rejects_a_negative_seed(runner, fixture_dir, seed):
+    result = runner.invoke(main, [
+        "simulate", "--seed", seed, "--n", "100",
+        str(fixture_dir / "six-cycle" / "P2.json"),
+        str(fixture_dir / "six-cycle" / "f1.json"),
+    ])
+    assert result.exit_code == 2
+    assert "--seed" in result.output
+    assert "estimate" not in result.output
 
 
 def test_simulate_too_short(runner, fixture_dir):
@@ -540,6 +565,37 @@ def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatc
     assert records["factored-operator minimum"]["passed"] is False
 
 
+def test_a_near_decomposable_chain_exits_5_without_a_traceback(runner, tmp_path):
+    eps = 1.1e-12
+    kernel = write_json(tmp_path / "P.json", {
+        "rows": [[0.5 - eps, 0.5, eps, 0], [0.5, 0.5, 0, 0],
+                 [eps, 0, 0.5 - eps, 0.5], [0, 0, 0.5, 0.5]],
+        "pi": [0.25, 0.25, 0.25, 0.25]})
+    obs = write_json(tmp_path / "f.json", [1, 1, -1, -1])
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    assert result.exit_code == 5
+    assert isinstance(result.exception, SystemExit)
+    records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
+    assert records["spectral route"]["passed"] is False
+    result = runner.invoke(main, ["analyze", kernel, obs])
+    assert result.exit_code == 5
+    assert isinstance(result.exception, SystemExit)
+    assert "route spectral: inf" in result.output
+    assert "the spectral route most" in result.output
+
+
+def test_validate_and_analyze_agree_on_a_nearly_reversible_kernel(runner, tmp_path):
+    # detailed balance off by 6.7e-11: not reversible at the spectral route's 1e-12
+    circulation = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    rows = np.full((3, 3), 1 / 3) + 1e-10 * circulation
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    obs = write_json(tmp_path / "f.json", [1.0, 0.0, -1.0])
+    for args in (["validate", kernel], ["analyze", kernel, obs]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert "reversible: no" in result.output
+
+
 def test_verify_factors_the_chain_once(runner, tmp_path, monkeypatch):
     # guards the factor-once design: one reduced operator per chain, and the
     # condition estimate, not the spectrum, clears a well-conditioned chain
@@ -579,11 +635,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 def test_cli_commands_never_import_scipy(fixture_dir):
     # scipy costs most of a command's wall clock to import; numpy covers mavar's needs
     six = fixture_dir / "six-cycle"
+    four = fixture_dir / "four-cycle-lift"
     commands = [
+        ["validate", str(six / "P1.json")],
         ["analyze", str(six / "P1.json"), str(six / "f1.json")],
         ["analyze", str(six / "P2.json"), str(six / "f1.json")],
         ["verify", "--trials", "3", str(six / "P2.json"), str(six / "f1.json")],
         ["compare", str(six / "P1.json"), str(six / "P2.json")],
+        ["perturb", str(four / "K.json"), "--gamma", str(four / "vorticity.json")],
+        ["simulate", "--n", "1000", str(six / "P2.json"), str(six / "f1.json")],
+        ["reproduce-examples"],
     ]
     src = str(Path(mavar.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -591,5 +652,7 @@ def test_cli_commands_never_import_scipy(fixture_dir):
     done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "sigma^2" in done.stdout and "shared pi" in done.stdout
+    for marker in ("states:", "sigma^2", "shared pi", "perturbed kernel", "estimate:",
+                   "20 rows"):
+        assert marker in done.stdout
     assert json.loads(done.stdout.splitlines()[-1]) == []

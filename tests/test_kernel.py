@@ -12,7 +12,6 @@ from mavar import (
     ReducibleError,
     RowSumViolationError,
     StationaryDist,
-    StochasticKernel,
     adjoint,
     as_observable,
     centered,
@@ -365,10 +364,3 @@ def test_spectral_decomposition_reconstructs_kernel(rng):
         npt.assert_allclose(gram, np.eye(6), atol=1e-12)
         assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
-
-
-def test_kernel_matmul_composes(six):
-    two_step = six["P1"] @ six["P1"]
-    npt.assert_allclose(two_step.rows, six["P1"].rows @ six["P1"].rows,
-                        atol=1e-14)
-    assert isinstance(two_step, StochasticKernel)
