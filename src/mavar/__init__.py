@@ -39,13 +39,10 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     MeanZeroFrame,
-    Observable,
     ReducedChain,
     SpectralDecomposition,
-    StationaryDist,
     StochasticKernel,
     adjoint,
-    as_observable,
     centered,
     check_finite,
     is_irreducible,

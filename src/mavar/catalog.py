@@ -14,12 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import (
-    StationaryDist,
-    _as_chain,
-    stationary_distribution,
-    validate_kernel,
-)
+from .kernel import _as_chain, stationary_distribution, validate_kernel
 from .ordering import fk_order
 from .perturb import DriftSpec, apply_drift, make_nonreversible, validate_vorticity
 from .poisson import solve_dual_pair
@@ -159,7 +154,7 @@ def six_cycle() -> dict:
     return {
         "P1": validate_kernel(_floats(SIX_CYCLE_P1)),
         "P2": validate_kernel(_floats(SIX_CYCLE_P2)),
-        "pi": StationaryDist(_floats(SIX_CYCLE_PI)),
+        "pi": _floats(SIX_CYCLE_PI),
         "f1": np.array(SIX_CYCLE_F1),
         "f2": np.array(SIX_CYCLE_F2),
     }
@@ -169,7 +164,7 @@ def three_state_pair() -> dict:
     return {
         "P1": validate_kernel(_floats(THREE_STATE_P1)),
         "P2": validate_kernel(_floats(THREE_STATE_P2)),
-        "pi": StationaryDist(_floats(THREE_STATE_PI)),
+        "pi": _floats(THREE_STATE_PI),
         "g1": np.array([1.0, 1.0, -11.0 / 3.0]),
         "g2": np.array([2.0, 1.0, -14.0 / 3.0]),
     }
@@ -179,27 +174,27 @@ def fk_pair() -> dict:
     return {
         "P": validate_kernel(_floats(FK_P)),
         "Q": validate_kernel(_floats(FK_Q)),
-        "pi": StationaryDist(_floats(UNIFORM3_PI)),
+        "pi": _floats(UNIFORM3_PI),
     }
 
 
 def four_cycle_lift() -> dict:
     K = validate_kernel(_floats(FOUR_CYCLE_K))
-    pi = StationaryDist(_floats(FOUR_CYCLE_PI))
+    pi = _floats(FOUR_CYCLE_PI)
     spec = validate_vorticity(K, pi, _floats(FOUR_CYCLE_GAMMA))
     return {"K": K, "pi": pi, "gamma": spec, "P": make_nonreversible(K, pi, spec)}
 
 
 def tridiag_drift() -> dict:
     K = validate_kernel(_floats(TRIDIAG_K))
-    pi = StationaryDist(_floats(UNIFORM3_PI))
+    pi = _floats(UNIFORM3_PI)
     spec = DriftSpec(_floats(TRIDIAG_LAMBDA))
     return {"K": K, "pi": pi, "lam": spec, "P": apply_drift(K, pi, spec)}
 
 
 def uniform3() -> dict:
     K = validate_kernel(_floats(UNIFORM3_K))
-    pi = StationaryDist(_floats(UNIFORM3_PI))
+    pi = _floats(UNIFORM3_PI)
     spec = validate_vorticity(K, pi, _floats(UNIFORM3_GAMMA))
     return {
         "K": K,
@@ -311,7 +306,7 @@ def _uniform3_domination():
 
 def _stationary_of(builder, which):
     def run():
-        return stationary_distribution(builder()[which]).weights
+        return stationary_distribution(builder()[which])
 
     return run
 
@@ -464,7 +459,7 @@ def run_all(tol: float = 1e-9, only: str | None = None) -> list:
 
 
 def _kernel_payload(P, pi) -> dict:
-    return {"n": P.n, "rows": P.rows.tolist(), "pi": pi.weights.tolist()}
+    return {"n": P.n, "rows": P.rows.tolist(), "pi": pi.tolist()}
 
 
 def fixture_files() -> dict:

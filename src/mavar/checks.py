@@ -12,7 +12,7 @@ check is a record or an infinite route value, never an exception.
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernel import DEFAULT_TOL, StochasticKernel, _as_values, adjoint, is_reversible, pi_inner
+from .kernel import DEFAULT_TOL, StochasticKernel, _as_vector, adjoint, is_reversible, pi_inner
 from .poisson import (
     ROUTE_TOL,
     avar_spectral,
@@ -66,14 +66,14 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
         checks.append({"name": name, "residual": float(residual),
                        "bound": float(bound), "passed": bool(residual <= bound)})
 
-    f = _as_values(f)
+    f = _as_vector(f)
     sol, values, reversible = routes(chain, f, tol)
     saddle = saddle_point(chain, None, f)
     P, w = chain.rows, chain.pi
     fscale = max(1.0, float(np.max(np.abs(f))))
     record("poisson residual (primal)",
-           np.max(np.abs(sol.phi.values - P @ sol.phi.values - f)), 1e-10 * fscale)
-    star = sol.phi_star.values
+           np.max(np.abs(sol.phi - P @ sol.phi - f)), 1e-10 * fscale)
+    star = sol.phi_star
     Pstar = adjoint(StochasticKernel(P, tol), w)
     record("poisson residual (dual)",
            np.max(np.abs(star - Pstar.rows @ star - f)), 1e-10 * fscale)
@@ -90,13 +90,13 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     record("resolvent tail", abs(curve.values[-1] - sol.sigma2),
            10.0 * betas[-1] * phi_norm)
     value = saddle.value
-    xi_star, eta_star = saddle.xi_star.values, saddle.eta_star.values
+    xi_star, eta_star = saddle.xi_star, saddle.eta_star
     record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_TOL)
     record("constraint pi(f xi*) = 1", abs(pi_inner(f, xi_star, w) - 1.0), 1e-10)
     record("constraint pi(f eta*) = 0", abs(pi_inner(f, eta_star, w)), 1e-10)
     combined = xi_star + eta_star
     record("xi* + eta* = phi / sigma^2",
-           np.max(np.abs(combined - sol.phi.values / sol.sigma2)),
+           np.max(np.abs(combined - sol.phi / sol.sigma2)),
            ROUTE_TOL * max(1.0, np.max(np.abs(combined))))
     record("saddle Dirichlet identity",
            abs(dirichlet_form(chain, None, combined, xi_star - eta_star) - value),

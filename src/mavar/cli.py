@@ -2,6 +2,7 @@
 
 analyze and verify render mavar.checks: the routes and the verify battery
 are computed there, and a command only prints them and picks the exit code.
+Every --json report is strict JSON: a non-finite float (a failed route) is null.
 
 Exit codes: 0 success, 2 parse or validation error (including a NaN or
 infinite input, and a variance that overflows float64), 3 reducible
@@ -17,6 +18,7 @@ either must be positive and finite.
 """
 
 import json
+import math
 import os
 import sys
 
@@ -34,8 +36,6 @@ from .errors import (
 from .kernel import (
     DEFAULT_TOL,
     ReducedChain,
-    StationaryDist,
-    as_observable,
     centered,
     check_finite,
     is_irreducible,
@@ -79,6 +79,20 @@ def _fmt_vec(values) -> str:
     return " ".join(_fmt(v) for v in np.asarray(values, dtype=float))
 
 
+def _echo_json(payload):
+    """Print payload as strict JSON: a non-finite float (a failed route) is null."""
+    def strict(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {key: strict(value) for key, value in x.items()}
+        if isinstance(x, list):
+            return [strict(value) for value in x]
+        return x
+
+    click.echo(json.dumps(strict(payload), allow_nan=False))
+
+
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -117,7 +131,7 @@ def _checked(path, convert, *args):
 
 
 def _load_kernel_file(path, tol):
-    """Returns (kernel, embedded stationary or None, labels or None)."""
+    """Returns (kernel, embedded stationary or None)."""
     payload = _read_json(path)
     if not isinstance(payload, dict) or "rows" not in payload:
         _fail(EXIT_PARSE, f"{path}: expected an object with a 'rows' matrix")
@@ -125,16 +139,15 @@ def _load_kernel_file(path, tol):
     if "n" in payload and (not isinstance(rows, list) or len(rows) != payload["n"]):
         _fail(EXIT_PARSE, f"{path}: 'n' does not match the matrix size")
     kernel = _checked(path, validate_kernel, rows, tol)
-    embedded = None
-    if payload.get("pi") is not None:
-        pi = _checked(path, np.asarray, payload["pi"], float)
-        # written so that a NaN entry fails too
-        if pi.shape != (kernel.n,) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
-            _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
-        if stationary_residual(kernel, pi) > max(tol, 1e-9):
-            _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
-        embedded = StationaryDist(pi)
-    return kernel, embedded, payload.get("labels")
+    if payload.get("pi") is None:
+        return kernel, None
+    pi = _checked(path, np.asarray, payload["pi"], float)
+    # written so that a NaN entry fails too
+    if pi.shape != (kernel.n,) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
+        _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
+    if stationary_residual(kernel, pi) > max(tol, 1e-9):
+        _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
+    return kernel, pi
 
 
 def _load_observable_file(path, n):
@@ -166,22 +179,20 @@ def _resolve_pi(kernel, embedded):
 
 
 def _resolve_observable(f, pi, tol, center):
-    obs = as_observable(f, pi)
-    scale = max(1.0, float(np.max(np.abs(obs.values), initial=0.0)))
-    if abs(obs.pi_mean) <= tol * scale:
+    mean = float(pi @ f)
+    scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
+    if abs(mean) <= tol * scale:
         # sub-tolerance mean is treated as noise and removed quietly
-        return centered(obs.values, pi).values, False
+        return f - mean, False
     if center:
-        click.echo(f"note: centering observable (pi-mean was {_fmt(obs.pi_mean)})",
-                   err=True)
-        return centered(obs.values, pi).values, True
-    _fail(EXIT_PARSE,
-          f"observable has pi-mean {obs.pi_mean}; pass --center to subtract it")
+        click.echo(f"note: centering observable (pi-mean was {_fmt(mean)})", err=True)
+        return f - mean, True
+    _fail(EXIT_PARSE, f"observable has pi-mean {mean}; pass --center to subtract it")
 
 
 def _load_analysis(kernel_file, observable_file, tol, center):
     """The start of analyze and verify: (f, centered?, chain)."""
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = _load_kernel_file(kernel_file, tol)
     if not is_irreducible(kernel):
         raise ReducibleError("kernel is reducible")
     pi = _resolve_pi(kernel, embedded)
@@ -214,15 +225,15 @@ def main():
 def validate(kernel_file, tol, as_json):
     """Check stochasticity and irreducibility of a kernel file."""
     tol = _resolve_tol(tol)
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = _load_kernel_file(kernel_file, tol)
     irreducible = is_irreducible(kernel)
     info = {"n": kernel.n, "valid": True, "irreducible": irreducible}
     if irreducible:
         pi = _resolve_pi(kernel, embedded)
-        info["pi"] = pi.weights.tolist()
+        info["pi"] = pi.tolist()
         info["reversible"] = is_reversible(kernel, pi)
     if as_json:
-        click.echo(json.dumps(info))
+        _echo_json(info)
     else:
         click.echo(f"states: {kernel.n}")
         click.echo("row sums: within tolerance")
@@ -255,22 +266,22 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
         "spectral_radius_mean_zero": radius,
         "pi": chain.pi.tolist(),
         "centered_applied": was_centered,
-        "phi": sol.phi.values.tolist(),
-        "phi_star": sol.phi_star.values.tolist(),
+        "phi": sol.phi.tolist(),
+        "phi_star": sol.phi_star.tolist(),
         "sigma2": sol.sigma2,
         "avar": sol.avar,
         "routes": routes,
         "routes_agree": agree,
     }
     if as_json:
-        click.echo(json.dumps(report))
+        _echo_json(report)
     else:
         click.echo(f"states: {chain.m + 1}")
         click.echo(f"reversible: {'yes' if reversible else 'no'}")
         click.echo(f"spectral radius (mean-zero): {_fmt(radius)}")
         click.echo(f"pi: {_fmt_vec(chain.pi)}")
-        click.echo(f"phi: {_fmt_vec(sol.phi.values)}")
-        click.echo(f"phi*: {_fmt_vec(sol.phi_star.values)}")
+        click.echo(f"phi: {_fmt_vec(sol.phi)}")
+        click.echo(f"phi*: {_fmt_vec(sol.phi_star)}")
         click.echo(f"sigma^2: {_fmt(sol.sigma2)}")
         click.echo(f"avar: {_fmt(sol.avar)}")
         for name, value in routes.items():
@@ -285,12 +296,10 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
 def _order_line(label, report):
     state = "holds" if report.holds else "fails"
     line = f"{label}: {state} (margin {_fmt(report.margin)})"
-    witness = report.witness
-    if witness is not None:
-        if hasattr(witness, "values"):
-            line += f" witness f = {_fmt_vec(witness.values)}"
-        else:
-            line += f" witness entry {witness}"
+    if isinstance(report.witness, np.ndarray):
+        line += f" witness f = {_fmt_vec(report.witness)}"
+    elif report.witness is not None:
+        line += f" witness entry {report.witness}"
     return line
 
 
@@ -302,8 +311,8 @@ def _order_line(label, report):
 def compare(kernel_file_1, kernel_file_2, tol, as_json):
     """Report every kernel order plus uniform variance domination."""
     tol = _resolve_tol(tol)
-    k1, pi1, _ = _load_kernel_file(kernel_file_1, tol)
-    k2, pi2, _ = _load_kernel_file(kernel_file_2, tol)
+    k1, pi1 = _load_kernel_file(kernel_file_1, tol)
+    k2, pi2 = _load_kernel_file(kernel_file_2, tol)
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
     # the orders check that the sizes match and that both kernels keep pi
     orders = {
@@ -319,7 +328,7 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
         holds, witness = result
         payload = {"holds": holds}
         if witness is not None:
-            payload["witness"] = witness.values.tolist()
+            payload["witness"] = witness.tolist()
         return payload
 
     if as_json:
@@ -331,10 +340,10 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
             "forward": _dom_payload(dom_fwd),
             "reverse": _dom_payload(dom_rev),
         }
-        report["pi"] = pi.weights.tolist()
-        click.echo(json.dumps(report))
+        report["pi"] = pi.tolist()
+        _echo_json(report)
         return
-    click.echo(f"shared pi: {_fmt_vec(pi.weights)}")
+    click.echo(f"shared pi: {_fmt_vec(pi)}")
     for name, (fwd, rev) in orders.items():
         click.echo(_order_line(f"{name} 1->2", fwd))
         click.echo(_order_line(f"{name} 2->1", rev))
@@ -343,7 +352,7 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
         if holds:
             click.echo(f"{label}: holds (second argument never worse)")
         else:
-            click.echo(f"{label}: fails, witness f = {_fmt_vec(witness.values)}")
+            click.echo(f"{label}: fails, witness f = {_fmt_vec(witness)}")
 
 
 @main.command()
@@ -361,7 +370,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     tol = _resolve_tol(tol)
     if (gamma_path is None) == (lam_path is None):
         _fail(EXIT_PARSE, "pass exactly one of --gamma or --lambda")
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = _load_kernel_file(kernel_file, tol)
     pi = _resolve_pi(kernel, embedded)
     path = gamma_path or lam_path
     payload = _read_json(path)
@@ -386,12 +395,12 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
         diagnostics["peskun_margin"] = peskun_order(kernel, result, pi).margin
     diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
-        click.echo(json.dumps({
+        _echo_json({
             "n": result.n,
             "rows": result.rows.tolist(),
-            "pi": pi.weights.tolist(),
+            "pi": pi.tolist(),
             "diagnostics": diagnostics,
-        }))
+        })
     else:
         click.echo(f"perturbed kernel ({want}, {kernel.n} states):")
         for row in result.rows:
@@ -417,8 +426,8 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     records, sigma2 = checks.battery(chain, f, seed, trials, tol)
     all_pass = all(c["passed"] for c in records)
     if as_json:
-        click.echo(json.dumps({"checks": records, "all_pass": all_pass,
-                               "sigma2": sigma2, "seed": seed}))
+        _echo_json({"checks": records, "all_pass": all_pass, "sigma2": sigma2,
+                    "seed": seed})
     else:
         for c in records:
             mark = "PASS" if c["passed"] else "FAIL"
@@ -442,7 +451,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
              tol, as_json):
     """Estimate the asymptotic variance from a simulated trajectory."""
     tol = _resolve_tol(tol)
-    kernel, embedded, _ = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = _load_kernel_file(kernel_file, tol)
     f = _load_observable_file(observable_file, kernel.n)
     trajectory = run_chain(kernel, n_steps, seed, initial)
     estimate = batch_means_avar(trajectory, f, batch_len)
@@ -456,7 +465,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     if is_irreducible(kernel):
         pi = _resolve_pi(kernel, embedded)
         try:
-            sol = solve_dual_pair(kernel, pi, centered(f, pi).values, tol)
+            sol = solve_dual_pair(kernel, pi, centered(f, pi), tol)
             report["analytic_avar"] = sol.avar
             if estimate.std_error > 0:
                 report["deviation_sigmas"] = (
@@ -464,7 +473,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
         except DegenerateKernelError:
             pass  # a degenerate chain has no analytic value to compare with
     if as_json:
-        click.echo(json.dumps(report))
+        _echo_json(report)
     else:
         click.echo(f"estimate: {_fmt(estimate.value)}")
         click.echo(f"std error: {_fmt(estimate.std_error)}")
@@ -487,7 +496,10 @@ def reproduce_examples(only, dump_dir, tol, as_json):
     """Recompute every bundled reference value and report deviations."""
     tol = _resolve_tol(tol)
     if dump_dir is not None:
-        written = catalog.dump_fixtures(dump_dir)
+        try:
+            written = catalog.dump_fixtures(dump_dir)
+        except OSError as exc:
+            _fail(EXIT_PARSE, f"cannot write fixtures under {dump_dir}: {exc}")
         if not as_json:
             click.echo(f"wrote {len(written)} fixture files under {dump_dir}")
     results = catalog.run_all(tol, only)
@@ -512,7 +524,7 @@ def reproduce_examples(only, dump_dir, tol, as_json):
                 "verdict": r.verdict,
                 "note": r.row.note,
             })
-        click.echo(json.dumps({"rows": rows, "all_pass": not failures}))
+        _echo_json({"rows": rows, "all_pass": not failures})
     else:
         width = max(len(r.row.name) for r in results)
         for r in results:

@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from .kernel import (
-    StationaryDist,
-    StochasticKernel,
-    _as_matrix,
-    _as_weights,
-    validate_kernel,
-)
+from .kernel import StochasticKernel, _as_matrix, _as_vector, validate_kernel
 from .perturb import DriftSpec, VorticitySpec, validate_drift, validate_vorticity
 
 
@@ -36,7 +30,7 @@ def random_reversible_kernel(n: int, rng):
     strength = W.sum(axis=1)
     K = W / strength[:, None]
     pi = strength / strength.sum()
-    return validate_kernel(K), StationaryDist(pi)
+    return validate_kernel(K), pi
 
 
 def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
@@ -46,7 +40,7 @@ def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
     sums without losing antisymmetry, and scales so the largest density
     |h| equals target_density.
     """
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     n = w.shape[0]
     B = rng.standard_normal((n, n))
     B = B - B.T
@@ -73,7 +67,7 @@ def random_drift(K, pi, rng, slack: float = 0.1) -> DriftSpec:
     given slack fraction of min_i pi_i K_ii.
     """
     MK = _as_matrix(K)
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     n = w.shape[0]
     S = rng.uniform(0.0, 1.0, size=(n, n))
     np.fill_diagonal(S, 0.0)
@@ -95,7 +89,7 @@ def random_drift(K, pi, rng, slack: float = 0.1) -> DriftSpec:
 
 def random_centered_observable(pi, rng, scale: float = 1.0) -> np.ndarray:
     """A pi-centered Gaussian observable bounded away from zero."""
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     while True:
         g = scale * rng.standard_normal(w.shape[0])
         g -= float(w @ g)

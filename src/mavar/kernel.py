@@ -2,7 +2,9 @@
 
 A kernel is a row-stochastic matrix P acting on functions f: states -> R
 by (Pf)_i = sum_j P_ij f_j.  All inner products are weighted by a
-stationary distribution pi.  The workhorse is MeanZeroFrame, an
+stationary distribution pi.  pi, an observable f and every function the
+package returns (Poisson solutions, test functions, witnesses) are plain
+float arrays indexed by state.  The workhorse is MeanZeroFrame, an
 orthonormal basis of the pi-mean-zero subspace in which the pi-inner
 product becomes Euclidean and the pi-adjoint becomes the transpose;
 ReducedChain keeps one chain's reduced operator and its factorizations.
@@ -41,16 +43,9 @@ def _as_matrix(P):
     return np.asarray(P, dtype=float)
 
 
-def _as_weights(pi):
-    if isinstance(pi, StationaryDist):
-        return pi.weights
-    return np.asarray(pi, dtype=float)
-
-
-def _as_values(f):
-    if isinstance(f, Observable):
-        return f.values
-    return np.asarray(f, dtype=float)
+def _as_vector(x):
+    """Plain float array from a distribution, observable or list."""
+    return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -71,39 +66,6 @@ class StochasticKernel:
 
 
 @dataclass(frozen=True)
-class StationaryDist:
-    """A strictly positive probability vector."""
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = np.array(self.weights, dtype=float)
-        object.__setattr__(self, "weights", weights)
-        self.weights.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class Observable:
-    """A function on states together with its pi-mean."""
-
-    values: np.ndarray
-    pi_mean: float = 0.0
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        self.values.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a reversible kernel.
 
@@ -113,7 +75,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    pi: np.ndarray
 
 
 def check_finite(values, what: str):
@@ -126,21 +87,19 @@ def check_finite(values, what: str):
     return a
 
 
-def as_observable(values, pi) -> Observable:
-    """Wrap values with their pi-mean."""
-    v = _as_values(values)
-    w = _as_weights(pi)
+def centered(values, pi) -> np.ndarray:
+    """values minus their pi-mean.
+
+    Raises DimensionMismatchError when the lengths differ and
+    NonFiniteInputError at a NaN or inf entry.
+    """
+    v = _as_vector(values)
+    w = _as_vector(pi)
     if v.shape != w.shape:
         raise DimensionMismatchError(
             f"observable has length {v.shape}, distribution has {w.shape}")
     check_finite(v, "observable")
-    return Observable(v, float(w @ v))
-
-
-def centered(values, pi) -> Observable:
-    """Subtract the pi-mean; the result has pi_mean 0."""
-    obs = as_observable(values, pi)
-    return Observable(obs.values - obs.pi_mean, 0.0)
+    return v - w @ v
 
 
 def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> StochasticKernel:
@@ -189,7 +148,7 @@ def is_irreducible(P) -> bool:
     return _reaches_all(G) and _reaches_all(G.T)
 
 
-def stationary_distribution(P) -> StationaryDist:
+def stationary_distribution(P) -> np.ndarray:
     """Solve pi P = pi, sum(pi) = 1 for an irreducible kernel.
 
     Raises ReducibleError if the chain is reducible and
@@ -215,19 +174,19 @@ def stationary_distribution(P) -> StationaryDist:
     resid = np.max(np.abs(x @ M - x))
     if resid > STRICT_TOL:
         raise NumericalFailureError(f"stationary residual {resid} exceeds 1e-12")
-    return StationaryDist(x)
+    return x
 
 
 def stationary_residual(P, pi) -> float:
     """max_j |(pi P)_j - pi_j|: how far P moves pi."""
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     return float(np.max(np.abs(w @ _as_matrix(P) - w)))
 
 
 def adjoint(P, pi) -> StochasticKernel:
     """Time reversal: the pi-adjoint kernel (P*)_ij = pi_j P_ji / pi_i."""
     M = _as_matrix(P)
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     tol = P.tol if isinstance(P, StochasticKernel) else DEFAULT_TOL
     resid = stationary_residual(M, w)
     if resid > tol:
@@ -247,16 +206,16 @@ def reversibilization(P, pi) -> StochasticKernel:
 def is_reversible(P, pi, tol: float = STRICT_TOL) -> bool:
     """Detailed balance check: pi_i P_ij == pi_j P_ji within tol."""
     M = _as_matrix(P)
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     F = w[:, None] * M
     return bool(np.max(np.abs(F - F.T)) <= tol)
 
 
 def pi_inner(f, g, pi) -> float:
     """The weighted inner product sum_i pi_i f_i g_i."""
-    fv = _as_values(f)
-    gv = _as_values(g)
-    w = _as_weights(pi)
+    fv = _as_vector(f)
+    gv = _as_vector(g)
+    w = _as_vector(pi)
     if fv.shape != gv.shape or fv.shape != w.shape:
         raise DimensionMismatchError(
             f"shapes {fv.shape}, {gv.shape}, {w.shape} do not agree")
@@ -282,7 +241,7 @@ class MeanZeroFrame:
 
     @classmethod
     def from_pi(cls, pi) -> "MeanZeroFrame":
-        w = _as_weights(pi)
+        w = _as_vector(pi)
         s = np.sqrt(w)
         v = s.copy()
         v[0] -= 1.0
@@ -311,7 +270,7 @@ class MeanZeroFrame:
 
     def reduce(self, f) -> np.ndarray:
         """Coordinates of the centered part of f."""
-        return self._contract(self.sqrt_pi * _as_values(f))
+        return self._contract(self.sqrt_pi * _as_vector(f))
 
     def lift(self, y) -> np.ndarray:
         """The mean-zero function with the given coordinates."""
@@ -451,7 +410,7 @@ def spectral_decomposition_reversible(P, pi, tol: float = STRICT_TOL) -> Spectra
     balance fails at tol.
     """
     M = _as_matrix(P)
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     if not is_reversible(M, w, tol):
         raise NotReversibleError("kernel is not reversible for the given pi")
     s = np.sqrt(w)
@@ -465,4 +424,4 @@ def spectral_decomposition_reversible(P, pi, tol: float = STRICT_TOL) -> Spectra
     # fix the Perron eigenfunction's sign to the positive constant
     if funcs[0, 0] < 0:
         funcs[:, 0] = -funcs[:, 0]
-    return SpectralDecomposition(vals, funcs, w)
+    return SpectralDecomposition(vals, funcs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadInitialError, TrajectoryTooShortError
-from .kernel import _as_matrix, _as_values
+from .kernel import _as_matrix, _as_vector
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
     value * sqrt(2 / (n_batches - 1)).  Raises TrajectoryTooShortError
     when fewer than 2 batches fit.
     """
-    fv = _as_values(f)
+    fv = _as_vector(f)
     values = fv[trajectory.states]
     total = values.shape[0]
     if batch_len is None:

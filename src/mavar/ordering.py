@@ -16,10 +16,9 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    Observable,
     _as_chain,
     _as_matrix,
-    _as_weights,
+    _as_vector,
     stationary_distribution,
     stationary_residual,
 )
@@ -32,8 +31,9 @@ class OrderReport:
     """Outcome of a kernel-order test.
 
     holds iff margin >= -tol for the tolerance used by the test;
-    witness locates the worst violation and is present only when the
-    order fails.
+    witness locates the worst violation, as an (i, j) entry or, for the
+    Dirichlet order, as a function on states, and is present only when
+    the order fails.
     """
 
     relation: str
@@ -42,18 +42,11 @@ class OrderReport:
     witness: object = None
 
     def as_dict(self) -> dict:
-        witness = self.witness
-        if isinstance(witness, Observable):
-            witness = witness.values.tolist()
-        elif isinstance(witness, np.ndarray):
-            witness = witness.tolist()
-        elif isinstance(witness, tuple):
-            witness = list(int(x) for x in witness)
         return {
             "relation": self.relation,
             "holds": self.holds,
             "margin": self.margin,
-            "witness": witness,
+            "witness": None if self.witness is None else np.asarray(self.witness).tolist(),
         }
 
 
@@ -71,7 +64,7 @@ def _shared_stationary(P1, P2, pi, tol):
     if M1.shape != M2.shape:
         raise DimensionMismatchError(
             f"kernels have shapes {M1.shape} and {M2.shape}")
-    w = _as_weights(stationary_distribution(M1) if pi is None else pi)
+    w = _as_vector(stationary_distribution(M1) if pi is None else pi)
     for label, M in (("first", M1), ("second", M2)):
         resid = stationary_residual(M, w)
         if resid > tol:
@@ -105,7 +98,7 @@ def dirichlet_order(P1, P2, pi=None, tol: float = ORDER_TOL) -> OrderReport:
     vals, vecs = np.linalg.eigh(G)
     margin = float(vals[0])
     holds = margin >= -tol
-    witness = None if holds else Observable(vecs[:, 0].copy(), 0.0)
+    witness = None if holds else vecs[:, 0].copy()
     return OrderReport("dirichlet", holds, margin, witness)
 
 
@@ -193,7 +186,7 @@ def majorization_trajectory(K, P_accel, initial, n_steps: int,
         _, _, w = _shared_stationary(MK, MP, None, DEFAULT_TOL)
     except StationaryMismatchError:
         warnings.append("kernels do not share a stationary distribution")
-        w = _as_weights(stationary_distribution(MK))
+        w = _as_vector(stationary_distribution(MK))
     if np.max(np.diff(w)) > tol:
         warnings.append("stationary weights are not non-increasing")
     ratio = rho / w
@@ -224,4 +217,4 @@ def uniform_variance_domination(P1, P2, pi=None, tol: float = ORDER_TOL):
     vals, vecs = np.linalg.eigh(c1.variance_form - c2.variance_form)
     if vals[0] >= -tol:
         return True, None
-    return False, Observable(c1.frame.lift(vecs[:, 0]), 0.0)
+    return False, c1.frame.lift(vecs[:, 0])

@@ -29,7 +29,7 @@ from .kernel import (
     DEFAULT_TOL,
     StochasticKernel,
     _as_matrix,
-    _as_weights,
+    _as_vector,
     stationary_distribution,
     stationary_residual,
     validate_kernel,
@@ -64,7 +64,7 @@ class DriftSpec:
 
 def _shapes(K, pi, M, what):
     MK = _as_matrix(K)
-    w = _as_weights(pi)
+    w = _as_vector(pi)
     G = np.asarray(M, dtype=float)
     if G.shape != MK.shape or w.shape[0] != MK.shape[0]:
         raise DimensionMismatchError(
@@ -197,7 +197,7 @@ def peskun_residual(P, Q, pi=None) -> DriftSpec:
             f"at {report.witness}")
     MP = _as_matrix(P)
     MQ = _as_matrix(Q)
-    w = _as_weights(stationary_distribution(MP) if pi is None else pi)
+    w = _as_vector(stationary_distribution(MP) if pi is None else pi)
     L = w[:, None] * (MQ - MP)
     spec = validate_drift(MP, w, L, tol=1e-10)
     recon = MP + L / w[:, None]

@@ -16,10 +16,9 @@ from .errors import NotCenteredError, NumericalFailureError
 from .kernel import (
     DEFAULT_TOL,
     SOLVABLE_TOL,
-    Observable,
     _as_chain,
     _as_matrix,
-    _as_values,
+    _as_vector,
     adjoint,
     is_reversible,
     pi_inner,
@@ -33,8 +32,8 @@ ROUTE_TOL = 1e-9
 class PoissonSolution:
     """Primal and dual Poisson solutions with the derived variances."""
 
-    phi: Observable
-    phi_star: Observable
+    phi: np.ndarray
+    phi_star: np.ndarray
     sigma2: float
     avar: float
 
@@ -69,7 +68,7 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     on a periodic chain, say) can round a few ulps negative.
     """
     chain = _as_chain(P, pi)
-    fv = _as_values(f)
+    fv = _as_vector(f)
     _check_centered(fv, chain.pi, tol)
     fy = chain.frame.reduce(fv)
     y = chain.inv @ fy
@@ -85,8 +84,8 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     if -4.0 * np.finfo(float).eps * (2.0 * abs(sigma2) + ff) <= avar < 0.0:
         avar = 0.0
     return PoissonSolution(
-        phi=Observable(chain.frame.lift(y), 0.0),
-        phi_star=Observable(chain.frame.lift(y_star), 0.0),
+        phi=chain.frame.lift(y),
+        phi_star=chain.frame.lift(y_star),
         sigma2=sigma2,
         avar=avar,
     )
@@ -103,7 +102,7 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     NumericalFailureError.
     """
     chain = _as_chain(P, pi)
-    fv = _as_values(f)
+    fv = _as_vector(f)
     _check_centered(fv, chain.pi, tol)
     chain.inv  # the solvability gate, so a singular I - A raises first
     fy = chain.frame.reduce(fv)
@@ -130,7 +129,7 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     non-reversible input.
     """
     w = _as_chain(P, pi).pi
-    fv = _as_values(f)
+    fv = _as_vector(f)
     _check_centered(fv, w, tol)
     dec = spectral_decomposition_reversible(P, w)
     coeffs = dec.eigenvectors.T @ (w * fv)
@@ -154,7 +153,7 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve
         raise ValueError("betas must be positive and strictly decreasing")
     M = _as_matrix(P)
     w = _as_chain(P, pi).pi
-    fv = _as_values(f)
+    fv = _as_vector(f)
     _check_centered(fv, w, tol)
     n = M.shape[0]
     values = np.empty_like(b)

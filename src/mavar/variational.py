@@ -21,10 +21,9 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    Observable,
     _as_chain,
     _as_matrix,
-    _as_values,
+    _as_vector,
     is_reversible,
     pi_inner,
 )
@@ -37,8 +36,8 @@ ZERO_VARIANCE_TOL = 1e-12
 class SaddlePoint:
     """Optimal test functions and the saddle value 1/sigma^2."""
 
-    xi_star: Observable
-    eta_star: Observable
+    xi_star: np.ndarray
+    eta_star: np.ndarray
     value: float
 
 
@@ -49,15 +48,15 @@ def dirichlet_form(P, pi, xi, eta) -> float:
     stationary for P.
     """
     M = _as_matrix(P)
-    xv = _as_values(xi)
-    ev = _as_values(eta)
+    xv = _as_vector(xi)
+    ev = _as_vector(eta)
     return pi_inner(xv - M @ xv, ev, _as_chain(P, pi).pi)
 
 
 def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
     """Shift g along f so that pi(f g) equals value."""
-    gv = _as_values(g).copy()
-    fv = _as_values(f)
+    gv = _as_vector(g).copy()
+    fv = _as_vector(f)
     ff = pi_inner(fv, fv, pi)
     if ff <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError("cannot normalize against a null observable")
@@ -76,9 +75,9 @@ def saddle_point(P, pi, f, tol: float = ZERO_VARIANCE_TOL) -> SaddlePoint:
     if sol.sigma2 <= tol:
         raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
     scale = 0.5 / sol.sigma2
-    xi = scale * (sol.phi.values + sol.phi_star.values)
-    eta = scale * (sol.phi.values - sol.phi_star.values)
-    return SaddlePoint(Observable(xi, 0.0), Observable(eta, 0.0), 1.0 / sol.sigma2)
+    xi = scale * (sol.phi + sol.phi_star)
+    eta = scale * (sol.phi - sol.phi_star)
+    return SaddlePoint(xi, eta, 1.0 / sol.sigma2)
 
 
 def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
@@ -93,8 +92,8 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     pi(f xi) != 1.
     """
     chain = _as_chain(P, pi)
-    fv = _as_values(f)
-    xv = _as_values(xi)
+    fv = _as_vector(f)
+    xv = _as_vector(xi)
     norm = pi_inner(fv, xv, chain.pi)
     if abs(norm - 1.0) > tol:
         raise InfeasibleConstraintError(f"pi(f xi) = {norm}, expected 1")
@@ -106,7 +105,7 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     ey = 0.5 * (u - (fy @ u) / (fy @ v) * v)
     # (I - S) e = (drive - mu f)/2 and f^T e = 0 give e^T (I - S) e = e^T drive / 2
     value = float(xy @ (xy - Ax) + 0.5 * (ey @ drive))
-    return Observable(chain.frame.lift(ey), 0.0), value
+    return chain.frame.lift(ey), value
 
 
 def reversible_inf(P, pi, f, tol: float = 1e-10):
@@ -124,7 +123,7 @@ def reversible_inf(P, pi, f, tol: float = 1e-10):
     sol = solve_dual_pair(chain, None, f)
     if sol.sigma2 <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
-    xi = Observable(sol.phi.values / sol.sigma2, 0.0)
+    xi = sol.phi / sol.sigma2
     value = dirichlet_form(chain, chain.pi, xi, xi)
     return xi, value
 
@@ -140,10 +139,9 @@ def factored_operator_inf(P, pi, f):
     sol = solve_dual_pair(chain, None, f)
     if sol.sigma2 <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
-    bar = 0.5 * (sol.phi.values + sol.phi_star.values)
-    denom = pi_inner(bar, f, chain.pi)
-    xi = Observable(bar / denom, 0.0)
-    xy = chain.frame.reduce(xi.values)
+    bar = 0.5 * (sol.phi + sol.phi_star)
+    xi = bar / pi_inner(bar, f, chain.pi)
+    xy = chain.frame.reduce(xi)
     value = float(xy @ (chain.T @ xy))
     expected = 1.0 / sol.sigma2
     if abs(value - expected) > ROUTE_TOL * max(1.0, expected):

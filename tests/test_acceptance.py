@@ -127,7 +127,7 @@ def test_criterion_3_variational_suite(catalog_cases):
     worst = 0.0
     checks = 0
     for kernel, pi, f in cases:
-        w = pi.weights
+        w = pi
         sigma2 = solve_dual_pair(kernel, pi, f).sigma2
         saddle = saddle_point(kernel, pi, f)
         value = saddle.value
@@ -142,8 +142,8 @@ def test_criterion_3_variational_suite(catalog_cases):
         for trial in range(20):
             eta = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
             probe = dirichlet_form(kernel, pi,
-                                   saddle.xi_star.values + eta,
-                                   saddle.xi_star.values - eta)
+                                   saddle.xi_star + eta,
+                                   saddle.xi_star - eta)
             worst = max(worst, (probe - value) / max(1.0, value))
         checks += 42
     elapsed = time.perf_counter() - start

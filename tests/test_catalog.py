@@ -84,7 +84,7 @@ def test_form_coefficients_reproduce_sigma2(rng):
     three = catalog.three_state_pair()
     pi = stationary_distribution(three["P1"])
     a, b, c = catalog.form_coefficients(three["P1"], pi)
-    w = pi.weights
+    w = pi
     for trial in range(20):
         f1, f2 = rng.standard_normal(2)
         f = np.array([f1, f2, -(w[0] * f1 + w[1] * f2) / w[2]])

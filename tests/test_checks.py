@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mavar import ReducedChain, StationaryDist, checks, stationary_distribution, validate_kernel
+from mavar import ReducedChain, checks, stationary_distribution, validate_kernel
 from mavar.generators import random_centered_observable, random_irreducible_kernel
 
 
@@ -12,7 +12,7 @@ def near_decomposable(eps=1.1e-12):
     within the 1e-12 unit-eigenvalue cut of the spectral route."""
     rows = [[0.5 - eps, 0.5, eps, 0.0], [0.5, 0.5, 0.0, 0.0],
             [eps, 0.0, 0.5 - eps, 0.5], [0.0, 0.0, 0.5, 0.5]]
-    return ReducedChain(validate_kernel(rows), StationaryDist(np.full(4, 0.25)))
+    return ReducedChain(validate_kernel(rows), np.full(4, 0.25))
 
 
 def records_by_name(chain, f, **kwargs):

@@ -494,6 +494,17 @@ def test_reproduce_examples_dump(runner, tmp_path):
     assert (target / "fk-pair" / "Q.json").exists()
 
 
+def test_reproduce_examples_dump_under_a_file_exits_2(runner, tmp_path):
+    target = tmp_path / "f.json"
+    target.write_text("[]")
+    result = runner.invoke(main, ["reproduce-examples", "--dump-fixtures",
+                                  str(target / "sub")])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: cannot write fixtures under {target / 'sub'}: " in result.output
+    assert "Traceback" not in result.output
+
+
 def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
@@ -565,13 +576,17 @@ def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatc
     assert records["factored-operator minimum"]["passed"] is False
 
 
+def near_decomposable_files(tmp_path, eps=1.1e-12):
+    """Two lazy 2-state blocks joined by eps, where the spectral route fails."""
+    return (write_json(tmp_path / "P.json", {
+                "rows": [[0.5 - eps, 0.5, eps, 0], [0.5, 0.5, 0, 0],
+                         [eps, 0, 0.5 - eps, 0.5], [0, 0, 0.5, 0.5]],
+                "pi": [0.25, 0.25, 0.25, 0.25]}),
+            write_json(tmp_path / "f.json", [1, 1, -1, -1]))
+
+
 def test_a_near_decomposable_chain_exits_5_without_a_traceback(runner, tmp_path):
-    eps = 1.1e-12
-    kernel = write_json(tmp_path / "P.json", {
-        "rows": [[0.5 - eps, 0.5, eps, 0], [0.5, 0.5, 0, 0],
-                 [eps, 0, 0.5 - eps, 0.5], [0, 0, 0.5, 0.5]],
-        "pi": [0.25, 0.25, 0.25, 0.25]})
-    obs = write_json(tmp_path / "f.json", [1, 1, -1, -1])
+    kernel, obs = near_decomposable_files(tmp_path)
     result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
     assert result.exit_code == 5
     assert isinstance(result.exception, SystemExit)
@@ -582,6 +597,26 @@ def test_a_near_decomposable_chain_exits_5_without_a_traceback(runner, tmp_path)
     assert isinstance(result.exception, SystemExit)
     assert "route spectral: inf" in result.output
     assert "the spectral route most" in result.output
+
+
+def strict_json(text):
+    """Parse text as strict JSON: Infinity and NaN are errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_a_failed_route_is_null_in_strict_json(runner, tmp_path):
+    kernel, obs = near_decomposable_files(tmp_path)
+    result = runner.invoke(main, ["analyze", "--json", kernel, obs])
+    assert result.exit_code == 5
+    assert strict_json(result.output.splitlines()[0])["routes"]["spectral"] is None
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    assert result.exit_code == 5
+    records = {c["name"]: c for c in strict_json(result.output.splitlines()[0])["checks"]}
+    assert records["spectral route"]["residual"] is None
+    assert records["spectral route"]["passed"] is False
 
 
 def test_validate_and_analyze_agree_on_a_nearly_reversible_kernel(runner, tmp_path):

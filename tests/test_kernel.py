@@ -8,20 +8,24 @@ from mavar import (
     NegativeEntryError,
     NonFiniteInputError,
     NotStationaryError,
-    Observable,
     ReducibleError,
     RowSumViolationError,
-    StationaryDist,
     adjoint,
-    as_observable,
     centered,
+    dirichlet_order,
+    factored_operator_inf,
+    inner_sup,
     is_irreducible,
     is_reversible,
     pi_inner,
     reversibilization,
+    reversible_inf,
+    saddle_point,
+    solve_dual_pair,
     spectral_decomposition_reversible,
     spectral_radius_mean_zero,
     stationary_distribution,
+    uniform_variance_domination,
     validate_kernel,
 )
 from mavar.generators import random_irreducible_kernel, random_reversible_kernel
@@ -73,11 +77,14 @@ def test_validate_kernel_rejects_non_finite_entry(bad):
 
 
 def test_observable_rejects_non_finite_entry():
-    pi = StationaryDist(np.array([0.5, 0.5]))
+    pi = np.array([0.5, 0.5])
     with pytest.raises(NonFiniteInputError, match="observable entry 0 is nan"):
-        as_observable([np.nan, 1.0], pi)
+        centered([np.nan, 1.0], pi)
     with pytest.raises(NonFiniteInputError, match="observable entry 1 is -inf"):
         centered([1.0, -np.inf], pi)
+    # the length is checked before the entries
+    with pytest.raises(DimensionMismatchError):
+        centered([np.nan, 1.0, 2.0], pi)
 
 
 def test_validate_kernel_rejects_bad_row_sum():
@@ -181,14 +188,14 @@ def test_block_diagonal_is_reducible():
 
 def test_stationary_distribution_six_cycle(six):
     pi = stationary_distribution(six["P1"])
-    npt.assert_allclose(pi.weights, np.full(6, 1 / 6), atol=1e-14)
+    npt.assert_allclose(pi, np.full(6, 1 / 6), atol=1e-14)
 
 
 def test_stationary_distribution_three_state(three):
     pi = stationary_distribution(three["P1"])
-    npt.assert_allclose(pi.weights, [3 / 14, 4 / 7, 3 / 14], atol=1e-14)
+    npt.assert_allclose(pi, [3 / 14, 4 / 7, 3 / 14], atol=1e-14)
     pi2 = stationary_distribution(three["P2"])
-    npt.assert_allclose(pi2.weights, pi.weights, atol=1e-14)
+    npt.assert_allclose(pi2, pi, atol=1e-14)
 
 
 def test_stationary_distribution_is_fixed_point(rng):
@@ -196,9 +203,9 @@ def test_stationary_distribution_is_fixed_point(rng):
         n = int(rng.integers(2, 12))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        npt.assert_allclose(pi.weights @ kernel.rows, pi.weights, atol=1e-13)
-        assert pi.weights.min() > 0
-        npt.assert_allclose(pi.weights.sum(), 1.0, atol=1e-14)
+        npt.assert_allclose(pi @ kernel.rows, pi, atol=1e-13)
+        assert pi.min() > 0
+        npt.assert_allclose(pi.sum(), 1.0, atol=1e-14)
 
 
 def test_adjoint_of_cycle_is_transpose(six):
@@ -216,7 +223,7 @@ def test_adjoint_is_involution(rng):
 
 
 def test_adjoint_rejects_wrong_weights(six):
-    bad = StationaryDist(np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1]))
+    bad = np.array([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
     with pytest.raises(NotStationaryError):
         adjoint(six["P1"], bad)
 
@@ -250,17 +257,38 @@ def test_pi_inner_weights_and_shapes():
 
 def test_observable_centering():
     pi = np.array([0.2, 0.3, 0.5])
-    obs = as_observable([1.0, 2.0, 3.0], pi)
-    assert obs.pi_mean == pytest.approx(2.3)
-    flat = centered(obs.values, pi)
-    assert flat.pi_mean == pytest.approx(0.0, abs=1e-15)
-    npt.assert_allclose(flat.values, obs.values - 2.3, atol=1e-15)
+    f = np.array([1.0, 2.0, 3.0])
+    flat = centered(f, pi)
+    assert pi @ flat == pytest.approx(0.0, abs=1e-15)
+    npt.assert_allclose(flat, f - 2.3, atol=1e-15)
 
 
-def test_observable_values_read_only():
-    obs = Observable(np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        obs.values[0] = 0.0
+# pi, observables and every function the package returns are plain arrays
+PLAIN_ARRAY_RESULTS = {
+    "stationary_distribution": lambda six, fk: stationary_distribution(six["P1"]),
+    "centered": lambda six, fk: centered(six["f1"] + 1.0, six["pi"]),
+    "phi": lambda six, fk: solve_dual_pair(six["P1"], six["pi"], six["f1"]).phi,
+    "phi_star": lambda six, fk: solve_dual_pair(six["P1"], six["pi"], six["f1"]).phi_star,
+    "xi_star": lambda six, fk: saddle_point(six["P1"], six["pi"], six["f1"]).xi_star,
+    "eta_star": lambda six, fk: saddle_point(six["P1"], six["pi"], six["f1"]).eta_star,
+    "inner_sup": lambda six, fk: inner_sup(
+        six["P1"], six["pi"], six["f1"],
+        saddle_point(six["P1"], six["pi"], six["f1"]).xi_star)[0],
+    "reversible_inf": lambda six, fk: reversible_inf(six["P2"], six["pi"], six["f1"])[0],
+    "factored_operator_inf": lambda six, fk: factored_operator_inf(
+        six["P1"], six["pi"], six["f1"])[0],
+    "dirichlet_order witness": lambda six, fk: dirichlet_order(
+        fk["P"], fk["Q"], fk["pi"]).witness,
+    "domination witness": lambda six, fk: uniform_variance_domination(
+        six["P1"], six["P2"], six["pi"])[1],
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_ARRAY_RESULTS))
+def test_returned_functions_are_plain_arrays(name, six, fk):
+    value = PLAIN_ARRAY_RESULTS[name](six, fk)
+    assert type(value) is np.ndarray
+    assert value.dtype == np.float64 and value.ndim == 1
 
 
 def test_frame_basis_orthonormal_and_orthogonal_to_sqrt_pi(rng):
@@ -268,7 +296,7 @@ def test_frame_basis_orthonormal_and_orthogonal_to_sqrt_pi(rng):
         n = int(rng.integers(2, 10))
         w = rng.random(n) + 0.1
         w /= w.sum()
-        frame = MeanZeroFrame.from_pi(StationaryDist(w))
+        frame = MeanZeroFrame.from_pi(w)
         q = frame.basis
         npt.assert_allclose(q.T @ q, np.eye(n - 1), atol=1e-13)
         npt.assert_allclose(np.sqrt(w) @ q, 0.0, atol=1e-13)
@@ -277,7 +305,7 @@ def test_frame_basis_orthonormal_and_orthogonal_to_sqrt_pi(rng):
 def test_frame_reduce_lift_roundtrip(rng):
     w = rng.random(7) + 0.1
     w /= w.sum()
-    pi = StationaryDist(w)
+    pi = w
     frame = MeanZeroFrame.from_pi(pi)
     f = rng.standard_normal(7)
     f -= w @ f
@@ -290,7 +318,7 @@ def test_frame_reduce_lift_roundtrip(rng):
 def test_frame_reduction_is_isometry(rng):
     w = rng.random(5) + 0.1
     w /= w.sum()
-    frame = MeanZeroFrame.from_pi(StationaryDist(w))
+    frame = MeanZeroFrame.from_pi(w)
     f = rng.standard_normal(5)
     g = rng.standard_normal(5)
     f -= w @ f
@@ -320,7 +348,7 @@ def test_frame_rank_one_products_match_dense_basis(rng, n):
     v = s - np.eye(n)[0]
     v /= np.linalg.norm(v)
     basis = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
-    frame = MeanZeroFrame.from_pi(StationaryDist(w))
+    frame = MeanZeroFrame.from_pi(w)
     M = rng.random((n, n))
     M /= M.sum(axis=1, keepdims=True)
     C = (s[:, None] * M) / s[None, :]
@@ -355,7 +383,7 @@ def test_spectral_decomposition_reconstructs_kernel(rng):
     for trial in range(10):
         kernel, pi = random_reversible_kernel(6, rng)
         dec = spectral_decomposition_reversible(kernel, pi)
-        w = pi.weights
+        w = pi
         u = dec.eigenvectors
         rebuilt = (u * dec.eigenvalues) @ (u.T * w)
         npt.assert_allclose(rebuilt, kernel.rows, atol=1e-12)

@@ -82,7 +82,7 @@ def test_dirichlet_incomparable_pair(fk):
     assert forward.margin == pytest.approx(-1 / 6, abs=1e-12)
     assert backward.margin == pytest.approx(-1 / 18, abs=1e-12)
     # the witness is an actual direction of violation
-    g = forward.witness.values
+    g = forward.witness
     assert g is not None
 
 
@@ -229,10 +229,10 @@ def test_domination_six_cycle_fails_both_ways(six):
     rev, wit_rev = uniform_variance_domination(six["P2"], six["P1"], pi)
     assert not fwd and not rev
     # witnesses certify a strict violation in each direction
-    f = wit_fwd.values
+    f = wit_fwd
     assert solve_dual_pair(six["P2"], pi, f).sigma2 > (
         solve_dual_pair(six["P1"], pi, f).sigma2 + 1e-6)
-    g = wit_rev.values
+    g = wit_rev
     assert solve_dual_pair(six["P1"], pi, g).sigma2 > (
         solve_dual_pair(six["P2"], pi, g).sigma2 + 1e-6)
 

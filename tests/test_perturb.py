@@ -11,7 +11,6 @@ from mavar import (
     NotAntisymmetricError,
     NotPeskunOrderedError,
     PerturbationSpecError,
-    StationaryDist,
     StochasticKernel,
     VorticityRowSumError,
     adjoint,
@@ -34,7 +33,7 @@ from mavar.generators import (
 )
 
 UNIFORM_K = StochasticKernel(np.full((3, 3), 1 / 3))
-UNIFORM_PI = StationaryDist(np.full(3, 1 / 3))
+UNIFORM_PI = np.full(3, 1 / 3)
 
 
 def cyclic(value):
@@ -129,7 +128,7 @@ def test_reversibilization_recovers_base(rng):
         skewed = make_nonreversible(kernel, pi, spec)
         back = reversibilization(skewed, pi)
         npt.assert_allclose(back.rows, kernel.rows, atol=1e-12)
-        npt.assert_allclose(pi.weights @ skewed.rows, pi.weights, atol=1e-12)
+        npt.assert_allclose(pi @ skewed.rows, pi, atol=1e-12)
 
 
 def test_vorticity_never_increases_avar(rng):
@@ -232,7 +231,7 @@ def test_apply_drift_tridiagonal(tridiag):
     pi = stationary_distribution(tridiag["K"])
     applied = apply_drift(tridiag["K"], pi, tridiag["lam"])
     npt.assert_allclose(applied.rows, tridiag["P"].rows, atol=1e-14)
-    npt.assert_allclose(pi.weights @ applied.rows, pi.weights, atol=1e-14)
+    npt.assert_allclose(pi @ applied.rows, pi, atol=1e-14)
     # this drift keeps the chain reversible, it only trades holding mass
     assert is_reversible(applied, pi)
 
@@ -277,7 +276,7 @@ def test_random_generators_produce_valid_specs(rng):
         npt.assert_allclose(drift.lam.sum(axis=0), 0.0, atol=1e-12)
         npt.assert_allclose(drift.lam.sum(axis=1), 0.0, atol=1e-12)
         better = apply_drift(kernel, pi, drift)
-        npt.assert_allclose(pi.weights @ better.rows, pi.weights, atol=1e-12)
+        npt.assert_allclose(pi @ better.rows, pi, atol=1e-12)
 
 
 def test_drift_improves_variance(rng):

@@ -10,7 +10,6 @@ from mavar import (
     NumericalFailureError,
     ReducedChain,
     SingularReversibilizationError,
-    StationaryDist,
     adjoint,
     avar_spectral,
     avar_via_factored_operator,
@@ -50,7 +49,7 @@ def block_kernel():
         [0.0, 0.0, 0.5, 0.5],
         [0.0, 0.0, 0.5, 0.5],
     ])
-    return validate_kernel(rows), StationaryDist(np.full(4, 0.25))
+    return validate_kernel(rows), np.full(4, 0.25)
 
 
 def test_solve_poisson_matches_telescoping_oracle(six, rng):
@@ -59,31 +58,31 @@ def test_solve_poisson_matches_telescoping_oracle(six, rng):
         f = rng.standard_normal(6)
         f -= f.mean()
         phi = solve_dual_pair(six["P1"], pi, f).phi
-        npt.assert_allclose(phi.values, cycle_poisson_oracle(f), atol=1e-12)
+        npt.assert_allclose(phi, cycle_poisson_oracle(f), atol=1e-12)
 
 
 def test_six_cycle_exact_solutions(six):
     pi = stationary_distribution(six["P1"])
     sol = solve_dual_pair(six["P1"], pi, six["f1"])
-    npt.assert_allclose(sol.phi.values, [1, 1, 1, -1, -1, -1], atol=1e-13)
+    npt.assert_allclose(sol.phi, [1, 1, 1, -1, -1, -1], atol=1e-13)
     assert sol.sigma2 == pytest.approx(1 / 3, abs=1e-13)
     assert sol.avar == pytest.approx(1 / 3, abs=1e-13)
 
     sol = solve_dual_pair(six["P1"], pi, six["f2"])
-    npt.assert_allclose(sol.phi.values,
+    npt.assert_allclose(sol.phi,
                         [1 / 3, -5 / 3, 1 / 3, 1 / 3, 1 / 3, 1 / 3],
                         atol=1e-13)
     assert sol.sigma2 == pytest.approx(1 / 3, abs=1e-13)
 
     sol = solve_dual_pair(six["P2"], pi, six["f1"])
-    npt.assert_allclose(sol.phi.values, [-0.5, 0.5, 1.5, 0.5, -0.5, -1.5],
+    npt.assert_allclose(sol.phi, [-0.5, 0.5, 1.5, 0.5, -0.5, -1.5],
                         atol=1e-13)
-    npt.assert_allclose(sol.phi_star.values, sol.phi.values, atol=1e-13)
+    npt.assert_allclose(sol.phi_star, sol.phi, atol=1e-13)
     assert sol.sigma2 == pytest.approx(0.5, abs=1e-13)
     assert sol.avar == pytest.approx(2 / 3, abs=1e-13)
 
     sol = solve_dual_pair(six["P2"], pi, six["f2"])
-    npt.assert_allclose(sol.phi.values,
+    npt.assert_allclose(sol.phi,
                         [5 / 6, -5 / 6, -0.5, -1 / 6, 1 / 6, 0.5],
                         atol=1e-13)
     assert sol.sigma2 == pytest.approx(5 / 18, abs=1e-13)
@@ -132,7 +131,7 @@ def coupled_blocks(eps):
     rotation = 0.5 * np.eye(3) + 0.5 * np.roll(np.eye(3), 1, axis=1)
     rows = np.full((6, 6), eps / 3.0)
     rows[:3, :3] = rows[3:, 3:] = (1.0 - eps) * rotation
-    return validate_kernel(rows), StationaryDist(np.full(6, 1.0 / 6.0))
+    return validate_kernel(rows), np.full(6, 1.0 / 6.0)
 
 
 def test_condition_gates_raise_exactly_where_the_spectrum_does(monkeypatch):
@@ -201,7 +200,7 @@ def test_a_broken_inverse_that_the_spectrum_clears_is_a_numerical_failure(
 
 def test_overflowing_variance_is_a_numerical_failure():
     kernel = validate_kernel(np.full((2, 2), 0.5))
-    pi = StationaryDist(np.array([0.5, 0.5]))
+    pi = np.array([0.5, 0.5])
     with pytest.raises(NumericalFailureError, match="overflows float64"):
         solve_dual_pair(kernel, pi, np.array([1e308, -1e308]))
 
@@ -225,14 +224,14 @@ def test_dual_pair_properties_random(rng):
         n = int(rng.integers(2, 10))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        w = pi.weights
+        w = pi
         f = random_centered_observable(pi, rng)
         sol = solve_dual_pair(kernel, pi, f)
-        npt.assert_allclose(sol.phi.values - kernel.rows @ sol.phi.values, f,
+        npt.assert_allclose(sol.phi - kernel.rows @ sol.phi, f,
                             atol=1e-10)
         star = adjoint(kernel, pi)
         npt.assert_allclose(
-            sol.phi_star.values - star.rows @ sol.phi_star.values, f,
+            sol.phi_star - star.rows @ sol.phi_star, f,
             atol=1e-10)
         assert pi_inner(sol.phi, f, w) == pytest.approx(
             pi_inner(f, sol.phi_star, w), abs=1e-10)

@@ -59,27 +59,27 @@ def test_saddle_point_identities(six):
     sol = solve_dual_pair(six["P1"], pi, six["f1"])
     saddle = saddle_point(six["P1"], pi, six["f1"])
     assert saddle.value == pytest.approx(1.0 / sol.sigma2, abs=1e-12)
-    w = pi.weights
+    w = pi
     assert pi_inner(six["f1"], saddle.xi_star, w) == pytest.approx(1.0, abs=1e-12)
     assert pi_inner(six["f1"], saddle.eta_star, w) == pytest.approx(0.0, abs=1e-12)
     npt.assert_allclose(
-        saddle.xi_star.values,
-        (sol.phi.values + sol.phi_star.values) / (2.0 * sol.sigma2),
+        saddle.xi_star,
+        (sol.phi + sol.phi_star) / (2.0 * sol.sigma2),
         atol=1e-12)
     npt.assert_allclose(
-        saddle.eta_star.values,
-        (sol.phi.values - sol.phi_star.values) / (2.0 * sol.sigma2),
+        saddle.eta_star,
+        (sol.phi - sol.phi_star) / (2.0 * sol.sigma2),
         atol=1e-12)
     attained = dirichlet_form(six["P1"], pi,
-                              saddle.xi_star.values + saddle.eta_star.values,
-                              saddle.xi_star.values - saddle.eta_star.values)
+                              saddle.xi_star + saddle.eta_star,
+                              saddle.xi_star - saddle.eta_star)
     assert attained == pytest.approx(saddle.value, abs=1e-12)
 
 
 def test_saddle_eta_vanishes_for_reversible(six):
     pi = stationary_distribution(six["P2"])
     saddle = saddle_point(six["P2"], pi, six["f1"])
-    npt.assert_allclose(saddle.eta_star.values, 0.0, atol=1e-12)
+    npt.assert_allclose(saddle.eta_star, 0.0, atol=1e-12)
 
 
 def test_saddle_rejects_null_observable(six):
@@ -93,7 +93,7 @@ def test_inner_sup_attained_at_optimum(six):
     saddle = saddle_point(six["P1"], pi, six["f1"])
     eta, value = inner_sup(six["P1"], pi, six["f1"], saddle.xi_star)
     assert value == pytest.approx(saddle.value, abs=1e-12)
-    npt.assert_allclose(eta.values, saddle.eta_star.values, atol=1e-10)
+    npt.assert_allclose(eta, saddle.eta_star, atol=1e-10)
 
 
 def test_inner_sup_rejects_infeasible_xi(six):
@@ -107,19 +107,19 @@ def test_minimax_sandwich_random(rng):
         n = int(rng.integers(3, 9))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        w = pi.weights
+        w = pi
         f = random_centered_observable(pi, rng)
         saddle = saddle_point(kernel, pi, f)
         for probe in range(20):
             shift = project_to_constraint(rng.standard_normal(n), f, w, 0.0)
-            xi = saddle.xi_star.values + shift
+            xi = saddle.xi_star + shift
             _, sup_val = inner_sup(kernel, pi, f, xi)
             assert sup_val >= saddle.value - 1e-9 * max(1.0, saddle.value)
         for probe in range(20):
             eta = project_to_constraint(rng.standard_normal(n), f, w, 0.0)
             inner = dirichlet_form(kernel, pi,
-                                   saddle.xi_star.values + eta,
-                                   saddle.xi_star.values - eta)
+                                   saddle.xi_star + eta,
+                                   saddle.xi_star - eta)
             assert inner <= saddle.value + 1e-9 * max(1.0, saddle.value)
 
 
@@ -129,7 +129,7 @@ def test_orthogonality_of_solutions(rng):
         n = int(rng.integers(3, 9))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        w = pi.weights
+        w = pi
         f = random_centered_observable(pi, rng)
         sol = solve_dual_pair(kernel, pi, f)
         for probe in range(10):
@@ -145,8 +145,8 @@ def test_reversible_inf(six):
     xi, value = reversible_inf(six["P2"], pi, six["f1"])
     assert value == pytest.approx(2.0, abs=1e-12)
     sol = solve_dual_pair(six["P2"], pi, six["f1"])
-    npt.assert_allclose(xi.values, sol.phi.values / sol.sigma2, atol=1e-12)
-    assert pi_inner(six["f1"], xi, pi.weights) == pytest.approx(1.0, abs=1e-12)
+    npt.assert_allclose(xi, sol.phi / sol.sigma2, atol=1e-12)
+    assert pi_inner(six["f1"], xi, pi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_reversible_inf_rejects_nonreversible(six):
@@ -173,4 +173,4 @@ def test_factored_operator_inf_agrees(rng):
         xi, value = factored_operator_inf(kernel, pi, f)
         sigma2 = solve_dual_pair(kernel, pi, f).sigma2
         assert value == pytest.approx(1.0 / sigma2, rel=1e-9, abs=1e-9)
-        assert pi_inner(f, xi, pi.weights) == pytest.approx(1.0, abs=1e-10)
+        assert pi_inner(f, xi, pi) == pytest.approx(1.0, abs=1e-10)
