@@ -41,7 +41,6 @@ from .kernel import (
     MeanZeroFrame,
     ReducedChain,
     SpectralDecomposition,
-    StochasticKernel,
     adjoint,
     centered,
     check_finite,
@@ -68,7 +67,6 @@ from .ordering import (
     uniform_variance_domination,
 )
 from .perturb import (
-    DriftSpec,
     VorticitySpec,
     apply_drift,
     family_alpha,

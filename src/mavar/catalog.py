@@ -16,7 +16,7 @@ import numpy as np
 
 from .kernel import _as_chain, stationary_distribution, validate_kernel
 from .ordering import fk_order
-from .perturb import DriftSpec, apply_drift, make_nonreversible, validate_vorticity
+from .perturb import apply_drift, make_nonreversible, validate_vorticity
 from .poisson import solve_dual_pair
 
 PASS = "PASS"
@@ -188,23 +188,24 @@ def four_cycle_lift() -> dict:
 def tridiag_drift() -> dict:
     K = validate_kernel(_floats(TRIDIAG_K))
     pi = _floats(UNIFORM3_PI)
-    spec = DriftSpec(_floats(TRIDIAG_LAMBDA))
-    return {"K": K, "pi": pi, "lam": spec, "P": apply_drift(K, pi, spec)}
+    lam = _floats(TRIDIAG_LAMBDA)
+    return {"K": K, "pi": pi, "lam": lam, "P": apply_drift(K, pi, lam)}
 
 
 def uniform3() -> dict:
     K = validate_kernel(_floats(UNIFORM3_K))
     pi = _floats(UNIFORM3_PI)
     spec = validate_vorticity(K, pi, _floats(UNIFORM3_GAMMA))
+    lam1, lam2 = _floats(UNIFORM3_LAMBDA1), _floats(UNIFORM3_LAMBDA2)
     return {
         "K": K,
         "pi": pi,
         "gamma": spec,
-        "lam1": DriftSpec(_floats(UNIFORM3_LAMBDA1)),
-        "lam2": DriftSpec(_floats(UNIFORM3_LAMBDA2)),
+        "lam1": lam1,
+        "lam2": lam2,
         "P": make_nonreversible(K, pi, spec),
-        "P1": apply_drift(K, pi, DriftSpec(_floats(UNIFORM3_LAMBDA1))),
-        "P2": apply_drift(K, pi, DriftSpec(_floats(UNIFORM3_LAMBDA2))),
+        "P1": apply_drift(K, pi, lam1),
+        "P2": apply_drift(K, pi, lam2),
     }
 
 
@@ -283,7 +284,7 @@ def _fk_margin():
 
 
 def _four_cycle_kernel():
-    return four_cycle_lift()["P"].rows
+    return four_cycle_lift()["P"]
 
 
 def _four_cycle_domination():
@@ -294,7 +295,7 @@ def _four_cycle_domination():
 
 
 def _tridiag_kernel():
-    return tridiag_drift()["P"].rows
+    return tridiag_drift()["P"]
 
 
 def _uniform3_domination():
@@ -459,7 +460,7 @@ def run_all(tol: float = 1e-9, only: str | None = None) -> list:
 
 
 def _kernel_payload(P, pi) -> dict:
-    return {"n": P.n, "rows": P.rows.tolist(), "pi": pi.tolist()}
+    return {"n": len(P), "rows": P.tolist(), "pi": pi.tolist()}
 
 
 def fixture_files() -> dict:
@@ -496,7 +497,7 @@ def fixture_files() -> dict:
         "tridiag-drift": {
             "K.json": _kernel_payload(tri["K"], tri["pi"]),
             "P.json": _kernel_payload(tri["P"], tri["pi"]),
-            "drift.json": {"kind": "drift", "matrix": tri["lam"].lam.tolist()},
+            "drift.json": {"kind": "drift", "matrix": tri["lam"].tolist()},
         },
         "uniform3": {
             "K.json": _kernel_payload(uni["K"], uni["pi"]),
@@ -505,8 +506,8 @@ def fixture_files() -> dict:
             "P2.json": _kernel_payload(uni["P2"], uni["pi"]),
             "vorticity.json": {"kind": "vorticity",
                                "matrix": uni["gamma"].gamma.tolist()},
-            "drift1.json": {"kind": "drift", "matrix": uni["lam1"].lam.tolist()},
-            "drift2.json": {"kind": "drift", "matrix": uni["lam2"].lam.tolist()},
+            "drift1.json": {"kind": "drift", "matrix": uni["lam1"].tolist()},
+            "drift2.json": {"kind": "drift", "matrix": uni["lam2"].tolist()},
         },
     }
 

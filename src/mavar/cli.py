@@ -5,7 +5,8 @@ are computed there, and a command only prints them and picks the exit code.
 Every --json report is strict JSON: a non-finite float (a failed route) is null.
 
 Exit codes: 0 success, 2 parse or validation error (including a NaN or
-infinite input, and a variance that overflows float64), 3 reducible
+infinite input, a variance that overflows float64, and a zero variance in
+verify, whose variational formula for 1/sigma^2 needs sigma^2 > 0), 3 reducible
 kernel, 4 degenerate kernel (Poisson equation unsolvable), 5 route or
 identity disagreement (a route that failed its own cross-check is inf),
 6 stationary-distribution mismatch, 7 unexplained fixture deviation.  A
@@ -143,7 +144,7 @@ def _load_kernel_file(path, tol):
         return kernel, None
     pi = _checked(path, np.asarray, payload["pi"], float)
     # written so that a NaN entry fails too
-    if pi.shape != (kernel.n,) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
+    if pi.shape != (len(kernel),) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
         _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
     if stationary_residual(kernel, pi) > max(tol, 1e-9):
         _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
@@ -196,7 +197,7 @@ def _load_analysis(kernel_file, observable_file, tol, center):
     if not is_irreducible(kernel):
         raise ReducibleError("kernel is reducible")
     pi = _resolve_pi(kernel, embedded)
-    raw = _load_observable_file(observable_file, kernel.n)
+    raw = _load_observable_file(observable_file, len(kernel))
     f, was_centered = _resolve_observable(raw, pi, tol, center)
     return f, was_centered, ReducedChain(kernel, pi)
 
@@ -227,7 +228,7 @@ def validate(kernel_file, tol, as_json):
     tol = _resolve_tol(tol)
     kernel, embedded = _load_kernel_file(kernel_file, tol)
     irreducible = is_irreducible(kernel)
-    info = {"n": kernel.n, "valid": True, "irreducible": irreducible}
+    info = {"n": len(kernel), "valid": True, "irreducible": irreducible}
     if irreducible:
         pi = _resolve_pi(kernel, embedded)
         info["pi"] = pi.tolist()
@@ -235,7 +236,7 @@ def validate(kernel_file, tol, as_json):
     if as_json:
         _echo_json(info)
     else:
-        click.echo(f"states: {kernel.n}")
+        click.echo(f"states: {len(kernel)}")
         click.echo("row sums: within tolerance")
         click.echo(f"irreducible: {'yes' if irreducible else 'no'}")
         if irreducible:
@@ -390,20 +391,19 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     else:
         if alpha != 1.0:
             _fail(EXIT_PARSE, "--alpha applies only to vorticity perturbations")
-        spec = validate_drift(kernel, pi, matrix, tol)
-        result = apply_drift(kernel, pi, spec)
+        result = apply_drift(kernel, pi, validate_drift(kernel, pi, matrix, tol))
         diagnostics["peskun_margin"] = peskun_order(kernel, result, pi).margin
     diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
         _echo_json({
-            "n": result.n,
-            "rows": result.rows.tolist(),
+            "n": len(result),
+            "rows": result.tolist(),
             "pi": pi.tolist(),
             "diagnostics": diagnostics,
         })
     else:
-        click.echo(f"perturbed kernel ({want}, {kernel.n} states):")
-        for row in result.rows:
+        click.echo(f"perturbed kernel ({want}, {len(kernel)} states):")
+        for row in result:
             click.echo("  " + _fmt_vec(row))
         for key, value in diagnostics.items():
             click.echo(f"{key}: {_fmt(value)}")
@@ -452,7 +452,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     """Estimate the asymptotic variance from a simulated trajectory."""
     tol = _resolve_tol(tol)
     kernel, embedded = _load_kernel_file(kernel_file, tol)
-    f = _load_observable_file(observable_file, kernel.n)
+    f = _load_observable_file(observable_file, len(kernel))
     trajectory = run_chain(kernel, n_steps, seed, initial)
     estimate = batch_means_avar(trajectory, f, batch_len)
     report = {

@@ -2,11 +2,11 @@
 
 import numpy as np
 
-from .kernel import StochasticKernel, _as_matrix, _as_vector, validate_kernel
-from .perturb import DriftSpec, VorticitySpec, validate_drift, validate_vorticity
+from .kernel import _as_matrix, _as_vector, validate_kernel
+from .perturb import VorticitySpec, validate_drift, validate_vorticity
 
 
-def random_irreducible_kernel(n: int, rng, mix: float = 0.05) -> StochasticKernel:
+def random_irreducible_kernel(n: int, rng, mix: float = 0.05) -> np.ndarray:
     """A strictly positive kernel: Dirichlet-like rows blended with uniform.
 
     Strict positivity guarantees irreducibility, aperiodicity, and
@@ -58,7 +58,7 @@ def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
     return validate_vorticity(K, pi, gamma)
 
 
-def random_drift(K, pi, rng, slack: float = 0.1) -> DriftSpec:
+def random_drift(K, pi, rng, slack: float = 0.1) -> np.ndarray:
     """A valid drift for a kernel with positive weighted holding mass.
 
     Off-diagonal mass is a symmetric random part plus a cyclic flow;

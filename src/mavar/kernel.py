@@ -2,12 +2,15 @@
 
 A kernel is a row-stochastic matrix P acting on functions f: states -> R
 by (Pf)_i = sum_j P_ij f_j.  All inner products are weighted by a
-stationary distribution pi.  pi, an observable f and every function the
-package returns (Poisson solutions, test functions, witnesses) are plain
-float arrays indexed by state.  The workhorse is MeanZeroFrame, an
-orthonormal basis of the pi-mean-zero subspace in which the pi-inner
-product becomes Euclidean and the pi-adjoint becomes the transpose;
-ReducedChain keeps one chain's reduced operator and its factorizations.
+stationary distribution pi.  Kernels, pi, an observable f and every
+function the package returns (Poisson solutions, test functions,
+witnesses) are plain float arrays indexed by state; validate_kernel
+returns a read-only copy, and a kernel carries no tolerance of its own,
+so adjoint and reversibilization check what they build at DEFAULT_TOL.
+The workhorse is MeanZeroFrame, an orthonormal basis of the
+pi-mean-zero subspace in which the pi-inner product becomes Euclidean
+and the pi-adjoint becomes the transpose; ReducedChain keeps one chain's
+reduced operator and its factorizations.
 """
 
 from dataclasses import dataclass, field
@@ -37,32 +40,15 @@ GATE_SAFETY = 1e6
 
 
 def _as_matrix(P):
-    """Plain float matrix from a StochasticKernel, ReducedChain or array."""
-    if isinstance(P, (StochasticKernel, ReducedChain)):
+    """Plain float matrix from a ReducedChain or array."""
+    if isinstance(P, ReducedChain):
         return P.rows
     return np.asarray(P, dtype=float)
 
 
 def _as_vector(x):
-    """Plain float array from a distribution, observable or list."""
+    """Plain float array from a list or array."""
     return np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class StochasticKernel:
-    """A validated row-stochastic matrix."""
-
-    rows: np.ndarray
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self):
-        rows = np.array(self.rows, dtype=float)
-        object.__setattr__(self, "rows", rows)
-        self.rows.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
 
 
 @dataclass(frozen=True)
@@ -102,10 +88,11 @@ def centered(values, pi) -> np.ndarray:
     return v - w @ v
 
 
-def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> StochasticKernel:
+def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check and normalize a candidate transition matrix.
 
-    Entries in [-tol, 0) are clamped to 0 and the row renormalized.
+    Returns a read-only float copy.  Entries in [-tol, 0) are clamped to
+    0 and the row renormalized.
     Raises NonFiniteInputError, NegativeEntryError, RowSumViolationError,
     or DimensionMismatchError.
     """
@@ -125,7 +112,8 @@ def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> StochasticKernel:
     if abs(sums[bad] - 1.0) > tol:
         raise RowSumViolationError(f"row {bad} sums to {sums[bad]}")
     M /= sums[:, None]
-    return StochasticKernel(M, tol)
+    M.setflags(write=False)
+    return M
 
 
 def _reaches_all(G) -> bool:
@@ -183,24 +171,19 @@ def stationary_residual(P, pi) -> float:
     return float(np.max(np.abs(w @ _as_matrix(P) - w)))
 
 
-def adjoint(P, pi) -> StochasticKernel:
+def adjoint(P, pi) -> np.ndarray:
     """Time reversal: the pi-adjoint kernel (P*)_ij = pi_j P_ji / pi_i."""
     M = _as_matrix(P)
     w = _as_vector(pi)
-    tol = P.tol if isinstance(P, StochasticKernel) else DEFAULT_TOL
     resid = stationary_residual(M, w)
-    if resid > tol:
+    if resid > DEFAULT_TOL:
         raise NotStationaryError(f"pi P differs from pi by {resid}")
-    rev = (w[None, :] * M.T) / w[:, None]
-    return validate_kernel(rev, tol)
+    return validate_kernel((w[None, :] * M.T) / w[:, None])
 
 
-def reversibilization(P, pi) -> StochasticKernel:
+def reversibilization(P, pi) -> np.ndarray:
     """The additive reversibilization (P + P*)/2."""
-    M = _as_matrix(P)
-    rev = adjoint(P, pi)
-    tol = P.tol if isinstance(P, StochasticKernel) else DEFAULT_TOL
-    return validate_kernel(0.5 * (M + rev.rows), tol)
+    return validate_kernel(0.5 * (_as_matrix(P) + adjoint(P, pi)))
 
 
 def is_reversible(P, pi, tol: float = STRICT_TOL) -> bool:

@@ -5,6 +5,9 @@ pi-weighted sense) makes the chain non-reversible without changing the
 Dirichlet form, and adding a scaled drift with zero row and column sums
 moves holding mass onto off-diagonal transitions.  Both preserve the
 stationary distribution and never increase the asymptotic variance.
+A drift Lambda and every perturbed kernel are plain float arrays; the
+validators check their input at the tol they are given, and the
+perturbed kernel is checked at DEFAULT_TOL.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,6 @@ from .errors import (
 )
 from .kernel import (
     DEFAULT_TOL,
-    StochasticKernel,
     _as_matrix,
     _as_vector,
     stationary_distribution,
@@ -49,17 +51,6 @@ class VorticitySpec:
         object.__setattr__(self, "h", np.array(self.h, dtype=float))
         self.gamma.setflags(write=False)
         self.h.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class DriftSpec:
-    """A validated drift matrix (zero row and column sums)."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.array(self.lam, dtype=float))
-        self.lam.setflags(write=False)
 
 
 def _shapes(K, pi, M, what):
@@ -106,22 +97,21 @@ def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> VorticitySpec:
     return VorticitySpec(G, h)
 
 
-def make_nonreversible(K, pi, spec: VorticitySpec) -> StochasticKernel:
+def make_nonreversible(K, pi, spec: VorticitySpec) -> np.ndarray:
     """The perturbed kernel K + gamma; stationarity of pi is verified."""
     try:
         checked = validate_vorticity(K, pi, spec.gamma)
     except MavarError as exc:
         raise PerturbationSpecError(f"vorticity does not fit kernel: {exc}") from exc
     MK, w, G = _shapes(K, pi, checked.gamma, "vorticity")
-    tol = K.tol if isinstance(K, StochasticKernel) else DEFAULT_TOL
-    P = validate_kernel(MK + G, tol)
+    P = validate_kernel(MK + G)
     resid = stationary_residual(P, w)
     if resid > 1e-10:
         raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
     return P
 
 
-def family_alpha(K, pi, spec: VorticitySpec, alpha: float) -> StochasticKernel:
+def family_alpha(K, pi, spec: VorticitySpec, alpha: float) -> np.ndarray:
     """The interpolated kernel K + alpha gamma for alpha in [-1, 1].
 
     The adjoint of the alpha member is the -alpha member.
@@ -132,8 +122,8 @@ def family_alpha(K, pi, spec: VorticitySpec, alpha: float) -> StochasticKernel:
     return make_nonreversible(K, pi, scaled)
 
 
-def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> DriftSpec:
-    """Check the three drift properties against (K, pi).
+def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Check the three drift properties against (K, pi); returns Lambda.
 
     (a') zero row and column sums, (b') nonnegative off-diagonal,
     (c') diagonal loss bounded by the kernel's weighted holding mass,
@@ -157,22 +147,21 @@ def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> DriftSpec:
     if slack[worst] < -tol:
         raise DriftDiagonalError(
             f"diagonal {worst}: pi K_ii + Lambda_ii = {slack[worst]} < 0")
-    return DriftSpec(L)
+    return L
 
 
-def apply_drift(K, pi, spec: DriftSpec) -> StochasticKernel:
+def apply_drift(K, pi, lam) -> np.ndarray:
     """The perturbed kernel K + diag(pi)^{-1} Lambda.
 
     The result dominates K in the Peskun order and keeps pi stationary;
     both are verified.
     """
     try:
-        checked = validate_drift(K, pi, spec.lam)
+        checked = validate_drift(K, pi, lam)
     except MavarError as exc:
         raise PerturbationSpecError(f"drift does not fit kernel: {exc}") from exc
-    MK, w, L = _shapes(K, pi, checked.lam, "drift")
-    tol = K.tol if isinstance(K, StochasticKernel) else DEFAULT_TOL
-    P = validate_kernel(MK + L / w[:, None], tol)
+    MK, w, L = _shapes(K, pi, checked, "drift")
+    P = validate_kernel(MK + L / w[:, None])
     resid = stationary_residual(P, w)
     if resid > 1e-10:
         raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
@@ -183,7 +172,7 @@ def apply_drift(K, pi, spec: DriftSpec) -> StochasticKernel:
     return P
 
 
-def peskun_residual(P, Q, pi=None) -> DriftSpec:
+def peskun_residual(P, Q, pi=None) -> np.ndarray:
     """The drift Lambda = diag(pi)(Q - P) for a Peskun-ordered pair.
 
     Every Peskun-above kernel arises from the base by applying this
@@ -199,9 +188,9 @@ def peskun_residual(P, Q, pi=None) -> DriftSpec:
     MQ = _as_matrix(Q)
     w = _as_vector(stationary_distribution(MP) if pi is None else pi)
     L = w[:, None] * (MQ - MP)
-    spec = validate_drift(MP, w, L, tol=1e-10)
+    validate_drift(MP, w, L, tol=1e-10)
     recon = MP + L / w[:, None]
     err = np.max(np.abs(recon - MQ))
     if err > 1e-12:
         raise NumericalFailureError(f"residual reconstruction error {err}")
-    return spec
+    return L

@@ -94,7 +94,7 @@ def test_criterion_2_documented_discrepancy(six):
     pi = stationary_distribution(six["P1"])
     sigma2 = solve_dual_pair(six["P1"], pi, six["f1"]).sigma2
     psi = np.array([1.5, 1.5, 1.5, -1.0, -1.0, -1.0])
-    residual = (psi - six["P1"].rows @ psi) - 1.25 * six["f1"]
+    residual = (psi - six["P1"] @ psi) - 1.25 * six["f1"]
     row = [r for r in catalog.run_all(1e-9, "sigma2(P1,f1)")][0]
     run = CliRunner().invoke(cli_main, ["reproduce-examples"])
     ok = (abs(sigma2 - 1 / 3) <= 1e-12
@@ -136,11 +136,11 @@ def test_criterion_3_variational_suite(catalog_cases):
         _, t_inf = factored_operator_inf(kernel, pi, f)
         worst = max(worst, abs(t_inf - value) / max(1.0, value))
         for trial in range(20):
-            xi = project_to_constraint(rng.standard_normal(kernel.n), f, w, 1.0)
+            xi = project_to_constraint(rng.standard_normal(len(kernel)), f, w, 1.0)
             _, sup_val = inner_sup(kernel, pi, f, xi)
             worst = max(worst, (value - sup_val) / max(1.0, value))
         for trial in range(20):
-            eta = project_to_constraint(rng.standard_normal(kernel.n), f, w, 0.0)
+            eta = project_to_constraint(rng.standard_normal(len(kernel)), f, w, 0.0)
             probe = dirichlet_form(kernel, pi,
                                    saddle.xi_star + eta,
                                    saddle.xi_star - eta)

@@ -56,7 +56,7 @@ def test_dump_fixtures_round_trip(tmp_path):
         payload = json.load(handle)
     kernel = validate_kernel(np.array(payload["rows"]))
     six = catalog.six_cycle()
-    npt.assert_allclose(kernel.rows, six["P1"].rows, atol=0)
+    npt.assert_allclose(kernel, six["P1"], atol=0)
     npt.assert_allclose(payload["pi"], np.full(6, 1 / 6), atol=1e-15)
     with open(tmp_path / "six-cycle" / "f1.json") as handle:
         npt.assert_allclose(json.load(handle), six["f1"], atol=0)

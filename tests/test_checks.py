@@ -24,7 +24,7 @@ def test_battery_passes_on_the_catalog_cases(catalog_cases):
     for kernel, pi, f in catalog_cases:
         records, sigma2 = checks.battery(ReducedChain(kernel, pi), f)
         failed = [r["name"] for r in records if not r["passed"]]
-        assert not failed, (kernel.rows.tolist(), f.tolist(), failed)
+        assert not failed, (kernel.tolist(), f.tolist(), failed)
         assert sigma2 > 0.0
 
 

@@ -554,7 +554,7 @@ def nonreversible_files(tmp_path, n, seed):
     rng = np.random.default_rng(seed)
     kernel = random_irreducible_kernel(n, rng)
     f = random_centered_observable(stationary_distribution(kernel), rng)
-    return (write_json(tmp_path / "P.json", {"rows": kernel.rows.tolist()}),
+    return (write_json(tmp_path / "P.json", {"rows": kernel.tolist()}),
             write_json(tmp_path / "f.json", f.tolist()))
 
 
@@ -653,6 +653,45 @@ def test_verify_factors_the_chain_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert json.loads(result.output)["all_pass"] is True
     assert counts == {"eigvals": 0, "operator": 1}
+
+
+def birth_death_files(tmp_path, n):
+    """Up 0.2, down 0.5, the rest held: pi falls by a factor 0.4 per state."""
+    rows = np.zeros((n, n))
+    i = np.arange(n - 1)
+    rows[i, i + 1] = 0.2
+    rows[i + 1, i] = 0.5
+    rows[np.arange(n), np.arange(n)] = 1.0 - rows.sum(axis=1)
+    return (write_json(tmp_path / "P.json", {"rows": rows.tolist()}),
+            write_json(tmp_path / "f.json", np.cos(np.arange(n)).tolist()))
+
+
+@pytest.mark.parametrize("n, code, failed", [
+    (14, 0, []),  # pi_min 4e-6
+    # pi_min 1.6e-8: the frame gives eta* only to about 2e-7 here
+    (20, 5, ["eta* vanishes (reversible)"]),
+])
+def test_verify_on_small_stationary_weights(runner, tmp_path, n, code, failed):
+    # the dual residual applies P* = P^T (pi .) / pi as defined; a kernel
+    # built from it would renormalize rows summing to 1 + residual / pi_i
+    kernel, obs = birth_death_files(tmp_path, n)
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
+    assert result.exit_code == code, result.stderr
+    records = json.loads(result.stdout)["checks"]
+    assert [c["name"] for c in records if not c["passed"]] == failed
+    assert "sums to" not in result.stderr
+
+
+def test_zero_variance_exits_2_from_verify_and_0_from_analyze(runner, tmp_path):
+    # verify checks the variational formula for 1/sigma^2, which needs sigma^2 > 0
+    kernel = write_json(tmp_path / "P.json", {"rows": [[0.5, 0.5], [0.5, 0.5]]})
+    obs = write_json(tmp_path / "f.json", [0, 0])
+    result = runner.invoke(main, ["analyze", kernel, obs])
+    assert result.exit_code == 0
+    assert "sigma^2: 0\n" in result.stdout
+    result = runner.invoke(main, ["verify", kernel, obs])
+    assert result.exit_code == 2
+    assert result.stderr == "error: sigma^2 = 0.0 is not positive\n"
 
 
 IMPORT_GUARD = """

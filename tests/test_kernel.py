@@ -11,12 +11,16 @@ from mavar import (
     ReducibleError,
     RowSumViolationError,
     adjoint,
+    apply_drift,
     centered,
     dirichlet_order,
     factored_operator_inf,
+    family_alpha,
     inner_sup,
     is_irreducible,
     is_reversible,
+    make_nonreversible,
+    peskun_residual,
     pi_inner,
     reversibilization,
     reversible_inf,
@@ -26,9 +30,10 @@ from mavar import (
     spectral_radius_mean_zero,
     stationary_distribution,
     uniform_variance_domination,
+    validate_drift,
     validate_kernel,
 )
-from mavar.generators import random_irreducible_kernel, random_reversible_kernel
+from mavar.generators import random_drift, random_irreducible_kernel, random_reversible_kernel
 
 
 def reachable(adj, start):
@@ -53,14 +58,14 @@ def strongly_connected_oracle(matrix):
 def test_validate_kernel_accepts_and_renormalizes():
     rows = np.array([[0.5, 0.5], [0.25, 0.75]])
     kernel = validate_kernel(rows * (1 + 1e-12))
-    assert kernel.n == 2
-    npt.assert_allclose(kernel.rows.sum(axis=1), 1.0, atol=1e-15)
+    assert len(kernel) == 2
+    npt.assert_allclose(kernel.sum(axis=1), 1.0, atol=1e-15)
 
 
 def test_validate_kernel_clamps_tiny_negative():
     rows = np.array([[1.0 + 1e-12, -1e-12], [0.5, 0.5]])
     kernel = validate_kernel(rows)
-    assert kernel.rows.min() >= 0.0
+    assert kernel.min() >= 0.0
 
 
 def test_validate_kernel_rejects_negative_entry():
@@ -102,9 +107,9 @@ def test_kernel_arrays_are_defensive_copies():
     rows = np.array([[0.5, 0.5], [0.5, 0.5]])
     kernel = validate_kernel(rows)
     rows[0, 0] = 99.0
-    assert kernel.rows[0, 0] == 0.5
+    assert kernel[0, 0] == 0.5
     with pytest.raises(ValueError):
-        kernel.rows[0, 0] = 0.0
+        kernel[0, 0] = 0.0
 
 
 def test_is_irreducible_matches_dfs_oracle(rng):
@@ -118,7 +123,7 @@ def test_is_irreducible_matches_dfs_oracle(rng):
         matrix += np.diag(matrix.sum(axis=1) == 0) * 1.0
         matrix /= matrix.sum(axis=1, keepdims=True)
         kernel = validate_kernel(matrix)
-        assert is_irreducible(kernel) == strongly_connected_oracle(kernel.rows)
+        assert is_irreducible(kernel) == strongly_connected_oracle(kernel)
 
 
 def closure_oracle(matrix):
@@ -203,7 +208,7 @@ def test_stationary_distribution_is_fixed_point(rng):
         n = int(rng.integers(2, 12))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        npt.assert_allclose(pi @ kernel.rows, pi, atol=1e-13)
+        npt.assert_allclose(pi @ kernel, pi, atol=1e-13)
         assert pi.min() > 0
         npt.assert_allclose(pi.sum(), 1.0, atol=1e-14)
 
@@ -211,7 +216,7 @@ def test_stationary_distribution_is_fixed_point(rng):
 def test_adjoint_of_cycle_is_transpose(six):
     pi = stationary_distribution(six["P1"])
     star = adjoint(six["P1"], pi)
-    npt.assert_allclose(star.rows, six["P1"].rows.T, atol=1e-14)
+    npt.assert_allclose(star, six["P1"].T, atol=1e-14)
 
 
 def test_adjoint_is_involution(rng):
@@ -219,7 +224,7 @@ def test_adjoint_is_involution(rng):
         kernel = random_irreducible_kernel(5, rng)
         pi = stationary_distribution(kernel)
         back = adjoint(adjoint(kernel, pi), pi)
-        npt.assert_allclose(back.rows, kernel.rows, atol=1e-13)
+        npt.assert_allclose(back, kernel, atol=1e-13)
 
 
 def test_adjoint_rejects_wrong_weights(six):
@@ -236,7 +241,7 @@ def test_reversibilization_of_six_cycle(six):
         expected[i, i] = 0.5
         expected[i, (i + 1) % 6] = 0.25
         expected[i, (i - 1) % 6] = 0.25
-    npt.assert_allclose(half.rows, expected, atol=1e-14)
+    npt.assert_allclose(half, expected, atol=1e-14)
     assert is_reversible(half, pi)
 
 
@@ -289,6 +294,36 @@ def test_returned_functions_are_plain_arrays(name, six, fk):
     value = PLAIN_ARRAY_RESULTS[name](six, fk)
     assert type(value) is np.ndarray
     assert value.dtype == np.float64 and value.ndim == 1
+
+
+# kernels and drifts are plain matrices too
+PLAIN_MATRIX_RESULTS = {
+    "validate_kernel": lambda six, four, uni: validate_kernel(six["P1"].tolist()),
+    "adjoint": lambda six, four, uni: adjoint(six["P1"], six["pi"]),
+    "reversibilization": lambda six, four, uni: reversibilization(six["P1"], six["pi"]),
+    "make_nonreversible": lambda six, four, uni: make_nonreversible(
+        four["K"], four["pi"], four["gamma"]),
+    "family_alpha": lambda six, four, uni: family_alpha(
+        four["K"], four["pi"], four["gamma"], 0.5),
+    "apply_drift": lambda six, four, uni: apply_drift(uni["K"], uni["pi"], uni["lam1"]),
+    "validate_drift": lambda six, four, uni: validate_drift(
+        uni["K"], uni["pi"], uni["lam1"].tolist()),
+    "peskun_residual": lambda six, four, uni: peskun_residual(
+        six["P1"], six["P2"], six["pi"]),
+    "random_irreducible_kernel": lambda six, four, uni: random_irreducible_kernel(
+        5, np.random.default_rng(0)),
+    "random_reversible_kernel": lambda six, four, uni: random_reversible_kernel(
+        5, np.random.default_rng(0))[0],
+    "random_drift": lambda six, four, uni: random_drift(
+        *random_reversible_kernel(5, np.random.default_rng(0)), np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(PLAIN_MATRIX_RESULTS))
+def test_kernels_and_drifts_are_plain_matrices(name, six, four, uniform3):
+    value = PLAIN_MATRIX_RESULTS[name](six, four, uniform3)
+    assert type(value) is np.ndarray
+    assert value.dtype == np.float64 and value.ndim == 2
 
 
 def test_frame_basis_orthonormal_and_orthogonal_to_sqrt_pi(rng):
@@ -386,7 +421,7 @@ def test_spectral_decomposition_reconstructs_kernel(rng):
         w = pi
         u = dec.eigenvectors
         rebuilt = (u * dec.eigenvalues) @ (u.T * w)
-        npt.assert_allclose(rebuilt, kernel.rows, atol=1e-12)
+        npt.assert_allclose(rebuilt, kernel, atol=1e-12)
         # eigenfunctions are orthonormal in the weighted inner product
         gram = (u.T * w) @ u
         npt.assert_allclose(gram, np.eye(6), atol=1e-12)

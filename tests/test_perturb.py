@@ -11,7 +11,6 @@ from mavar import (
     NotAntisymmetricError,
     NotPeskunOrderedError,
     PerturbationSpecError,
-    StochasticKernel,
     VorticityRowSumError,
     adjoint,
     apply_drift,
@@ -32,7 +31,7 @@ from mavar.generators import (
     random_vorticity,
 )
 
-UNIFORM_K = StochasticKernel(np.full((3, 3), 1 / 3))
+UNIFORM_K = np.full((3, 3), 1 / 3)
 UNIFORM_PI = np.full(3, 1 / 3)
 
 
@@ -53,23 +52,23 @@ def test_validate_vorticity_small_circulation():
     spec = validate_vorticity(UNIFORM_K, UNIFORM_PI, gamma)
     assert np.max(np.abs(spec.h)) == pytest.approx(1 / 3, abs=1e-14)
     skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, spec)
-    npt.assert_allclose(skewed.rows[0], [1 / 3, 2 / 9, 4 / 9], atol=1e-14)
-    npt.assert_allclose(skewed.rows.sum(axis=1), 1.0, atol=1e-14)
+    npt.assert_allclose(skewed[0], [1 / 3, 2 / 9, 4 / 9], atol=1e-14)
+    npt.assert_allclose(skewed.sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_validate_vorticity_saturated(uniform3):
     spec = uniform3["gamma"]
     assert np.max(np.abs(spec.h)) == pytest.approx(1.0, abs=1e-14)
     skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, spec)
-    npt.assert_allclose(skewed.rows, uniform3["P"].rows, atol=1e-14)
-    npt.assert_allclose(skewed.rows[0], [1 / 3, 0.0, 2 / 3], atol=1e-14)
+    npt.assert_allclose(skewed, uniform3["P"], atol=1e-14)
+    npt.assert_allclose(skewed[0], [1 / 3, 0.0, 2 / 3], atol=1e-14)
 
 
 def test_vorticity_turns_walk_into_rotation(four):
     skewed = make_nonreversible(four["K"], four["pi"], four["gamma"])
-    npt.assert_allclose(skewed.rows, four["P"].rows, atol=1e-14)
+    npt.assert_allclose(skewed, four["P"], atol=1e-14)
     # the result is a deterministic cyclic shift
-    npt.assert_allclose(skewed.rows, np.roll(np.eye(4), 1, axis=1), atol=1e-14)
+    npt.assert_allclose(skewed, np.roll(np.eye(4), 1, axis=1), atol=1e-14)
 
 
 def test_validate_vorticity_rejects_bad_row_sums():
@@ -127,8 +126,8 @@ def test_reversibilization_recovers_base(rng):
         spec = random_vorticity(kernel, pi, rng)
         skewed = make_nonreversible(kernel, pi, spec)
         back = reversibilization(skewed, pi)
-        npt.assert_allclose(back.rows, kernel.rows, atol=1e-12)
-        npt.assert_allclose(pi @ skewed.rows, pi, atol=1e-12)
+        npt.assert_allclose(back, kernel, atol=1e-12)
+        npt.assert_allclose(pi @ skewed, pi, atol=1e-12)
 
 
 def test_vorticity_never_increases_avar(rng):
@@ -145,10 +144,10 @@ def test_family_alpha_adjoint_symmetry(four, rng):
     for alpha in (-1.0, -0.5, 0.25, 1.0):
         plus = family_alpha(four["K"], four["pi"], four["gamma"], alpha)
         minus = family_alpha(four["K"], four["pi"], four["gamma"], -alpha)
-        npt.assert_allclose(adjoint(plus, four["pi"]).rows, minus.rows,
+        npt.assert_allclose(adjoint(plus, four["pi"]), minus,
                             atol=1e-14)
     zero = family_alpha(four["K"], four["pi"], four["gamma"], 0.0)
-    npt.assert_allclose(zero.rows, four["K"].rows, atol=1e-14)
+    npt.assert_allclose(zero, four["K"], atol=1e-14)
 
 
 def test_family_alpha_variance_symmetric_and_monotone(rng):
@@ -189,13 +188,13 @@ def test_saturated_circulation_is_grid_optimum(rng):
 
 
 def test_validate_drift_tight_diagonal(uniform3):
-    lam = uniform3["lam1"].lam
+    lam = uniform3["lam1"]
     spec = validate_drift(UNIFORM_K, UNIFORM_PI, lam)
     applied = apply_drift(UNIFORM_K, UNIFORM_PI, spec)
-    npt.assert_allclose(applied.rows, uniform3["P1"].rows, atol=1e-14)
+    npt.assert_allclose(applied, uniform3["P1"], atol=1e-14)
     # the corrected holding-time budget is exactly exhausted at two states
-    assert applied.rows[0, 0] == pytest.approx(0.0, abs=1e-14)
-    assert applied.rows[1, 1] == pytest.approx(0.0, abs=1e-14)
+    assert applied[0, 0] == pytest.approx(0.0, abs=1e-14)
+    assert applied[1, 1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_validate_drift_budget_sign():
@@ -230,31 +229,31 @@ def test_validate_drift_rejects_negative_off_diagonal():
 def test_apply_drift_tridiagonal(tridiag):
     pi = stationary_distribution(tridiag["K"])
     applied = apply_drift(tridiag["K"], pi, tridiag["lam"])
-    npt.assert_allclose(applied.rows, tridiag["P"].rows, atol=1e-14)
-    npt.assert_allclose(pi @ applied.rows, pi, atol=1e-14)
+    npt.assert_allclose(applied, tridiag["P"], atol=1e-14)
+    npt.assert_allclose(pi @ applied, pi, atol=1e-14)
     # this drift keeps the chain reversible, it only trades holding mass
     assert is_reversible(applied, pi)
 
 
 def test_apply_drift_second_example(uniform3):
     applied = apply_drift(UNIFORM_K, UNIFORM_PI, uniform3["lam2"])
-    npt.assert_allclose(applied.rows, uniform3["P2"].rows, atol=1e-14)
-    npt.assert_allclose(np.diag(applied.rows), 0.0, atol=1e-14)
+    npt.assert_allclose(applied, uniform3["P2"], atol=1e-14)
+    npt.assert_allclose(np.diag(applied), 0.0, atol=1e-14)
 
 
 def test_peskun_residual_six_cycle(six):
     pi = stationary_distribution(six["P1"])
     spec = peskun_residual(six["P1"], six["P2"], pi)
-    npt.assert_allclose(spec.lam, (six["P2"].rows - six["P1"].rows) / 6.0,
+    npt.assert_allclose(spec, (six["P2"] - six["P1"]) / 6.0,
                         atol=1e-14)
     rebuilt = apply_drift(six["P1"], pi, spec)
-    npt.assert_allclose(rebuilt.rows, six["P2"].rows, atol=1e-13)
+    npt.assert_allclose(rebuilt, six["P2"], atol=1e-13)
 
 
 def test_peskun_residual_recovers_drift(tridiag):
     pi = stationary_distribution(tridiag["K"])
     spec = peskun_residual(tridiag["K"], tridiag["P"], pi)
-    npt.assert_allclose(spec.lam, tridiag["lam"].lam, atol=1e-14)
+    npt.assert_allclose(spec, tridiag["lam"], atol=1e-14)
 
 
 def test_peskun_residual_requires_order(six):
@@ -271,12 +270,12 @@ def test_random_generators_produce_valid_specs(rng):
         assert np.max(np.abs(vort.h)) <= 1.0 + 1e-12
         npt.assert_allclose(vort.gamma.sum(axis=1), 0.0, atol=1e-12)
         drift = random_drift(kernel, pi, rng)
-        off = drift.lam - np.diag(np.diag(drift.lam))
+        off = drift - np.diag(np.diag(drift))
         assert off.min() >= -1e-15
-        npt.assert_allclose(drift.lam.sum(axis=0), 0.0, atol=1e-12)
-        npt.assert_allclose(drift.lam.sum(axis=1), 0.0, atol=1e-12)
+        npt.assert_allclose(drift.sum(axis=0), 0.0, atol=1e-12)
+        npt.assert_allclose(drift.sum(axis=1), 0.0, atol=1e-12)
         better = apply_drift(kernel, pi, drift)
-        npt.assert_allclose(pi @ better.rows, pi, atol=1e-12)
+        npt.assert_allclose(pi @ better, pi, atol=1e-12)
 
 
 def test_drift_improves_variance(rng):

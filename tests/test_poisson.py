@@ -92,7 +92,7 @@ def test_rotation_companion_regression(six):
     # the widely copied companion vector for the rotation solves a scaled
     # equation, not the stated one: applying the operator returns 5/4 f1
     psi = np.array([1.5, 1.5, 1.5, -1.0, -1.0, -1.0])
-    image = psi - six["P1"].rows @ psi
+    image = psi - six["P1"] @ psi
     npt.assert_allclose(image, 1.25 * six["f1"], atol=1e-14)
     pi = stationary_distribution(six["P1"])
     assert solve_dual_pair(six["P1"], pi, six["f1"]).sigma2 == pytest.approx(
@@ -227,11 +227,11 @@ def test_dual_pair_properties_random(rng):
         w = pi
         f = random_centered_observable(pi, rng)
         sol = solve_dual_pair(kernel, pi, f)
-        npt.assert_allclose(sol.phi - kernel.rows @ sol.phi, f,
+        npt.assert_allclose(sol.phi - kernel @ sol.phi, f,
                             atol=1e-10)
         star = adjoint(kernel, pi)
         npt.assert_allclose(
-            sol.phi_star - star.rows @ sol.phi_star, f,
+            sol.phi_star - star @ sol.phi_star, f,
             atol=1e-10)
         assert pi_inner(sol.phi, f, w) == pytest.approx(
             pi_inner(f, sol.phi_star, w), abs=1e-10)

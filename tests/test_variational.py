@@ -38,7 +38,7 @@ def test_dirichlet_form_nonnegative_on_diagonal(rng):
     for trial in range(20):
         kernel = random_irreducible_kernel(int(rng.integers(2, 9)), rng)
         pi = stationary_distribution(kernel)
-        xi = rng.standard_normal(kernel.n)
+        xi = rng.standard_normal(len(kernel))
         assert dirichlet_form(kernel, pi, xi, xi) >= -1e-12
 
 
