@@ -36,7 +36,7 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
     A route whose own cross-check raises NumericalFailureError reports
     inf, as does the spectral route when a unit eigenvalue carries
     weight of f, so a failed route is a value the caller compares.  The
-    spectral route runs when detailed balance holds to 1e-12.
+    spectral route runs when is_reversible holds.
     """
     sol = solve_dual_pair(chain, None, f, tol)
     values = {"dual-pair": sol.sigma2}
@@ -44,7 +44,7 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
         values["factored-operator"] = avar_via_factored_operator(chain, None, f, tol)
     except NumericalFailureError:
         values["factored-operator"] = np.inf
-    reversible = is_reversible(chain, chain.pi)  # at the spectral route's own tolerance
+    reversible = is_reversible(chain, chain.pi)
     if reversible:
         values["spectral"] = avar_spectral(chain, None, f, tol)
     return sol, values, reversible

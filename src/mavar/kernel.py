@@ -5,8 +5,9 @@ by (Pf)_i = sum_j P_ij f_j.  All inner products are weighted by a
 stationary distribution pi.  Kernels, pi, an observable f and every
 function the package returns (Poisson solutions, test functions,
 witnesses) are plain float arrays indexed by state; validate_kernel
-returns a read-only copy, and a kernel carries no tolerance of its own,
-so adjoint and reversibilization check what they build at DEFAULT_TOL.
+returns a read-only copy.  A kernel carries no tolerance: adjoint and
+reversibilization check what they build at DEFAULT_TOL, and
+is_reversible holds the one detailed-balance threshold, STRICT_TOL.
 The workhorse is MeanZeroFrame, an orthonormal basis of the
 pi-mean-zero subspace in which the pi-inner product becomes Euclidean
 and the pi-adjoint becomes the transpose; ReducedChain keeps one chain's
@@ -186,12 +187,12 @@ def reversibilization(P, pi) -> np.ndarray:
     return validate_kernel(0.5 * (_as_matrix(P) + adjoint(P, pi)))
 
 
-def is_reversible(P, pi, tol: float = STRICT_TOL) -> bool:
-    """Detailed balance check: pi_i P_ij == pi_j P_ji within tol."""
+def is_reversible(P, pi) -> bool:
+    """Detailed balance within STRICT_TOL, the package's one reversibility test."""
     M = _as_matrix(P)
     w = _as_vector(pi)
     F = w[:, None] * M
-    return bool(np.max(np.abs(F - F.T)) <= tol)
+    return bool(np.max(np.abs(F - F.T)) <= STRICT_TOL)
 
 
 def pi_inner(f, g, pi) -> float:
@@ -385,16 +386,16 @@ def spectral_radius_mean_zero(P, pi=None) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(A))))
 
 
-def spectral_decomposition_reversible(P, pi, tol: float = STRICT_TOL) -> SpectralDecomposition:
+def spectral_decomposition_reversible(P, pi) -> SpectralDecomposition:
     """Eigendecomposition of a reversible kernel.
 
     Returns real eigenvalues sorted descending and pi-orthonormal
-    eigenfunctions as columns.  Raises NotReversibleError if detailed
-    balance fails at tol.
+    eigenfunctions as columns.  Raises NotReversibleError unless
+    is_reversible(P, pi).
     """
     M = _as_matrix(P)
     w = _as_vector(pi)
-    if not is_reversible(M, w, tol):
+    if not is_reversible(M, w):
         raise NotReversibleError("kernel is not reversible for the given pi")
     s = np.sqrt(w)
     C = (s[:, None] * M) / s[None, :]

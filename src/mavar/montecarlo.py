@@ -49,9 +49,10 @@ def kernel_fingerprint(P) -> str:
 def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
     """Run the chain for n_steps transitions from a state or a law.
 
-    initial may be a state index or a probability vector to draw the
-    start from.  The returned path has n_steps + 1 entries.  Sampling
-    inverts each row's cumulative distribution.
+    initial is a state index or a probability vector to draw the start
+    from; anything else, NaN included, raises BadInitialError.  The path
+    has n_steps + 1 entries.  Sampling inverts each row's cumulative
+    distribution.
     """
     M = _as_matrix(P)
     n = M.shape[0]
@@ -59,12 +60,15 @@ def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
         raise TrajectoryTooShortError("need at least one transition")
     rng = np.random.default_rng(seed)
     if np.ndim(initial) == 0:
+        if not (np.isfinite(initial) and float(initial).is_integer()):
+            raise BadInitialError(f"initial state {initial} is not an integer")
         start = int(initial)
         if not 0 <= start < n:
             raise BadInitialError(f"state {start} outside 0..{n - 1}")
     else:
         law = np.asarray(initial, dtype=float)
-        if law.shape != (n,) or law.min() < 0 or abs(law.sum() - 1.0) > 1e-9:
+        # written so that a NaN entry fails too
+        if law.shape != (n,) or not (law.min() >= 0 and abs(law.sum() - 1.0) <= 1e-9):
             raise BadInitialError("initial law is not a probability vector")
         start = int(rng.choice(n, p=law / law.sum()))
     cums = [row.cumsum().tolist() for row in M]

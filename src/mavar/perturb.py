@@ -97,6 +97,15 @@ def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> VorticitySpec:
     return VorticitySpec(G, h)
 
 
+def _perturbed(M, w) -> np.ndarray:
+    """validate_kernel(M); PerturbationSpecError if it moves pi by over 1e-10."""
+    P = validate_kernel(M)
+    resid = stationary_residual(P, w)
+    if resid > 1e-10:
+        raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
+    return P
+
+
 def make_nonreversible(K, pi, spec: VorticitySpec) -> np.ndarray:
     """The perturbed kernel K + gamma; stationarity of pi is verified."""
     try:
@@ -104,11 +113,7 @@ def make_nonreversible(K, pi, spec: VorticitySpec) -> np.ndarray:
     except MavarError as exc:
         raise PerturbationSpecError(f"vorticity does not fit kernel: {exc}") from exc
     MK, w, G = _shapes(K, pi, checked.gamma, "vorticity")
-    P = validate_kernel(MK + G)
-    resid = stationary_residual(P, w)
-    if resid > 1e-10:
-        raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
-    return P
+    return _perturbed(MK + G, w)
 
 
 def family_alpha(K, pi, spec: VorticitySpec, alpha: float) -> np.ndarray:
@@ -131,12 +136,9 @@ def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     nonnegative.
     """
     MK, w, L = _shapes(K, pi, lam, "drift")
-    rows = L.sum(axis=1)
-    cols = L.sum(axis=0)
-    if np.max(np.abs(rows)) > tol or np.max(np.abs(cols)) > tol:
-        axis = "row" if np.max(np.abs(rows)) > tol else "column"
-        idx = int(np.argmax(np.abs(rows if axis == "row" else cols)))
-        raise DriftRowColSumError(f"{axis} {idx} does not sum to zero")
+    for axis, sums in (("row", L.sum(axis=1)), ("column", L.sum(axis=0))):
+        if np.max(np.abs(sums)) > tol:
+            raise DriftRowColSumError(f"{axis} {np.argmax(np.abs(sums))} does not sum to zero")
     off = L - np.diag(np.diag(L))
     if np.min(off) < -tol:
         i, j = np.unravel_index(np.argmin(off), off.shape)
@@ -161,10 +163,7 @@ def apply_drift(K, pi, lam) -> np.ndarray:
     except MavarError as exc:
         raise PerturbationSpecError(f"drift does not fit kernel: {exc}") from exc
     MK, w, L = _shapes(K, pi, checked, "drift")
-    P = validate_kernel(MK + L / w[:, None])
-    resid = stationary_residual(P, w)
-    if resid > 1e-10:
-        raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
+    P = _perturbed(MK + L / w[:, None], w)
     report = peskun_order(MK, P, w)
     if not report.holds:
         raise PerturbationSpecError(

@@ -83,12 +83,7 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
             f"rescale the observable")
     if -4.0 * np.finfo(float).eps * (2.0 * abs(sigma2) + ff) <= avar < 0.0:
         avar = 0.0
-    return PoissonSolution(
-        phi=chain.frame.lift(y),
-        phi_star=chain.frame.lift(y_star),
-        sigma2=sigma2,
-        avar=avar,
-    )
+    return PoissonSolution(chain.frame.lift(y), chain.frame.lift(y_star), sigma2, avar)
 
 
 def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
@@ -146,7 +141,8 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve
 
     The values <f, phi_beta>_pi converge to sigma^2 as beta decreases to
     0, monotonically from below for reversible kernels.  Works on the
-    full state space; the solution is automatically centered.
+    full state space; the solution is automatically centered.  The
+    reversible flag is is_reversible(P, pi).
     """
     b = np.asarray(betas, dtype=float)
     if b.ndim != 1 or b.size == 0 or np.any(b <= 0.0) or np.any(np.diff(b) >= 0.0):
@@ -162,18 +158,18 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve
         phi = np.linalg.solve((1.0 + beta) * np.eye(n) - M, fv)
         values[k] = pi_inner(fv, phi, w)
         norms[k] = beta * pi_inner(phi, phi, w)
-    return ResolventCurve(b, values, norms, is_reversible(M, w, 1e-10))
+    return ResolventCurve(b, values, norms, is_reversible(M, w))
 
 
-def check_dual_equality(P, pi, f, tol: float = 1e-10):
+def check_dual_equality(P, pi, f):
     """Verify avar(P, f) == avar(P*, f) and return both values.
 
-    Raises NumericalFailureError if they disagree beyond tol.
+    Raises NumericalFailureError if they disagree beyond 1e-10 relative.
     """
     chain = _as_chain(P, pi)
     first = solve_dual_pair(chain, None, f).avar
     second = solve_dual_pair(adjoint(P, chain.pi), chain.pi, f).avar
-    if abs(first - second) > tol * max(1.0, abs(first)):
+    if abs(first - second) > 1e-10 * max(1.0, abs(first)):
         raise NumericalFailureError(
             f"avar differs between P ({first}) and its adjoint ({second})")
     return first, second

@@ -1,12 +1,13 @@
 """Variational formulas for the reciprocal asymptotic variance.
 
-With sigma^2 = sigma^2(P, f) finite and positive, 1/sigma^2 equals a
-saddle value of the bilinear Dirichlet form: an infimum over test
-functions xi normalized by pi(f xi) = 1 of a supremum over directions
-eta constrained by pi(f eta) = 0.  The saddle is attained at explicit
-combinations of the primal and dual Poisson solutions.  For reversible
-kernels the supremum collapses and 1/sigma^2 is a plain infimum of the
-Dirichlet form.
+With sigma^2 = sigma^2(P, f) finite and above ZERO_VARIANCE_TOL
+(ZeroVarianceError otherwise), 1/sigma^2 equals a saddle value of the
+bilinear Dirichlet form: an infimum over test functions xi normalized
+by pi(f xi) = 1 of a supremum over directions eta constrained by
+pi(f eta) = 0.  The saddle is attained at explicit combinations of the
+primal and dual Poisson solutions.  For reversible kernels (by
+kernel.is_reversible) the supremum collapses and 1/sigma^2 is a plain
+infimum of the Dirichlet form.
 """
 
 from dataclasses import dataclass
@@ -64,16 +65,22 @@ def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
     return gv
 
 
-def saddle_point(P, pi, f, tol: float = ZERO_VARIANCE_TOL) -> SaddlePoint:
+def _positive_solution(P, pi, f):
+    """solve_dual_pair(P, pi, f); ZeroVarianceError if sigma^2 <= ZERO_VARIANCE_TOL."""
+    sol = solve_dual_pair(P, pi, f)
+    if sol.sigma2 <= ZERO_VARIANCE_TOL:
+        raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
+    return sol
+
+
+def saddle_point(P, pi, f) -> SaddlePoint:
     """Saddle point of the variational problem for 1/sigma^2.
 
     xi* = (phi + phi*) / (2 sigma^2) and eta* = (phi - phi*) /
     (2 sigma^2), with value 1/sigma^2.  Raises ZeroVarianceError when
-    sigma^2 <= tol.
+    sigma^2 <= ZERO_VARIANCE_TOL.
     """
-    sol = solve_dual_pair(P, pi, f)
-    if sol.sigma2 <= tol:
-        raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
+    sol = _positive_solution(P, pi, f)
     scale = 0.5 / sol.sigma2
     xi = scale * (sol.phi + sol.phi_star)
     eta = scale * (sol.phi - sol.phi_star)
@@ -108,21 +115,19 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     return chain.frame.lift(ey), value
 
 
-def reversible_inf(P, pi, f, tol: float = 1e-10):
+def reversible_inf(P, pi, f):
     """Minimize the Dirichlet form over pi(f xi) = 1 (reversible case).
 
     The minimizer is phi / sigma^2 and the minimum is 1/sigma^2.
-    Raises NotReversibleError when detailed balance fails; reducible
+    Raises NotReversibleError unless is_reversible holds; reducible
     input fails the Poisson solvability gate instead of returning an
     infinite-variance marker, since on a finite irreducible space the
     variance is always finite.
     """
     chain = _as_chain(P, pi)
-    if not is_reversible(chain, chain.pi, tol):
+    if not is_reversible(chain, chain.pi):
         raise NotReversibleError("kernel is not reversible for the given pi")
-    sol = solve_dual_pair(chain, None, f)
-    if sol.sigma2 <= ZERO_VARIANCE_TOL:
-        raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
+    sol = _positive_solution(chain, None, f)
     xi = sol.phi / sol.sigma2
     value = dirichlet_form(chain, chain.pi, xi, xi)
     return xi, value
@@ -136,9 +141,7 @@ def factored_operator_inf(P, pi, f):
     equals 1/sigma^2.  Cross-checked against the saddle value at 1e-9.
     """
     chain = _as_chain(P, pi)
-    sol = solve_dual_pair(chain, None, f)
-    if sol.sigma2 <= ZERO_VARIANCE_TOL:
-        raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
+    sol = _positive_solution(chain, None, f)
     bar = 0.5 * (sol.phi + sol.phi_star)
     xi = bar / pi_inner(bar, f, chain.pi)
     xy = chain.frame.reduce(xi)

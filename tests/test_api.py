@@ -1,5 +1,6 @@
 """The public namespace of mavar is pinned: a name is added or removed on purpose."""
 
+import inspect
 from types import ModuleType
 
 import mavar
@@ -37,6 +38,16 @@ PUBLIC_MODULES = [
 ]
 
 
+# the public functions with a tol parameter, all reached by the CLI's --tol/MAVAR_TOL;
+# every other threshold is a constant of its module
+TOL_KNOBS = [
+    "avar_spectral", "avar_via_factored_operator", "catalog.run_all",
+    "catalog.run_fixture", "checks.battery", "checks.routes", "inner_sup",
+    "resolvent_curve", "solve_dual_pair", "validate_drift", "validate_kernel",
+    "validate_vorticity",
+]
+
+
 def public(modules):
     return sorted(name for name, value in vars(mavar).items()
                   if not name.startswith("_") and isinstance(value, ModuleType) == modules)
@@ -48,3 +59,14 @@ def test_public_names_are_pinned():
 
 def test_public_modules_are_pinned():
     assert [name for name in public(modules=True) if name != "cli"] == PUBLIC_MODULES
+
+
+def test_tol_knobs_are_pinned():
+    knobs = []
+    for prefix, module in (("", mavar), ("checks.", mavar.checks), ("catalog.", mavar.catalog)):
+        for name, value in vars(module).items():
+            if (inspect.isfunction(value) and not name.startswith("_")
+                    and (module is mavar or value.__module__ == module.__name__)
+                    and "tol" in inspect.signature(value).parameters):
+                knobs.append(prefix + name)
+    assert sorted(knobs) == TOL_KNOBS

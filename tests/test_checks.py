@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mavar import ReducedChain, checks, stationary_distribution, validate_kernel
+from mavar import (
+    NotReversibleError,
+    ReducedChain,
+    checks,
+    is_reversible,
+    resolvent_curve,
+    reversible_inf,
+    stationary_distribution,
+    validate_kernel,
+)
 from mavar.generators import random_centered_observable, random_irreducible_kernel
 
 
@@ -105,3 +114,17 @@ def test_a_nearly_reversible_chain_skips_the_spectral_route():
     assert list(values) == ["dual-pair", "factored-operator"]
     records, _ = checks.battery(chain, f, trials=3)
     assert all(r["passed"] for r in records)
+
+
+def test_every_reversibility_test_uses_one_threshold():
+    # detailed balance off by 6.7e-11: between the 1e-12 threshold and the 1e-10
+    # that resolvent_curve and reversible_inf once used on their own
+    circulation = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    kernel = validate_kernel(np.full((3, 3), 1 / 3) + 1e-10 * circulation)
+    pi = stationary_distribution(kernel)
+    f = np.array([1.0, 0.0, -1.0])
+    assert not is_reversible(kernel, pi)
+    assert not resolvent_curve(kernel, pi, f, [1e-1, 1e-2]).reversible
+    assert not checks.routes(ReducedChain(kernel, pi), f)[2]
+    with pytest.raises(NotReversibleError):
+        reversible_inf(kernel, pi, f)

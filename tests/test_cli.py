@@ -319,6 +319,24 @@ def test_perturb_flag_validation(runner, fixture_dir):
     ]).exit_code == 2
 
 
+def test_perturb_tol_tightens_but_never_loosens_the_check(runner, tmp_path):
+    # the library rechecks a perturbation at 1e-9, so a looser --tol must not
+    # let it through to fail there with a wrapped message
+    kernel = write_json(tmp_path / "K.json", {"rows": [[1 / 3] * 3] * 3})
+    circulation = np.array([[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]])
+    over = write_json(tmp_path / "over.json", {
+        "kind": "vorticity", "matrix": ((1 + 1e-7) / 3 * circulation).tolist()})
+    result = runner.invoke(main, ["perturb", kernel, "--gamma", over, "--tol", "1e-6"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: density 1.0000001 at edge (0,1) exceeds 1")
+    drifting = circulation / 3
+    drifting[0, 0] = 1e-11
+    rows = write_json(tmp_path / "rows.json", {"kind": "vorticity", "matrix": drifting.tolist()})
+    result = runner.invoke(main, ["perturb", kernel, "--gamma", rows, "--tol", "1e-12"])
+    assert result.exit_code == 2
+    assert result.output.startswith("error: row 0 sums to")
+
+
 def test_perturb_output_feeds_analyze(runner, fixture_dir, tmp_path):
     result = runner.invoke(main, [
         "perturb", "--json",

@@ -65,6 +65,21 @@ def test_simulate_rejects_bad_initial(six):
         simulate(six["P1"], 10, seed=0, initial=np.full(6, 1 / 3))
 
 
+def test_simulate_rejects_a_non_finite_law_or_start(six):
+    law = np.full(6, 1 / 6)
+    law[0] = np.nan
+    with pytest.raises(BadInitialError, match="not a probability vector"):
+        simulate(six["P1"], 10, seed=0, initial=law)
+    with pytest.raises(BadInitialError, match="nan is not an integer"):
+        simulate(six["P1"], 10, seed=0, initial=np.nan)
+
+
+def test_simulate_rejects_a_fractional_start(six):
+    with pytest.raises(BadInitialError, match="2.5 is not an integer"):
+        simulate(six["P1"], 10, seed=0, initial=2.5)
+    assert simulate(six["P1"], 10, seed=0, initial=2.0).states[0] == 2
+
+
 def test_simulate_rejects_empty_run(six):
     with pytest.raises(TrajectoryTooShortError):
         simulate(six["P1"], 0, seed=0)

@@ -187,6 +187,15 @@ def test_majorizes_rejects_bad_input():
         majorizes(np.array([1.2, -0.2]), np.array([0.5, 0.5]))
 
 
+def test_majorizes_rejects_a_non_finite_entry():
+    # a NaN compares False both ways, so it must be refused, not ranked
+    uniform = np.full(3, 1 / 3)
+    with pytest.raises(NotProbabilityVectorError, match="entry 0 is nan"):
+        majorizes([np.nan, 0.5, 0.5], uniform)
+    with pytest.raises(NotProbabilityVectorError, match="entry 0 is nan"):
+        majorizes(uniform, [np.nan, 0.5, 0.5])
+
+
 def trajectory_fixture():
     k = validate_kernel(np.array([
         [0.7, 0.3, 0.0],
