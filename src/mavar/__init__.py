@@ -6,7 +6,7 @@ variational formulas for the reciprocal variance, kernel orders, and
 variance-reducing perturbations of reversible kernels.
 """
 
-from . import catalog, checks, generators
+from . import catalog, checks
 from .errors import (
     AlphaOutOfRangeError,
     BadInitialError,
@@ -67,7 +67,6 @@ from .ordering import (
     uniform_variance_domination,
 )
 from .perturb import (
-    VorticitySpec,
     apply_drift,
     family_alpha,
     make_nonreversible,
@@ -77,12 +76,9 @@ from .perturb import (
 )
 from .poisson import (
     PoissonSolution,
-    ResolventCurve,
     avar_spectral,
     avar_via_factored_operator,
-    check_dual_equality,
     resolvent_curve,
-    sigma2_quadratic_form,
     solve_dual_pair,
 )
 from .variational import (

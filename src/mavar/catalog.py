@@ -28,12 +28,6 @@ def _floats(exact):
     return np.array(exact, dtype=float)
 
 
-def _to_float_value(value):
-    if isinstance(value, Q):
-        return float(value)
-    return np.array(value, dtype=float)
-
-
 def rational_pairs(value):
     """Exact values as (numerator, denominator) pairs for serialization."""
     if isinstance(value, (Q, int, float, np.integer, np.floating)):
@@ -181,8 +175,8 @@ def fk_pair() -> dict:
 def four_cycle_lift() -> dict:
     K = validate_kernel(_floats(FOUR_CYCLE_K))
     pi = _floats(FOUR_CYCLE_PI)
-    spec = validate_vorticity(K, pi, _floats(FOUR_CYCLE_GAMMA))
-    return {"K": K, "pi": pi, "gamma": spec, "P": make_nonreversible(K, pi, spec)}
+    gamma = validate_vorticity(K, pi, _floats(FOUR_CYCLE_GAMMA))
+    return {"K": K, "pi": pi, "gamma": gamma, "P": make_nonreversible(K, pi, gamma)}
 
 
 def tridiag_drift() -> dict:
@@ -195,15 +189,15 @@ def tridiag_drift() -> dict:
 def uniform3() -> dict:
     K = validate_kernel(_floats(UNIFORM3_K))
     pi = _floats(UNIFORM3_PI)
-    spec = validate_vorticity(K, pi, _floats(UNIFORM3_GAMMA))
+    gamma = validate_vorticity(K, pi, _floats(UNIFORM3_GAMMA))
     lam1, lam2 = _floats(UNIFORM3_LAMBDA1), _floats(UNIFORM3_LAMBDA2)
     return {
         "K": K,
         "pi": pi,
-        "gamma": spec,
+        "gamma": gamma,
         "lam1": lam1,
         "lam2": lam2,
-        "P": make_nonreversible(K, pi, spec),
+        "P": make_nonreversible(K, pi, gamma),
         "P1": apply_drift(K, pi, lam1),
         "P2": apply_drift(K, pi, lam2),
     }
@@ -441,8 +435,8 @@ FIXTURE_ROWS = (
 def run_fixture(row: FixtureRow, tol: float = 1e-9) -> FixtureResult:
     computed = row.compute()
     arr = np.asarray(computed, dtype=float)
-    ds = float(np.max(np.abs(arr - _to_float_value(row.stated))))
-    de = float(np.max(np.abs(arr - _to_float_value(row.expected))))
+    ds = float(np.max(np.abs(arr - _floats(row.stated))))
+    de = float(np.max(np.abs(arr - _floats(row.expected))))
     if row.flagged:
         verdict = DOCUMENTED if de <= tol else FAIL
     else:
@@ -492,7 +486,7 @@ def fixture_files() -> dict:
             "K.json": _kernel_payload(four["K"], four["pi"]),
             "P.json": _kernel_payload(four["P"], four["pi"]),
             "vorticity.json": {"kind": "vorticity",
-                               "matrix": four["gamma"].gamma.tolist()},
+                               "matrix": four["gamma"].tolist()},
         },
         "tridiag-drift": {
             "K.json": _kernel_payload(tri["K"], tri["pi"]),
@@ -505,7 +499,7 @@ def fixture_files() -> dict:
             "P1.json": _kernel_payload(uni["P1"], uni["pi"]),
             "P2.json": _kernel_payload(uni["P2"], uni["pi"]),
             "vorticity.json": {"kind": "vorticity",
-                               "matrix": uni["gamma"].gamma.tolist()},
+                               "matrix": uni["gamma"].tolist()},
             "drift1.json": {"kind": "drift", "matrix": uni["lam1"].tolist()},
             "drift2.json": {"kind": "drift", "matrix": uni["lam2"].tolist()},
         },

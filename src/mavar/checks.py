@@ -86,7 +86,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     betas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     curve = resolvent_curve(chain, None, f, betas, tol)
     phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
-    record("resolvent tail", abs(curve.values[-1] - sol.sigma2),
+    record("resolvent tail", abs(curve[-1] - sol.sigma2),
            10.0 * betas[-1] * phi_norm)
     value = saddle.value
     xi_star, eta_star = saddle.xi_star, saddle.eta_star

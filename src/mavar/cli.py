@@ -53,7 +53,7 @@ from .ordering import (
     peskun_order,
     uniform_variance_domination,
 )
-from .perturb import apply_drift, family_alpha, validate_drift, validate_vorticity
+from .perturb import _density, apply_drift, family_alpha, validate_drift, validate_vorticity
 from .poisson import ROUTE_TOL, solve_dual_pair
 
 EXIT_PARSE = 2
@@ -146,7 +146,7 @@ def _load_kernel_file(path, tol):
     # written so that a NaN entry fails too
     if pi.shape != (len(kernel),) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
         _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
-    if stationary_residual(kernel, pi) > max(tol, 1e-9):
+    if stationary_residual(kernel, pi) > min(tol, DEFAULT_TOL):
         _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
     return kernel, pi
 
@@ -385,9 +385,10 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     tol = min(tol, DEFAULT_TOL)  # the library rechecks at DEFAULT_TOL: --tol only tightens
     diagnostics = {}
     if want == "vorticity":
-        spec = validate_vorticity(kernel, pi, matrix, tol)
-        result = family_alpha(kernel, pi, spec, alpha)
-        diagnostics["max_density"] = float(np.max(np.abs(alpha * spec.h)))
+        gamma = validate_vorticity(kernel, pi, matrix, tol)
+        result = family_alpha(kernel, pi, gamma, alpha)
+        h, _ = _density(kernel, pi, gamma)
+        diagnostics["max_density"] = float(np.max(np.abs(alpha * h)))
         diagnostics["alpha"] = alpha
     else:
         if alpha != 1.0:

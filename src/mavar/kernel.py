@@ -210,13 +210,13 @@ def pi_inner(f, g, pi) -> float:
 class MeanZeroFrame:
     """Orthonormal coordinates for the pi-mean-zero subspace.
 
-    The columns of basis are n-1 Euclidean-orthonormal vectors spanning
-    the complement of sqrt(pi).  Mapping f to y = basis^T (sqrt(pi) * f)
-    turns the pi-inner product into the Euclidean one, and conjugating a
-    pi-stationary kernel into these coordinates turns the pi-adjoint
-    into the plain matrix transpose.  basis is columns 1.. of the
-    Householder reflection H = I - 2 v v^T sending e_0 to sqrt(pi), so
-    products with it are rank-1 updates and it is formed only when read.
+    The frame is columns 1.. of the Householder reflection
+    H = I - 2 v v^T sending e_0 to sqrt(pi): n-1 Euclidean-orthonormal
+    vectors spanning the complement of sqrt(pi).  Mapping f to
+    y = H[:, 1:]^T (sqrt(pi) * f) turns the pi-inner product into the
+    Euclidean one, and conjugating a pi-stationary kernel into these
+    coordinates turns the pi-adjoint into the plain matrix transpose.
+    Products with H are rank-1 updates, so H is never formed.
     """
 
     pi: np.ndarray
@@ -236,20 +236,15 @@ class MeanZeroFrame:
     def n(self) -> int:
         return self.pi.shape[0]
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """The n x (n-1) matrix of basis vectors."""
-        return self._expand(np.eye(self.n - 1))
-
     def _expand(self, y):
-        """basis @ y for y of n-1 rows."""
+        """H[:, 1:] @ y for y of n-1 rows."""
         out = np.zeros((self.n,) + y.shape[1:])
         out[1:] = y
         out -= 2.0 * np.multiply.outer(self.v, self.v[1:] @ y)
         return out
 
     def _contract(self, x):
-        """basis^T @ x for x of n rows."""
+        """H[:, 1:]^T @ x for x of n rows."""
         return x[1:] - 2.0 * np.multiply.outer(self.v[1:], self.v @ x)
 
     def reduce(self, f) -> np.ndarray:

@@ -5,12 +5,10 @@ pi-weighted sense) makes the chain non-reversible without changing the
 Dirichlet form, and adding a scaled drift with zero row and column sums
 moves holding mass onto off-diagonal transitions.  Both preserve the
 stationary distribution and never increase the asymptotic variance.
-A drift Lambda and every perturbed kernel are plain float arrays; the
-validators check their input at the tol they are given, and the
-perturbed kernel is checked at DEFAULT_TOL.
+A vorticity gamma, a drift Lambda and every perturbed kernel are plain
+float arrays; the validators check their input at the tol they are
+given, and the perturbed kernel is checked at DEFAULT_TOL.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,20 +37,6 @@ from .kernel import (
 from .ordering import peskun_order
 
 
-@dataclass(frozen=True)
-class VorticitySpec:
-    """A validated vorticity matrix and its density w.r.t. the kernel."""
-
-    gamma: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", np.array(self.gamma, dtype=float))
-        object.__setattr__(self, "h", np.array(self.h, dtype=float))
-        self.gamma.setflags(write=False)
-        self.h.setflags(write=False)
-
-
 def _shapes(K, pi, M, what):
     MK = _as_matrix(K)
     w = _as_vector(pi)
@@ -63,8 +47,19 @@ def _shapes(K, pi, M, what):
     return MK, w, G
 
 
-def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> VorticitySpec:
-    """Check the three vorticity properties against (K, pi).
+def _density(K, pi, gamma):
+    """(h, support): h = gamma_ij / K_ij on K's support (pi_i K_ij > 0), 0 off it."""
+    w = _as_vector(pi)[:, None]
+    Kt = w * _as_matrix(K)
+    Gt = w * _as_matrix(gamma)
+    support = Kt > 0.0
+    h = np.zeros_like(Gt)
+    h[support] = Gt[support] / Kt[support]
+    return h, support
+
+
+def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Check the three vorticity properties against (K, pi); returns gamma.
 
     (a) zero row sums, (b) antisymmetry of the pi-weighted matrix,
     (c) density bounded by 1 on K's support and no mass off it.
@@ -79,22 +74,19 @@ def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> VorticitySpec:
     if skew > tol:
         raise NotAntisymmetricError(
             f"pi-weighted vorticity deviates from antisymmetry by {skew}")
-    Kt = w[:, None] * MK
-    support = Kt > 0.0
+    h, support = _density(MK, w, G)
     off = ~support & (np.abs(G) > tol)
     if np.any(off):
         i, j = np.argwhere(off)[0]
         raise DensityExceedsOneError(
             f"vorticity places mass on zero-capacity edge ({i},{j})",
             edge=(int(i), int(j)))
-    h = np.zeros_like(G)
-    h[support] = Gt[support] / Kt[support]
     if np.max(np.abs(h)) > 1.0 + tol:
         i, j = np.unravel_index(np.argmax(np.abs(h)), h.shape)
         raise DensityExceedsOneError(
             f"density {h[i, j]} at edge ({i},{j}) exceeds 1",
             edge=(int(i), int(j)))
-    return VorticitySpec(G, h)
+    return G
 
 
 def _perturbed(M, w) -> np.ndarray:
@@ -106,25 +98,23 @@ def _perturbed(M, w) -> np.ndarray:
     return P
 
 
-def make_nonreversible(K, pi, spec: VorticitySpec) -> np.ndarray:
-    """The perturbed kernel K + gamma; stationarity of pi is verified."""
+def make_nonreversible(K, pi, gamma) -> np.ndarray:
+    """The perturbed kernel K + gamma; gamma and stationarity of pi are verified."""
     try:
-        checked = validate_vorticity(K, pi, spec.gamma)
+        checked = validate_vorticity(K, pi, gamma)
     except MavarError as exc:
         raise PerturbationSpecError(f"vorticity does not fit kernel: {exc}") from exc
-    MK, w, G = _shapes(K, pi, checked.gamma, "vorticity")
-    return _perturbed(MK + G, w)
+    return _perturbed(_as_matrix(K) + checked, _as_vector(pi))
 
 
-def family_alpha(K, pi, spec: VorticitySpec, alpha: float) -> np.ndarray:
+def family_alpha(K, pi, gamma, alpha: float) -> np.ndarray:
     """The interpolated kernel K + alpha gamma for alpha in [-1, 1].
 
     The adjoint of the alpha member is the -alpha member.
     """
     if not -1.0 - 1e-12 <= alpha <= 1.0 + 1e-12:
         raise AlphaOutOfRangeError(f"alpha = {alpha} outside [-1, 1]")
-    scaled = VorticitySpec(alpha * spec.gamma, alpha * spec.h)
-    return make_nonreversible(K, pi, scaled)
+    return make_nonreversible(K, pi, alpha * np.asarray(gamma, dtype=float))
 
 
 def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -19,8 +19,6 @@ from .kernel import (
     _as_chain,
     _as_matrix,
     _as_vector,
-    adjoint,
-    is_reversible,
     pi_inner,
     spectral_decomposition_reversible,
 )
@@ -36,16 +34,6 @@ class PoissonSolution:
     phi_star: np.ndarray
     sigma2: float
     avar: float
-
-
-@dataclass(frozen=True)
-class ResolventCurve:
-    """Regularized variance values along a decreasing beta grid."""
-
-    betas: np.ndarray
-    values: np.ndarray
-    beta_norms: np.ndarray
-    reversible: bool
 
 
 def _check_centered(fv, w, tol):
@@ -98,12 +86,11 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    _check_centered(fv, chain.pi, tol)
-    chain.inv  # the solvability gate, so a singular I - A raises first
+    # first, so an uncentered f or a singular I - A raises before I - S is factored
+    ref = solve_dual_pair(chain, None, fv, tol)
     fy = chain.frame.reduce(fv)
     ybar = np.linalg.solve(chain.T, fy)
     sigma2 = float(fy @ ybar)
-    ref = solve_dual_pair(chain, None, fv, tol)
     scale = max(1.0, abs(ref.sigma2))
     if abs(sigma2 - ref.sigma2) > ROUTE_TOL * scale:
         raise NumericalFailureError(
@@ -136,13 +123,13 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     return float(np.sum(coeffs[keep] ** 2 / (1.0 - dec.eigenvalues[keep])))
 
 
-def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve:
+def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Regularized route: solve ((1 + beta) I - P) phi_beta = f.
 
-    The values <f, phi_beta>_pi converge to sigma^2 as beta decreases to
-    0, monotonically from below for reversible kernels.  Works on the
-    full state space; the solution is automatically centered.  The
-    reversible flag is is_reversible(P, pi).
+    Returns the values <f, phi_beta>_pi, one per beta; they converge to
+    sigma^2 as beta decreases to 0, monotonically from below for
+    reversible kernels.  Works on the full state space; the solution is
+    automatically centered.
     """
     b = np.asarray(betas, dtype=float)
     if b.ndim != 1 or b.size == 0 or np.any(b <= 0.0) or np.any(np.diff(b) >= 0.0):
@@ -153,34 +140,7 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> ResolventCurve
     _check_centered(fv, w, tol)
     n = M.shape[0]
     values = np.empty_like(b)
-    norms = np.empty_like(b)
     for k, beta in enumerate(b):
         phi = np.linalg.solve((1.0 + beta) * np.eye(n) - M, fv)
         values[k] = pi_inner(fv, phi, w)
-        norms[k] = beta * pi_inner(phi, phi, w)
-    return ResolventCurve(b, values, norms, is_reversible(M, w))
-
-
-def check_dual_equality(P, pi, f):
-    """Verify avar(P, f) == avar(P*, f) and return both values.
-
-    Raises NumericalFailureError if they disagree beyond 1e-10 relative.
-    """
-    chain = _as_chain(P, pi)
-    first = solve_dual_pair(chain, None, f).avar
-    second = solve_dual_pair(adjoint(P, chain.pi), chain.pi, f).avar
-    if abs(first - second) > 1e-10 * max(1.0, abs(first)):
-        raise NumericalFailureError(
-            f"avar differs between P ({first}) and its adjoint ({second})")
-    return first, second
-
-
-def sigma2_quadratic_form(P, pi) -> np.ndarray:
-    """Euclidean quadratic form S with f . (S f) = sigma^2(P, f).
-
-    Valid for centered f; non-centered input is projected by the form
-    itself since the frame drops the mean component.
-    """
-    chain = _as_chain(P, pi)
-    half = chain.frame.sqrt_pi[:, None] * chain.frame.basis
-    return half @ chain.variance_form @ half.T
+    return values

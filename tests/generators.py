@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from .kernel import _as_matrix, _as_vector, validate_kernel
-from .perturb import VorticitySpec, validate_drift, validate_vorticity
+from mavar.kernel import _as_matrix, _as_vector, validate_kernel
+from mavar.perturb import validate_drift, validate_vorticity
 
 
 def random_irreducible_kernel(n: int, rng, mix: float = 0.05) -> np.ndarray:
@@ -33,7 +33,7 @@ def random_reversible_kernel(n: int, rng):
     return validate_kernel(K), pi
 
 
-def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
+def random_vorticity(K, pi, rng, target_density: float = 0.9) -> np.ndarray:
     """A valid vorticity for a strictly positive reversible kernel.
 
     Starts from a random antisymmetric matrix, projects onto zero row
@@ -53,7 +53,7 @@ def random_vorticity(K, pi, rng, target_density: float = 0.9) -> VorticitySpec:
     density[mask] = B[mask] / Kt[mask]
     peak = np.max(np.abs(density))
     if peak == 0.0:
-        return VorticitySpec(np.zeros_like(B), np.zeros_like(B))
+        return np.zeros_like(B)
     gamma = (target_density / peak) * (B / w[:, None])
     return validate_vorticity(K, pi, gamma)
 

@@ -14,27 +14,25 @@ PUBLIC_NAMES = [
     "NotCenteredError", "NotPeskunOrderedError", "NotProbabilityVectorError",
     "NotReversibleError", "NotStationaryError", "NumericalFailureError", "OrderReport",
     "PerturbationSpecError", "PoissonSolution", "ReducedChain", "ReducibleError",
-    "ResolventCurve", "RowSumViolationError", "SaddlePoint",
-    "SingularReversibilizationError", "SpectralDecomposition",
-    "StationaryMismatchError", "Trajectory", "TrajectoryTooShortError",
-    "VorticityRowSumError", "VorticitySpec", "ZeroVarianceError", "adjoint",
+    "RowSumViolationError", "SaddlePoint", "SingularReversibilizationError",
+    "SpectralDecomposition", "StationaryMismatchError", "Trajectory",
+    "TrajectoryTooShortError", "VorticityRowSumError", "ZeroVarianceError", "adjoint",
     "apply_drift", "avar_spectral", "avar_via_factored_operator", "batch_means_avar",
-    "centered", "check_dual_equality", "check_finite", "dirichlet_form",
-    "dirichlet_order", "factored_operator_inf", "family_alpha", "fk_order", "inner_sup",
-    "is_irreducible", "is_reversible", "kernel_fingerprint", "majorization_trajectory",
-    "majorizes", "make_nonreversible", "peskun_order", "peskun_residual", "pi_inner",
+    "centered", "check_finite", "dirichlet_form", "dirichlet_order",
+    "factored_operator_inf", "family_alpha", "fk_order", "inner_sup", "is_irreducible",
+    "is_reversible", "kernel_fingerprint", "majorization_trajectory", "majorizes",
+    "make_nonreversible", "peskun_order", "peskun_residual", "pi_inner",
     "project_to_constraint", "resolvent_curve", "reversibilization", "reversible_inf",
-    "saddle_point", "sigma2_quadratic_form", "simulate", "solve_dual_pair",
-    "spectral_decomposition_reversible", "spectral_radius_mean_zero",
-    "stationary_distribution", "stationary_residual", "stochastically_monotone",
-    "uniform_variance_domination", "validate_drift", "validate_kernel",
-    "validate_vorticity",
+    "saddle_point", "simulate", "solve_dual_pair", "spectral_decomposition_reversible",
+    "spectral_radius_mean_zero", "stationary_distribution", "stationary_residual",
+    "stochastically_monotone", "uniform_variance_domination", "validate_drift",
+    "validate_kernel", "validate_vorticity",
 ]
 
 # the subpackages bound by `import mavar`; mavar.cli joins once something imports it
 PUBLIC_MODULES = [
-    "catalog", "checks", "errors", "generators", "kernel", "montecarlo", "ordering",
-    "perturb", "poisson", "variational",
+    "catalog", "checks", "errors", "kernel", "montecarlo", "ordering", "perturb",
+    "poisson", "variational",
 ]
 
 

@@ -64,7 +64,7 @@ def test_dump_fixtures_round_trip(tmp_path):
         vort = json.load(handle)
     assert vort["kind"] == "vorticity"
     four = catalog.four_cycle_lift()
-    npt.assert_allclose(vort["matrix"], four["gamma"].gamma, atol=0)
+    npt.assert_allclose(vort["matrix"], four["gamma"], atol=0)
     with open(tmp_path / "tridiag-drift" / "drift.json") as handle:
         drift = json.load(handle)
     assert drift["kind"] == "drift"

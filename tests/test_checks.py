@@ -8,12 +8,12 @@ from mavar import (
     ReducedChain,
     checks,
     is_reversible,
-    resolvent_curve,
     reversible_inf,
     stationary_distribution,
     validate_kernel,
 )
-from mavar.generators import random_centered_observable, random_irreducible_kernel
+
+from generators import random_centered_observable, random_irreducible_kernel
 
 
 def near_decomposable(eps=1.1e-12):
@@ -124,7 +124,6 @@ def test_every_reversibility_test_uses_one_threshold():
     pi = stationary_distribution(kernel)
     f = np.array([1.0, 0.0, -1.0])
     assert not is_reversible(kernel, pi)
-    assert not resolvent_curve(kernel, pi, f, [1e-1, 1e-2]).reversible
     assert not checks.routes(ReducedChain(kernel, pi), f)[2]
     with pytest.raises(NotReversibleError):
         reversible_inf(kernel, pi, f)

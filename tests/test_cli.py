@@ -13,8 +13,9 @@ import mavar.checks
 import mavar.cli
 from mavar import catalog
 from mavar.cli import main
-from mavar.generators import random_centered_observable, random_irreducible_kernel
 from mavar.kernel import stationary_distribution
+
+from generators import random_centered_observable, random_irreducible_kernel
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +336,24 @@ def test_perturb_tol_tightens_but_never_loosens_the_check(runner, tmp_path):
     result = runner.invoke(main, ["perturb", kernel, "--gamma", rows, "--tol", "1e-12"])
     assert result.exit_code == 2
     assert result.output.startswith("error: row 0 sums to")
+
+
+def test_embedded_pi_tol_tightens_but_never_loosens_stationarity(runner, tmp_path):
+    # pi off by 1e-7 on a symmetric kernel: a looser --tol must not accept it
+    # and then call the kernel non-reversible
+    rows = [[1 / 3] * 3] * 3
+    obs = write_json(tmp_path / "f.json", [1.0, -1.0, 0.0])
+    off = write_json(tmp_path / "off.json", {
+        "rows": rows, "pi": [1 / 3 + 1e-7, 1 / 3 - 1e-7, 1 / 3]})
+    result = runner.invoke(main, ["analyze", off, obs, "--tol", "1e-6"])
+    assert result.exit_code == 2
+    assert result.output == f"error: {off}: embedded pi is not stationary\n"
+    near = write_json(tmp_path / "near.json", {
+        "rows": rows, "pi": [1 / 3 + 1e-11, 1 / 3 - 1e-11, 1 / 3]})
+    assert runner.invoke(main, ["analyze", near, obs]).exit_code == 0
+    result = runner.invoke(main, ["analyze", near, obs, "--tol", "1e-12"])
+    assert result.exit_code == 2
+    assert "embedded pi is not stationary" in result.output
 
 
 def test_perturb_output_feeds_analyze(runner, fixture_dir, tmp_path):

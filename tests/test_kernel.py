@@ -32,8 +32,10 @@ from mavar import (
     uniform_variance_domination,
     validate_drift,
     validate_kernel,
+    validate_vorticity,
 )
-from mavar.generators import random_drift, random_irreducible_kernel, random_reversible_kernel
+
+from generators import random_drift, random_irreducible_kernel, random_reversible_kernel
 
 
 def reachable(adj, start):
@@ -296,7 +298,7 @@ def test_returned_functions_are_plain_arrays(name, six, fk):
     assert value.dtype == np.float64 and value.ndim == 1
 
 
-# kernels and drifts are plain matrices too
+# kernels, vorticities and drifts are plain matrices too
 PLAIN_MATRIX_RESULTS = {
     "validate_kernel": lambda six, four, uni: validate_kernel(six["P1"].tolist()),
     "adjoint": lambda six, four, uni: adjoint(six["P1"], six["pi"]),
@@ -305,6 +307,8 @@ PLAIN_MATRIX_RESULTS = {
         four["K"], four["pi"], four["gamma"]),
     "family_alpha": lambda six, four, uni: family_alpha(
         four["K"], four["pi"], four["gamma"], 0.5),
+    "validate_vorticity": lambda six, four, uni: validate_vorticity(
+        four["K"], four["pi"], four["gamma"].tolist()),
     "apply_drift": lambda six, four, uni: apply_drift(uni["K"], uni["pi"], uni["lam1"]),
     "validate_drift": lambda six, four, uni: validate_drift(
         uni["K"], uni["pi"], uni["lam1"].tolist()),
@@ -332,7 +336,7 @@ def test_frame_basis_orthonormal_and_orthogonal_to_sqrt_pi(rng):
         w = rng.random(n) + 0.1
         w /= w.sum()
         frame = MeanZeroFrame.from_pi(w)
-        q = frame.basis
+        q = frame._expand(np.eye(n - 1))
         npt.assert_allclose(q.T @ q, np.eye(n - 1), atol=1e-13)
         npt.assert_allclose(np.sqrt(w) @ q, 0.0, atol=1e-13)
 
@@ -389,7 +393,7 @@ def test_frame_rank_one_products_match_dense_basis(rng, n):
     C = (s[:, None] * M) / s[None, :]
     f = rng.standard_normal(n)
     y = rng.standard_normal(n - 1)
-    npt.assert_allclose(frame.basis, basis, rtol=0, atol=1e-13)
+    npt.assert_allclose(frame._expand(np.eye(n - 1)), basis, rtol=0, atol=1e-13)
     npt.assert_allclose(frame.operator(M), basis.T @ C @ basis, rtol=0, atol=1e-13)
     npt.assert_allclose(frame.reduce(f), basis.T @ (s * f), rtol=0, atol=1e-13)
     npt.assert_allclose(frame.lift(y), (basis @ y) / s, rtol=0, atol=1e-13)

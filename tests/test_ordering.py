@@ -17,7 +17,8 @@ from mavar import (
     uniform_variance_domination,
     validate_kernel,
 )
-from mavar.generators import (
+
+from generators import (
     random_centered_observable,
     random_drift,
     random_reversible_kernel,

@@ -24,7 +24,10 @@ from mavar import (
     validate_drift,
     validate_vorticity,
 )
-from mavar.generators import (
+
+from mavar.perturb import _density
+
+from generators import (
     random_centered_observable,
     random_drift,
     random_reversible_kernel,
@@ -49,17 +52,20 @@ def test_validate_vorticity_small_circulation():
         [1 / 9, 0.0, -1 / 9],
         [-1 / 9, 1 / 9, 0.0],
     ])
-    spec = validate_vorticity(UNIFORM_K, UNIFORM_PI, gamma)
-    assert np.max(np.abs(spec.h)) == pytest.approx(1 / 3, abs=1e-14)
-    skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, spec)
+    checked = validate_vorticity(UNIFORM_K, UNIFORM_PI, gamma)
+    npt.assert_array_equal(checked, gamma)
+    h, _ = _density(UNIFORM_K, UNIFORM_PI, checked)
+    assert np.max(np.abs(h)) == pytest.approx(1 / 3, abs=1e-14)
+    skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, checked)
     npt.assert_allclose(skewed[0], [1 / 3, 2 / 9, 4 / 9], atol=1e-14)
     npt.assert_allclose(skewed.sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_validate_vorticity_saturated(uniform3):
-    spec = uniform3["gamma"]
-    assert np.max(np.abs(spec.h)) == pytest.approx(1.0, abs=1e-14)
-    skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, spec)
+    gamma = uniform3["gamma"]
+    h, _ = _density(UNIFORM_K, UNIFORM_PI, gamma)
+    assert np.max(np.abs(h)) == pytest.approx(1.0, abs=1e-14)
+    skewed = make_nonreversible(UNIFORM_K, UNIFORM_PI, gamma)
     npt.assert_allclose(skewed, uniform3["P"], atol=1e-14)
     npt.assert_allclose(skewed[0], [1 / 3, 0.0, 2 / 3], atol=1e-14)
 
@@ -123,8 +129,8 @@ def test_make_nonreversible_rejects_foreign_kernel(four, tridiag):
 def test_reversibilization_recovers_base(rng):
     for trial in range(15):
         kernel, pi = random_reversible_kernel(int(rng.integers(3, 8)), rng)
-        spec = random_vorticity(kernel, pi, rng)
-        skewed = make_nonreversible(kernel, pi, spec)
+        gamma = random_vorticity(kernel, pi, rng)
+        skewed = make_nonreversible(kernel, pi, gamma)
         back = reversibilization(skewed, pi)
         npt.assert_allclose(back, kernel, atol=1e-12)
         npt.assert_allclose(pi @ skewed, pi, atol=1e-12)
@@ -133,8 +139,8 @@ def test_reversibilization_recovers_base(rng):
 def test_vorticity_never_increases_avar(rng):
     for trial in range(20):
         kernel, pi = random_reversible_kernel(int(rng.integers(3, 8)), rng)
-        spec = random_vorticity(kernel, pi, rng)
-        skewed = make_nonreversible(kernel, pi, spec)
+        gamma = random_vorticity(kernel, pi, rng)
+        skewed = make_nonreversible(kernel, pi, gamma)
         f = random_centered_observable(pi, rng)
         base = solve_dual_pair(kernel, pi, f).avar
         assert solve_dual_pair(skewed, pi, f).avar <= base + 1e-10
@@ -152,15 +158,15 @@ def test_family_alpha_adjoint_symmetry(four, rng):
 
 def test_family_alpha_variance_symmetric_and_monotone(rng):
     kernel, pi = random_reversible_kernel(5, rng)
-    spec = random_vorticity(kernel, pi, rng)
+    gamma = random_vorticity(kernel, pi, rng)
     f = random_centered_observable(pi, rng)
     grid = np.linspace(0.1, 1.0, 10)
     for alpha in grid:
-        left = solve_dual_pair(family_alpha(kernel, pi, spec, -alpha), pi, f)
-        right = solve_dual_pair(family_alpha(kernel, pi, spec, alpha), pi, f)
+        left = solve_dual_pair(family_alpha(kernel, pi, gamma, -alpha), pi, f)
+        right = solve_dual_pair(family_alpha(kernel, pi, gamma, alpha), pi, f)
         assert left.avar == pytest.approx(right.avar, rel=1e-9, abs=1e-9)
     descent = [
-        solve_dual_pair(family_alpha(kernel, pi, spec, a), pi, f).avar
+        solve_dual_pair(family_alpha(kernel, pi, gamma, a), pi, f).avar
         for a in np.linspace(-1.0, 0.0, 11)
     ]
     assert np.all(np.diff(descent) >= -1e-9)
@@ -177,10 +183,10 @@ def test_saturated_circulation_is_grid_optimum(rng):
     # scaling the circulation up monotonically improves the estimator,
     # so the boundary density is the best member of the family
     kernel, pi = random_reversible_kernel(4, rng)
-    spec = random_vorticity(kernel, pi, rng, target_density=1.0)
+    gamma = random_vorticity(kernel, pi, rng, target_density=1.0)
     f = random_centered_observable(pi, rng)
     values = [
-        solve_dual_pair(family_alpha(kernel, pi, spec, t), pi, f).avar
+        solve_dual_pair(family_alpha(kernel, pi, gamma, t), pi, f).avar
         for t in np.linspace(0.0, 1.0, 5)
     ]
     assert np.all(np.diff(values) <= 1e-10)
@@ -267,8 +273,8 @@ def test_random_generators_produce_valid_specs(rng):
         n = int(rng.integers(3, 9))
         kernel, pi = random_reversible_kernel(n, rng)
         vort = random_vorticity(kernel, pi, rng)
-        assert np.max(np.abs(vort.h)) <= 1.0 + 1e-12
-        npt.assert_allclose(vort.gamma.sum(axis=1), 0.0, atol=1e-12)
+        assert np.max(np.abs(_density(kernel, pi, vort)[0])) <= 1.0 + 1e-12
+        npt.assert_allclose(vort.sum(axis=1), 0.0, atol=1e-12)
         drift = random_drift(kernel, pi, rng)
         off = drift - np.diag(np.diag(drift))
         assert off.min() >= -1e-15

@@ -13,20 +13,20 @@ from mavar import (
     adjoint,
     avar_spectral,
     avar_via_factored_operator,
-    check_dual_equality,
+    is_reversible,
     pi_inner,
     resolvent_curve,
-    sigma2_quadratic_form,
     solve_dual_pair,
     stationary_distribution,
     validate_kernel,
 )
-from mavar.generators import (
+from mavar.kernel import SOLVABLE_TOL
+
+from generators import (
     random_centered_observable,
     random_irreducible_kernel,
     random_reversible_kernel,
 )
-from mavar.kernel import SOLVABLE_TOL
 
 
 def cycle_poisson_oracle(f):
@@ -271,17 +271,21 @@ def test_resolvent_curve_six_cycle(six):
     pi = stationary_distribution(six["P2"])
     betas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     curve = resolvent_curve(six["P2"], pi, six["f1"], betas)
-    assert curve.reversible
-    assert np.all(np.diff(curve.values) > 0)
-    assert curve.values[-1] < 0.5
-    assert 0.5 - curve.values[-1] < 1e-3
+    assert is_reversible(six["P2"], pi)
+    assert np.all(np.diff(curve) > 0)
+    assert curve[-1] < 0.5
+    assert 0.5 - curve[-1] < 1e-3
     # the gap to the limit dominates beta * ||phi_beta||^2
-    assert np.all(curve.beta_norms > 0)
-    assert np.all(0.5 - curve.values >= curve.beta_norms - 1e-15)
+    norms = []
+    for beta in betas:
+        phi = np.linalg.solve((1.0 + beta) * np.eye(6) - six["P2"], six["f1"])
+        norms.append(beta * pi_inner(phi, phi, pi))
+    assert np.all(np.array(norms) > 0)
+    assert np.all(0.5 - curve >= np.array(norms) - 1e-15)
 
     curve1 = resolvent_curve(six["P1"], pi, six["f1"], betas)
-    assert not curve1.reversible
-    assert abs(curve1.values[-1] - 1 / 3) < 1e-3
+    assert not is_reversible(six["P1"], pi)
+    assert abs(curve1[-1] - 1 / 3) < 1e-3
 
 
 def test_resolvent_curve_rejects_bad_betas(six):
@@ -293,15 +297,20 @@ def test_resolvent_curve_rejects_bad_betas(six):
 
 
 def test_check_dual_equality(six, rng):
+    # avar(P, f) = avar(P*, f), and the adjoint's phi is P's phi*
+    def both(kernel, pi, f):
+        return solve_dual_pair(kernel, pi, f), solve_dual_pair(adjoint(kernel, pi), pi, f)
+
     pi = stationary_distribution(six["P1"])
-    first, second = check_dual_equality(six["P1"], pi, six["f1"])
-    assert first == pytest.approx(second, abs=1e-12)
+    first, second = both(six["P1"], pi, six["f1"])
+    assert first.avar == pytest.approx(second.avar, abs=1e-12)
     for trial in range(10):
         kernel = random_irreducible_kernel(6, rng)
         pi = stationary_distribution(kernel)
         f = random_centered_observable(pi, rng)
-        first, second = check_dual_equality(kernel, pi, f)
-        assert first == pytest.approx(second, abs=1e-10)
+        first, second = both(kernel, pi, f)
+        assert first.avar == pytest.approx(second.avar, abs=1e-10)
+        npt.assert_allclose(second.phi, first.phi_star, atol=1e-10)
 
 
 def test_quadratic_form_reproduces_sigma2(rng):
@@ -309,7 +318,10 @@ def test_quadratic_form_reproduces_sigma2(rng):
         n = int(rng.integers(2, 9))
         kernel = random_irreducible_kernel(n, rng)
         pi = stationary_distribution(kernel)
-        form = sigma2_quadratic_form(kernel, pi)
+        chain = ReducedChain(kernel, pi)
+        # the reduced variance form lifted back to state space
+        half = np.sqrt(pi)[:, None] * chain.frame._expand(np.eye(n - 1))
+        form = half @ chain.variance_form @ half.T
         npt.assert_allclose(form, form.T, atol=1e-12)
         # constants are annihilated
         npt.assert_allclose(form @ np.ones(n), 0.0, atol=1e-10)

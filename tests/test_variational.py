@@ -16,7 +16,8 @@ from mavar import (
     solve_dual_pair,
     stationary_distribution,
 )
-from mavar.generators import (
+
+from generators import (
     random_centered_observable,
     random_irreducible_kernel,
     random_reversible_kernel,
