@@ -39,14 +39,16 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
     spectral route runs when is_reversible holds.
     """
     sol = solve_dual_pair(chain, None, f, tol)
+    reversible = is_reversible(chain, chain.pi)
+    # the spectral route's eigenvectors are freed before cinv and T are built
+    spectral = avar_spectral(chain, None, f, tol) if reversible else None
     values = {"dual-pair": sol.sigma2}
     try:
         values["factored-operator"] = avar_via_factored_operator(chain, None, f, tol)
     except NumericalFailureError:
         values["factored-operator"] = np.inf
-    reversible = is_reversible(chain, chain.pi)
     if reversible:
-        values["spectral"] = avar_spectral(chain, None, f, tol)
+        values["spectral"] = spectral
     return sol, values, reversible
 
 

@@ -18,6 +18,7 @@ default verification tolerance; an explicit --tol flag wins over both, and
 either must be positive and finite.
 """
 
+import io
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import sys
 
 import click
 import numpy as np
+import orjson
 
 from . import __version__, catalog, checks
 from .errors import (
@@ -113,13 +115,47 @@ def _resolve_tol(tol):
     return tol
 
 
+# orjson 3.8 recurses on the C stack once per nesting level and overflows it
+# (a segfault) past ~120,000 levels with an 8 MB stack, ~5,000 with 1 MB; a
+# document holding at most this many '[' and '{' bytes cannot nest deeper
+ORJSON_MAX_BRACKETS = 2048
+
+
+def _brackets(data, limit):
+    """The number of '[' and '{' bytes in data, counted up to limit + 1."""
+    count = 0
+    for bracket in (b"[", b"{"):
+        at = data.find(bracket)
+        while at >= 0 and count <= limit:
+            count += 1
+            at = data.find(bracket, at + 1)
+    return count
+
+
 def _read_json(path):
+    """The UTF-8 JSON document in path.
+
+    orjson parses strict JSON.  A document it rejects, or one that may nest
+    too deeply for it, goes to the json module, which also reads NaN,
+    Infinity and 1e400 (rejected later as non-finite) and lone surrogates,
+    and words every error message.  It reads the text as open() does, so an
+    error names the same line and column.
+    """
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    if _brackets(data, ORJSON_MAX_BRACKETS) <= ORJSON_MAX_BRACKETS:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        _fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}")
+    except (json.JSONDecodeError, RecursionError) as exc:
         _fail(EXIT_PARSE, f"{path} is not valid JSON: {exc}")
 
 
@@ -158,10 +194,12 @@ def _load_observable_file(path, n):
             _fail(EXIT_PARSE, f"{path}: expected a JSON array of numbers")
     else:
         try:
-            with open(path) as handle:
+            with open(path, encoding="utf-8") as handle:
                 values = [line for line in handle if line.strip()]
         except OSError as exc:
             _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
+        except UnicodeDecodeError as exc:
+            _fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}")
     f = _checked(path, check_finite, values, "observable")
     if f.ndim != 1 or f.shape[0] != n:
         _fail(EXIT_PARSE, f"{path}: expected {n} values, got shape {f.shape}")

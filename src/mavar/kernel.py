@@ -52,6 +52,17 @@ def _as_vector(x):
     return np.asarray(x, dtype=float)
 
 
+def _shift_minus(X, shift=1.0, out=None):
+    """shift * I - X, bit for bit as np.eye(n) * shift - X, with no identity built.
+
+    0.0 - x, unlike -x, gives the +0.0 that eye - X has where X holds +0.0,
+    and (0.0 - x) + shift rounds as shift - x.  out may be X itself.
+    """
+    out = np.subtract(0.0, X, out=out)
+    out.flat[:: out.shape[0] + 1] += shift
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigensystem of a reversible kernel.
@@ -148,7 +159,8 @@ def stationary_distribution(P) -> np.ndarray:
         raise ReducibleError("kernel is not irreducible")
     n = M.shape[0]
     # replace one balance equation with the normalization constraint
-    A = M.T - np.eye(n)
+    A = M.T.copy()
+    A.flat[:: n + 1] -= 1.0
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -192,7 +204,8 @@ def is_reversible(P, pi) -> bool:
     M = _as_matrix(P)
     w = _as_vector(pi)
     F = w[:, None] * M
-    return bool(np.max(np.abs(F - F.T)) <= STRICT_TOL)
+    D = F - F.T
+    return bool(np.max(np.abs(D, out=D)) <= STRICT_TOL)
 
 
 def pi_inner(f, g, pi) -> float:
@@ -317,7 +330,7 @@ class ReducedChain:
         inverse that failed or overflowed raises NumericalFailureError.
         """
         try:
-            inv = np.linalg.inv(np.eye(self.m) - self.A)
+            inv = np.linalg.inv(_shift_minus(self.A))
             bound = np.sqrt(self.m) * np.linalg.norm(inv, 1)
         except np.linalg.LinAlgError:
             bound = np.inf
@@ -333,7 +346,9 @@ class ReducedChain:
         singular: when its Cholesky factorization fails, or when neither the
         inverse's 1-norm nor the smallest eigenvalue clears SOLVABLE_TOL.
         """
-        C = np.eye(self.m) - 0.5 * (self.A + self.A.T)
+        C = self.A + self.A.T
+        C *= 0.5
+        _shift_minus(C, out=C)
         try:
             np.linalg.cholesky(C)  # raises unless C is positive definite
             cinv = np.linalg.inv(C)
@@ -349,7 +364,7 @@ class ReducedChain:
     @cached_property
     def T(self) -> np.ndarray:
         """The symmetric positive definite factored operator."""
-        B = np.eye(self.m) - self.A
+        B = _shift_minus(self.A)
         return B @ self.cinv @ B.T
 
     @cached_property
@@ -358,6 +373,12 @@ class ReducedChain:
         form = self.inv + self.inv.T
         form *= 0.5
         return form
+
+    def drop_factors(self):
+        """Forget A and (I - A)^{-1}; the forms built from them stay, and a
+        later use rebuilds them."""
+        for name in ("A", "inv"):
+            self.__dict__.pop(name, None)
 
 
 def _as_chain(P, pi=None) -> ReducedChain:
@@ -393,13 +414,15 @@ def spectral_decomposition_reversible(P, pi) -> SpectralDecomposition:
     if not is_reversible(M, w):
         raise NotReversibleError("kernel is not reversible for the given pi")
     s = np.sqrt(w)
-    C = (s[:, None] * M) / s[None, :]
-    C = 0.5 * (C + C.T)
+    C = s[:, None] * M
+    C /= s[None, :]
+    C += C.T  # numpy reads C.T as it was before the sum
+    C *= 0.5
     vals, vecs = np.linalg.eigh(C)
     order = np.argsort(vals)[::-1]
     vals = vals[order]
-    vecs = vecs[:, order]
-    funcs = vecs / s[:, None]
+    funcs = vecs[:, order]
+    funcs /= s[:, None]
     # fix the Perron eigenfunction's sign to the positive constant
     if funcs[0, 0] < 0:
         funcs[:, 0] = -funcs[:, 0]

@@ -202,6 +202,14 @@ def majorization_trajectory(K, P_accel, initial, n_steps: int) -> MajorizationTr
     return MajorizationTrajectory(tuple(steps), tuple(warnings))
 
 
+def _variance_form(chain):
+    """chain.variance_form, the one array a comparison reads of a chain, so
+    the chain's two other n x n arrays are dropped once it is built."""
+    form = chain.variance_form
+    chain.drop_factors()
+    return form
+
+
 def uniform_variance_domination(P1, P2, pi=None):
     """Does sigma^2(P2, f) <= sigma^2(P1, f) hold for every centered f?
 
@@ -209,11 +217,12 @@ def uniform_variance_domination(P1, P2, pi=None):
     variance quadratic forms on the mean-zero subspace.  Returns
     (holds, witness); the witness is a centered observable whose
     variance ordering is violated, present only on failure.  Passing
-    ReducedChains reuses their variance forms across calls.
+    ReducedChains reuses their variance forms across calls; each chain
+    drops its A and (I - A)^{-1} once its form is built.
     """
     _, _, w = _shared_stationary(P1, P2, pi)
     c1, c2 = _as_chain(P1, w), _as_chain(P2, w)
-    vals, vecs = np.linalg.eigh(c1.variance_form - c2.variance_form)
+    vals, vecs = np.linalg.eigh(_variance_form(c1) - _variance_form(c2))
     if vals[0] >= -ORDER_TOL:
         return True, None
     return False, c1.frame.lift(vecs[:, 0])

@@ -19,6 +19,7 @@ from .kernel import (
     _as_chain,
     _as_matrix,
     _as_vector,
+    _shift_minus,
     pi_inner,
     spectral_decomposition_reversible,
 )
@@ -138,9 +139,9 @@ def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> np.ndarray:
     w = _as_chain(P, pi).pi
     fv = _as_vector(f)
     _check_centered(fv, w, tol)
-    n = M.shape[0]
     values = np.empty_like(b)
+    shifted = np.empty_like(M)
     for k, beta in enumerate(b):
-        phi = np.linalg.solve((1.0 + beta) * np.eye(n) - M, fv)
+        phi = np.linalg.solve(_shift_minus(M, 1.0 + beta, out=shifted), fv)
         values[k] = pi_inner(fv, phi, w)
     return values

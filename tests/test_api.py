@@ -1,6 +1,10 @@
 """The public namespace of mavar is pinned: a name is added or removed on purpose."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import ModuleType
 
 import mavar
@@ -68,3 +72,17 @@ def test_tol_knobs_are_pinned():
                     and "tol" in inspect.signature(value).parameters):
                 knobs.append(prefix + name)
     assert sorted(knobs) == TOL_KNOBS
+
+
+def test_the_library_imports_neither_orjson_nor_scipy():
+    # only mavar.cli parses files; the library itself needs numpy alone
+    code = ("import sys, mavar; loaded = lambda: [m for m in ('orjson', 'scipy') "
+            "if m in sys.modules]; before = loaded(); import mavar.cli; "
+            "print(before, loaded())")
+    src = str(Path(mavar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]", "['orjson']"]

@@ -9,6 +9,7 @@ from mavar import (
     NonFiniteInputError,
     NotStationaryError,
     ReducibleError,
+    ReducedChain,
     RowSumViolationError,
     adjoint,
     apply_drift,
@@ -22,6 +23,7 @@ from mavar import (
     make_nonreversible,
     peskun_residual,
     pi_inner,
+    resolvent_curve,
     reversibilization,
     reversible_inf,
     saddle_point,
@@ -34,6 +36,8 @@ from mavar import (
     validate_kernel,
     validate_vorticity,
 )
+
+from mavar.kernel import _shift_minus
 
 from generators import random_drift, random_irreducible_kernel, random_reversible_kernel
 
@@ -431,3 +435,62 @@ def test_spectral_decomposition_reconstructs_kernel(rng):
         npt.assert_allclose(gram, np.eye(6), atol=1e-12)
         assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_shift_minus_has_the_bits_of_the_identity_expression(rng):
+    X = rng.standard_normal((7, 7)) * 10.0 ** rng.uniform(-320, 300, (7, 7))
+    X[0, 1], X[1, 0], X[2, 2], X[3, 3] = 0.0, -0.0, 0.0, -0.0
+    for shift in (1.0, 1.1, 1.0001):
+        assert same_bits(_shift_minus(X, shift), shift * np.eye(7) - X)
+    inplace = X.copy()
+    assert _shift_minus(inplace, out=inplace) is inplace
+    assert same_bits(inplace, np.eye(7) - X)
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_factors_keep_the_bits_of_their_defining_expressions(rng, reversible):
+    # the expressions each factor was first written as, eye included
+    n = 40
+    if reversible:
+        kernel, pi = random_reversible_kernel(n, rng)
+    else:
+        kernel = random_irreducible_kernel(n, rng)
+        pi = stationary_distribution(kernel)
+    chain = ReducedChain(kernel, pi)
+    I = np.eye(n - 1)
+    A = chain.A
+    assert same_bits(chain.inv, np.linalg.inv(I - A))
+    C = I - 0.5 * (A + A.T)
+    assert same_bits(chain.cinv, np.linalg.inv(C))
+    assert same_bits(chain.T, (I - A) @ np.linalg.inv(C) @ (I - A).T)
+    F = pi[:, None] * kernel
+    assert is_reversible(kernel, pi) == bool(np.max(np.abs(F - F.T)) <= 1e-12)
+    M = np.asarray(kernel)
+    B = M.T - np.eye(n)
+    B[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    x = np.linalg.solve(B, b)
+    x += np.linalg.solve(B, b - B @ x)
+    assert same_bits(stationary_distribution(kernel), x / x.sum())
+    f = centered(rng.standard_normal(n), pi)
+    betas = np.array([1e-1, 1e-3])
+    expected = [pi_inner(f, np.linalg.solve((1.0 + beta) * np.eye(n) - M, f), pi)
+                for beta in betas]
+    assert same_bits(resolvent_curve(kernel, pi, f, betas), expected)
+    if reversible:
+        s = np.sqrt(pi)
+        S = (s[:, None] * M) / s[None, :]
+        vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
+        order = np.argsort(vals)[::-1]
+        funcs = vecs[:, order] / s[:, None]
+        if funcs[0, 0] < 0:
+            funcs[:, 0] = -funcs[:, 0]
+        dec = spectral_decomposition_reversible(kernel, pi)
+        assert same_bits(dec.eigenvalues, vals[order])
+        assert same_bits(dec.eigenvectors, funcs)

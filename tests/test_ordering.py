@@ -3,6 +3,7 @@ import pytest
 
 from mavar import (
     NotProbabilityVectorError,
+    ReducedChain,
     StationaryMismatchError,
     apply_drift,
     dirichlet_order,
@@ -264,3 +265,22 @@ def test_domination_transitive_chain(rng):
     first = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
     ok_ab, _ = uniform_variance_domination(kernel, first, pi)
     assert ok_ab
+
+
+def test_domination_keeps_only_the_variance_forms(rng):
+    # a comparison reads only each chain's form, so A and (I - A)^{-1} are dropped
+    kernel, pi = random_reversible_kernel(6, rng)
+    better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    c1, c2 = ReducedChain(kernel, pi), ReducedChain(better, pi)
+    forward = uniform_variance_domination(c1, c2, pi)
+    forms = [c1.variance_form, c2.variance_form]
+    for chain in (c1, c2):
+        assert "variance_form" in vars(chain)
+        assert "A" not in vars(chain) and "inv" not in vars(chain)
+    reverse = uniform_variance_domination(c2, c1, pi)
+    assert c1.variance_form is forms[0] and c2.variance_form is forms[1]  # reused
+    assert forward == uniform_variance_domination(kernel, better, pi) == (True, None)
+    assert not reverse[0]
+    np.testing.assert_array_equal(reverse[1],
+                                  uniform_variance_domination(better, kernel, pi)[1])
+    np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
