@@ -1,10 +1,11 @@
 """Bundled worked examples with exact reference values.
 
-Each fixture row pairs a stated reference value (kept as exact
-rationals) with a freshly computed one.  Two rows carry values whose
-stated forms are internally inconsistent with their own inputs; they
-are flagged, the notes explain the inconsistency, and the derived
-values serve as ground truth.
+FIXTURES maps each group name to the builder of its inputs.  Each fixture
+row, named "<group>/<label>", pairs a stated reference value (kept as
+exact rationals) with one freshly computed from its group's inputs.  Two
+rows carry values whose stated forms are internally inconsistent with
+their own inputs; they are flagged, the notes explain the inconsistency,
+and the derived values serve as ground truth.
 """
 
 from dataclasses import dataclass
@@ -53,8 +54,6 @@ SIX_CYCLE_P2 = tuple(
     for i in range(6)
 )
 SIX_CYCLE_PI = tuple(Q(1, 6) for _ in range(6))
-SIX_CYCLE_F1 = (0.0, 0.0, 1.0, 0.0, 0.0, -1.0)
-SIX_CYCLE_F2 = (1.0, -1.0, 0.0, 0.0, 0.0, 0.0)
 
 # three-state pair: both non-reversible, shared pi = (3/14, 4/7, 3/14)
 
@@ -123,7 +122,8 @@ TRIDIAG_P = (
     (Q(0), Q(1, 3), Q(2, 3)),
 )
 
-# uniform 3-state kernel with one vorticity and two drifts
+# uniform 3-state kernel with one vorticity and two drifts, the first of
+# them the tridiagonal example's
 
 UNIFORM3_K = tuple(tuple(Q(1, 3) for _ in range(3)) for _ in range(3))
 # stated pi-weighted vorticity entries are +-1/9; kernel-level is x3
@@ -131,11 +131,6 @@ UNIFORM3_GAMMA = (
     (Q(0), Q(-1, 3), Q(1, 3)),
     (Q(1, 3), Q(0), Q(-1, 3)),
     (Q(-1, 3), Q(1, 3), Q(0)),
-)
-UNIFORM3_LAMBDA1 = (
-    (Q(-1, 9), Q(1, 9), Q(0)),
-    (Q(1, 9), Q(-1, 9), Q(0)),
-    (Q(0), Q(0), Q(0)),
 )
 UNIFORM3_LAMBDA2 = (
     (Q(-1, 9), Q(1, 9), Q(0)),
@@ -149,8 +144,8 @@ def six_cycle() -> dict:
         "P1": validate_kernel(_floats(SIX_CYCLE_P1)),
         "P2": validate_kernel(_floats(SIX_CYCLE_P2)),
         "pi": _floats(SIX_CYCLE_PI),
-        "f1": np.array(SIX_CYCLE_F1),
-        "f2": np.array(SIX_CYCLE_F2),
+        "f1": np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0]),
+        "f2": np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0]),
     }
 
 
@@ -176,31 +171,43 @@ def four_cycle_lift() -> dict:
     K = validate_kernel(_floats(FOUR_CYCLE_K))
     pi = _floats(FOUR_CYCLE_PI)
     gamma = validate_vorticity(K, pi, _floats(FOUR_CYCLE_GAMMA))
-    return {"K": K, "pi": pi, "gamma": gamma, "P": make_nonreversible(K, pi, gamma)}
+    return {"K": K, "pi": pi, "P": make_nonreversible(K, pi, gamma), "gamma": gamma}
 
 
 def tridiag_drift() -> dict:
     K = validate_kernel(_floats(TRIDIAG_K))
     pi = _floats(UNIFORM3_PI)
     lam = _floats(TRIDIAG_LAMBDA)
-    return {"K": K, "pi": pi, "lam": lam, "P": apply_drift(K, pi, lam)}
+    return {"K": K, "pi": pi, "P": apply_drift(K, pi, lam), "lam": lam}
 
 
 def uniform3() -> dict:
     K = validate_kernel(_floats(UNIFORM3_K))
     pi = _floats(UNIFORM3_PI)
     gamma = validate_vorticity(K, pi, _floats(UNIFORM3_GAMMA))
-    lam1, lam2 = _floats(UNIFORM3_LAMBDA1), _floats(UNIFORM3_LAMBDA2)
+    lam1, lam2 = _floats(TRIDIAG_LAMBDA), _floats(UNIFORM3_LAMBDA2)
     return {
         "K": K,
         "pi": pi,
-        "gamma": gamma,
-        "lam1": lam1,
-        "lam2": lam2,
         "P": make_nonreversible(K, pi, gamma),
         "P1": apply_drift(K, pi, lam1),
         "P2": apply_drift(K, pi, lam2),
+        "gamma": gamma,
+        "lam1": lam1,
+        "lam2": lam2,
     }
+
+
+# the one table of worked examples: the reference rows and dump_fixtures
+# both read a group's inputs from its builder here
+FIXTURES = {
+    "six-cycle": six_cycle,
+    "three-state-pair": three_state_pair,
+    "fk-pair": fk_pair,
+    "four-cycle-lift": four_cycle_lift,
+    "tridiag-drift": tridiag_drift,
+    "uniform3": uniform3,
+}
 
 
 def form_coefficients(P, pi) -> np.ndarray:
@@ -219,22 +226,45 @@ def form_coefficients(P, pi) -> np.ndarray:
     return np.array([a, both - a - c, c])
 
 
-def _coeff_matrix(coeffs) -> np.ndarray:
-    a, b, c = coeffs
+def _form_matrix(P, pi) -> np.ndarray:
+    a, b, c = form_coefficients(P, pi)
     return np.array([[a, b / 2.0], [b / 2.0, c]])
+
+
+def _sigma2(fx, P, f) -> float:
+    return solve_dual_pair(fx[P], fx["pi"], fx[f]).sigma2
+
+
+def _least_eigenvalue(A) -> float:
+    return float(np.min(np.linalg.eigvalsh(A)))
 
 
 @dataclass(frozen=True)
 class FixtureRow:
-    """One reference value and how to recompute it."""
+    """One reference value and how to recompute it from its group's inputs.
+
+    compute takes the dict FIXTURES[group]() returns.  derived is given
+    only on a flagged row, whose stated value is inconsistent with its own
+    inputs: the note says why, and derived is the ground truth.
+    """
 
     name: str
-    group: str
     stated: object
-    expected: object
-    compute: Callable[[], object]
-    flagged: bool = False
+    compute: Callable[[dict], object]
+    derived: object = None
     note: str = ""
+
+    @property
+    def group(self) -> str:
+        return self.name.split("/", 1)[0]
+
+    @property
+    def flagged(self) -> bool:
+        return self.derived is not None
+
+    @property
+    def expected(self) -> object:
+        return self.stated if self.derived is None else self.derived
 
 
 @dataclass(frozen=True)
@@ -246,194 +276,69 @@ class FixtureResult:
     verdict: str
 
 
-def _six_sigma2(which, f_name):
-    def run():
-        fx = six_cycle()
-        return solve_dual_pair(fx[which], fx["pi"], fx[f_name]).sigma2
-
-    return run
-
-
-def _form(builder, which):
-    def run():
-        fx = builder()
-        return form_coefficients(fx[which], fx["pi"])
-
-    return run
-
-
-def _three_gap(obs):
-    def run():
-        fx = three_state_pair()
-        f = fx[obs]
-        return (solve_dual_pair(fx["P2"], fx["pi"], f).sigma2
-                - solve_dual_pair(fx["P1"], fx["pi"], f).sigma2)
-
-    return run
-
-
-def _fk_margin():
-    fx = fk_pair()
-    return fk_order(fx["Q"], fx["P"], fx["pi"]).margin
-
-
-def _four_cycle_kernel():
-    return four_cycle_lift()["P"]
-
-
-def _four_cycle_domination():
-    fx = four_cycle_lift()
-    FK = _as_chain(fx["K"], fx["pi"]).variance_form
-    FP = _as_chain(fx["P"], fx["pi"]).variance_form
-    return float(np.min(np.linalg.eigvalsh(FK - FP)))
-
-
-def _tridiag_kernel():
-    return tridiag_drift()["P"]
-
-
-def _uniform3_domination():
-    fx = uniform3()
-    better = _coeff_matrix(form_coefficients(fx["P"], fx["pi"])) - _coeff_matrix(
-        form_coefficients(fx["P2"], fx["pi"]))
-    return float(np.min(np.linalg.eigvalsh(better)))
-
-
-def _stationary_of(builder, which):
-    def run():
-        return stationary_distribution(builder()[which])
-
-    return run
-
-
 FIXTURE_ROWS = (
-    FixtureRow(
-        "six-cycle/stationary(P1)", "six-cycle",
-        SIX_CYCLE_PI, SIX_CYCLE_PI,
-        _stationary_of(six_cycle, "P1"),
-    ),
-    FixtureRow(
-        "six-cycle/sigma2(P1,f1)", "six-cycle",
-        Q(5, 12), Q(1, 3),
-        _six_sigma2("P1", "f1"),
-        flagged=True,
-        note=("stated companion solution fails its own defining equation: "
-              "applying (I - P1) to it returns 1.25 f1, not f1; the direct "
-              "solve gives 1/3"),
-    ),
-    FixtureRow(
-        "six-cycle/sigma2(P2,f1)", "six-cycle",
-        Q(1, 2), Q(1, 2),
-        _six_sigma2("P2", "f1"),
-    ),
-    FixtureRow(
-        "six-cycle/sigma2(P1,f2)", "six-cycle",
-        Q(1, 3), Q(1, 3),
-        _six_sigma2("P1", "f2"),
-    ),
-    FixtureRow(
-        "six-cycle/sigma2(P2,f2)", "six-cycle",
-        Q(5, 18), Q(5, 18),
-        _six_sigma2("P2", "f2"),
-    ),
-    FixtureRow(
-        "three-state-pair/stationary", "three-state-pair",
-        THREE_STATE_PI, THREE_STATE_PI,
-        _stationary_of(three_state_pair, "P1"),
-    ),
-    FixtureRow(
-        "three-state-pair/form(P1)", "three-state-pair",
-        (Q(126, 294), Q(252, 294), Q(448, 294)),
-        (Q(126, 294), Q(252, 294), Q(448, 294)),
-        _form(three_state_pair, "P1"),
-    ),
-    FixtureRow(
-        "three-state-pair/form(P2)", "three-state-pair",
-        (Q(105, 294), Q(280, 294), Q(448, 294)),
-        (Q(105, 294), Q(280, 294), Q(448, 294)),
-        _form(three_state_pair, "P2"),
-    ),
-    FixtureRow(
-        "three-state-pair/gap(1,1,-11/3)", "three-state-pair",
-        Q(1, 42), Q(1, 42),
-        _three_gap("g1"),
-    ),
-    FixtureRow(
-        "three-state-pair/gap(2,1,-14/3)", "three-state-pair",
-        Q(-2, 21), Q(-2, 21),
-        _three_gap("g2"),
-    ),
-    FixtureRow(
-        "fk-pair/form(P)", "fk-pair",
-        (Q(4, 9), Q(4, 9), Q(4, 9)),
-        (Q(4, 9), Q(4, 9), Q(4, 9)),
-        _form(fk_pair, "P"),
-    ),
-    FixtureRow(
-        "fk-pair/form(Q)", "fk-pair",
-        (Q(2, 5), Q(3, 5), Q(2, 5)),
-        (Q(2, 5), Q(2, 5), Q(3, 5)),
-        _form(fk_pair, "Q"),
-        flagged=True,
-        note=("stated cross and f2^2 coefficients are swapped: the stated "
-              "form is not invariant under the kernel's own 1<->3 relabeling "
-              "symmetry, which the kernel itself satisfies; exact elimination "
-              "gives (2/5, 2/5, 3/5)"),
-    ),
-    FixtureRow(
-        "fk-pair/partial-sum-margin(Q,P)", "fk-pair",
-        Q(0), Q(0),
-        _fk_margin,
-        note=("the partial-sum criterion orders Q below P (margin 0, strict "
-              "at one block); the surrounding prose labels the pair in the "
-              "reverse direction"),
-    ),
-    FixtureRow(
-        "four-cycle-lift/kernel(P)", "four-cycle-lift",
-        FOUR_CYCLE_SHIFT, FOUR_CYCLE_SHIFT,
-        _four_cycle_kernel,
-    ),
-    FixtureRow(
-        "four-cycle-lift/domination-margin(K,P)", "four-cycle-lift",
-        Q(0), Q(0),
-        _four_cycle_domination,
-    ),
-    FixtureRow(
-        "tridiag-drift/kernel(P')", "tridiag-drift",
-        TRIDIAG_P, TRIDIAG_P,
-        _tridiag_kernel,
-    ),
-    FixtureRow(
-        "uniform3/form(vorticity)", "uniform3",
-        (Q(1, 2), Q(1, 2), Q(1, 2)),
-        (Q(1, 2), Q(1, 2), Q(1, 2)),
-        _form(uniform3, "P"),
-        note=("the stated vorticity matrix is the pi-weighted one; the "
-              "kernel-level perturbation is diag(pi)^{-1} times it, matching "
-              "the four-state construction and the stated variance form"),
-    ),
-    FixtureRow(
-        "uniform3/form(drift-1)", "uniform3",
-        (Q(3, 5), Q(4, 5), Q(3, 5)),
-        (Q(3, 5), Q(4, 5), Q(3, 5)),
-        _form(uniform3, "P1"),
-    ),
-    FixtureRow(
-        "uniform3/form(drift-2)", "uniform3",
-        (Q(3, 7), Q(3, 7), Q(3, 7)),
-        (Q(3, 7), Q(3, 7), Q(3, 7)),
-        _form(uniform3, "P2"),
-    ),
-    FixtureRow(
-        "uniform3/domination-margin(vorticity,drift-2)", "uniform3",
-        Q(1, 28), Q(1, 28),
-        _uniform3_domination,
-    ),
+    FixtureRow("six-cycle/stationary(P1)", SIX_CYCLE_PI,
+               lambda fx: stationary_distribution(fx["P1"])),
+    FixtureRow("six-cycle/sigma2(P1,f1)", Q(5, 12),
+               lambda fx: _sigma2(fx, "P1", "f1"),
+               derived=Q(1, 3),
+               note=("stated companion solution fails its own defining equation: "
+                     "applying (I - P1) to it returns 1.25 f1, not f1; the direct "
+                     "solve gives 1/3")),
+    FixtureRow("six-cycle/sigma2(P2,f1)", Q(1, 2),
+               lambda fx: _sigma2(fx, "P2", "f1")),
+    FixtureRow("six-cycle/sigma2(P1,f2)", Q(1, 3),
+               lambda fx: _sigma2(fx, "P1", "f2")),
+    FixtureRow("six-cycle/sigma2(P2,f2)", Q(5, 18),
+               lambda fx: _sigma2(fx, "P2", "f2")),
+    FixtureRow("three-state-pair/stationary", THREE_STATE_PI,
+               lambda fx: stationary_distribution(fx["P1"])),
+    FixtureRow("three-state-pair/form(P1)", (Q(126, 294), Q(252, 294), Q(448, 294)),
+               lambda fx: form_coefficients(fx["P1"], fx["pi"])),
+    FixtureRow("three-state-pair/form(P2)", (Q(105, 294), Q(280, 294), Q(448, 294)),
+               lambda fx: form_coefficients(fx["P2"], fx["pi"])),
+    FixtureRow("three-state-pair/gap(1,1,-11/3)", Q(1, 42),
+               lambda fx: _sigma2(fx, "P2", "g1") - _sigma2(fx, "P1", "g1")),
+    FixtureRow("three-state-pair/gap(2,1,-14/3)", Q(-2, 21),
+               lambda fx: _sigma2(fx, "P2", "g2") - _sigma2(fx, "P1", "g2")),
+    FixtureRow("fk-pair/form(P)", (Q(4, 9), Q(4, 9), Q(4, 9)),
+               lambda fx: form_coefficients(fx["P"], fx["pi"])),
+    FixtureRow("fk-pair/form(Q)", (Q(2, 5), Q(3, 5), Q(2, 5)),
+               lambda fx: form_coefficients(fx["Q"], fx["pi"]),
+               derived=(Q(2, 5), Q(2, 5), Q(3, 5)),
+               note=("stated cross and f2^2 coefficients are swapped: the stated "
+                     "form is not invariant under the kernel's own 1<->3 relabeling "
+                     "symmetry, which the kernel itself satisfies; exact elimination "
+                     "gives (2/5, 2/5, 3/5)")),
+    FixtureRow("fk-pair/partial-sum-margin(Q,P)", Q(0),
+               lambda fx: fk_order(fx["Q"], fx["P"], fx["pi"]).margin,
+               note=("the partial-sum criterion orders Q below P (margin 0, strict "
+                     "at one block); the surrounding prose labels the pair in the "
+                     "reverse direction")),
+    FixtureRow("four-cycle-lift/kernel(P)", FOUR_CYCLE_SHIFT,
+               lambda fx: fx["P"]),
+    FixtureRow("four-cycle-lift/domination-margin(K,P)", Q(0),
+               lambda fx: _least_eigenvalue(_as_chain(fx["K"], fx["pi"]).variance_form
+                                            - _as_chain(fx["P"], fx["pi"]).variance_form)),
+    FixtureRow("tridiag-drift/kernel(P')", TRIDIAG_P,
+               lambda fx: fx["P"]),
+    FixtureRow("uniform3/form(vorticity)", (Q(1, 2), Q(1, 2), Q(1, 2)),
+               lambda fx: form_coefficients(fx["P"], fx["pi"]),
+               note=("the stated vorticity matrix is the pi-weighted one; the "
+                     "kernel-level perturbation is diag(pi)^{-1} times it, matching "
+                     "the four-state construction and the stated variance form")),
+    FixtureRow("uniform3/form(drift-1)", (Q(3, 5), Q(4, 5), Q(3, 5)),
+               lambda fx: form_coefficients(fx["P1"], fx["pi"])),
+    FixtureRow("uniform3/form(drift-2)", (Q(3, 7), Q(3, 7), Q(3, 7)),
+               lambda fx: form_coefficients(fx["P2"], fx["pi"])),
+    FixtureRow("uniform3/domination-margin(vorticity,drift-2)", Q(1, 28),
+               lambda fx: _least_eigenvalue(_form_matrix(fx["P"], fx["pi"])
+                                            - _form_matrix(fx["P2"], fx["pi"]))),
 )
 
 
 def run_fixture(row: FixtureRow, tol: float = 1e-9) -> FixtureResult:
-    computed = row.compute()
+    computed = row.compute(FIXTURES[row.group]())
     arr = np.asarray(computed, dtype=float)
     ds = float(np.max(np.abs(arr - _floats(row.stated))))
     de = float(np.max(np.abs(arr - _floats(row.expected))))
@@ -453,69 +358,36 @@ def run_all(tol: float = 1e-9, only: str | None = None) -> list:
     return results
 
 
-def _kernel_payload(P, pi) -> dict:
-    return {"n": len(P), "rows": P.tolist(), "pi": pi.tolist()}
-
-
-def fixture_files() -> dict:
-    """All fixture inputs as JSON-ready payloads, grouped by fixture."""
-    six = six_cycle()
-    three = three_state_pair()
-    fk = fk_pair()
-    four = four_cycle_lift()
-    tri = tridiag_drift()
-    uni = uniform3()
-    return {
-        "six-cycle": {
-            "P1.json": _kernel_payload(six["P1"], six["pi"]),
-            "P2.json": _kernel_payload(six["P2"], six["pi"]),
-            "f1.json": six["f1"].tolist(),
-            "f2.json": six["f2"].tolist(),
-        },
-        "three-state-pair": {
-            "P1.json": _kernel_payload(three["P1"], three["pi"]),
-            "P2.json": _kernel_payload(three["P2"], three["pi"]),
-            "g1.json": three["g1"].tolist(),
-            "g2.json": three["g2"].tolist(),
-        },
-        "fk-pair": {
-            "P.json": _kernel_payload(fk["P"], fk["pi"]),
-            "Q.json": _kernel_payload(fk["Q"], fk["pi"]),
-        },
-        "four-cycle-lift": {
-            "K.json": _kernel_payload(four["K"], four["pi"]),
-            "P.json": _kernel_payload(four["P"], four["pi"]),
-            "vorticity.json": {"kind": "vorticity",
-                               "matrix": four["gamma"].tolist()},
-        },
-        "tridiag-drift": {
-            "K.json": _kernel_payload(tri["K"], tri["pi"]),
-            "P.json": _kernel_payload(tri["P"], tri["pi"]),
-            "drift.json": {"kind": "drift", "matrix": tri["lam"].tolist()},
-        },
-        "uniform3": {
-            "K.json": _kernel_payload(uni["K"], uni["pi"]),
-            "P.json": _kernel_payload(uni["P"], uni["pi"]),
-            "P1.json": _kernel_payload(uni["P1"], uni["pi"]),
-            "P2.json": _kernel_payload(uni["P2"], uni["pi"]),
-            "vorticity.json": {"kind": "vorticity",
-                               "matrix": uni["gamma"].tolist()},
-            "drift1.json": {"kind": "drift", "matrix": uni["lam1"].tolist()},
-            "drift2.json": {"kind": "drift", "matrix": uni["lam2"].tolist()},
-        },
-    }
+def _fixture_file(key, value, pi):
+    """The file name and JSON payload of one builder entry other than pi."""
+    if key == "gamma":
+        return "vorticity.json", {"kind": "vorticity", "matrix": value.tolist()}
+    if key.startswith("lam"):
+        return f"drift{key[3:]}.json", {"kind": "drift", "matrix": value.tolist()}
+    if value.ndim == 2:
+        return f"{key}.json", {"n": len(value), "rows": value.tolist(), "pi": pi.tolist()}
+    return f"{key}.json", value.tolist()
 
 
 def dump_fixtures(directory) -> list:
-    """Write every fixture input under directory/<group>/<name>.json."""
+    """Write every group's inputs under directory/<group>/.
+
+    A kernel K becomes K.json with the group's pi embedded, an observable
+    f becomes f.json (a list), gamma becomes vorticity.json and lam<i>
+    becomes drift<i>.json; pi itself gets no file.
+    """
     import json
 
     written = []
     base = Path(directory)
-    for group, files in fixture_files().items():
+    for group, build in FIXTURES.items():
         folder = base / group
         folder.mkdir(parents=True, exist_ok=True)
-        for name, payload in files.items():
+        fx = build()
+        for key, value in fx.items():
+            if key == "pi":
+                continue
+            name, payload = _fixture_file(key, value, fx["pi"])
             path = folder / name
             path.write_text(json.dumps(payload, indent=1))
             written.append(str(path))

@@ -163,7 +163,7 @@ def _checked(path, convert, *args):
     """convert(*args); a parse or validation failure exits 2 naming the file."""
     try:
         return convert(*args)
-    except (MavarError, TypeError, ValueError) as exc:
+    except (MavarError, TypeError, ValueError, OverflowError) as exc:
         _fail(EXIT_PARSE, f"{path}: {exc}")
 
 

@@ -5,8 +5,9 @@ by (Pf)_i = sum_j P_ij f_j.  All inner products are weighted by a
 stationary distribution pi.  Kernels, pi, an observable f and every
 function the package returns (Poisson solutions, test functions,
 witnesses) are plain float arrays indexed by state; validate_kernel
-returns a read-only copy.  A kernel carries no tolerance: adjoint and
-reversibilization check what they build at DEFAULT_TOL, and
+returns a read-only copy.  A kernel carries no tolerance: adjoint checks
+pi P = pi at DEFAULT_TOL and normalises the rows it builds,
+reversibilization checks what it builds at DEFAULT_TOL, and
 is_reversible holds the one detailed-balance threshold, STRICT_TOL.
 The workhorse is MeanZeroFrame, an orthonormal basis of the
 pi-mean-zero subspace in which the pi-inner product becomes Euclidean
@@ -185,13 +186,22 @@ def stationary_residual(P, pi) -> float:
 
 
 def adjoint(P, pi) -> np.ndarray:
-    """Time reversal: the pi-adjoint kernel (P*)_ij = pi_j P_ji / pi_i."""
+    """Time reversal: the pi-adjoint kernel (P*)_ij = pi_j P_ji / pi_i.
+
+    Row i of P* sums to 1 + (pi P - pi)_i / pi_i, so once pi P = pi holds
+    within DEFAULT_TOL the rows are normalised, not checked again: a small
+    pi_i would blow a residual of 1e-16 up past any row-sum tolerance.
+    Returns a read-only array.
+    """
     M = _as_matrix(P)
     w = _as_vector(pi)
     resid = stationary_residual(M, w)
     if resid > DEFAULT_TOL:
         raise NotStationaryError(f"pi P differs from pi by {resid}")
-    return validate_kernel((w[None, :] * M.T) / w[:, None])
+    star = check_finite((w[None, :] * M.T) / w[:, None], "kernel")
+    star /= star.sum(axis=1)[:, None]
+    star.setflags(write=False)
+    return star
 
 
 def reversibilization(P, pi) -> np.ndarray:

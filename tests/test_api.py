@@ -1,5 +1,6 @@
 """The public namespace of mavar is pinned: a name is added or removed on purpose."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -50,6 +51,16 @@ TOL_KNOBS = [
 ]
 
 
+# the worked-example groups and the fields a catalog row sets: a row reads its
+# inputs from its group's builder, and its group, flagged and expected derive
+# from these fields
+FIXTURE_GROUPS = [
+    "six-cycle", "three-state-pair", "fk-pair", "four-cycle-lift", "tridiag-drift",
+    "uniform3",
+]
+FIXTURE_ROW_FIELDS = ["name", "stated", "compute", "derived", "note"]
+
+
 def public(modules):
     return sorted(name for name, value in vars(mavar).items()
                   if not name.startswith("_") and isinstance(value, ModuleType) == modules)
@@ -72,6 +83,13 @@ def test_tol_knobs_are_pinned():
                     and "tol" in inspect.signature(value).parameters):
                 knobs.append(prefix + name)
     assert sorted(knobs) == TOL_KNOBS
+
+
+def test_catalog_groups_and_row_fields_are_pinned():
+    catalog = mavar.catalog
+    assert list(catalog.FIXTURES) == FIXTURE_GROUPS
+    assert {row.group for row in catalog.FIXTURE_ROWS} == set(FIXTURE_GROUPS)
+    assert [f.name for f in dataclasses.fields(catalog.FixtureRow)] == FIXTURE_ROW_FIELDS
 
 
 def test_the_library_imports_neither_orjson_nor_scipy():

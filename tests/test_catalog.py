@@ -4,8 +4,10 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from click.testing import CliRunner
 
 from mavar import catalog, solve_dual_pair, stationary_distribution, validate_kernel
+from mavar.cli import main
 
 FLAGGED = {"six-cycle/sigma2(P1,f1)", "fk-pair/form(Q)"}
 
@@ -68,6 +70,36 @@ def test_dump_fixtures_round_trip(tmp_path):
     with open(tmp_path / "tridiag-drift" / "drift.json") as handle:
         drift = json.load(handle)
     assert drift["kind"] == "drift"
+    # the naming rule, entry by entry: a matrix is a kernel with the group's pi,
+    # a vector an observable, gamma the vorticity, lam<i> drift<i>; pi has no file
+    runner = CliRunner()
+    expected = []
+    for group, build in catalog.FIXTURES.items():
+        fx = build()
+        folder = tmp_path / group
+        for key, value in fx.items():
+            if key == "pi":
+                continue
+            if key == "gamma" or key.startswith("lam"):
+                flag, name = (("--gamma", "vorticity.json") if key == "gamma"
+                              else ("--lambda", f"drift{key[3:]}.json"))
+                args = ["perturb", str(folder / "K.json"), flag, str(folder / name)]
+                result = runner.invoke(main, args)
+                assert result.exit_code == 0, (args, result.output)
+            elif value.ndim == 2:
+                name = f"{key}.json"
+                result = runner.invoke(main, ["validate", str(folder / name)])
+                assert result.exit_code == 0, (group, name, result.output)
+                with open(folder / name) as handle:
+                    payload = json.load(handle)
+                assert np.array(payload["rows"]).tobytes() == value.tobytes()
+                assert np.array(payload["pi"]).tobytes() == fx["pi"].tobytes()
+            else:
+                name = f"{key}.json"
+                with open(folder / name) as handle:
+                    assert np.array(json.load(handle)).tobytes() == value.tobytes()
+            expected.append(str(folder / name))
+    assert written == expected
 
 
 def test_rational_helpers():

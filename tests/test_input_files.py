@@ -138,6 +138,38 @@ def test_an_integer_above_2_64_reads_as_the_float_json_gave_numpy(runner, tmp_pa
     assert result.stderr == f"error: {size}: 'n' does not match the matrix size\n"
 
 
+HUGE = "1" + "0" * 400  # an integer literal beyond float64
+
+
+@pytest.mark.parametrize("entry, command", [
+    ("observable", "analyze"),
+    ("observable", "simulate"),
+    ("kernel row", "validate"),
+    ("embedded pi", "validate"),
+    ("perturbation matrix", "perturb"),
+])
+def test_an_integer_beyond_float64_exits_2_naming_the_file(runner, tmp_path, entry,
+                                                           command):
+    kernel = write(tmp_path / "k.json", b'{"rows": ' + TWO_STATES + b"}")
+    data = {
+        "observable": f"[{HUGE}, 0]",
+        "kernel row": f'{{"rows": [[0.5, 0.5], [0.5, {HUGE}]]}}',
+        "embedded pi": f'{{"rows": {TWO_STATES.decode()}, "pi": [{HUGE}, 0.5]}}',
+        "perturbation matrix": f'{{"kind": "vorticity", "matrix": [[0, {HUGE}], [0, 0]]}}',
+    }[entry]
+    path = write(tmp_path / "huge.json", data.encode())
+    args = {
+        "analyze": ["analyze", kernel, path],
+        "simulate": ["simulate", kernel, path, "--n", "1000"],
+        "validate": ["validate", path],
+        "perturb": ["perturb", kernel, "--gamma", path],
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr == f"error: {path}: int too large to convert to float\n"
+
+
 def test_a_deep_document_never_reaches_orjson(tmp_path):
     # orjson recurses once per nesting level on the C stack; a million levels
     # would crash the process, so such a document goes to the json module

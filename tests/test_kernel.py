@@ -239,6 +239,32 @@ def test_adjoint_rejects_wrong_weights(six):
         adjoint(six["P1"], bad)
 
 
+def birth_death(n, up, down):
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, min(i + 1, n - 1)] += up
+        P[i, max(i - 1, 0)] += down
+        P[i, i] += 1.0 - up - down
+    return validate_kernel(P)
+
+
+def test_adjoint_and_reversibilization_keep_a_chain_with_small_pi():
+    # row i of the adjoint sums to 1 + (pi P - pi)_i / pi_i: at pi_min ~ 1.6e-8
+    # a residual of 1e-16 is a row error far above 1e-9
+    P = birth_death(20, 0.2, 0.5)
+    pi = stationary_distribution(P)
+    assert pi.min() < 1e-7
+    star = adjoint(P, pi)
+    assert not star.flags.writeable
+    npt.assert_allclose(star, P, atol=1e-8)
+    npt.assert_allclose(reversibilization(P, pi), P, atol=1e-8)
+    off = pi.copy()
+    off[0] += 2e-9
+    off[1] -= 2e-9
+    with pytest.raises(NotStationaryError):
+        adjoint(P, off)
+
+
 def test_reversibilization_of_six_cycle(six):
     pi = stationary_distribution(six["P1"])
     half = reversibilization(six["P1"], pi)
