@@ -3,10 +3,13 @@
 routes() computes sigma^2 by every independent route: the dual-pair
 solve, the factored symmetric operator and, for a reversible chain, the
 spectral decomposition.  battery() runs the identity battery behind
-`mavar verify`: Poisson residuals, route agreement, the resolvent limit,
-the saddle point of the variational formula for 1/sigma^2, random
-probes of its inf and sup sides, and the reversible minimum.  A failed
-check is a record or an infinite route value, never an exception.
+`mavar verify`: Poisson residuals, route agreement, the resolvent limit
+at the one beta its record reads (RESOLVENT_BETA), the saddle point of
+the variational formula for 1/sigma^2, random probes of its inf and sup
+sides, and the reversible minimum.  The probes go through the
+variational functions as n x k blocks of at most PROBE_BLOCK, so their
+memory does not grow with the number of trials.  A failed check is a
+record or an infinite route value, never an exception.
 """
 
 import numpy as np
@@ -29,6 +32,9 @@ from .variational import (
     saddle_point,
 )
 
+RESOLVENT_BETA = 1e-4
+PROBE_BLOCK = 64
+
 
 def routes(chain, f, tol: float = DEFAULT_TOL):
     """(dual-pair solution, {route: sigma^2}, reversible) for a ReducedChain.
@@ -50,6 +56,15 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
     if reversible:
         values["spectral"] = spectral
     return sol, values, reversible
+
+
+def _probe_blocks(rng, trials, f, w):
+    """trials random directions with pi(f .) = 0, as n x k blocks of at most
+    PROBE_BLOCK; standard_normal((k, n)) draws what k calls of
+    standard_normal(n) would, so the probes do not depend on the blocking."""
+    for start in range(0, trials, PROBE_BLOCK):
+        k = min(PROBE_BLOCK, trials - start)
+        yield project_to_constraint(rng.standard_normal((k, w.shape[0])).T, f, w, 0.0)
 
 
 def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL):
@@ -85,11 +100,9 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
         if name != "dual-pair":
             record(f"{name} route", abs(value - sol.sigma2),
                    ROUTE_TOL * max(1.0, abs(sol.sigma2)))
-    betas = np.array([1e-1, 1e-2, 1e-3, 1e-4])
-    curve = resolvent_curve(chain, None, f, betas, tol)
+    (tail,) = resolvent_curve(chain, None, f, [RESOLVENT_BETA], tol)
     phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
-    record("resolvent tail", abs(curve[-1] - sol.sigma2),
-           10.0 * betas[-1] * phi_norm)
+    record("resolvent tail", abs(tail - sol.sigma2), 10.0 * RESOLVENT_BETA * phi_norm)
     value = saddle.value
     xi_star, eta_star = saddle.xi_star, saddle.eta_star
     record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_TOL)
@@ -105,17 +118,13 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     _, sup_at_star = inner_sup(chain, None, f, xi_star, tol)
     record("inner sup at xi*", abs(sup_at_star - value), ROUTE_TOL * max(1.0, value))
     rng = np.random.default_rng(seed)
-    n = w.shape[0]
-    worst_inf = np.inf
-    for _ in range(trials):
-        xi = xi_star + project_to_constraint(rng.standard_normal(n), f, w, 0.0)
-        worst_inf = min(worst_inf, inner_sup(chain, None, f, xi, tol)[1])
+    worst_inf = min(np.min(inner_sup(chain, None, f, xi_star[:, None] + block, tol)[1])
+                    for block in _probe_blocks(rng, trials, f, w))
     record("inf side: min over random xi of sup >= 1/sigma^2",
            max(0.0, value - worst_inf), ROUTE_TOL * max(1.0, value))
-    worst_sup = -np.inf
-    for _ in range(trials):
-        eta = project_to_constraint(rng.standard_normal(n), f, w, 0.0)
-        worst_sup = max(worst_sup, dirichlet_form(chain, None, xi_star + eta, xi_star - eta))
+    worst_sup = max(np.max(dirichlet_form(chain, None, xi_star[:, None] + block,
+                                          xi_star[:, None] - block))
+                    for block in _probe_blocks(rng, trials, f, w))
     record("sup side: max over random eta <= 1/sigma^2",
            max(0.0, worst_sup - value), ROUTE_TOL * max(1.0, value))
     try:
@@ -124,12 +133,9 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
                ROUTE_TOL * max(1.0, value))
     except NumericalFailureError:
         record("factored-operator minimum", np.inf, ROUTE_TOL)
-    worst_orth = 0.0
-    for _ in range(trials):
-        probe = project_to_constraint(rng.standard_normal(n), f, w, 0.0)
-        worst_orth = max(worst_orth,
-                         abs(dirichlet_form(chain, None, sol.phi, probe)),
-                         abs(dirichlet_form(chain, None, probe, sol.phi_star)))
+    worst_orth = max(max(np.max(np.abs(dirichlet_form(chain, None, sol.phi, block))),
+                         np.max(np.abs(dirichlet_form(chain, None, block, sol.phi_star))))
+                     for block in _probe_blocks(rng, trials, f, w))
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            1e-10 * max(1.0, abs(sol.sigma2)) * fscale * 10)
     if reversible:

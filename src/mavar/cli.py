@@ -49,12 +49,7 @@ from .kernel import (
     validate_kernel,
 )
 from .montecarlo import batch_means_avar, simulate as run_chain
-from .ordering import (
-    dirichlet_order,
-    fk_order,
-    peskun_order,
-    uniform_variance_domination,
-)
+from .ordering import order_pairs, peskun_order
 from .perturb import _density, apply_drift, family_alpha, validate_drift, validate_vorticity
 from .poisson import ROUTE_TOL, solve_dual_pair
 
@@ -353,15 +348,9 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     k1, pi1 = _load_kernel_file(kernel_file_1, tol)
     k2, pi2 = _load_kernel_file(kernel_file_2, tol)
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
-    # the orders check that the sizes match and that both kernels keep pi
-    orders = {
-        "peskun": (peskun_order(k1, k2, pi), peskun_order(k2, k1, pi)),
-        "dirichlet": (dirichlet_order(k1, k2, pi), dirichlet_order(k2, k1, pi)),
-        "fill_kahn": (fk_order(k1, k2, pi), fk_order(k2, k1, pi)),
-    }
-    c1, c2 = ReducedChain(k1, pi), ReducedChain(k2, pi)
-    dom_fwd = uniform_variance_domination(c1, c2, pi)
-    dom_rev = uniform_variance_domination(c2, c1, pi)
+    # order_pairs checks that the sizes match and that both kernels keep pi
+    orders = order_pairs(k1, k2, pi)
+    dom_fwd, dom_rev = orders.pop("domination")
 
     def _dom_payload(result):
         holds, witness = result

@@ -210,9 +210,15 @@ def reversibilization(P, pi) -> np.ndarray:
 
 
 def is_reversible(P, pi) -> bool:
-    """Detailed balance within STRICT_TOL, the package's one reversibility test."""
-    M = _as_matrix(P)
+    """Detailed balance within STRICT_TOL, the package's one reversibility test.
+
+    A ReducedChain asked about its own pi answers from its cached
+    `reversible`, so the routes and checks of one chain share one pass.
+    """
     w = _as_vector(pi)
+    if isinstance(P, ReducedChain) and w is P.pi:
+        return P.reversible
+    M = _as_matrix(P)
     F = w[:, None] * M
     D = F - F.T
     return bool(np.max(np.abs(D, out=D)) <= STRICT_TOL)
@@ -259,6 +265,10 @@ class MeanZeroFrame:
     def n(self) -> int:
         return self.pi.shape[0]
 
+    def _per_state(self, x):
+        """sqrt(pi) shaped to scale the rows of x, one function or an n x k block."""
+        return self.sqrt_pi.reshape(self.sqrt_pi.shape + (1,) * (np.ndim(x) - 1))
+
     def _expand(self, y):
         """H[:, 1:] @ y for y of n-1 rows."""
         out = np.zeros((self.n,) + y.shape[1:])
@@ -271,12 +281,15 @@ class MeanZeroFrame:
         return x[1:] - 2.0 * np.multiply.outer(self.v[1:], self.v @ x)
 
     def reduce(self, f) -> np.ndarray:
-        """Coordinates of the centered part of f."""
-        return self._contract(self.sqrt_pi * _as_vector(f))
+        """Coordinates of the centered part of f, column by column for a block."""
+        fv = _as_vector(f)
+        return self._contract(self._per_state(fv) * fv)
 
     def lift(self, y) -> np.ndarray:
-        """The mean-zero function with the given coordinates."""
-        return self._expand(np.asarray(y, dtype=float)) / self.sqrt_pi
+        """The mean-zero function with the given coordinates, column by column
+        for a block."""
+        yv = np.asarray(y, dtype=float)
+        return self._expand(yv) / self._per_state(yv)
 
     def operator(self, P) -> np.ndarray:
         """The kernel's action on mean-zero coordinates.
@@ -314,9 +327,10 @@ class ReducedChain:
 
     Holds the frame, the reduced operator A, the inverse of I - A, the
     inverse of I - S with S = (A + A^T)/2, the factored operator
-    T = (I - A)(I - S)^{-1}(I - A)^T and the variance form, each built
-    on first use.  Every function that takes (P, pi) accepts a chain in
-    place of P, and then uses the chain's pi.
+    T = (I - A)(I - S)^{-1}(I - A)^T, the variance form and whether the
+    chain is reversible, each built on first use.  Every function that
+    takes (P, pi) accepts a chain in place of P, and then uses the
+    chain's pi.
     """
 
     def __init__(self, P, pi):
@@ -384,6 +398,11 @@ class ReducedChain:
         form *= 0.5
         return form
 
+    @cached_property
+    def reversible(self) -> bool:
+        """is_reversible(rows, pi), computed once."""
+        return is_reversible(self.rows, self.pi)
+
     def drop_factors(self):
         """Forget A and (I - A)^{-1}; the forms built from them stay, and a
         later use rebuilds them."""
@@ -419,10 +438,10 @@ def spectral_decomposition_reversible(P, pi) -> SpectralDecomposition:
     eigenfunctions as columns.  Raises NotReversibleError unless
     is_reversible(P, pi).
     """
-    M = _as_matrix(P)
     w = _as_vector(pi)
-    if not is_reversible(M, w):
+    if not is_reversible(P, w):
         raise NotReversibleError("kernel is not reversible for the given pi")
+    M = _as_matrix(P)
     s = np.sqrt(w)
     C = s[:, None] * M
     C /= s[None, :]

@@ -8,6 +8,10 @@ pi(f eta) = 0.  The saddle is attained at explicit combinations of the
 primal and dual Poisson solutions.  For reversible kernels (by
 kernel.is_reversible) the supremum collapses and 1/sigma^2 is a plain
 infimum of the Dirichlet form.
+
+dirichlet_form, project_to_constraint and inner_sup also take an n x k
+block of k functions and work column by column; one function is the
+k = 1 block, computed by the same operations.
 """
 
 from dataclasses import dataclass
@@ -15,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     InfeasibleConstraintError,
     NotReversibleError,
     NumericalFailureError,
@@ -42,27 +47,50 @@ class SaddlePoint:
     value: float
 
 
-def dirichlet_form(P, pi, xi, eta) -> float:
+def _block(x, n):
+    """x as an n x k block of k functions; one function is the n x 1 block."""
+    v = _as_vector(x)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise DimensionMismatchError(f"expected functions on {n} states, got shape {v.shape}")
+    return v.reshape(n, -1)
+
+
+def _pi_columns(F, G, w):
+    """pi_inner of each column of F with the same column of G, summed as pi_inner sums."""
+    return np.sum(w[:, None] * F * G, axis=0)
+
+
+def _column_dots(X, Y):
+    """X[:, j] @ Y[:, j] for each column j, each one dot product as for vectors."""
+    return np.matmul(X.T[:, None, :], Y.T[:, :, None])[:, 0, 0]
+
+
+def dirichlet_form(P, pi, xi, eta):
     """The bilinear form <(I - P) xi, eta>_pi.
 
     Invariant under adding constants to either argument when pi is
-    stationary for P.
+    stationary for P.  A float for two functions; when xi or eta is an
+    n x k block (the other may be one function), the k forms of its
+    columns as an array.
     """
     M = _as_matrix(P)
-    xv = _as_vector(xi)
-    ev = _as_vector(eta)
-    return pi_inner(xv - M @ xv, ev, _as_chain(P, pi).pi)
+    w = _as_chain(P, pi).pi
+    X = _block(xi, w.shape[0])
+    values = _pi_columns(X - M @ X, _block(eta, w.shape[0]), w)
+    return float(values[0]) if np.ndim(xi) == np.ndim(eta) == 1 else values
 
 
 def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
-    """Shift g along f so that pi(f g) equals value."""
-    gv = _as_vector(g).copy()
+    """Shift g along f so that pi(f g) equals value, column by column for a block."""
     fv = _as_vector(f)
-    ff = pi_inner(fv, fv, pi)
+    w = _as_vector(pi)
+    ff = pi_inner(fv, fv, w)
     if ff <= ZERO_VARIANCE_TOL:
         raise ZeroVarianceError("cannot normalize against a null observable")
-    gv += (value - pi_inner(fv, gv, pi)) / ff * fv
-    return gv
+    G = _block(g, w.shape[0]).copy()
+    F = fv[:, None]
+    G += (value - _pi_columns(F, G, w)) / ff * F
+    return G.reshape(np.shape(g))
 
 
 def _positive_solution(P, pi, f):
@@ -93,26 +121,32 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     The objective is concave in eta, with S = (A + A^T)/2 its curvature.
     Its stationary point on the constraint is
     e = (I - S)^{-1} (drive - mu f) / 2, with mu chosen so that f^T e = 0:
-    two products with the chain's inverse of I - S.  Returns
+    one product with the chain's inverse of I - S.  Returns
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
-    equality at xi = xi*.  Raises InfeasibleConstraintError if
-    pi(f xi) != 1.
+    equality at xi = xi*; for an n x k block xi, eta_opt is n x k and
+    value holds the k column values.  Raises InfeasibleConstraintError
+    if pi(f xi) != 1 for some column.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    xv = _as_vector(xi)
-    norm = pi_inner(fv, xv, chain.pi)
-    if abs(norm - 1.0) > tol:
-        raise InfeasibleConstraintError(f"pi(f xi) = {norm}, expected 1")
+    X = _block(xi, chain.frame.n)
+    norm = _pi_columns(_block(fv, chain.frame.n), X, chain.pi)
+    worst = np.argmax(np.abs(norm - 1.0))
+    if abs(norm[worst] - 1.0) > tol:
+        raise InfeasibleConstraintError(f"pi(f xi) = {float(norm[worst])}, expected 1")
     fy = chain.frame.reduce(fv)
-    xy = chain.frame.reduce(xv)
+    xy = chain.frame.reduce(X)
     Ax = chain.A @ xy
-    drive = Ax - xy @ chain.A
-    u, v = (chain.cinv @ np.column_stack([drive, fy])).T
-    ey = 0.5 * (u - (fy @ u) / (fy @ v) * v)
+    drive = Ax - chain.A.T @ xy
+    W = chain.cinv @ np.column_stack([drive, fy])
+    U, v = W[:, :-1], W[:, -1]
+    ey = 0.5 * (U - (fy @ U) / (fy @ v) * v[:, None])
     # (I - S) e = (drive - mu f)/2 and f^T e = 0 give e^T (I - S) e = e^T drive / 2
-    value = float(xy @ (xy - Ax) + 0.5 * (ey @ drive))
-    return chain.frame.lift(ey), value
+    value = _column_dots(xy, xy - Ax) + 0.5 * _column_dots(ey, drive)
+    eta = chain.frame.lift(ey)
+    if np.ndim(xi) == 1:
+        return eta[:, 0], float(value[0])
+    return eta, value
 
 
 def reversible_inf(P, pi, f):

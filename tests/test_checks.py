@@ -1,19 +1,30 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mavar.kernel
 from mavar import (
     NotReversibleError,
     ReducedChain,
     checks,
+    dirichlet_form,
+    inner_sup,
     is_reversible,
+    project_to_constraint,
     reversible_inf,
+    saddle_point,
+    solve_dual_pair,
     stationary_distribution,
     validate_kernel,
 )
 
-from generators import random_centered_observable, random_irreducible_kernel
+from generators import (
+    random_centered_observable,
+    random_irreducible_kernel,
+    random_reversible_kernel,
+)
 
 
 def near_decomposable(eps=1.1e-12):
@@ -127,3 +138,141 @@ def test_every_reversibility_test_uses_one_threshold():
     assert not checks.routes(ReducedChain(kernel, pi), f)[2]
     with pytest.raises(NotReversibleError):
         reversible_inf(kernel, pi, f)
+
+
+def test_a_reversible_battery_tests_detailed_balance_once(six, monkeypatch):
+    # the routes, the spectral route and reversible_inf all ask the chain
+    passes = []
+    test = mavar.kernel.is_reversible
+
+    def counted(P, pi):
+        if not isinstance(P, ReducedChain):
+            passes.append(P)
+        return test(P, pi)
+
+    monkeypatch.setattr(mavar.kernel, "is_reversible", counted)
+    chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
+    records, _ = checks.battery(chain, six["f1"], trials=3)
+    assert "reversible minimum" in [r["name"] for r in records]
+    assert len(passes) == 1 and chain.reversible is True
+    # another pi is tested, not answered from the cache
+    assert not is_reversible(chain, np.full(6, 1 / 6) + np.linspace(-0.01, 0.01, 6))
+
+
+PROBE_RECORDS = ["inf side: min over random xi of sup >= 1/sigma^2",
+                 "sup side: max over random eta <= 1/sigma^2",
+                 "orthogonality of phi against pi(f .) = 0"]
+
+
+def per_probe_records(chain, f, seed, trials):
+    """battery's three probe records, one probe and one call at a time, and the
+    normals they drew, one row per probe."""
+    sol = solve_dual_pair(chain, None, f)
+    saddle = saddle_point(chain, None, f)
+    w, value, xi = chain.pi, saddle.value, saddle.xi_star
+    rng = np.random.default_rng(seed)
+    draws = []
+
+    def probes():
+        for _ in range(trials):
+            draws.append(rng.standard_normal(w.shape[0]))
+            yield project_to_constraint(draws[-1], f, w, 0.0)
+
+    worst_inf = min(inner_sup(chain, None, f, xi + g)[1] for g in probes())
+    worst_sup = max(dirichlet_form(chain, None, xi + g, xi - g) for g in probes())
+    worst_orth = max(max(abs(dirichlet_form(chain, None, sol.phi, g)),
+                         abs(dirichlet_form(chain, None, g, sol.phi_star))) for g in probes())
+    residuals = [max(0.0, value - worst_inf), max(0.0, worst_sup - value), worst_orth]
+    return dict(zip(PROBE_RECORDS, residuals)), np.array(draws)
+
+
+class RecordingGenerator:
+    """A numpy Generator that keeps every block of normals it hands out."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.draws = []
+
+    def standard_normal(self, size):
+        self.draws.append(self.generator.standard_normal(size))
+        return self.draws[-1]
+
+
+def seeded_cases():
+    rng = np.random.default_rng(11)
+    for n in (30, 200):
+        kernel = random_irreducible_kernel(n, rng)
+        pi = stationary_distribution(kernel)
+        yield kernel, pi, random_centered_observable(pi, rng)
+    kernel, pi = random_reversible_kernel(30, rng)
+    yield kernel, pi, random_centered_observable(pi, rng)
+
+
+@pytest.mark.parametrize("trials", [1, 20, 65])
+def test_blocked_probes_match_a_per_probe_loop(catalog_cases, trials, monkeypatch):
+    # 65 probes cross a block boundary; the blocks draw the loop's normals in its order
+    cases = list(catalog_cases) + list(seeded_cases())
+    expected = [per_probe_records(ReducedChain(kernel, pi), f, 5, trials)
+                for kernel, pi, f in cases]
+    generators = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(seed):
+        generators.append(RecordingGenerator(default_rng(seed)))
+        return generators[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    for (kernel, pi, f), (reference, draws) in zip(cases, expected):
+        records, _ = checks.battery(ReducedChain(kernel, pi), f, seed=5, trials=trials)
+        got = {r["name"]: r["residual"] for r in records if r["name"] in reference}
+        for name, value in reference.items():
+            assert abs(got[name] - value) <= 1e-12 * max(1.0, abs(value)), (name, got[name], value)
+        blocks = generators[-1].draws
+        assert all(b.shape[0] <= 64 for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), draws)
+
+
+def test_block_calls_match_their_columns():
+    rng = np.random.default_rng(4)
+    for kernel, pi, f in seeded_cases():
+        chain = ReducedChain(kernel, pi)
+        n = pi.shape[0]
+        normals = rng.standard_normal((n, 65))
+        block = project_to_constraint(normals, f, pi, 0.0)
+        xi = saddle_point(chain, None, f).xi_star[:, None] + block
+        phi = solve_dual_pair(chain, None, f).phi
+        etas, sups = inner_sup(chain, None, f, xi)
+        forms = dirichlet_form(chain, None, xi, block)
+        mixed = dirichlet_form(chain, None, phi, block)
+        for j in range(block.shape[1]):
+            np.testing.assert_allclose(
+                block[:, j], project_to_constraint(normals[:, j], f, pi, 0.0),
+                rtol=1e-12, atol=1e-12)
+            eta, sup = inner_sup(chain, None, f, xi[:, j])
+            assert sups[j] == pytest.approx(sup, rel=1e-12)
+            np.testing.assert_allclose(etas[:, j], eta, rtol=1e-10, atol=1e-12)
+            assert forms[j] == pytest.approx(dirichlet_form(chain, None, xi[:, j], block[:, j]),
+                                             rel=1e-12, abs=1e-12)
+            assert mixed[j] == pytest.approx(dirichlet_form(chain, None, phi, block[:, j]),
+                                             abs=1e-12)
+        # one function is the n x 1 block, computed by the same operations
+        assert inner_sup(chain, None, f, xi[:, :1])[1][0] == inner_sup(chain, None, f, xi[:, 0])[1]
+
+
+def test_probe_memory_does_not_grow_with_trials():
+    rng = np.random.default_rng(2)
+    n = 30
+    kernel = random_irreducible_kernel(n, rng)
+    pi = stationary_distribution(kernel)
+    f = random_centered_observable(pi, rng)
+    chain = ReducedChain(kernel, pi)
+    peaks = []
+    for trials in (64, 10**5):
+        tracemalloc.start()
+        try:
+            checks.battery(chain, f, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # probes run 64 at a time; drawing all at once would hold trials * n doubles (24 MB)
+    assert peaks[1] <= peaks[0] + 64 * n * 8

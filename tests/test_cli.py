@@ -11,11 +11,16 @@ from click.testing import CliRunner
 
 import mavar.checks
 import mavar.cli
-from mavar import catalog
+from mavar import apply_drift, catalog
 from mavar.cli import main
 from mavar.kernel import stationary_distribution
 
-from generators import random_centered_observable, random_irreducible_kernel
+from generators import (
+    random_centered_observable,
+    random_drift,
+    random_irreducible_kernel,
+    random_reversible_kernel,
+)
 
 
 @pytest.fixture(scope="module")
@@ -690,6 +695,46 @@ def test_verify_factors_the_chain_once(runner, tmp_path, monkeypatch):
     assert result.exit_code == 0
     assert json.loads(result.output)["all_pass"] is True
     assert counts == {"eigvals": 0, "operator": 1}
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name with a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compare_runs_one_eigensolve_per_order_pair(runner, tmp_path, monkeypatch):
+    # the Dirichlet and domination tests read both directions from one eigh each
+    rng = np.random.default_rng(9)
+    kernel, pi = random_reversible_kernel(30, rng)
+    better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    first = write_json(tmp_path / "K.json", {"rows": kernel.tolist()})
+    second = write_json(tmp_path / "P.json", {"rows": better.tolist()})
+    calls = counting(monkeypatch, np.linalg, "eigh")
+    result = runner.invoke(main, ["compare", "--json", first, second])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["domination"]["forward"]["holds"] is True
+    assert report["domination"]["reverse"]["holds"] is False
+    assert len(calls) == 2
+
+
+def test_verify_solves_only_the_resolvent_it_records(runner, tmp_path, monkeypatch):
+    # two solves for pi, one for the factored-operator route, one resolvent
+    kernel, obs = nonreversible_files(tmp_path, 30, 9)
+    calls = counting(monkeypatch, np.linalg, "solve")
+    result = runner.invoke(main, ["verify", "--json", kernel, obs])
+    assert result.exit_code == 0
+    records = json.loads(result.output)["checks"]
+    assert "resolvent tail" in [r["name"] for r in records]
+    assert len(calls) == 4
 
 
 def birth_death_files(tmp_path, n):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mavar import (
+    MeanZeroFrame,
     NotProbabilityVectorError,
     ReducedChain,
     StationaryMismatchError,
@@ -18,6 +20,8 @@ from mavar import (
     uniform_variance_domination,
     validate_kernel,
 )
+from mavar import catalog
+from mavar.ordering import order_pairs
 
 from generators import (
     random_centered_observable,
@@ -284,3 +288,95 @@ def test_domination_keeps_only_the_variance_forms(rng):
     np.testing.assert_array_equal(reverse[1],
                                   uniform_variance_domination(better, kernel, pi)[1])
     np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
+
+
+# the catalog pairs that share pi: (builder, first kernel, second kernel)
+CATALOG_PAIRS = [
+    ("six_cycle", "P1", "P2"), ("three_state_pair", "P1", "P2"), ("fk_pair", "P", "Q"),
+    ("four_cycle_lift", "K", "P"), ("tridiag_drift", "K", "P"),
+    ("uniform3", "K", "P"), ("uniform3", "K", "P1"), ("uniform3", "K", "P2"),
+    ("uniform3", "P", "P1"), ("uniform3", "P", "P2"), ("uniform3", "P1", "P2"),
+]
+
+
+def seeded_pair(kind, n, seed):
+    """A reversible kernel and its drift, or two vorticity perturbations of one
+    reversible kernel (a non-reversible pair); both kernels keep pi."""
+    rng = np.random.default_rng(seed)
+    kernel, pi = random_reversible_kernel(n, rng)
+    if kind == "drift":
+        return kernel, apply_drift(kernel, pi, random_drift(kernel, pi, rng)), pi
+    first, second = (make_nonreversible(kernel, pi, random_vorticity(kernel, pi, rng, d))
+                     for d in (0.9, 0.4))
+    return first, second, pi
+
+
+def pair_of(case):
+    if case[0] == "catalog":
+        fixture = getattr(catalog, case[1])()
+        first, second = fixture[case[2]], fixture[case[3]]
+        return first, second, stationary_distribution(first)
+    return seeded_pair(*case)
+
+
+def eigen_witness_agrees(witness, expected, matrix, margin):
+    """witness matches the swapped call's eigenvector up to sign; when the
+    eigenvalue is not simple, it need only lie in the same eigenspace."""
+    vals = np.linalg.eigvalsh(matrix)
+    unit = witness / np.linalg.norm(witness)
+    if np.min(np.abs(vals[1:] - vals[0]), initial=np.inf) > 1e-8:
+        cos = unit @ expected / np.linalg.norm(expected)
+        return abs(cos) >= 1.0 - 1e-10
+    return np.max(np.abs(matrix @ unit - margin * unit)) <= 1e-10 * max(1.0, abs(margin))
+
+
+def reverse_reports_match(case):
+    P1, P2, pi = pair_of(case)
+    pairs = order_pairs(P1, P2, pi)
+    for name, order in (("peskun", peskun_order), ("fill_kahn", fk_order)):
+        forward, reverse = pairs[name]
+        assert forward == order(P1, P2, pi)
+        swapped = order(P2, P1, pi)
+        assert reverse == swapped
+        assert np.signbit(reverse.margin) == np.signbit(swapped.margin)
+    forward, reverse = pairs["dirichlet"]
+    assert forward.margin == dirichlet_order(P1, P2, pi).margin
+    swapped = dirichlet_order(P2, P1, pi)
+    assert reverse.holds == swapped.holds
+    assert abs(reverse.margin - swapped.margin) <= 1e-12 * max(1.0, abs(swapped.margin))
+    if not swapped.holds:
+        G = pi[:, None] * (P2 - P1)
+        assert eigen_witness_agrees(reverse.witness, swapped.witness, 0.5 * (G + G.T),
+                                    swapped.margin)
+    (holds, witness), (back, back_witness) = pairs["domination"]
+    assert holds == uniform_variance_domination(P1, P2, pi)[0]
+    swapped_holds, swapped_witness = uniform_variance_domination(P2, P1, pi)
+    assert back == swapped_holds
+    if not back:
+        frame = MeanZeroFrame.from_pi(pi)
+        D = ReducedChain(P2, pi).variance_form - ReducedChain(P1, pi).variance_form
+        y = frame.reduce(back_witness)
+        assert eigen_witness_agrees(y, frame.reduce(swapped_witness), D,
+                                    np.linalg.eigvalsh(D)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(["drift", "vorticities"]), st.integers(2, 12),
+              st.integers(0, 2**32 - 1)),
+    st.sampled_from([("catalog",) + pair for pair in CATALOG_PAIRS])))
+@example(("drift", 5, 0))
+@example(("drift", 7, 3))
+@example(("vorticities", 5, 0))
+@example(("vorticities", 6, 9))
+@example(("catalog", "six_cycle", "P1", "P2"))
+@example(("catalog", "three_state_pair", "P1", "P2"))
+@example(("catalog", "fk_pair", "P", "Q"))
+@example(("catalog", "four_cycle_lift", "K", "P"))
+@example(("catalog", "tridiag_drift", "K", "P"))
+@example(("catalog", "uniform3", "K", "P2"))
+@example(("catalog", "uniform3", "P", "P1"))
+def test_each_reverse_report_equals_the_swapped_call(case):
+    # compare reads both directions of each order from one matrix; the entrywise
+    # orders must match the swapped call exactly, the eigenvalue tests to rounding
+    reverse_reports_match(case)
