@@ -23,7 +23,6 @@ from .errors import (
     NotAntisymmetricError,
     NotCenteredError,
     NotPeskunOrderedError,
-    NotProbabilityVectorError,
     NotReversibleError,
     NotStationaryError,
     NumericalFailureError,
@@ -54,16 +53,12 @@ from .kernel import (
     stationary_residual,
     validate_kernel,
 )
-from .montecarlo import AvarEstimate, Trajectory, batch_means_avar, kernel_fingerprint, simulate
+from .montecarlo import AvarEstimate, Trajectory, batch_means_avar, simulate
 from .ordering import (
-    MajorizationTrajectory,
     OrderReport,
     dirichlet_order,
     fk_order,
-    majorization_trajectory,
-    majorizes,
     peskun_order,
-    stochastically_monotone,
     uniform_variance_domination,
 )
 from .perturb import (

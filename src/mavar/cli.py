@@ -482,7 +482,10 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     tol = _resolve_tol(tol)
     kernel, embedded = _load_kernel_file(kernel_file, tol)
     f = _load_observable_file(observable_file, len(kernel))
-    trajectory = run_chain(kernel, n_steps, seed, initial)
+    try:
+        trajectory = run_chain(kernel, n_steps, seed, initial)
+    except MemoryError:
+        _fail(EXIT_PARSE, f"--n {n_steps} transitions do not fit in memory")
     estimate = batch_means_avar(trajectory, f, batch_len)
     report = {
         "value": estimate.value,

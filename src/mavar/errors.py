@@ -82,10 +82,6 @@ class StationaryMismatchError(MavarError):
     """The two kernels do not share the given stationary distribution."""
 
 
-class NotProbabilityVectorError(MavarError):
-    """A vector compared under majorization is not a probability vector."""
-
-
 class NotPeskunOrderedError(MavarError):
     """The kernel pair is not Peskun ordered, so no drift residual exists."""
 

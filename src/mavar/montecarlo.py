@@ -1,22 +1,20 @@
 """Trajectory simulation and batch-means variance estimation."""
 
-import hashlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInitialError, TrajectoryTooShortError
+from .errors import BadInitialError, NumericalFailureError, TrajectoryTooShortError
 from .kernel import _as_matrix, _as_vector
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A simulated path with its reproducibility metadata."""
+    """A simulated path and the seed that reproduces it."""
 
     states: np.ndarray
     seed: int
-    kernel_hash: str
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=np.int64)
@@ -35,15 +33,6 @@ class AvarEstimate:
     std_error: float
     n_batches: int
     batch_len: int
-
-
-def kernel_fingerprint(P) -> str:
-    """Stable short hash of the transition matrix."""
-    M = np.ascontiguousarray(_as_matrix(P))
-    digest = hashlib.sha256()
-    digest.update(str(M.shape).encode())
-    digest.update(M.tobytes())
-    return digest.hexdigest()[:16]
 
 
 def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
@@ -81,7 +70,7 @@ def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
     for k in range(n_steps):
         s = min(bisect_right(cums[s], uniforms[k]), top)
         out[k] = s
-    return Trajectory(states, int(seed), kernel_fingerprint(M))
+    return Trajectory(states, int(seed))
 
 
 def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) -> AvarEstimate:
@@ -91,7 +80,8 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
     round(sqrt(length))) and scales the empirical variance of batch
     means.  std_error uses the chi-square approximation
     value * sqrt(2 / (n_batches - 1)).  Raises TrajectoryTooShortError
-    when fewer than 2 batches fit.
+    when fewer than 2 batches fit, and NumericalFailureError when the
+    estimate overflows float64.
     """
     fv = _as_vector(f)
     values = fv[trajectory.states]
@@ -105,7 +95,12 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
         raise TrajectoryTooShortError(
             f"{total} values cannot fill two batches of {batch_len}")
     used = values[: n_batches * batch_len]
-    means = used.reshape(n_batches, batch_len).mean(axis=1)
-    value = batch_len * float(np.var(means, ddof=1))
-    std_error = value * np.sqrt(2.0 / (n_batches - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        means = used.reshape(n_batches, batch_len).mean(axis=1)
+        value = batch_len * float(np.var(means, ddof=1))
+        std_error = value * np.sqrt(2.0 / (n_batches - 1))
+    if not (np.isfinite(value) and np.isfinite(std_error)):
+        raise NumericalFailureError(
+            f"batch-means estimate overflows float64 (value = {value}, "
+            f"std error = {std_error}); rescale the observable")
     return AvarEstimate(value, std_error, n_batches, batch_len)

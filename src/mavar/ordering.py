@@ -1,9 +1,8 @@
-"""Partial orders on kernels and distributions tied to asymptotic variance.
+"""Partial orders on kernels tied to asymptotic variance.
 
-Three kernel orders (Peskun, Dirichlet-form, partial-sum) plus
-majorization of laws along trajectories and a uniform variance
-domination test over all centered observables.  Each decides at
-ORDER_TOL, for kernels that share pi within DEFAULT_TOL.
+Three kernel orders (Peskun, Dirichlet-form, partial-sum) plus a
+uniform variance domination test over all centered observables.  Each
+decides at ORDER_TOL, for kernels that share pi within DEFAULT_TOL.
 
 Each kernel order and the domination test is computed for both
 directions from one matrix: the reverse difference is the negated
@@ -16,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NotProbabilityVectorError,
-    StationaryMismatchError,
-)
+from .errors import DimensionMismatchError, StationaryMismatchError
 from .kernel import (
     DEFAULT_TOL,
     _as_chain,
@@ -54,14 +49,6 @@ class OrderReport:
             "margin": self.margin,
             "witness": None if self.witness is None else np.asarray(self.witness).tolist(),
         }
-
-
-@dataclass(frozen=True)
-class MajorizationTrajectory:
-    """Per-step majorization checks of two laws from a common start."""
-
-    steps: tuple
-    warnings: tuple
 
 
 def _shared_stationary(P1, P2, pi):
@@ -186,86 +173,6 @@ def fk_order(P, Q, pi=None) -> OrderReport:
     the worst (row, column) block, 0-indexed inclusive.
     """
     return _fk_pair(*_shared_stationary(P, Q, pi))[0]
-
-
-def stochastically_monotone(P) -> bool:
-    """True iff the rows are stochastically non-decreasing in the state.
-
-    Criterion: the row-wise tail sums sum_{j >= m} P_ij are
-    non-decreasing in i for every m, checked here through cumulative
-    sums (heads non-increasing in i).
-    """
-    M = _as_matrix(P)
-    heads = np.cumsum(M, axis=1)
-    return bool(np.max(heads[1:] - heads[:-1]) <= ORDER_TOL)
-
-
-def _check_probability(v):
-    x = np.asarray(v, dtype=float)
-    if x.ndim != 1:
-        raise NotProbabilityVectorError(f"expected a vector, got shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise NotProbabilityVectorError(f"entry {bad[0]} is {x[bad[0]]}")
-    if np.min(x) < -ORDER_TOL:
-        raise NotProbabilityVectorError(f"negative mass {np.min(x)}")
-    if abs(x.sum() - 1.0) > DEFAULT_TOL:
-        raise NotProbabilityVectorError(f"total mass {x.sum()} is not 1")
-    return x
-
-
-def majorizes(v, w) -> bool:
-    """True iff the sorted partial sums of v dominate those of w."""
-    x = _check_probability(v)
-    y = _check_probability(w)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(
-            f"vectors have shapes {x.shape} and {y.shape}")
-    return _majorization_margin(x, y) >= -ORDER_TOL
-
-
-def _majorization_margin(v, w):
-    sx = np.cumsum(np.sort(v)[::-1])
-    sy = np.cumsum(np.sort(w)[::-1])
-    return float(np.min(sx - sy))
-
-
-def majorization_trajectory(K, P_accel, initial, n_steps: int) -> MajorizationTrajectory:
-    """Check stepwise that the baseline law majorizes the accelerated law.
-
-    Both chains start from the same initial law; at each step t the
-    report records (holds, margin) for 'law of K-chain majorizes law of
-    the accelerated chain'.  The sufficient conditions (both kernels
-    stochastically monotone, stationary weights non-increasing, initial
-    density w.r.t. pi non-increasing, shared stationary distribution)
-    are checked and violations reported as warnings, not errors.
-    """
-    MK = _as_matrix(K)
-    MP = _as_matrix(P_accel)
-    rho = _check_probability(initial)
-    warnings = []
-    if not stochastically_monotone(MK):
-        warnings.append("baseline kernel is not stochastically monotone")
-    if not stochastically_monotone(MP):
-        warnings.append("accelerated kernel is not stochastically monotone")
-    try:
-        _, _, w = _shared_stationary(MK, MP, None)
-    except StationaryMismatchError:
-        warnings.append("kernels do not share a stationary distribution")
-        w = _as_vector(stationary_distribution(MK))
-    if np.max(np.diff(w)) > ORDER_TOL:
-        warnings.append("stationary weights are not non-increasing")
-    ratio = rho / w
-    if np.max(np.diff(ratio)) > ORDER_TOL:
-        warnings.append("initial density w.r.t. pi is not non-increasing")
-    steps = []
-    law_base = law_accel = rho
-    for _ in range(n_steps):
-        law_base = law_base @ MK
-        law_accel = law_accel @ MP
-        margin = _majorization_margin(law_base, law_accel)
-        steps.append((margin >= -ORDER_TOL, margin))
-    return MajorizationTrajectory(tuple(steps), tuple(warnings))
 
 
 def _variance_form(chain):

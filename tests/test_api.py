@@ -14,9 +14,9 @@ PUBLIC_NAMES = [
     "AlphaOutOfRangeError", "AvarEstimate", "BadInitialError", "DEFAULT_TOL",
     "DegenerateKernelError", "DensityExceedsOneError", "DimensionMismatchError",
     "DriftDiagonalError", "DriftRowColSumError", "InfeasibleConstraintError",
-    "MajorizationTrajectory", "MavarError", "MeanZeroFrame", "NegativeEntryError",
+    "MavarError", "MeanZeroFrame", "NegativeEntryError",
     "NegativeOffDiagonalError", "NonFiniteInputError", "NotAntisymmetricError",
-    "NotCenteredError", "NotPeskunOrderedError", "NotProbabilityVectorError",
+    "NotCenteredError", "NotPeskunOrderedError",
     "NotReversibleError", "NotStationaryError", "NumericalFailureError", "OrderReport",
     "PerturbationSpecError", "PoissonSolution", "ReducedChain", "ReducibleError",
     "RowSumViolationError", "SaddlePoint", "SingularReversibilizationError",
@@ -25,12 +25,12 @@ PUBLIC_NAMES = [
     "apply_drift", "avar_spectral", "avar_via_factored_operator", "batch_means_avar",
     "centered", "check_finite", "dirichlet_form", "dirichlet_order",
     "factored_operator_inf", "family_alpha", "fk_order", "inner_sup", "is_irreducible",
-    "is_reversible", "kernel_fingerprint", "majorization_trajectory", "majorizes",
+    "is_reversible",
     "make_nonreversible", "peskun_order", "peskun_residual", "pi_inner",
     "project_to_constraint", "resolvent_curve", "reversibilization", "reversible_inf",
     "saddle_point", "simulate", "solve_dual_pair", "spectral_decomposition_reversible",
     "spectral_radius_mean_zero", "stationary_distribution", "stationary_residual",
-    "stochastically_monotone", "uniform_variance_domination", "validate_drift",
+    "uniform_variance_domination", "validate_drift",
     "validate_kernel", "validate_vorticity",
 ]
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -483,6 +484,36 @@ def test_simulate_bad_initial(runner, fixture_dir):
         str(fixture_dir / "six-cycle" / "f1.json"),
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("rows", [[[0.9, 0.1], [0.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]])
+def test_simulate_batch_means_overflow_exits_2(runner, tmp_path, rows):
+    # the reducible kernel runs no analytic check, so the estimate alone decides
+    kernel = write_json(tmp_path / "K.json", {"rows": rows})
+    obs = tmp_path / "f.json"
+    obs.write_text("[1e308, -1e308]")
+    result = runner.invoke(main, ["simulate", "--json", "--n", "100", kernel, str(obs)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "error: batch-means estimate overflows float64" in result.stderr
+    assert "RuntimeWarning" not in result.stderr
+
+
+def test_simulate_beyond_memory_exits_2(tmp_path):
+    # the child caps only its own address space, so the 80 GB draw fails at once
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    kernel = write_json(tmp_path / "K.json", {"rows": [[0.5, 0.5], [0.5, 0.5]]})
+    obs = write_json(tmp_path / "f.json", [1.0, -1.0])
+    src = str(Path(mavar.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "mavar.cli", "simulate", kernel, obs, "--n", "10000000000"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: --n 10000000000 transitions do not fit in memory\n"
 
 
 def test_reproduce_examples_all(runner):

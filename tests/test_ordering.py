@@ -4,21 +4,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from mavar import (
     MeanZeroFrame,
-    NotProbabilityVectorError,
     ReducedChain,
     StationaryMismatchError,
     apply_drift,
     dirichlet_order,
     fk_order,
-    majorization_trajectory,
-    majorizes,
     make_nonreversible,
     peskun_order,
     solve_dual_pair,
     stationary_distribution,
-    stochastically_monotone,
     uniform_variance_domination,
-    validate_kernel,
 )
 from mavar import catalog
 from mavar.ordering import order_pairs
@@ -29,17 +24,6 @@ from generators import (
     random_reversible_kernel,
     random_vorticity,
 )
-
-
-def monotone_oracle(matrix):
-    # a kernel preserves monotone functions iff it lifts every threshold
-    # indicator to a non-decreasing function
-    n = matrix.shape[0]
-    for k in range(1, n):
-        image = matrix @ (np.arange(n) >= k).astype(float)
-        if np.any(np.diff(image) < -1e-12):
-            return False
-    return True
 
 
 def test_peskun_six_cycle(six):
@@ -143,99 +127,6 @@ def test_orders_require_shared_stationary(three, uniform3):
         peskun_order(uniform3["K"], three["P1"])
     with pytest.raises(StationaryMismatchError):
         dirichlet_order(uniform3["K"], three["P1"])
-
-
-def test_stochastically_monotone_fixtures(six, tridiag):
-    assert stochastically_monotone(tridiag["K"])
-    assert not stochastically_monotone(six["P1"])
-
-
-def test_stochastically_monotone_matches_oracle(rng):
-    hits = set()
-    for trial in range(60):
-        n = int(rng.integers(2, 7))
-        matrix = rng.random((n, n))
-        if trial % 3 == 0:
-            # sorted rows are usually monotone, keeps both branches covered
-            matrix = np.sort(matrix, axis=0)
-        matrix /= matrix.sum(axis=1, keepdims=True)
-        kernel = validate_kernel(matrix)
-        verdict = stochastically_monotone(kernel)
-        assert verdict == monotone_oracle(kernel)
-        hits.add(verdict)
-    assert hits == {True, False}
-
-
-def test_majorizes_basic_cases():
-    point = np.array([1.0, 0.0, 0.0])
-    uniform = np.full(3, 1 / 3)
-    middle = np.array([0.5, 0.3, 0.2])
-    assert majorizes(point, uniform)
-    assert majorizes(point, middle)
-    assert majorizes(middle, uniform)
-    assert not majorizes(uniform, middle)
-    assert majorizes(uniform, uniform)
-    # permutations do not matter
-    assert majorizes(np.array([0.0, 1.0, 0.0]), np.array([0.2, 0.3, 0.5]))
-
-
-def test_majorizes_incomparable_pair():
-    v = np.array([0.6, 0.2, 0.2])
-    w = np.array([0.5, 0.4, 0.1])
-    assert not majorizes(v, w)
-    assert not majorizes(w, v)
-
-
-def test_majorizes_rejects_bad_input():
-    with pytest.raises(NotProbabilityVectorError):
-        majorizes(np.array([0.5, 0.6]), np.array([0.5, 0.5]))
-    with pytest.raises(NotProbabilityVectorError):
-        majorizes(np.array([1.2, -0.2]), np.array([0.5, 0.5]))
-
-
-def test_majorizes_rejects_a_non_finite_entry():
-    # a NaN compares False both ways, so it must be refused, not ranked
-    uniform = np.full(3, 1 / 3)
-    with pytest.raises(NotProbabilityVectorError, match="entry 0 is nan"):
-        majorizes([np.nan, 0.5, 0.5], uniform)
-    with pytest.raises(NotProbabilityVectorError, match="entry 0 is nan"):
-        majorizes(uniform, [np.nan, 0.5, 0.5])
-
-
-def trajectory_fixture():
-    k = validate_kernel(np.array([
-        [0.7, 0.3, 0.0],
-        [0.3, 0.4, 0.3],
-        [0.0, 0.3, 0.7],
-    ]))
-    accel = validate_kernel(np.array([
-        [0.55, 0.45, 0.0],
-        [0.45, 0.10, 0.45],
-        [0.0, 0.45, 0.55],
-    ]))
-    return k, accel
-
-
-def test_majorization_trajectory_holds():
-    k, accel = trajectory_fixture()
-    initial = np.array([1.0, 0.0, 0.0])
-    result = majorization_trajectory(k, accel, initial, 50)
-    assert result.warnings == ()
-    assert len(result.steps) == 50
-    for holds, margin in result.steps:
-        assert holds
-        assert margin >= -1e-12
-
-
-def test_majorization_trajectory_warns_on_precondition(six):
-    k, accel = trajectory_fixture()
-    # profile not sorted in decreasing order
-    result = majorization_trajectory(k, accel, np.array([0.0, 0.0, 1.0]), 5)
-    assert any("initial" in w for w in result.warnings)
-    # non-monotone baseline
-    result = majorization_trajectory(six["P2"], six["P2"],
-                                     np.full(6, 1 / 6), 3)
-    assert result.warnings
 
 
 def test_domination_six_cycle_fails_both_ways(six):
