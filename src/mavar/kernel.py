@@ -76,14 +76,29 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def check_finite(values, what: str):
-    """values as a float array; raises NonFiniteInputError at a NaN or inf entry."""
+def check_finite(values, what: str, source=None):
+    """values as a float array; raises NonFiniteInputError at a NaN or inf entry.
+
+    source is what values were converted from (default values).  The
+    message names an entry that is None there, a JSON null, as null, not as
+    the nan it converts to.
+    """
     a = np.asarray(values, dtype=float)
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
-        raise NonFiniteInputError(f"{what} entry {idx[0] if a.ndim == 1 else idx} is {a[idx]}")
+        shown = "null" if _is_null(values if source is None else source, idx) else a[idx]
+        raise NonFiniteInputError(f"{what} entry {idx[0] if a.ndim == 1 else idx} is {shown}")
     return a
+
+
+def _is_null(source, idx) -> bool:
+    """True iff source, read as nested lists (parsed JSON), holds None at idx."""
+    for i in idx:
+        if not isinstance(source, list):
+            return False
+        source = source[i]
+    return source is None
 
 
 def centered(values, pi) -> np.ndarray:
@@ -114,7 +129,7 @@ def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise DimensionMismatchError(f"kernel must be square, got shape {M.shape}")
     if M.shape[0] < 2:
         raise DimensionMismatchError("kernel needs at least 2 states")
-    check_finite(M, "kernel")
+    check_finite(M, "kernel", matrix)
     low = M.min()
     if low < -tol:
         i, j = np.unravel_index(np.argmin(M), M.shape)

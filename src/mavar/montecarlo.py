@@ -8,6 +8,10 @@ import numpy as np
 from .errors import BadInitialError, NumericalFailureError, TrajectoryTooShortError
 from .kernel import _as_matrix, _as_vector
 
+# steps simulate runs per chunk of Python floats and states; bounded, so the
+# lists stay small beside the trajectory itself
+SIMULATE_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -66,10 +70,15 @@ def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
     states = np.empty(n_steps + 1, dtype=np.int64)
     states[0] = start
     s = start
-    out = states[1:]
-    for k in range(n_steps):
-        s = min(bisect_right(cums[s], uniforms[k]), top)
-        out[k] = s
+    # Python floats in, a list of states out, one chunk at a time: reading a
+    # numpy scalar and storing one into the array on every step took ~40 %
+    # of the loop
+    for lo in range(0, n_steps, SIMULATE_CHUNK):
+        chunk = []
+        for u in uniforms[lo:lo + SIMULATE_CHUNK].tolist():
+            s = min(bisect_right(cums[s], u), top)
+            chunk.append(s)
+        states[lo + 1:lo + 1 + len(chunk)] = chunk
     return Trajectory(states, int(seed))
 
 

@@ -36,6 +36,13 @@ def runner():
     return CliRunner()
 
 
+def child_env():
+    """The environment for a child Python that imports this checkout's mavar."""
+    src = str(Path(mavar.cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -506,9 +513,7 @@ def test_simulate_beyond_memory_exits_2(tmp_path):
 
     kernel = write_json(tmp_path / "K.json", {"rows": [[0.5, 0.5], [0.5, 0.5]]})
     obs = write_json(tmp_path / "f.json", [1.0, -1.0])
-    src = str(Path(mavar.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     done = subprocess.run(
         [sys.executable, "-m", "mavar.cli", "simulate", kernel, obs, "--n", "10000000000"],
         capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap)
@@ -833,9 +838,7 @@ def test_cli_commands_never_import_scipy(fixture_dir):
         ["simulate", "--n", "1000", str(six / "P2.json"), str(six / "f1.json")],
         ["reproduce-examples"],
     ]
-    src = str(Path(mavar.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = child_env()
     done = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(commands)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -843,3 +846,45 @@ def test_cli_commands_never_import_scipy(fixture_dir):
                    "20 rows"):
         assert marker in done.stdout
     assert json.loads(done.stdout.splitlines()[-1]) == []
+
+
+# an exit hook registered before the import, as a wrapper that measures the
+# process registers one; atexit runs it after every hook the import registers
+EXIT_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count(), file=sys.stderr))
+if sys.argv[1] == "main":
+    from mavar.cli import main
+    sys.exit(main(sys.argv[2:]))
+exec(sys.argv[1])
+"""
+
+
+def frozen_at_exit(stderr):
+    return int(stderr.splitlines()[-1].removeprefix("frozen at exit: "))
+
+
+@pytest.mark.parametrize("statement, frozen", [("import mavar.cli", True),
+                                               ("import mavar", False)])
+def test_only_the_cli_freezes_the_collector_at_exit(statement, frozen):
+    # the CLI spares its exit a full collection; the library leaves the
+    # interpreter's collector alone
+    done = subprocess.run([sys.executable, "-c", EXIT_PROBE, statement],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (frozen_at_exit(done.stderr) > 0) == frozen
+
+
+def test_a_frozen_exit_keeps_piped_output_and_earlier_hooks(tmp_path):
+    rng = np.random.default_rng(2)
+    kernel, pi = random_reversible_kernel(200, rng)
+    other = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    first = write_json(tmp_path / "K1.json", {"rows": kernel.tolist()})
+    second = write_json(tmp_path / "K2.json", {"rows": other.tolist()})
+    done = subprocess.run([sys.executable, "-c", EXIT_PROBE, "main", "compare", "--json",
+                           first, second],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert len(report["pi"]) == 200 and report["domination"]["forward"]["holds"] is True
+    assert frozen_at_exit(done.stderr) > 0

@@ -170,6 +170,25 @@ def test_an_integer_beyond_float64_exits_2_naming_the_file(runner, tmp_path, ent
     assert result.stderr == f"error: {path}: int too large to convert to float\n"
 
 
+@pytest.mark.parametrize("kind, data, message", [
+    ("kernel", b'{"rows": [[0.5, null], [0.5, 0.5]]}', "kernel entry (0, 1) is null"),
+    ("observable", b"[1, null]", "observable entry 1 is null"),
+    ("perturbation", b'{"kind": "vorticity", "matrix": [[0, null], [0, 0]]}',
+     "perturbation matrix entry (0, 1) is null"),
+])
+def test_a_null_entry_exits_2_named_null_not_nan(runner, tmp_path, kind, data, message):
+    kernel = write(tmp_path / "k.json", b'{"rows": ' + TWO_STATES + b"}")
+    path = write(tmp_path / f"{kind}.json", data)
+    args = {
+        "kernel": ["validate", path],
+        "observable": ["analyze", kernel, path],
+        "perturbation": ["perturb", kernel, "--gamma", path],
+    }[kind]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
+
+
 def test_a_deep_document_never_reaches_orjson(tmp_path):
     # orjson recurses once per nesting level on the C stack; a million levels
     # would crash the process, so such a document goes to the json module

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +13,9 @@ from mavar import (
     solve_dual_pair,
     stationary_distribution,
 )
+from mavar.montecarlo import SIMULATE_CHUNK
+
+from generators import random_irreducible_kernel
 
 
 def test_simulate_is_deterministic(six):
@@ -28,6 +33,39 @@ def test_simulate_trajectory_metadata(six):
     assert traj.seed == 0
     with pytest.raises(ValueError):
         traj.states[0] = 3
+
+
+def reference_states(P, n_steps, seed, initial):
+    """simulate's path as its one-step-at-a-time loop drew it: a numpy scalar
+    read and an array store per step."""
+    M = np.asarray(P, dtype=float)
+    n = M.shape[0]
+    rng = np.random.default_rng(seed)
+    if np.ndim(initial) == 0:
+        start = int(initial)
+    else:
+        law = np.asarray(initial, dtype=float)
+        start = int(rng.choice(n, p=law / law.sum()))
+    cums = [row.cumsum().tolist() for row in M]
+    uniforms = rng.random(n_steps)
+    states = np.empty(n_steps + 1, dtype=np.int64)
+    states[0] = s = start
+    out = states[1:]
+    for k in range(n_steps):
+        s = min(bisect_right(cums[s], uniforms[k]), n - 1)
+        out[k] = s
+    return states
+
+
+@pytest.mark.parametrize("n_steps", [1, SIMULATE_CHUNK - 1, SIMULATE_CHUNK,
+                                     SIMULATE_CHUNK + 1, 20_000])
+@pytest.mark.parametrize("start", ["state", "law"])
+def test_chunked_steps_draw_the_reference_path(n_steps, start):
+    rng = np.random.default_rng(n_steps)
+    P = random_irreducible_kernel(30, rng)
+    initial = 7 if start == "state" else rng.dirichlet(np.ones(30))
+    traj = simulate(P, n_steps, seed=11, initial=initial)
+    npt.assert_array_equal(traj.states, reference_states(P, n_steps, 11, initial))
 
 
 def test_deterministic_rotation_path(four):
