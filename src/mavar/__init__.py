@@ -39,7 +39,6 @@ from .kernel import (
     DEFAULT_TOL,
     MeanZeroFrame,
     ReducedChain,
-    SpectralDecomposition,
     adjoint,
     centered,
     check_finite,
@@ -47,7 +46,6 @@ from .kernel import (
     is_reversible,
     pi_inner,
     reversibilization,
-    spectral_decomposition_reversible,
     spectral_radius_mean_zero,
     stationary_distribution,
     stationary_residual,

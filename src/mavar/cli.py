@@ -45,7 +45,6 @@ from .kernel import (
     check_finite,
     is_irreducible,
     is_reversible,
-    spectral_radius_mean_zero,
     stationary_distribution,
     stationary_residual,
     validate_kernel,
@@ -304,7 +303,9 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     # a route that failed is inf, so the spread is inf or NaN and agree is False
     spread = max(routes.values()) - min(routes.values())
     agree = spread <= ROUTE_TOL * max(1.0, abs(sol.sigma2))
-    radius = spectral_radius_mean_zero(chain)
+    # spectral_radius_mean_zero without its irreducibility sweep, which
+    # _load_analysis has run; a reversible chain's spectral route filled the spectrum
+    radius = float(np.max(np.abs(chain.spectrum)))
     report = {
         "n": chain.m + 1,
         "reversible": reversible,

@@ -12,7 +12,11 @@ is_reversible holds the one detailed-balance threshold, STRICT_TOL.
 The workhorse is MeanZeroFrame, an orthonormal basis of the
 pi-mean-zero subspace in which the pi-inner product becomes Euclidean
 and the pi-adjoint becomes the transpose; ReducedChain keeps one chain's
-reduced operator and its factorizations.
+reduced operator A, its factorizations and its spectrum.  The spectrum
+comes from one eigensolve of A (of its symmetric part for a reversible
+chain), which the spectral route, the mean-zero spectral radius and the
+solvability gate's fallback all read; no eigensolve runs in the full
+n-state space.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +29,6 @@ from .errors import (
     DimensionMismatchError,
     NegativeEntryError,
     NonFiniteInputError,
-    NotReversibleError,
     NotStationaryError,
     NumericalFailureError,
     ReducibleError,
@@ -62,18 +65,6 @@ def _shift_minus(X, shift=1.0, out=None):
     out = np.subtract(0.0, X, out=out)
     out.flat[:: out.shape[0] + 1] += shift
     return out
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigensystem of a reversible kernel.
-
-    eigenvalues are sorted descending (the first is 1); the columns of
-    eigenvectors are pi-orthonormal eigenfunctions.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def check_finite(values, what: str, source=None):
@@ -318,34 +309,15 @@ class MeanZeroFrame:
         return self._contract(self._contract(C.T).T)
 
 
-def _gate_by_spectrum(A):
-    """Fail if I - A is (near) singular on the mean-zero subspace.
-
-    For a stochastic kernel this happens exactly when a second
-    eigenvalue sits at 1, i.e. the chain is reducible up to 1e-12.
-    Periodic chains (eigenvalues on the unit circle away from 1) pass.
-    """
-    eigs = np.linalg.eigvals(A)
-    radius = float(np.max(np.abs(eigs)))
-    separation = float(np.min(np.abs(1.0 - eigs)))
-    if separation <= SOLVABLE_TOL:
-        raise DegenerateKernelError(
-            f"Poisson operator singular: spectrum reaches 1 "
-            f"(radius {radius}, separation {separation})",
-            radius=radius,
-            separation=separation,
-        )
-
-
 class ReducedChain:
     """One chain (P, pi) in mean-zero coordinates, factored at most once.
 
     Holds the frame, the reduced operator A, the inverse of I - A, the
     inverse of I - S with S = (A + A^T)/2, the factored operator
-    T = (I - A)(I - S)^{-1}(I - A)^T, the variance form and whether the
-    chain is reversible, each built on first use.  Every function that
-    takes (P, pi) accepts a chain in place of P, and then uses the
-    chain's pi.
+    T = (I - A)(I - S)^{-1}(I - A)^T, the variance form, the spectrum of A
+    and whether the chain is reversible, each built on first use.  Every
+    function that takes (P, pi) accepts a chain in place of P, and then
+    uses the chain's pi.
     """
 
     def __init__(self, P, pi):
@@ -365,8 +337,11 @@ class ReducedChain:
 
         |1 - lambda| >= sigma_min(I - A) >= 1 / (sqrt(m) ||(I - A)^{-1}||_1)
         for every eigenvalue of A, so a bound clearing SOLVABLE_TOL by
-        GATE_SAFETY passes; otherwise the spectrum of A decides, and an
-        inverse that failed or overflowed raises NumericalFailureError.
+        GATE_SAFETY passes.  Otherwise the chain's spectrum decides: an
+        eigenvalue within SOLVABLE_TOL of 1 (a chain reducible up to 1e-12;
+        periodic chains, with eigenvalues on the unit circle away from 1,
+        pass) raises, and an inverse that failed or overflowed raises
+        NumericalFailureError.
         """
         try:
             inv = np.linalg.inv(_shift_minus(self.A))
@@ -374,7 +349,15 @@ class ReducedChain:
         except np.linalg.LinAlgError:
             bound = np.inf
         if not bound < 1.0 / (GATE_SAFETY * SOLVABLE_TOL):
-            _gate_by_spectrum(self.A)
+            separation = float(np.min(np.abs(1.0 - self.spectrum)))
+            if separation <= SOLVABLE_TOL:
+                radius = float(np.max(np.abs(self.spectrum)))
+                raise DegenerateKernelError(
+                    f"Poisson operator singular: spectrum reaches 1 "
+                    f"(radius {radius}, separation {separation})",
+                    radius=radius,
+                    separation=separation,
+                )
             if not np.isfinite(bound):
                 raise NumericalFailureError("I - A is singular to working precision")
         return inv
@@ -414,6 +397,27 @@ class ReducedChain:
         return form
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of A, from the chain's one eigensolve: for a
+        reversible chain, where A is symmetric up to rounding, those of
+        S = (A + A^T)/2 in ascending order (see _symmetric_eigh); otherwise
+        eigvals(A)."""
+        if self.reversible:
+            return self._symmetric_eigh()[0]
+        return np.linalg.eigvals(self.A)
+
+    def _symmetric_eigh(self):
+        """(eigenvalues, eigenvectors) of S = (A + A^T)/2 for a reversible
+        chain, by eigh.  The chain keeps the eigenvalues as its spectrum; the
+        m x m eigenvectors belong to the caller and go when it drops them.
+        """
+        S = self.A + self.A.T
+        S *= 0.5
+        vals, vecs = np.linalg.eigh(S)
+        self.__dict__["spectrum"] = vals
+        return vals, vecs
+
+    @cached_property
     def reversible(self) -> bool:
         """is_reversible(rows, pi), computed once."""
         return is_reversible(self.rows, self.pi)
@@ -435,39 +439,9 @@ def _as_chain(P, pi=None) -> ReducedChain:
 def spectral_radius_mean_zero(P, pi=None) -> float:
     """Spectral radius of the kernel restricted to mean-zero functions.
 
-    This is the modulus of the largest non-Perron eigenvalue.  Raises
-    ReducibleError for reducible kernels.
+    This is the modulus of the largest non-Perron eigenvalue, read from
+    the chain's spectrum.  Raises ReducibleError for reducible kernels.
     """
     if not is_irreducible(P):
         raise ReducibleError("kernel is not irreducible")
-    A = _as_chain(P, pi).A
-    if A.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
-def spectral_decomposition_reversible(P, pi) -> SpectralDecomposition:
-    """Eigendecomposition of a reversible kernel.
-
-    Returns real eigenvalues sorted descending and pi-orthonormal
-    eigenfunctions as columns.  Raises NotReversibleError unless
-    is_reversible(P, pi).
-    """
-    w = _as_vector(pi)
-    if not is_reversible(P, w):
-        raise NotReversibleError("kernel is not reversible for the given pi")
-    M = _as_matrix(P)
-    s = np.sqrt(w)
-    C = s[:, None] * M
-    C /= s[None, :]
-    C += C.T  # numpy reads C.T as it was before the sum
-    C *= 0.5
-    vals, vecs = np.linalg.eigh(C)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    funcs = vecs[:, order]
-    funcs /= s[:, None]
-    # fix the Perron eigenfunction's sign to the positive constant
-    if funcs[0, 0] < 0:
-        funcs[:, 0] = -funcs[:, 0]
-    return SpectralDecomposition(vals, funcs)
+    return float(np.max(np.abs(_as_chain(P, pi).spectrum), initial=0.0))

@@ -3,16 +3,19 @@
 For an irreducible kernel P with stationary pi and a centered observable
 f, the solution phi of (I - P) phi = f gives the asymptotic variance of
 the ergodic averages of f through sigma^2 = <phi, f>_pi and
-avar = 2 sigma^2 - <f, f>_pi.  Four independent routes are provided:
-the direct dual-pair solve, a factored symmetric operator, the spectral
-decomposition (reversible case), and a resolvent limit.
+avar = 2 sigma^2 - <f, f>_pi.  Four routes are provided: the direct
+dual-pair solve, a factored symmetric operator, the eigendecomposition of
+the reduced operator (reversible case), and a resolvent limit.  The first
+three share a chain's mean-zero frame and reduced operator A; the
+full-space records of checks.battery (the Poisson residuals and the
+resolvent tail) check the frame itself.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCenteredError, NumericalFailureError
+from .errors import NotCenteredError, NotReversibleError, NumericalFailureError
 from .kernel import (
     DEFAULT_TOL,
     SOLVABLE_TOL,
@@ -21,7 +24,6 @@ from .kernel import (
     _as_vector,
     _shift_minus,
     pi_inner,
-    spectral_decomposition_reversible,
 )
 
 ROUTE_TOL = 1e-9
@@ -105,23 +107,28 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
 def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     """Spectral-route variance for a reversible kernel.
 
-    sigma^2 = sum_k <u_k, f>_pi^2 / (1 - lambda_k) over non-unit
-    eigenvalues.  If a unit eigenvalue carries weight of f (reducible
-    input, or a chain decoupled to within 1e-12) the variance is
-    infinite and inf is returned.  Raises NotReversibleError for
-    non-reversible input.
+    In mean-zero coordinates a reversible chain's A is symmetric; with
+    S = (A + A^T)/2 = sum_k lambda_k u_k u_k^T and y = frame.reduce(f),
+    sigma^2 = sum_k (u_k^T y)^2 / (1 - lambda_k).  The frame leaves the
+    constant out, so there is no Perron pair to skip.  If an eigenvalue
+    within SOLVABLE_TOL of 1, the Poisson gate's threshold, carries weight
+    of f (reducible input, or a chain decoupled to within 1e-12), the
+    variance is infinite and inf is returned.  Raises NotReversibleError
+    for non-reversible input.
     """
-    w = _as_chain(P, pi).pi
+    chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    _check_centered(fv, w, tol)
-    dec = spectral_decomposition_reversible(P, w)
-    coeffs = dec.eigenvectors.T @ (w * fv)
-    unit = dec.eigenvalues > 1.0 - SOLVABLE_TOL
+    _check_centered(fv, chain.pi, tol)
+    if not chain.reversible:
+        raise NotReversibleError("kernel is not reversible for the given pi")
+    vals, vecs = chain._symmetric_eigh()
+    coeffs = vecs.T @ chain.frame.reduce(fv)
+    unit = 1.0 - vals <= SOLVABLE_TOL
     scale = max(1.0, np.max(np.abs(fv), initial=0.0))
     if np.any(np.abs(coeffs[unit]) > 1e-10 * scale):
         return np.inf
     keep = ~unit
-    return float(np.sum(coeffs[keep] ** 2 / (1.0 - dec.eigenvalues[keep])))
+    return float(np.sum(coeffs[keep] ** 2 / (1.0 - vals[keep])))
 
 
 def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "NotReversibleError", "NotStationaryError", "NumericalFailureError", "OrderReport",
     "PerturbationSpecError", "PoissonSolution", "ReducedChain", "ReducibleError",
     "RowSumViolationError", "SaddlePoint", "SingularReversibilizationError",
-    "SpectralDecomposition", "StationaryMismatchError", "Trajectory",
+    "StationaryMismatchError", "Trajectory",
     "TrajectoryTooShortError", "VorticityRowSumError", "ZeroVarianceError", "adjoint",
     "apply_drift", "avar_spectral", "avar_via_factored_operator", "batch_means_avar",
     "centered", "check_finite", "dirichlet_form", "dirichlet_order",
@@ -28,7 +28,7 @@ PUBLIC_NAMES = [
     "is_reversible",
     "make_nonreversible", "peskun_order", "peskun_residual", "pi_inner",
     "project_to_constraint", "resolvent_curve", "reversibilization", "reversible_inf",
-    "saddle_point", "simulate", "solve_dual_pair", "spectral_decomposition_reversible",
+    "saddle_point", "simulate", "solve_dual_pair",
     "spectral_radius_mean_zero", "stationary_distribution", "stationary_residual",
     "uniform_variance_domination", "validate_drift",
     "validate_kernel", "validate_vorticity",

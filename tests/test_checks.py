@@ -19,6 +19,7 @@ from mavar import (
     stationary_distribution,
     validate_kernel,
 )
+from mavar.poisson import ROUTE_TOL
 
 from generators import (
     random_centered_observable,
@@ -28,8 +29,8 @@ from generators import (
 
 
 def near_decomposable(eps=1.1e-12):
-    """Two lazy 2-state blocks joined by eps: reversible, and decoupled to
-    within the 1e-12 unit-eigenvalue cut of the spectral route."""
+    """Two lazy 2-state blocks joined by eps: reversible, with an eigenvalue
+    1 - 2.2e-12 just outside the Poisson gate's SOLVABLE_TOL."""
     rows = [[0.5 - eps, 0.5, eps, 0.0], [0.5, 0.5, 0.0, 0.0],
             [eps, 0.0, 0.5 - eps, 0.5], [0.0, 0.0, 0.5, 0.5]]
     return ReducedChain(validate_kernel(rows), np.full(4, 0.25))
@@ -101,16 +102,26 @@ def test_routes_agree_on_a_reversible_fixture(six):
         assert value == pytest.approx(0.5, abs=1e-12)
 
 
-def test_a_near_decomposable_chain_fails_the_spectral_route():
+def test_the_spectral_route_solves_a_chain_the_gate_passes():
     chain = near_decomposable()
     f = np.array([1.0, 1.0, -1.0, -1.0])
     sol, values, reversible = checks.routes(chain, f)
     assert reversible
-    assert values["spectral"] == math.inf
     assert math.isfinite(values["dual-pair"]) and values["dual-pair"] == sol.sigma2
+    assert abs(values["spectral"] - sol.sigma2) <= ROUTE_TOL * sol.sigma2
     records = records_by_name(chain, f, trials=3)
-    assert records["spectral route"]["passed"] is False
-    assert records["spectral route"]["residual"] == math.inf
+    assert records["spectral route"]["passed"] is True
+
+
+def test_the_chain_keeps_no_eigenvectors(rng):
+    kernel, pi = random_reversible_kernel(30, rng)
+    chain = ReducedChain(kernel, pi)
+    _, values, reversible = checks.routes(chain, random_centered_observable(pi, rng))
+    assert reversible and "spectral" in values
+    square = {name for name, value in vars(chain).items()
+              if isinstance(value, np.ndarray) and value.shape == (chain.m, chain.m)}
+    assert square == {"A", "inv", "cinv", "T"}
+    assert chain.spectrum.shape == (chain.m,)
 
 
 def test_a_nearly_reversible_chain_skips_the_spectral_route():

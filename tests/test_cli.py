@@ -15,6 +15,7 @@ import mavar.cli
 from mavar import apply_drift, catalog
 from mavar.cli import main
 from mavar.kernel import stationary_distribution
+from mavar.poisson import ROUTE_TOL
 
 from generators import (
     random_centered_observable,
@@ -655,7 +656,8 @@ def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatc
 
 
 def near_decomposable_files(tmp_path, eps=1.1e-12):
-    """Two lazy 2-state blocks joined by eps, where the spectral route fails."""
+    """Two lazy 2-state blocks joined by eps: an eigenvalue 1 - 2.2e-12 sits
+    just outside the Poisson gate's SOLVABLE_TOL."""
     return (write_json(tmp_path / "P.json", {
                 "rows": [[0.5 - eps, 0.5, eps, 0], [0.5, 0.5, 0, 0],
                          [eps, 0, 0.5 - eps, 0.5], [0, 0, 0.5, 0.5]],
@@ -663,18 +665,49 @@ def near_decomposable_files(tmp_path, eps=1.1e-12):
             write_json(tmp_path / "f.json", [1, 1, -1, -1]))
 
 
-def test_a_near_decomposable_chain_exits_5_without_a_traceback(runner, tmp_path):
+def two_block_files(tmp_path, seed, eps, reversible):
+    """Two random 10-state blocks joined by weight eps, f = +1 on one and -1 on
+    the other (not centered).  Symmetric block weights make the chain reversible."""
+    rng = np.random.default_rng(seed)
+    weights = np.full((20, 20), eps)
+    for block in (slice(0, 10), slice(10, 20)):
+        B = rng.random((10, 10))
+        weights[block, block] = B + B.T if reversible else B
+    rows = weights / weights.sum(axis=1, keepdims=True)
+    return (write_json(tmp_path / "P.json", {"rows": rows.tolist()}),
+            write_json(tmp_path / "f.json", [1.0] * 10 + [-1.0] * 10))
+
+
+def json_line(output):
+    """The one JSON line of an output that may also hold note: and error: lines."""
+    (line,) = [line for line in output.splitlines() if line.startswith("{")]
+    return line
+
+
+def assert_spectral_route_agrees(result):
+    assert result.exit_code == 0, result.output
+    report = json.loads(json_line(result.output))
+    assert report["reversible"] is True and report["routes_agree"] is True
+    routes = report["routes"]
+    assert abs(routes["spectral"] - routes["dual-pair"]) <= ROUTE_TOL * report["sigma2"]
+
+
+def test_a_near_decomposable_chain_passes_the_spectral_route(runner, tmp_path):
+    # an eigenvalue the gate has judged apart from 1 is a term of the spectral
+    # sum, not an infinite variance
     kernel, obs = near_decomposable_files(tmp_path)
+    assert_spectral_route_agrees(runner.invoke(main, ["analyze", "--json", kernel, obs]))
     result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
-    assert result.exit_code == 5
-    assert isinstance(result.exception, SystemExit)
     records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
-    assert records["spectral route"]["passed"] is False
-    result = runner.invoke(main, ["analyze", kernel, obs])
-    assert result.exit_code == 5
-    assert isinstance(result.exception, SystemExit)
-    assert "route spectral: inf" in result.output
-    assert "the spectral route most" in result.output
+    assert records["spectral route"]["passed"] is True
+
+
+def test_analyze_keeps_the_spectral_route_apart_from_the_constant(runner, tmp_path):
+    # the slow mode's eigenvalue is within 2e-6 of the Perron one, which a
+    # full-space eigensolve mixes it with
+    kernel, obs = two_block_files(tmp_path, 3, 1e-6, reversible=True)
+    result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
+    assert_spectral_route_agrees(result)
 
 
 def strict_json(text):
@@ -686,15 +719,41 @@ def strict_json(text):
 
 
 def test_a_failed_route_is_null_in_strict_json(runner, tmp_path):
-    kernel, obs = near_decomposable_files(tmp_path)
-    result = runner.invoke(main, ["analyze", "--json", kernel, obs])
+    # the factored operator cannot reach ROUTE_TOL on blocks joined by 1e-9
+    kernel, obs = two_block_files(tmp_path, 0, 1e-9, reversible=False)
+    result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
     assert result.exit_code == 5
-    assert strict_json(result.output.splitlines()[0])["routes"]["spectral"] is None
+    assert isinstance(result.exception, SystemExit)
+    assert strict_json(json_line(result.output))["routes"]["factored-operator"] is None
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    assert result.exit_code == 5
+    records = {c["name"]: c for c in strict_json(json_line(result.output))["checks"]}
+    assert records["factored-operator route"]["residual"] is None
+    assert records["factored-operator route"]["passed"] is False
+
+
+def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
+    # every route reads the one A, so they agree on a wrong one; the Poisson
+    # residuals and the resolvent tail work with P itself and fail
+    operator = mavar.kernel.MeanZeroFrame.operator
+
+    def shifted(self, P):
+        A = operator(self, P)
+        A.flat[:: A.shape[0] + 1] += 0.05  # symmetric, so the spectral route runs on it
+        return A
+
+    monkeypatch.setattr(mavar.kernel.MeanZeroFrame, "operator", shifted)
+    rng = np.random.default_rng(4)
+    kernel, pi = random_reversible_kernel(8, rng)
+    obs = write_json(tmp_path / "f.json", random_centered_observable(pi, rng).tolist())
+    kernel = write_json(tmp_path / "P.json", {"rows": kernel.tolist()})
     result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
     assert result.exit_code == 5
-    records = {c["name"]: c for c in strict_json(result.output.splitlines()[0])["checks"]}
-    assert records["spectral route"]["residual"] is None
-    assert records["spectral route"]["passed"] is False
+    records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
+    for name in ("factored-operator route", "spectral route"):
+        assert records[name]["passed"] is True
+    for name in ("poisson residual (primal)", "poisson residual (dual)", "resolvent tail"):
+        assert records[name]["passed"] is False
 
 
 def test_validate_and_analyze_agree_on_a_nearly_reversible_kernel(runner, tmp_path):
@@ -760,6 +819,21 @@ def test_compare_runs_one_eigensolve_per_order_pair(runner, tmp_path, monkeypatc
     assert report["domination"]["forward"]["holds"] is True
     assert report["domination"]["reverse"]["holds"] is False
     assert len(calls) == 2
+
+
+def test_a_reversible_analyze_runs_one_eigensolve(runner, tmp_path, monkeypatch):
+    # the spectral route's eigh fills the chain's spectrum, which the radius reads
+    rng = np.random.default_rng(9)
+    kernel, pi = random_reversible_kernel(30, rng)
+    kernel = write_json(tmp_path / "P.json", {"rows": kernel.tolist()})
+    obs = write_json(tmp_path / "f.json", random_centered_observable(pi, rng).tolist())
+    calls = {name: counting(monkeypatch, np.linalg, name)
+             for name in ("eigh", "eigvals", "eigvalsh")}
+    result = runner.invoke(main, ["analyze", kernel, obs])
+    assert result.exit_code == 0, result.output
+    assert "route spectral" in result.output
+    assert {name: len(c) for name, c in calls.items()} == {"eigh": 1, "eigvals": 0,
+                                                           "eigvalsh": 0}
 
 
 def test_verify_solves_only_the_resolvent_it_records(runner, tmp_path, monkeypatch):

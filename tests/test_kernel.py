@@ -28,7 +28,6 @@ from mavar import (
     reversible_inf,
     saddle_point,
     solve_dual_pair,
-    spectral_decomposition_reversible,
     spectral_radius_mean_zero,
     stationary_distribution,
     uniform_variance_domination,
@@ -448,19 +447,30 @@ def test_spectral_radius_rejects_reducible():
         spectral_radius_mean_zero(validate_kernel(rows))
 
 
-def test_spectral_decomposition_reconstructs_kernel(rng):
-    for trial in range(10):
-        kernel, pi = random_reversible_kernel(6, rng)
-        dec = spectral_decomposition_reversible(kernel, pi)
-        w = pi
-        u = dec.eigenvectors
-        rebuilt = (u * dec.eigenvalues) @ (u.T * w)
-        npt.assert_allclose(rebuilt, kernel, atol=1e-12)
-        # eigenfunctions are orthonormal in the weighted inner product
-        gram = (u.T * w) @ u
-        npt.assert_allclose(gram, np.eye(6), atol=1e-12)
-        assert dec.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+SPECTRUM_SIZES = (2, 3, 5, 10, 30, 100, 200)
+
+
+def test_the_spectral_eigenpairs_rebuild_the_symmetric_part(rng):
+    for n in SPECTRUM_SIZES:
+        kernel, pi = random_reversible_kernel(n, rng)
+        chain = ReducedChain(kernel, pi)
+        vals, vecs = chain._symmetric_eigh()
+        assert chain.spectrum is vals  # the chain keeps the eigenvalues only
+        S = 0.5 * (chain.A + chain.A.T)
+        npt.assert_allclose((vecs * vals) @ vecs.T, S, rtol=0, atol=1e-12)
+        npt.assert_allclose(vecs.T @ vecs, np.eye(n - 1), rtol=0, atol=1e-12)
+        # the constant is outside the frame: every eigenvalue is below 1
+        assert vals.shape == (n - 1,) and vals[-1] < 1.0 - 1e-12
+
+
+def test_the_radius_reads_the_spectrum_of_the_reduced_operator(rng):
+    for n in SPECTRUM_SIZES:
+        kernel, pi = random_reversible_kernel(n, rng)
+        expected = np.max(np.abs(np.linalg.eigvals(ReducedChain(kernel, pi).A)))
+        assert abs(spectral_radius_mean_zero(kernel, pi) - expected) <= 1e-12
+        kernel = random_irreducible_kernel(n, rng)
+        chain = ReducedChain(kernel, stationary_distribution(kernel))
+        assert spectral_radius_mean_zero(chain) == np.max(np.abs(np.linalg.eigvals(chain.A)))
 
 
 def same_bits(a, b):
@@ -510,13 +520,7 @@ def test_factors_keep_the_bits_of_their_defining_expressions(rng, reversible):
                 for beta in betas]
     assert same_bits(resolvent_curve(kernel, pi, f, betas), expected)
     if reversible:
-        s = np.sqrt(pi)
-        S = (s[:, None] * M) / s[None, :]
-        vals, vecs = np.linalg.eigh(0.5 * (S + S.T))
-        order = np.argsort(vals)[::-1]
-        funcs = vecs[:, order] / s[:, None]
-        if funcs[0, 0] < 0:
-            funcs[:, 0] = -funcs[:, 0]
-        dec = spectral_decomposition_reversible(kernel, pi)
-        assert same_bits(dec.eigenvalues, vals[order])
-        assert same_bits(dec.eigenvectors, funcs)
+        vals, vecs = np.linalg.eigh(0.5 * (A + A.T))
+        got_vals, got_vecs = chain._symmetric_eigh()
+        assert same_bits(got_vals, vals)
+        assert same_bits(got_vecs, vecs)
