@@ -8,32 +8,15 @@ variance-reducing perturbations of reversible kernels.
 
 from . import catalog, checks
 from .errors import (
-    AlphaOutOfRangeError,
-    BadInitialError,
     DegenerateKernelError,
-    DensityExceedsOneError,
-    DimensionMismatchError,
-    DriftDiagonalError,
-    DriftRowColSumError,
-    InfeasibleConstraintError,
+    KernelError,
     MavarError,
-    NegativeEntryError,
-    NegativeOffDiagonalError,
-    NonFiniteInputError,
-    NotAntisymmetricError,
-    NotCenteredError,
-    NotPeskunOrderedError,
-    NotReversibleError,
-    NotStationaryError,
     NumericalFailureError,
-    PerturbationSpecError,
+    ObservableError,
+    PerturbationError,
     ReducibleError,
-    RowSumViolationError,
-    SingularReversibilizationError,
+    SimulationError,
     StationaryMismatchError,
-    TrajectoryTooShortError,
-    VorticityRowSumError,
-    ZeroVarianceError,
 )
 from .kernel import (
     DEFAULT_TOL,
@@ -46,19 +29,12 @@ from .kernel import (
     is_reversible,
     pi_inner,
     reversibilization,
-    spectral_radius_mean_zero,
     stationary_distribution,
     stationary_residual,
     validate_kernel,
 )
 from .montecarlo import AvarEstimate, Trajectory, batch_means_avar, simulate
-from .ordering import (
-    OrderReport,
-    dirichlet_order,
-    fk_order,
-    peskun_order,
-    uniform_variance_domination,
-)
+from .ordering import OrderReport, fk_order, peskun_order
 from .perturb import (
     apply_drift,
     family_alpha,

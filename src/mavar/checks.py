@@ -3,10 +3,11 @@
 routes() computes sigma^2 by every independent route: the dual-pair
 solve, the factored symmetric operator and, for a reversible chain, the
 spectral decomposition.  battery() runs the identity battery behind
-`mavar verify`: Poisson residuals, route agreement, the resolvent limit
-at the one beta its record reads (RESOLVENT_BETA), the saddle point of
-the variational formula for 1/sigma^2, random probes of its inf and sup
-sides, and the reversible minimum.  The probes go through the
+`mavar verify`: the Poisson residuals as backward errors, route
+agreement, the resolvent limit at the one beta its record reads
+(RESOLVENT_BETA), the saddle point of the variational formula for
+1/sigma^2, random probes of its inf and sup sides, and the reversible
+minimum.  The probes go through the
 variational functions as n x k blocks of at most PROBE_BLOCK, so their
 memory does not grow with the number of trials.  A failed check is a
 record or an infinite route value, never an exception.
@@ -34,6 +35,7 @@ from .variational import (
 
 RESOLVENT_BETA = 1e-4
 PROBE_BLOCK = 64
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 def routes(chain, f, tol: float = DEFAULT_TOL):
@@ -56,6 +58,53 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
     if reversible:
         values["spectral"] = spectral
     return sol, values, reversible
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), the bound on the relative rounding error of
+    k floating-point operations in a row (Higham 2002, sec. 3.1)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _backward_error(r, x, f, row_sums, diag, solve):
+    """(eta, bound) for x as a solution of (I - K) x = f, where r = x - K x - f
+    was computed in float64, K >= 0 has the given row sums and diagonal,
+    and solve bounds the backward error of the solve that produced x.
+
+    eta = ||r|| / (||I - K|| ||x|| + ||f||), in the infinity norm, is the
+    normwise backward error (Rigal & Gaches 1967; Higham 2002, Thm 7.1): the
+    smallest relative change of I - K and f that x solves exactly.  A correct
+    x can show three things.  Rounding it to float64 leaves eta <= u.
+    Computing r adds at most gamma_{n+4} (|x| + K|x| + |f|) to each entry
+    (n products summed, the product and the division by pi of the dual form,
+    two subtractions); on eta's scale that grows as ||I - K|| shrinks,
+    because r is then a small difference of the large x and K x.  And the
+    solve itself adds solve.
+    """
+    nx = np.max(np.abs(x))
+    nf = np.max(np.abs(f))
+    scale = np.max(row_sums - diag + np.abs(1.0 - diag)) * nx + nf
+    evaluation = _gamma(x.shape[0] + 4) * ((1.0 + np.max(row_sums)) * nx + nf) / scale
+    return np.max(np.abs(r)) / scale, UNIT_ROUNDOFF + evaluation + solve
+
+
+def _solve_bounds(chain, f, sol):
+    """The backward errors the dual pair's solve can leave in phi and phi*.
+
+    In the frame's coordinates the dual pair is y = X b and y* = X^T b, with
+    X the chain's inverse of I - A and b = reduce(f).  A product with an
+    inverse is forward stable but not backward stable: its residual may
+    reach gamma_m ||I - A|| ||X|| ||b|| (Higham 2002, sec. 14.1), a backward
+    error of gamma_m ||X|| ||b|| / ||y||, taken over to the full space without
+    the frame's change of norm.  It is large when b avoids the directions X
+    stretches most, as an observable orthogonal to the slow modes of a
+    near-decomposable chain does.
+    """
+    b = np.max(np.abs(chain.frame.reduce(f)))
+    X = np.abs(chain.inv)
+    norms = X.sum(axis=1).max(), X.sum(axis=0).max()  # ||X||, ||X^T|| in the inf-norm
+    return [_gamma(chain.m) * norm * b / np.max(np.abs(chain.frame.reduce(x)))
+            for norm, x in zip(norms, (sol.phi, sol.phi_star))]
 
 
 def _probe_blocks(rng, trials, f, w):
@@ -87,12 +136,14 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     saddle = saddle_point(chain, None, f)
     P, w = chain.rows, chain.pi
     fscale = max(1.0, float(np.max(np.abs(f))))
+    diag = np.diag(P)
+    primal, dual = _solve_bounds(chain, f, sol)
+    phi, star = sol.phi, sol.phi_star
     record("poisson residual (primal)",
-           np.max(np.abs(sol.phi - P @ sol.phi - f)), 1e-10 * fscale)
-    star = sol.phi_star
-    # the adjoint by its definition, P* g = P^T (pi g) / pi
+           *_backward_error(phi - P @ phi - f, phi, f, P.sum(axis=1), diag, primal))
+    # the adjoint by its definition, P* g = P^T (pi g) / pi, with row sums P^T pi / pi
     record("poisson residual (dual)",
-           np.max(np.abs(star - P.T @ (w * star) / w - f)), 1e-10 * fscale)
+           *_backward_error(star - P.T @ (w * star) / w - f, star, f, P.T @ w / w, diag, dual))
     record("pairing equality <phi,f> vs <f,phi*>",
            abs(pi_inner(sol.phi, f, w) - pi_inner(f, sol.phi_star, w)),
            1e-10 * max(1.0, abs(sol.sigma2)))
@@ -100,7 +151,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
         if name != "dual-pair":
             record(f"{name} route", abs(value - sol.sigma2),
                    ROUTE_TOL * max(1.0, abs(sol.sigma2)))
-    (tail,) = resolvent_curve(chain, None, f, [RESOLVENT_BETA], tol)
+    tail = resolvent_curve(chain, None, f, RESOLVENT_BETA, tol)
     phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
     record("resolvent tail", abs(tail - sol.sigma2), 10.0 * RESOLVENT_BETA * phi_norm)
     value = saddle.value

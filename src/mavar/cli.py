@@ -33,9 +33,13 @@ import orjson
 from . import __version__, catalog, checks
 from .errors import (
     DegenerateKernelError,
+    KernelError,
     MavarError,
     NumericalFailureError,
+    ObservableError,
+    PerturbationError,
     ReducibleError,
+    SimulationError,
     StationaryMismatchError,
 )
 from .kernel import (
@@ -70,11 +74,17 @@ EXIT_ROUTES = 5
 EXIT_STATIONARY = 6
 EXIT_FIXTURE = 7
 
-# exit code of a library error: the entry of its most specific listed class
+# exit code of a library error: the entry of its most specific listed class.
+# Every class of mavar.errors is listed here or caught by name; the input
+# classes exit 2 as any other MavarError does.
 EXIT_CODES = {
     ReducibleError: EXIT_REDUCIBLE,
     DegenerateKernelError: EXIT_DEGENERATE,
     StationaryMismatchError: EXIT_STATIONARY,
+    KernelError: EXIT_PARSE,
+    ObservableError: EXIT_PARSE,
+    PerturbationError: EXIT_PARSE,
+    SimulationError: EXIT_PARSE,
     MavarError: EXIT_PARSE,
 }
 
@@ -303,8 +313,8 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     # a route that failed is inf, so the spread is inf or NaN and agree is False
     spread = max(routes.values()) - min(routes.values())
     agree = spread <= ROUTE_TOL * max(1.0, abs(sol.sigma2))
-    # spectral_radius_mean_zero without its irreducibility sweep, which
-    # _load_analysis has run; a reversible chain's spectral route filled the spectrum
+    # the mean-zero spectral radius; a reversible chain's spectral route
+    # filled the spectrum
     radius = float(np.max(np.abs(chain.spectrum)))
     report = {
         "n": chain.m + 1,

@@ -1,7 +1,12 @@
-"""Exception types raised by the library.
+"""Exception types raised by the library, one per thing a caller can do.
 
-Every contract violation gets its own class so callers (and the CLI) can
-map failures to distinct exit codes without parsing messages.
+The three classes with an exit code of their own (cli.EXIT_CODES) say
+what is wrong with the chain: reducible, degenerate, or not sharing the
+given stationary law.  NumericalFailureError marks a solve or cross-check
+that missed its accuracy budget; the variance routes report it as an
+infinite value.  The input classes name the input to fix: the kernel, the
+observable, the perturbation or the simulation arguments.  Any other
+MavarError exits 2.
 """
 
 
@@ -9,44 +14,8 @@ class MavarError(Exception):
     """Base class for all library errors."""
 
 
-# kernel validation and structure
-
-class DimensionMismatchError(MavarError):
-    """Operands have incompatible shapes, or a matrix is not square."""
-
-
-class NonFiniteInputError(MavarError):
-    """A kernel, distribution or observable has a NaN or infinite entry."""
-
-
-class NegativeEntryError(MavarError):
-    """A kernel entry is below -tol."""
-
-
-class RowSumViolationError(MavarError):
-    """A kernel row does not sum to 1 within tol."""
-
-
 class ReducibleError(MavarError):
     """The kernel's support digraph is not strongly connected."""
-
-
-class NotStationaryError(MavarError):
-    """The supplied distribution is not stationary for the kernel."""
-
-
-class NotReversibleError(MavarError):
-    """Detailed balance fails for the given kernel and distribution."""
-
-
-class NumericalFailureError(MavarError):
-    """A linear solve or cross-check exceeded its accuracy budget."""
-
-
-# Poisson equation
-
-class NotCenteredError(MavarError):
-    """The observable has a nonzero pi-mean."""
 
 
 class DegenerateKernelError(MavarError):
@@ -62,76 +31,32 @@ class DegenerateKernelError(MavarError):
         self.separation = separation
 
 
-class SingularReversibilizationError(MavarError):
-    """I - (P + P*)/2 is singular on the mean-zero subspace."""
-
-
-# variational formulas
-
-class ZeroVarianceError(MavarError):
-    """The asymptotic variance vanishes, so 1/sigma^2 objects are undefined."""
-
-
-class InfeasibleConstraintError(MavarError):
-    """A candidate test function violates its normalization constraint."""
-
-
-# kernel orders
-
 class StationaryMismatchError(MavarError):
-    """The two kernels do not share the given stationary distribution."""
+    """A kernel does not keep the given distribution stationary."""
 
 
-class NotPeskunOrderedError(MavarError):
-    """The kernel pair is not Peskun ordered, so no drift residual exists."""
+class NumericalFailureError(MavarError):
+    """A linear solve or cross-check exceeded its accuracy budget."""
 
 
-# perturbation specs
-
-class PerturbationSpecError(MavarError):
-    """A perturbation does not match the kernel it is applied to."""
-
-
-class VorticityRowSumError(MavarError):
-    """A vorticity row does not sum to zero."""
+class KernelError(MavarError):
+    """A kernel is not a transition matrix (square, at least 2 states,
+    finite, no entry below -tol, rows summing to 1), two kernels differ in
+    size, or a kernel lacks what the call needs: reversibility, a
+    nonsingular reversibilization, or a Peskun order."""
 
 
-class NotAntisymmetricError(MavarError):
-    """The pi-weighted vorticity is not antisymmetric."""
+class ObservableError(MavarError):
+    """An observable or test function does not fit the chain: a wrong
+    length, a non-finite entry, a nonzero pi-mean, a zero variance, or a
+    normalization constraint it misses."""
 
 
-class DensityExceedsOneError(MavarError):
-    """Vorticity mass exceeds the kernel's capacity on some edge.
-
-    Carries the offending (i, j) pair.
-    """
-
-    def __init__(self, message, edge=None):
-        super().__init__(message)
-        self.edge = edge
+class PerturbationError(MavarError):
+    """A vorticity, a drift or an interpolation parameter does not fit the
+    kernel, or the perturbed kernel fails its checks."""
 
 
-class DriftRowColSumError(MavarError):
-    """A drift row or column does not sum to zero."""
-
-
-class NegativeOffDiagonalError(MavarError):
-    """A drift off-diagonal entry is negative."""
-
-
-class DriftDiagonalError(MavarError):
-    """A drift diagonal is too negative for the kernel's holding mass."""
-
-
-class AlphaOutOfRangeError(MavarError):
-    """Interpolation parameter outside [-1, 1]."""
-
-
-# simulation
-
-class BadInitialError(MavarError):
-    """Initial state or distribution is invalid for the kernel."""
-
-
-class TrajectoryTooShortError(MavarError):
-    """Trajectory too short for the requested batch structure."""
+class SimulationError(MavarError):
+    """An initial state or law, a number of transitions or a batch length
+    that a trajectory cannot use."""

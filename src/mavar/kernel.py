@@ -26,14 +26,13 @@ import numpy as np
 
 from .errors import (
     DegenerateKernelError,
-    DimensionMismatchError,
-    NegativeEntryError,
-    NonFiniteInputError,
-    NotStationaryError,
+    KernelError,
+    MavarError,
     NumericalFailureError,
+    ObservableError,
+    PerturbationError,
     ReducibleError,
-    RowSumViolationError,
-    SingularReversibilizationError,
+    StationaryMismatchError,
 )
 
 DEFAULT_TOL = 1e-9
@@ -67,8 +66,15 @@ def _shift_minus(X, shift=1.0, out=None):
     return out
 
 
+# the error check_finite raises for each kind of input it names
+_INPUT_ERRORS = {"kernel": KernelError, "observable": ObservableError,
+                 "perturbation matrix": PerturbationError}
+
+
 def check_finite(values, what: str, source=None):
-    """values as a float array; raises NonFiniteInputError at a NaN or inf entry.
+    """values as a float array; at a NaN or inf entry raises the input error
+    of what (KernelError, ObservableError or PerturbationError; MavarError
+    for any other name).
 
     source is what values were converted from (default values).  The
     message names an entry that is None there, a JSON null, as null, not as
@@ -79,7 +85,8 @@ def check_finite(values, what: str, source=None):
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
         shown = "null" if _is_null(values if source is None else source, idx) else a[idx]
-        raise NonFiniteInputError(f"{what} entry {idx[0] if a.ndim == 1 else idx} is {shown}")
+        where = idx[0] if a.ndim == 1 else idx
+        raise _INPUT_ERRORS.get(what, MavarError)(f"{what} entry {where} is {shown}")
     return a
 
 
@@ -95,13 +102,12 @@ def _is_null(source, idx) -> bool:
 def centered(values, pi) -> np.ndarray:
     """values minus their pi-mean.
 
-    Raises DimensionMismatchError when the lengths differ and
-    NonFiniteInputError at a NaN or inf entry.
+    Raises ObservableError when the lengths differ or at a NaN or inf entry.
     """
     v = _as_vector(values)
     w = _as_vector(pi)
     if v.shape != w.shape:
-        raise DimensionMismatchError(
+        raise ObservableError(
             f"observable has length {v.shape}, distribution has {w.shape}")
     check_finite(v, "observable")
     return v - w @ v
@@ -111,25 +117,23 @@ def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Check and normalize a candidate transition matrix.
 
     Returns a read-only float copy.  Entries in [-tol, 0) are clamped to
-    0 and the row renormalized.
-    Raises NonFiniteInputError, NegativeEntryError, RowSumViolationError,
-    or DimensionMismatchError.
+    0 and the row renormalized.  Raises KernelError otherwise.
     """
     M = np.array(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"kernel must be square, got shape {M.shape}")
+        raise KernelError(f"kernel must be square, got shape {M.shape}")
     if M.shape[0] < 2:
-        raise DimensionMismatchError("kernel needs at least 2 states")
+        raise KernelError("kernel needs at least 2 states")
     check_finite(M, "kernel", matrix)
     low = M.min()
     if low < -tol:
         i, j = np.unravel_index(np.argmin(M), M.shape)
-        raise NegativeEntryError(f"entry ({i},{j}) = {low} is below -tol")
+        raise KernelError(f"entry ({i},{j}) = {low} is below -tol")
     M[M < 0.0] = 0.0
     sums = M.sum(axis=1)
     bad = np.argmax(np.abs(sums - 1.0))
     if abs(sums[bad] - 1.0) > tol:
-        raise RowSumViolationError(f"row {bad} sums to {sums[bad]}")
+        raise KernelError(f"row {bad} sums to {sums[bad]}")
     M /= sums[:, None]
     M.setflags(write=False)
     return M
@@ -197,13 +201,14 @@ def adjoint(P, pi) -> np.ndarray:
     Row i of P* sums to 1 + (pi P - pi)_i / pi_i, so once pi P = pi holds
     within DEFAULT_TOL the rows are normalised, not checked again: a small
     pi_i would blow a residual of 1e-16 up past any row-sum tolerance.
-    Returns a read-only array.
+    Returns a read-only array; raises StationaryMismatchError when pi P = pi
+    fails.
     """
     M = _as_matrix(P)
     w = _as_vector(pi)
     resid = stationary_residual(M, w)
     if resid > DEFAULT_TOL:
-        raise NotStationaryError(f"pi P differs from pi by {resid}")
+        raise StationaryMismatchError(f"pi P differs from pi by {resid}")
     star = check_finite((w[None, :] * M.T) / w[:, None], "kernel")
     star /= star.sum(axis=1)[:, None]
     star.setflags(write=False)
@@ -236,7 +241,7 @@ def pi_inner(f, g, pi) -> float:
     gv = _as_vector(g)
     w = _as_vector(pi)
     if fv.shape != gv.shape or fv.shape != w.shape:
-        raise DimensionMismatchError(
+        raise ObservableError(
             f"shapes {fv.shape}, {gv.shape}, {w.shape} do not agree")
     return float(np.sum(w * fv * gv))
 
@@ -364,9 +369,9 @@ class ReducedChain:
 
     @cached_property
     def cinv(self) -> np.ndarray:
-        """(I - S)^{-1}; raises SingularReversibilizationError if I - S is
-        singular: when its Cholesky factorization fails, or when neither the
-        inverse's 1-norm nor the smallest eigenvalue clears SOLVABLE_TOL.
+        """(I - S)^{-1}; raises KernelError if I - S is singular: when its
+        Cholesky factorization fails, or when neither the inverse's 1-norm
+        nor the smallest eigenvalue clears SOLVABLE_TOL.
         """
         C = self.A + self.A.T
         C *= 0.5
@@ -379,7 +384,7 @@ class ReducedChain:
         # for symmetric positive definite C, 1 / lambda_min <= ||C^-1||_1
         if cinv is None or (not np.linalg.norm(cinv, 1) < 1.0 / (GATE_SAFETY * SOLVABLE_TOL)
                             and np.min(np.linalg.eigvalsh(C)) <= SOLVABLE_TOL):
-            raise SingularReversibilizationError(
+            raise KernelError(
                 "reversibilized operator singular on the mean-zero subspace")
         return cinv
 
@@ -434,14 +439,3 @@ def _as_chain(P, pi=None) -> ReducedChain:
     if isinstance(P, ReducedChain):
         return P
     return ReducedChain(P, stationary_distribution(P) if pi is None else pi)
-
-
-def spectral_radius_mean_zero(P, pi=None) -> float:
-    """Spectral radius of the kernel restricted to mean-zero functions.
-
-    This is the modulus of the largest non-Perron eigenvalue, read from
-    the chain's spectrum.  Raises ReducibleError for reducible kernels.
-    """
-    if not is_irreducible(P):
-        raise ReducibleError("kernel is not irreducible")
-    return float(np.max(np.abs(_as_chain(P, pi).spectrum), initial=0.0))

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInitialError, NumericalFailureError, TrajectoryTooShortError
+from .errors import NumericalFailureError, SimulationError
 from .kernel import _as_matrix, _as_vector
 
 # steps simulate runs per chunk of Python floats and states; bounded, so the
@@ -43,26 +43,26 @@ def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
     """Run the chain for n_steps transitions from a state or a law.
 
     initial is a state index or a probability vector to draw the start
-    from; anything else, NaN included, raises BadInitialError.  The path
+    from; anything else, NaN included, raises SimulationError.  The path
     has n_steps + 1 entries.  Sampling inverts each row's cumulative
     distribution.
     """
     M = _as_matrix(P)
     n = M.shape[0]
     if n_steps < 1:
-        raise TrajectoryTooShortError("need at least one transition")
+        raise SimulationError("need at least one transition")
     rng = np.random.default_rng(seed)
     if np.ndim(initial) == 0:
         if not (np.isfinite(initial) and float(initial).is_integer()):
-            raise BadInitialError(f"initial state {initial} is not an integer")
+            raise SimulationError(f"initial state {initial} is not an integer")
         start = int(initial)
         if not 0 <= start < n:
-            raise BadInitialError(f"state {start} outside 0..{n - 1}")
+            raise SimulationError(f"state {start} outside 0..{n - 1}")
     else:
         law = np.asarray(initial, dtype=float)
         # written so that a NaN entry fails too
         if law.shape != (n,) or not (law.min() >= 0 and abs(law.sum() - 1.0) <= 1e-9):
-            raise BadInitialError("initial law is not a probability vector")
+            raise SimulationError("initial law is not a probability vector")
         start = int(rng.choice(n, p=law / law.sum()))
     cums = [row.cumsum().tolist() for row in M]
     top = n - 1
@@ -88,7 +88,7 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
     Splits the path into consecutive batches of batch_len (default
     round(sqrt(length))) and scales the empirical variance of batch
     means.  std_error uses the chi-square approximation
-    value * sqrt(2 / (n_batches - 1)).  Raises TrajectoryTooShortError
+    value * sqrt(2 / (n_batches - 1)).  Raises SimulationError
     when fewer than 2 batches fit, and NumericalFailureError when the
     estimate overflows float64.
     """
@@ -98,10 +98,10 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
     if batch_len is None:
         batch_len = max(1, round(np.sqrt(total)))
     if batch_len < 1:
-        raise TrajectoryTooShortError(f"batch_len {batch_len} invalid")
+        raise SimulationError(f"batch_len {batch_len} invalid")
     n_batches = total // batch_len
     if n_batches < 2:
-        raise TrajectoryTooShortError(
+        raise SimulationError(
             f"{total} values cannot fill two batches of {batch_len}")
     used = values[: n_batches * batch_len]
     with np.errstate(over="ignore", invalid="ignore"):  # reported below

@@ -8,14 +8,15 @@ Each kernel order and the domination test is computed for both
 directions from one matrix: the reverse difference is the negated
 forward one, so the entrywise orders scan its negation and the
 eigenvalue tests read the other end of one eigensolve.  order_pairs
-returns every pair; the one-direction functions are the forward halves.
+returns every pair; peskun_order and fk_order are the forward halves of
+their pairs.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, StationaryMismatchError
+from .errors import KernelError, StationaryMismatchError
 from .kernel import (
     DEFAULT_TOL,
     _as_chain,
@@ -55,7 +56,7 @@ def _shared_stationary(P1, P2, pi):
     M1 = _as_matrix(P1)
     M2 = _as_matrix(P2)
     if M1.shape != M2.shape:
-        raise DimensionMismatchError(
+        raise KernelError(
             f"kernels have shapes {M1.shape} and {M2.shape}")
     w = _as_vector(stationary_distribution(M1) if pi is None else pi)
     for label, M in (("first", M1), ("second", M2)):
@@ -97,9 +98,12 @@ def _peskun_pair(M1, M2):
 
 
 def _dirichlet_pair(M1, M2, w):
-    """One eigh of the symmetrized weighted difference G serves both
-    directions: the reverse matrix is -G, whose smallest eigenvalue is
-    -lambda_max(G) with the same eigenvector."""
+    """The form order <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all
+    xi, both ways: the forward margin is the smallest eigenvalue of the
+    symmetrized weighted difference G (constants are a structural null
+    direction, so a comparable pair has margin 0).  One eigh of G serves
+    both directions: the reverse matrix is -G, whose smallest eigenvalue
+    is -lambda_max(G) with the same eigenvector."""
     G = w[:, None] * (M1 - M2)
     G += G.T  # numpy reads G.T as it was before the sum
     G *= 0.5
@@ -122,8 +126,13 @@ def _fk_pair(M1, M2, w):
 
 
 def _domination_pair(P1, P2, w):
-    """uniform_variance_domination in both directions from one eigh: the
-    reverse difference of forms is the negation of the forward one."""
+    """Does sigma^2(P2, f) <= sigma^2(P1, f) hold for every centered f, and
+    the reverse, as (holds, witness) pairs from one eigh of the difference
+    of the two variance forms on the mean-zero subspace: the reverse
+    difference is its negation.  The witness is a centered observable
+    whose variance ordering fails, present only on failure.  Passing
+    ReducedChains reuses their variance forms; each chain drops its A and
+    (I - A)^{-1} once its form is built."""
     c1 = _as_chain(P1, w)
     frame = c1.frame
     diff = _variance_form(c1) - _variance_form(_as_chain(P2, w))
@@ -137,8 +146,9 @@ def order_pairs(P1, P2, pi=None) -> dict:
     """Every order of `mavar compare`, each as (P1 -> P2, P2 -> P1).
 
     Keys peskun, dirichlet and fill_kahn hold OrderReports; domination
-    holds two uniform_variance_domination results.  pi is checked once,
-    and each order's matrix is freed before the next one is built.
+    holds two (holds, witness) results of uniform variance domination.  pi
+    is checked once, and each order's matrix is freed before the next one
+    is built.
     """
     M1, M2, w = _shared_stationary(P1, P2, pi)
     return {
@@ -153,16 +163,6 @@ def peskun_order(P1, P2, pi=None) -> OrderReport:
     """Entrywise off-diagonal order: P1 <= P2 away from the diagonal."""
     M1, M2, _ = _shared_stationary(P1, P2, pi)
     return _peskun_pair(M1, M2)[0]
-
-
-def dirichlet_order(P1, P2, pi=None) -> OrderReport:
-    """Form order: <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all xi.
-
-    Equivalent to positive semidefiniteness of the symmetrized weighted
-    difference; the margin is its smallest eigenvalue.  Constants are a
-    structural null direction, so the margin of a comparable pair is 0.
-    """
-    return _dirichlet_pair(*_shared_stationary(P1, P2, pi))[0]
 
 
 def fk_order(P, Q, pi=None) -> OrderReport:
@@ -181,17 +181,3 @@ def _variance_form(chain):
     form = chain.variance_form
     chain.drop_factors()
     return form
-
-
-def uniform_variance_domination(P1, P2, pi=None):
-    """Does sigma^2(P2, f) <= sigma^2(P1, f) hold for every centered f?
-
-    Tests positive semidefiniteness of the difference of the two
-    variance quadratic forms on the mean-zero subspace.  Returns
-    (holds, witness); the witness is a centered observable whose
-    variance ordering is violated, present only on failure.  Passing
-    ReducedChains reuses their variance forms across calls; each chain
-    drops its A and (I - A)^{-1} once its form is built.
-    """
-    _, _, w = _shared_stationary(P1, P2, pi)
-    return _domination_pair(P1, P2, w)[0]

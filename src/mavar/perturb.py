@@ -12,20 +12,7 @@ given, and the perturbed kernel is checked at DEFAULT_TOL.
 
 import numpy as np
 
-from .errors import (
-    AlphaOutOfRangeError,
-    DensityExceedsOneError,
-    DimensionMismatchError,
-    DriftDiagonalError,
-    DriftRowColSumError,
-    MavarError,
-    NegativeOffDiagonalError,
-    NotAntisymmetricError,
-    NotPeskunOrderedError,
-    NumericalFailureError,
-    PerturbationSpecError,
-    VorticityRowSumError,
-)
+from .errors import KernelError, MavarError, NumericalFailureError, PerturbationError
 from .kernel import (
     DEFAULT_TOL,
     _as_matrix,
@@ -42,7 +29,7 @@ def _shapes(K, pi, M, what):
     w = _as_vector(pi)
     G = np.asarray(M, dtype=float)
     if G.shape != MK.shape or w.shape[0] != MK.shape[0]:
-        raise DimensionMismatchError(
+        raise PerturbationError(
             f"{what} has shape {G.shape}, kernel has {MK.shape}")
     return MK, w, G
 
@@ -63,38 +50,35 @@ def validate_vorticity(K, pi, gamma, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     (a) zero row sums, (b) antisymmetry of the pi-weighted matrix,
     (c) density bounded by 1 on K's support and no mass off it.
+    Raises PerturbationError naming the first property that fails.
     """
     MK, w, G = _shapes(K, pi, gamma, "vorticity")
     rows = G.sum(axis=1)
     worst = int(np.argmax(np.abs(rows)))
     if abs(rows[worst]) > tol:
-        raise VorticityRowSumError(f"row {worst} sums to {rows[worst]}")
+        raise PerturbationError(f"row {worst} sums to {rows[worst]}")
     Gt = w[:, None] * G
     skew = np.max(np.abs(Gt + Gt.T))
     if skew > tol:
-        raise NotAntisymmetricError(
+        raise PerturbationError(
             f"pi-weighted vorticity deviates from antisymmetry by {skew}")
     h, support = _density(MK, w, G)
     off = ~support & (np.abs(G) > tol)
     if np.any(off):
         i, j = np.argwhere(off)[0]
-        raise DensityExceedsOneError(
-            f"vorticity places mass on zero-capacity edge ({i},{j})",
-            edge=(int(i), int(j)))
+        raise PerturbationError(f"vorticity places mass on zero-capacity edge ({i},{j})")
     if np.max(np.abs(h)) > 1.0 + tol:
         i, j = np.unravel_index(np.argmax(np.abs(h)), h.shape)
-        raise DensityExceedsOneError(
-            f"density {h[i, j]} at edge ({i},{j}) exceeds 1",
-            edge=(int(i), int(j)))
+        raise PerturbationError(f"density {h[i, j]} at edge ({i},{j}) exceeds 1")
     return G
 
 
 def _perturbed(M, w) -> np.ndarray:
-    """validate_kernel(M); PerturbationSpecError if it moves pi by over 1e-10."""
+    """validate_kernel(M); PerturbationError if it moves pi by over 1e-10."""
     P = validate_kernel(M)
     resid = stationary_residual(P, w)
     if resid > 1e-10:
-        raise PerturbationSpecError(f"perturbed kernel moves pi by {resid}")
+        raise PerturbationError(f"perturbed kernel moves pi by {resid}")
     return P
 
 
@@ -103,7 +87,7 @@ def make_nonreversible(K, pi, gamma) -> np.ndarray:
     try:
         checked = validate_vorticity(K, pi, gamma)
     except MavarError as exc:
-        raise PerturbationSpecError(f"vorticity does not fit kernel: {exc}") from exc
+        raise PerturbationError(f"vorticity does not fit kernel: {exc}") from exc
     return _perturbed(_as_matrix(K) + checked, _as_vector(pi))
 
 
@@ -113,7 +97,7 @@ def family_alpha(K, pi, gamma, alpha: float) -> np.ndarray:
     The adjoint of the alpha member is the -alpha member.
     """
     if not -1.0 - 1e-12 <= alpha <= 1.0 + 1e-12:
-        raise AlphaOutOfRangeError(f"alpha = {alpha} outside [-1, 1]")
+        raise PerturbationError(f"alpha = {alpha} outside [-1, 1]")
     return make_nonreversible(K, pi, alpha * np.asarray(gamma, dtype=float))
 
 
@@ -123,21 +107,22 @@ def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
     (a') zero row and column sums, (b') nonnegative off-diagonal,
     (c') diagonal loss bounded by the kernel's weighted holding mass,
     pi_i K_ii + Lambda_ii >= -tol, so the perturbed diagonal stays
-    nonnegative.
+    nonnegative.  Raises PerturbationError naming the first property that
+    fails.
     """
     MK, w, L = _shapes(K, pi, lam, "drift")
     for axis, sums in (("row", L.sum(axis=1)), ("column", L.sum(axis=0))):
         if np.max(np.abs(sums)) > tol:
-            raise DriftRowColSumError(f"{axis} {np.argmax(np.abs(sums))} does not sum to zero")
+            raise PerturbationError(f"{axis} {np.argmax(np.abs(sums))} does not sum to zero")
     off = L - np.diag(np.diag(L))
     if np.min(off) < -tol:
         i, j = np.unravel_index(np.argmin(off), off.shape)
-        raise NegativeOffDiagonalError(
+        raise PerturbationError(
             f"drift entry ({i},{j}) = {off[i, j]} is negative")
     slack = w * np.diag(MK) + np.diag(L)
     worst = int(np.argmin(slack))
     if slack[worst] < -tol:
-        raise DriftDiagonalError(
+        raise PerturbationError(
             f"diagonal {worst}: pi K_ii + Lambda_ii = {slack[worst]} < 0")
     return L
 
@@ -151,12 +136,12 @@ def apply_drift(K, pi, lam) -> np.ndarray:
     try:
         checked = validate_drift(K, pi, lam)
     except MavarError as exc:
-        raise PerturbationSpecError(f"drift does not fit kernel: {exc}") from exc
+        raise PerturbationError(f"drift does not fit kernel: {exc}") from exc
     MK, w, L = _shapes(K, pi, checked, "drift")
     P = _perturbed(MK + L / w[:, None], w)
     report = peskun_order(MK, P, w)
     if not report.holds:
-        raise PerturbationSpecError(
+        raise PerturbationError(
             f"perturbed kernel is not Peskun-above the base (margin {report.margin})")
     return P
 
@@ -166,11 +151,11 @@ def peskun_residual(P, Q, pi=None) -> np.ndarray:
 
     Every Peskun-above kernel arises from the base by applying this
     residual: apply_drift(P, pi, residual) reconstructs Q.  Raises
-    NotPeskunOrderedError when P is not below Q.
+    KernelError when P is not below Q.
     """
     report = peskun_order(P, Q, pi)
     if not report.holds:
-        raise NotPeskunOrderedError(
+        raise KernelError(
             f"pair is not Peskun ordered: off-diagonal margin {report.margin} "
             f"at {report.witness}")
     MP = _as_matrix(P)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCenteredError, NotReversibleError, NumericalFailureError
+from .errors import KernelError, NumericalFailureError, ObservableError
 from .kernel import (
     DEFAULT_TOL,
     SOLVABLE_TOL,
@@ -42,7 +42,7 @@ class PoissonSolution:
 def _check_centered(fv, w, tol):
     mean = abs(float(w @ fv))
     if mean > tol * max(1.0, np.max(np.abs(fv)) if fv.size else 1.0):
-        raise NotCenteredError(f"observable has pi-mean {mean}")
+        raise ObservableError(f"observable has pi-mean {mean}")
 
 
 def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
@@ -113,14 +113,14 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     constant out, so there is no Perron pair to skip.  If an eigenvalue
     within SOLVABLE_TOL of 1, the Poisson gate's threshold, carries weight
     of f (reducible input, or a chain decoupled to within 1e-12), the
-    variance is infinite and inf is returned.  Raises NotReversibleError
-    for non-reversible input.
+    variance is infinite and inf is returned.  Raises KernelError for
+    non-reversible input.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
     _check_centered(fv, chain.pi, tol)
     if not chain.reversible:
-        raise NotReversibleError("kernel is not reversible for the given pi")
+        raise KernelError("kernel is not reversible for the given pi")
     vals, vecs = chain._symmetric_eigh()
     coeffs = vecs.T @ chain.frame.reduce(fv)
     unit = 1.0 - vals <= SOLVABLE_TOL
@@ -131,24 +131,17 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     return float(np.sum(coeffs[keep] ** 2 / (1.0 - vals[keep])))
 
 
-def resolvent_curve(P, pi, f, betas, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Regularized route: solve ((1 + beta) I - P) phi_beta = f.
+def resolvent_curve(P, pi, f, beta: float, tol: float = DEFAULT_TOL) -> float:
+    """Regularized route: solve ((1 + beta) I - P) phi_beta = f for beta > 0.
 
-    Returns the values <f, phi_beta>_pi, one per beta; they converge to
-    sigma^2 as beta decreases to 0, monotonically from below for
-    reversible kernels.  Works on the full state space; the solution is
-    automatically centered.
+    Returns <f, phi_beta>_pi, which converges to sigma^2 as beta decreases
+    to 0, monotonically from below for reversible kernels.  Works on the
+    full state space; the solution is automatically centered.
     """
-    b = np.asarray(betas, dtype=float)
-    if b.ndim != 1 or b.size == 0 or np.any(b <= 0.0) or np.any(np.diff(b) >= 0.0):
-        raise ValueError("betas must be positive and strictly decreasing")
-    M = _as_matrix(P)
+    if not beta > 0.0:
+        raise ValueError(f"beta must be positive, got {beta}")
     w = _as_chain(P, pi).pi
     fv = _as_vector(f)
     _check_centered(fv, w, tol)
-    values = np.empty_like(b)
-    shifted = np.empty_like(M)
-    for k, beta in enumerate(b):
-        phi = np.linalg.solve(_shift_minus(M, 1.0 + beta, out=shifted), fv)
-        values[k] = pi_inner(fv, phi, w)
-    return values
+    phi = np.linalg.solve(_shift_minus(_as_matrix(P), 1.0 + beta), fv)
+    return pi_inner(fv, phi, w)

@@ -1,7 +1,7 @@
 """Variational formulas for the reciprocal asymptotic variance.
 
 With sigma^2 = sigma^2(P, f) finite and above ZERO_VARIANCE_TOL
-(ZeroVarianceError otherwise), 1/sigma^2 equals a saddle value of the
+(ObservableError otherwise), 1/sigma^2 equals a saddle value of the
 bilinear Dirichlet form: an infimum over test functions xi normalized
 by pi(f xi) = 1 of a supremum over directions eta constrained by
 pi(f eta) = 0.  The saddle is attained at explicit combinations of the
@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InfeasibleConstraintError,
-    NotReversibleError,
-    NumericalFailureError,
-    ZeroVarianceError,
-)
+from .errors import KernelError, NumericalFailureError, ObservableError
 from .kernel import (
     DEFAULT_TOL,
     _as_chain,
@@ -51,7 +45,7 @@ def _block(x, n):
     """x as an n x k block of k functions; one function is the n x 1 block."""
     v = _as_vector(x)
     if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise DimensionMismatchError(f"expected functions on {n} states, got shape {v.shape}")
+        raise ObservableError(f"expected functions on {n} states, got shape {v.shape}")
     return v.reshape(n, -1)
 
 
@@ -86,7 +80,7 @@ def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
     w = _as_vector(pi)
     ff = pi_inner(fv, fv, w)
     if ff <= ZERO_VARIANCE_TOL:
-        raise ZeroVarianceError("cannot normalize against a null observable")
+        raise ObservableError("cannot normalize against a null observable")
     G = _block(g, w.shape[0]).copy()
     F = fv[:, None]
     G += (value - _pi_columns(F, G, w)) / ff * F
@@ -94,10 +88,10 @@ def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
 
 
 def _positive_solution(P, pi, f):
-    """solve_dual_pair(P, pi, f); ZeroVarianceError if sigma^2 <= ZERO_VARIANCE_TOL."""
+    """solve_dual_pair(P, pi, f); ObservableError if sigma^2 <= ZERO_VARIANCE_TOL."""
     sol = solve_dual_pair(P, pi, f)
     if sol.sigma2 <= ZERO_VARIANCE_TOL:
-        raise ZeroVarianceError(f"sigma^2 = {sol.sigma2} is not positive")
+        raise ObservableError(f"sigma^2 = {sol.sigma2} is not positive")
     return sol
 
 
@@ -105,7 +99,7 @@ def saddle_point(P, pi, f) -> SaddlePoint:
     """Saddle point of the variational problem for 1/sigma^2.
 
     xi* = (phi + phi*) / (2 sigma^2) and eta* = (phi - phi*) /
-    (2 sigma^2), with value 1/sigma^2.  Raises ZeroVarianceError when
+    (2 sigma^2), with value 1/sigma^2.  Raises ObservableError when
     sigma^2 <= ZERO_VARIANCE_TOL.
     """
     sol = _positive_solution(P, pi, f)
@@ -124,8 +118,8 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     one product with the chain's inverse of I - S.  Returns
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
     equality at xi = xi*; for an n x k block xi, eta_opt is n x k and
-    value holds the k column values.  Raises InfeasibleConstraintError
-    if pi(f xi) != 1 for some column.
+    value holds the k column values.  Raises ObservableError if
+    pi(f xi) != 1 for some column.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
@@ -133,7 +127,7 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     norm = _pi_columns(_block(fv, chain.frame.n), X, chain.pi)
     worst = np.argmax(np.abs(norm - 1.0))
     if abs(norm[worst] - 1.0) > tol:
-        raise InfeasibleConstraintError(f"pi(f xi) = {float(norm[worst])}, expected 1")
+        raise ObservableError(f"pi(f xi) = {float(norm[worst])}, expected 1")
     fy = chain.frame.reduce(fv)
     xy = chain.frame.reduce(X)
     Ax = chain.A @ xy
@@ -153,14 +147,14 @@ def reversible_inf(P, pi, f):
     """Minimize the Dirichlet form over pi(f xi) = 1 (reversible case).
 
     The minimizer is phi / sigma^2 and the minimum is 1/sigma^2.
-    Raises NotReversibleError unless is_reversible holds; reducible
+    Raises KernelError unless is_reversible holds; reducible
     input fails the Poisson solvability gate instead of returning an
     infinite-variance marker, since on a finite irreducible space the
     variance is always finite.
     """
     chain = _as_chain(P, pi)
     if not is_reversible(chain, chain.pi):
-        raise NotReversibleError("kernel is not reversible for the given pi")
+        raise KernelError("kernel is not reversible for the given pi")
     sol = _positive_solution(chain, None, f)
     xi = sol.phi / sol.sigma2
     value = dirichlet_form(chain, chain.pi, xi, xi)

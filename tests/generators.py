@@ -95,3 +95,18 @@ def random_centered_observable(pi, rng, scale: float = 1.0) -> np.ndarray:
         g -= float(w @ g)
         if np.max(np.abs(g)) > 1e-6 * scale:
             return g
+
+
+def reversible_two_blocks(eps: float):
+    """A near-decomposable reversible chain and its slow observable.
+
+    Two 10-state blocks with edge weights B + B^T, B drawn by
+    default_rng(3) and then default_rng(4), every cross-block weight eps,
+    rows normalised; the observable is +1 on the first block and -1 on the
+    second (not centered).  At eps = 1e-6, max|phi| is about 5e5.
+    """
+    weights = np.full((20, 20), eps)
+    for seed, block in ((3, slice(0, 10)), (4, slice(10, 20))):
+        B = np.random.default_rng(seed).random((10, 10))
+        weights[block, block] = B + B.T
+    return weights / weights.sum(axis=1, keepdims=True), np.repeat([1.0, -1.0], 10)

@@ -6,7 +6,7 @@ import pytest
 
 import mavar.kernel
 from mavar import (
-    NotReversibleError,
+    KernelError,
     ReducedChain,
     checks,
     dirichlet_form,
@@ -25,6 +25,7 @@ from generators import (
     random_centered_observable,
     random_irreducible_kernel,
     random_reversible_kernel,
+    reversible_two_blocks,
 )
 
 
@@ -92,6 +93,49 @@ def test_a_corrupted_inverse_fails_the_factored_operator_records():
     assert records["poisson residual (primal)"]["passed"] is False
 
 
+RESIDUAL_RECORDS = ["poisson residual (primal)", "poisson residual (dual)"]
+
+
+def test_the_residual_records_pass_a_backward_stable_solve_of_a_near_decomposable_chain():
+    # max|phi| is about 5e5, so the residuals are about 3e-10, as rounding
+    # leaves them; their backward errors are a few units of roundoff
+    rows, f = reversible_two_blocks(1e-6)
+    kernel = validate_kernel(rows)
+    pi = stationary_distribution(kernel)
+    records = records_by_name(ReducedChain(kernel, pi), f - pi @ f, trials=3)
+    for name in RESIDUAL_RECORDS:
+        assert records[name]["residual"] <= 8 * checks.UNIT_ROUNDOFF < records[name]["bound"]
+    assert all(r["passed"] for r in records.values())
+
+
+def shift_the_operator(chain):
+    chain.A = chain.A + 0.05 * np.eye(chain.m)
+
+
+def scale_an_inverse_entry(factor):
+    def corrupt(chain):
+        bad = chain.inv.copy()
+        bad[0, 0] *= factor
+        chain.inv = bad
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [shift_the_operator, scale_an_inverse_entry(1.001),
+                                     scale_an_inverse_entry(1.0 + 1e-9)],
+                         ids=["A + 0.05 I", "inv[0, 0] * 1.001", "inv[0, 0] * (1 + 1e-9)"])
+def test_the_residual_records_catch_each_corruption(corrupt):
+    # backward errors 1.8e-2, 1.0e-4 and 1.0e-10 against bounds near 2.5e-15
+    rng = np.random.default_rng(4)
+    kernel, pi = random_reversible_kernel(8, rng)
+    f = random_centered_observable(pi, rng)
+    chain = ReducedChain(kernel, pi)
+    corrupt(chain)
+    records = records_by_name(chain, f, trials=3)
+    for name in RESIDUAL_RECORDS:
+        assert records[name]["passed"] is False
+        assert records[name]["residual"] >= 1e-11 > 1e3 * records[name]["bound"]
+
+
 def test_routes_agree_on_a_reversible_fixture(six):
     pi = stationary_distribution(six["P2"])
     sol, values, reversible = checks.routes(ReducedChain(six["P2"], pi), six["f1"])
@@ -147,7 +191,7 @@ def test_every_reversibility_test_uses_one_threshold():
     f = np.array([1.0, 0.0, -1.0])
     assert not is_reversible(kernel, pi)
     assert not checks.routes(ReducedChain(kernel, pi), f)[2]
-    with pytest.raises(NotReversibleError):
+    with pytest.raises(KernelError, match="not reversible"):
         reversible_inf(kernel, pi, f)
 
 

@@ -22,6 +22,7 @@ from generators import (
     random_drift,
     random_irreducible_kernel,
     random_reversible_kernel,
+    reversible_two_blocks,
 )
 
 
@@ -256,7 +257,7 @@ def two_block_rows(coupling):
 
 
 @pytest.mark.parametrize("kernels, code, message", [
-    # DimensionMismatchError from the orders: any other MavarError exits 2
+    # KernelError from the orders: any other MavarError exits 2
     (["six-cycle/P1.json", "uniform3/K.json"], 2, "kernels have shapes"),
     ([[[1.0, 0.0], [0.0, 1.0]]] * 2, 3, "kernel is not irreducible"),
     # a near-decomposable pair: coupling 1e-13 between two blocks
@@ -271,6 +272,21 @@ def test_library_errors_exit_by_class(runner, fixture_dir, tmp_path, kernels, co
     result = runner.invoke(main, ["compare", *paths])
     assert result.exit_code == code
     assert f"error: {message}" in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("error, code", list(mavar.cli.EXIT_CODES.items()),
+                         ids=[error.__name__ for error in mavar.cli.EXIT_CODES])
+def test_an_escaping_error_exits_with_its_table_code(runner, fixture_dir, monkeypatch,
+                                                     error, code):
+    def escape(*args):
+        raise error(f"{error.__name__} escaped")
+
+    monkeypatch.setattr(mavar.cli, "is_irreducible", escape)
+    result = runner.invoke(main, ["validate", str(fixture_dir / "six-cycle" / "P1.json")])
+    assert result.exit_code == code
+    assert result.stdout == ""
+    assert result.stderr == f"error: {error.__name__} escaped\n"
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
@@ -708,6 +724,19 @@ def test_analyze_keeps_the_spectral_route_apart_from_the_constant(runner, tmp_pa
     kernel, obs = two_block_files(tmp_path, 3, 1e-6, reversible=True)
     result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
     assert_spectral_route_agrees(result)
+
+
+def test_verify_passes_a_backward_stable_solve_of_a_near_decomposable_chain(runner, tmp_path):
+    # max|phi| is about 5e5: the residuals are about 3e-10, which an absolute
+    # bound of 1e-10 failed, and their backward errors a few units of roundoff
+    rows, f = reversible_two_blocks(1e-6)
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    obs = write_json(tmp_path / "f.json", f.tolist())
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    assert result.exit_code == 0, result.output
+    records = {c["name"]: c for c in json.loads(json_line(result.output))["checks"]}
+    for name in ("poisson residual (primal)", "poisson residual (dual)"):
+        assert records[name]["passed"] is True and records[name]["residual"] < 1e-15
 
 
 def strict_json(text):

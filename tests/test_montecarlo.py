@@ -5,9 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from mavar import (
-    BadInitialError,
     NumericalFailureError,
-    TrajectoryTooShortError,
+    SimulationError,
     batch_means_avar,
     simulate,
     solve_dual_pair,
@@ -86,31 +85,31 @@ def test_simulate_initial_law(six):
 
 
 def test_simulate_rejects_bad_initial(six):
-    with pytest.raises(BadInitialError):
+    with pytest.raises(SimulationError, match="state 6 outside 0..5"):
         simulate(six["P1"], 10, seed=0, initial=6)
-    with pytest.raises(BadInitialError):
+    with pytest.raises(SimulationError, match="state -1 outside 0..5"):
         simulate(six["P1"], 10, seed=0, initial=-1)
-    with pytest.raises(BadInitialError):
+    with pytest.raises(SimulationError, match="not a probability vector"):
         simulate(six["P1"], 10, seed=0, initial=np.full(6, 1 / 3))
 
 
 def test_simulate_rejects_a_non_finite_law_or_start(six):
     law = np.full(6, 1 / 6)
     law[0] = np.nan
-    with pytest.raises(BadInitialError, match="not a probability vector"):
+    with pytest.raises(SimulationError, match="not a probability vector"):
         simulate(six["P1"], 10, seed=0, initial=law)
-    with pytest.raises(BadInitialError, match="nan is not an integer"):
+    with pytest.raises(SimulationError, match="nan is not an integer"):
         simulate(six["P1"], 10, seed=0, initial=np.nan)
 
 
 def test_simulate_rejects_a_fractional_start(six):
-    with pytest.raises(BadInitialError, match="2.5 is not an integer"):
+    with pytest.raises(SimulationError, match="2.5 is not an integer"):
         simulate(six["P1"], 10, seed=0, initial=2.5)
     assert simulate(six["P1"], 10, seed=0, initial=2.0).states[0] == 2
 
 
 def test_simulate_rejects_empty_run(six):
-    with pytest.raises(TrajectoryTooShortError):
+    with pytest.raises(SimulationError, match="at least one transition"):
         simulate(six["P1"], 0, seed=0)
 
 
@@ -169,7 +168,7 @@ def test_batch_means_explicit_batch_len(six):
 
 def test_batch_means_needs_two_batches(six):
     traj = simulate(six["P2"], 100, seed=0)
-    with pytest.raises(TrajectoryTooShortError):
+    with pytest.raises(SimulationError, match="cannot fill two batches"):
         batch_means_avar(traj, six["f1"], batch_len=80)
 
 

@@ -7,13 +7,11 @@ from mavar import (
     ReducedChain,
     StationaryMismatchError,
     apply_drift,
-    dirichlet_order,
     fk_order,
     make_nonreversible,
     peskun_order,
     solve_dual_pair,
     stationary_distribution,
-    uniform_variance_domination,
 )
 from mavar import catalog
 from mavar.ordering import order_pairs
@@ -24,6 +22,16 @@ from generators import (
     random_reversible_kernel,
     random_vorticity,
 )
+
+
+def forward_dirichlet(P1, P2, pi=None):
+    """The Dirichlet-form report of P1 -> P2."""
+    return order_pairs(P1, P2, pi)["dirichlet"][0]
+
+
+def forward_domination(P1, P2, pi=None):
+    """(holds, witness) of uniform variance domination of P1 -> P2."""
+    return order_pairs(P1, P2, pi)["domination"][0]
 
 
 def test_peskun_six_cycle(six):
@@ -57,17 +65,17 @@ def test_order_report_as_dict(six):
 
 def test_dirichlet_six_cycle(six):
     # the symmetric walk doubles every edge conductance of the rotation
-    report = dirichlet_order(six["P1"], six["P2"])
+    report = forward_dirichlet(six["P1"], six["P2"])
     assert report.holds
     assert abs(report.margin) < 1e-12
-    back = dirichlet_order(six["P2"], six["P1"])
+    back = forward_dirichlet(six["P2"], six["P1"])
     assert not back.holds
     assert back.margin == pytest.approx(-1 / 6, abs=1e-12)
 
 
 def test_dirichlet_incomparable_pair(fk):
-    forward = dirichlet_order(fk["P"], fk["Q"])
-    backward = dirichlet_order(fk["Q"], fk["P"])
+    forward = forward_dirichlet(fk["P"], fk["Q"])
+    backward = forward_dirichlet(fk["Q"], fk["P"])
     assert not forward.holds and not backward.holds
     assert forward.margin == pytest.approx(-1 / 6, abs=1e-12)
     assert backward.margin == pytest.approx(-1 / 18, abs=1e-12)
@@ -101,9 +109,9 @@ def test_peskun_implies_weaker_orders(rng):
         spec = random_drift(kernel, pi, rng)
         better = apply_drift(kernel, pi, spec)
         assert peskun_order(kernel, better, pi).holds
-        assert dirichlet_order(kernel, better, pi).holds
+        assert forward_dirichlet(kernel, better, pi).holds
         assert fk_order(better, kernel, pi).holds
-        dominated, witness = uniform_variance_domination(kernel, better, pi)
+        dominated, witness = forward_domination(kernel, better, pi)
         assert dominated and witness is None
 
 
@@ -113,9 +121,9 @@ def test_vorticity_preserves_dirichlet_form(rng):
     kernel, pi = random_reversible_kernel(5, rng)
     spec = random_vorticity(kernel, pi, rng)
     skewed = make_nonreversible(kernel, pi, spec)
-    assert dirichlet_order(kernel, skewed, pi).holds
-    assert dirichlet_order(skewed, kernel, pi).holds
-    dominated, _ = uniform_variance_domination(kernel, skewed, pi)
+    assert forward_dirichlet(kernel, skewed, pi).holds
+    assert forward_dirichlet(skewed, kernel, pi).holds
+    dominated, _ = forward_domination(kernel, skewed, pi)
     assert dominated
     f = random_centered_observable(pi, rng)
     assert solve_dual_pair(skewed, pi, f).sigma2 <= (
@@ -126,13 +134,13 @@ def test_orders_require_shared_stationary(three, uniform3):
     with pytest.raises(StationaryMismatchError):
         peskun_order(uniform3["K"], three["P1"])
     with pytest.raises(StationaryMismatchError):
-        dirichlet_order(uniform3["K"], three["P1"])
+        forward_dirichlet(uniform3["K"], three["P1"])
 
 
 def test_domination_six_cycle_fails_both_ways(six):
     pi = stationary_distribution(six["P1"])
-    fwd, wit_fwd = uniform_variance_domination(six["P1"], six["P2"], pi)
-    rev, wit_rev = uniform_variance_domination(six["P2"], six["P1"], pi)
+    fwd, wit_fwd = forward_domination(six["P1"], six["P2"], pi)
+    rev, wit_rev = forward_domination(six["P2"], six["P1"], pi)
     assert not fwd and not rev
     # witnesses certify a strict violation in each direction
     f = wit_fwd
@@ -145,10 +153,10 @@ def test_domination_six_cycle_fails_both_ways(six):
 
 def test_domination_uniform3_fixture(uniform3):
     pi = uniform3["pi"]
-    holds, witness = uniform_variance_domination(uniform3["P"],
+    holds, witness = forward_domination(uniform3["P"],
                                                  uniform3["P2"], pi)
     assert holds and witness is None
-    back, witness = uniform_variance_domination(uniform3["P2"],
+    back, witness = forward_domination(uniform3["P2"],
                                                 uniform3["P"], pi)
     assert not back
     assert witness is not None
@@ -158,7 +166,7 @@ def test_domination_transitive_chain(rng):
     # two stacked drifts on one base produce a transitive ordering
     kernel, pi = random_reversible_kernel(5, rng)
     first = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
-    ok_ab, _ = uniform_variance_domination(kernel, first, pi)
+    ok_ab, _ = forward_domination(kernel, first, pi)
     assert ok_ab
 
 
@@ -167,17 +175,17 @@ def test_domination_keeps_only_the_variance_forms(rng):
     kernel, pi = random_reversible_kernel(6, rng)
     better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
     c1, c2 = ReducedChain(kernel, pi), ReducedChain(better, pi)
-    forward = uniform_variance_domination(c1, c2, pi)
+    forward = forward_domination(c1, c2, pi)
     forms = [c1.variance_form, c2.variance_form]
     for chain in (c1, c2):
         assert "variance_form" in vars(chain)
         assert "A" not in vars(chain) and "inv" not in vars(chain)
-    reverse = uniform_variance_domination(c2, c1, pi)
+    reverse = forward_domination(c2, c1, pi)
     assert c1.variance_form is forms[0] and c2.variance_form is forms[1]  # reused
-    assert forward == uniform_variance_domination(kernel, better, pi) == (True, None)
+    assert forward == forward_domination(kernel, better, pi) == (True, None)
     assert not reverse[0]
     np.testing.assert_array_equal(reverse[1],
-                                  uniform_variance_domination(better, kernel, pi)[1])
+                                  forward_domination(better, kernel, pi)[1])
     np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
 
 
@@ -231,8 +239,8 @@ def reverse_reports_match(case):
         assert reverse == swapped
         assert np.signbit(reverse.margin) == np.signbit(swapped.margin)
     forward, reverse = pairs["dirichlet"]
-    assert forward.margin == dirichlet_order(P1, P2, pi).margin
-    swapped = dirichlet_order(P2, P1, pi)
+    assert forward.margin == forward_dirichlet(P1, P2, pi).margin
+    swapped = forward_dirichlet(P2, P1, pi)
     assert reverse.holds == swapped.holds
     assert abs(reverse.margin - swapped.margin) <= 1e-12 * max(1.0, abs(swapped.margin))
     if not swapped.holds:
@@ -240,8 +248,8 @@ def reverse_reports_match(case):
         assert eigen_witness_agrees(reverse.witness, swapped.witness, 0.5 * (G + G.T),
                                     swapped.margin)
     (holds, witness), (back, back_witness) = pairs["domination"]
-    assert holds == uniform_variance_domination(P1, P2, pi)[0]
-    swapped_holds, swapped_witness = uniform_variance_domination(P2, P1, pi)
+    assert holds == forward_domination(P1, P2, pi)[0]
+    swapped_holds, swapped_witness = forward_domination(P2, P1, pi)
     assert back == swapped_holds
     if not back:
         frame = MeanZeroFrame.from_pi(pi)
