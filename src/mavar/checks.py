@@ -89,7 +89,8 @@ def _backward_error(r, x, f, row_sums, diag, solve):
 
 
 def _solve_bounds(chain, f, sol):
-    """The backward errors the dual pair's solve can leave in phi and phi*.
+    """(primal, dual, x_norm): the backward errors the dual pair's solve can
+    leave in phi and phi*, and x_norm = sqrt(||X||_1 ||X||_inf) >= ||X||_2.
 
     In the frame's coordinates the dual pair is y = X b and y* = X^T b, with
     X the chain's inverse of I - A and b = reduce(f).  A product with an
@@ -103,8 +104,37 @@ def _solve_bounds(chain, f, sol):
     b = np.max(np.abs(chain.frame.reduce(f)))
     X = np.abs(chain.inv)
     norms = X.sum(axis=1).max(), X.sum(axis=0).max()  # ||X||, ||X^T|| in the inf-norm
-    return [_gamma(chain.m) * norm * b / np.max(np.abs(chain.frame.reduce(x)))
-            for norm, x in zip(norms, (sol.phi, sol.phi_star))]
+    primal, dual = [_gamma(chain.m) * norm * b / np.max(np.abs(chain.frame.reduce(x)))
+                    for norm, x in zip(norms, (sol.phi, sol.phi_star))]
+    return primal, dual, np.sqrt(norms[0] * norms[1])
+
+
+def _asymmetry_bound(chain, f, sol, x_norm):
+    """The largest ||phi - phi*||_pi a correct solve can leave for a
+    reversible chain, whose exact phi and phi* agree.
+
+    With X the inverse of I - A for the computed A, y = X b and y* = X^T b
+    satisfy (I - A)^T (y - y*) = (I - A^T) y - b = E y, E = A - A^T, so
+    y - y* = X^T E y exactly: E holds the rounding of A and the chain's
+    departure from detailed balance.  In the 2-norm,
+    ||y - y*|| <= ||X|| ||E|| ||y||, with ||X|| <= x_norm and, E being
+    antisymmetric, ||E|| <= sqrt(||E||_1 ||E||_inf) = ||E||_1.  The products
+    X b and X^T b add at most gamma_m |X| |b| each, gamma_m x_norm ||b|| in
+    the 2-norm (the inverse taken as exact, as in _solve_bounds).  lift adds
+    at most gamma_{m+3} (|y| + 2 |v| |v|^T |y|) / sqrt(pi) to each entry (an
+    m-term dot product with the unit vector v, a product, a subtraction and
+    the division), 3 gamma_{m+3} ||y|| in the pi-norm, where
+    ||g||_pi = ||reduce(g)|| for a mean-zero g.  To first order in u.
+    """
+    A = chain.A
+    # ||E||_1 = ||E||_inf, the largest row sum of |E|, a block of rows at a time
+    asymmetry = max((np.abs(A[i:i + PROBE_BLOCK] - A[:, i:i + PROBE_BLOCK].T)
+                     .sum(axis=1).max() for i in range(0, chain.m, PROBE_BLOCK)),
+                    default=0.0)
+    y, y_star, b = (np.linalg.norm(chain.frame.reduce(x))
+                    for x in (sol.phi, sol.phi_star, f))
+    return (x_norm * (asymmetry * y + 2.0 * _gamma(chain.m) * b)
+            + 3.0 * _gamma(chain.m + 3) * (y + y_star))
 
 
 def _probe_blocks(rng, trials, f, w):
@@ -137,7 +167,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     P, w = chain.rows, chain.pi
     fscale = max(1.0, float(np.max(np.abs(f))))
     diag = np.diag(P)
-    primal, dual = _solve_bounds(chain, f, sol)
+    primal, dual, x_norm = _solve_bounds(chain, f, sol)
     phi, star = sol.phi, sol.phi_star
     record("poisson residual (primal)",
            *_backward_error(phi - P @ phi - f, phi, f, P.sum(axis=1), diag, primal))
@@ -192,5 +222,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     if reversible:
         _, inf_val = reversible_inf(chain, None, f)
         record("reversible minimum", abs(inf_val - value), ROUTE_TOL * max(1.0, value))
-        record("eta* vanishes (reversible)", np.max(np.abs(eta_star)), 1e-9)
+        # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), against what rounding can leave
+        record("eta* vanishes (reversible)", np.sqrt(w @ (eta_star * eta_star)),
+               0.5 * value * _asymmetry_bound(chain, f, sol, x_norm))
     return checks, sol.sigma2

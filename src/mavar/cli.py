@@ -30,7 +30,11 @@ import click
 import numpy as np
 import orjson
 
-from . import __version__, catalog, checks
+# Every command reads a kernel, so errors and kernel load here.  The other
+# layers are bound lazily by mavar/__init__ and reached as module attributes
+# inside the commands, so a command runs only the layers it calls.
+from . import __version__, catalog, checks, montecarlo, ordering, poisson
+from . import perturb as perturbation
 from .errors import (
     DegenerateKernelError,
     KernelError,
@@ -53,10 +57,6 @@ from .kernel import (
     stationary_residual,
     validate_kernel,
 )
-from .montecarlo import batch_means_avar, simulate as run_chain
-from .ordering import order_pairs, peskun_order
-from .perturb import _density, apply_drift, family_alpha, validate_drift, validate_vorticity
-from .poisson import ROUTE_TOL, solve_dual_pair
 
 # The interpreter's exit ends with a full collection, ~40 ms spent walking and
 # freeing the ~24,000 objects numpy, click and mavar create at import, memory
@@ -312,7 +312,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     sol, routes, reversible = checks.routes(chain, f, tol)
     # a route that failed is inf, so the spread is inf or NaN and agree is False
     spread = max(routes.values()) - min(routes.values())
-    agree = spread <= ROUTE_TOL * max(1.0, abs(sol.sigma2))
+    agree = spread <= poisson.ROUTE_TOL * max(1.0, abs(sol.sigma2))
     # the mean-zero spectral radius; a reversible chain's spectral route
     # filled the spectrum
     radius = float(np.max(np.abs(chain.spectrum)))
@@ -342,7 +342,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
         click.echo(f"avar: {_fmt(sol.avar)}")
         for name, value in routes.items():
             click.echo(f"route {name}: {_fmt(value)}")
-        click.echo(f"routes agree within {ROUTE_TOL:g}: {'yes' if agree else 'no'}")
+        click.echo(f"routes agree within {poisson.ROUTE_TOL:g}: {'yes' if agree else 'no'}")
     if not agree:
         worst = max(routes, key=lambda name: abs(routes[name] - sol.sigma2))
         _fail(EXIT_ROUTES, f"variance routes disagree by {spread}, the {worst} route "
@@ -371,7 +371,7 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     k2, pi2 = _load_kernel_file(kernel_file_2, tol)
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
     # order_pairs checks that the sizes match and that both kernels keep pi
-    orders = order_pairs(k1, k2, pi)
+    orders = ordering.order_pairs(k1, k2, pi)
     dom_fwd, dom_rev = orders.pop("domination")
 
     def _dom_payload(result):
@@ -434,16 +434,17 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     tol = min(tol, DEFAULT_TOL)  # the library rechecks at DEFAULT_TOL: --tol only tightens
     diagnostics = {}
     if want == "vorticity":
-        gamma = validate_vorticity(kernel, pi, matrix, tol)
-        result = family_alpha(kernel, pi, gamma, alpha)
-        h, _ = _density(kernel, pi, gamma)
+        gamma = perturbation.validate_vorticity(kernel, pi, matrix, tol)
+        result = perturbation.family_alpha(kernel, pi, gamma, alpha)
+        h, _ = perturbation._density(kernel, pi, gamma)
         diagnostics["max_density"] = float(np.max(np.abs(alpha * h)))
         diagnostics["alpha"] = alpha
     else:
         if alpha != 1.0:
             _fail(EXIT_PARSE, "--alpha applies only to vorticity perturbations")
-        result = apply_drift(kernel, pi, validate_drift(kernel, pi, matrix, tol))
-        diagnostics["peskun_margin"] = peskun_order(kernel, result, pi).margin
+        drift = perturbation.validate_drift(kernel, pi, matrix, tol)
+        result = perturbation.apply_drift(kernel, pi, drift)
+        diagnostics["peskun_margin"] = ordering.peskun_order(kernel, result, pi).margin
     diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
         _echo_json({
@@ -505,10 +506,10 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     kernel, embedded = _load_kernel_file(kernel_file, tol)
     f = _load_observable_file(observable_file, len(kernel))
     try:
-        trajectory = run_chain(kernel, n_steps, seed, initial)
+        trajectory = montecarlo.simulate(kernel, n_steps, seed, initial)
     except MemoryError:
         _fail(EXIT_PARSE, f"--n {n_steps} transitions do not fit in memory")
-    estimate = batch_means_avar(trajectory, f, batch_len)
+    estimate = montecarlo.batch_means_avar(trajectory, f, batch_len)
     report = {
         "value": estimate.value,
         "std_error": estimate.std_error,
@@ -519,7 +520,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     if is_irreducible(kernel):
         pi = _resolve_pi(kernel, embedded)
         try:
-            sol = solve_dual_pair(kernel, pi, centered(f, pi), tol)
+            sol = poisson.solve_dual_pair(kernel, pi, centered(f, pi), tol)
             report["analytic_avar"] = sol.avar
             if estimate.std_error > 0:
                 report["deviation_sigmas"] = (

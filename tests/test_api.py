@@ -52,8 +52,14 @@ FIXTURE_GROUPS = [
 FIXTURE_ROW_FIELDS = ["name", "stated", "compute", "derived", "note"]
 
 
+def members(module):
+    """{name: value} of module as dir() lists it; a name mavar serves lazily is
+    not in vars(mavar) until its first use."""
+    return {name: getattr(module, name) for name in dir(module)}
+
+
 def public(modules):
-    return sorted(name for name, value in vars(mavar).items()
+    return sorted(name for name, value in members(mavar).items()
                   if not name.startswith("_") and isinstance(value, ModuleType) == modules)
 
 
@@ -65,10 +71,17 @@ def test_public_modules_are_pinned():
     assert [name for name in public(modules=True) if name != "cli"] == PUBLIC_MODULES
 
 
+def test_star_import_gives_the_pinned_names_and_modules():
+    namespace = {}
+    exec("from mavar import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(PUBLIC_NAMES + PUBLIC_MODULES)
+
+
 def test_tol_knobs_are_pinned():
     knobs = []
     for prefix, module in (("", mavar), ("checks.", mavar.checks), ("catalog.", mavar.catalog)):
-        for name, value in vars(module).items():
+        for name, value in members(module).items():
             if (inspect.isfunction(value) and not name.startswith("_")
                     and (module is mavar or value.__module__ == module.__name__)
                     and "tol" in inspect.signature(value).parameters):

@@ -136,6 +136,22 @@ def test_the_residual_records_catch_each_corruption(corrupt):
         assert records[name]["residual"] >= 1e-11 > 1e3 * records[name]["bound"]
 
 
+def test_the_eta_star_record_catches_an_asymmetric_inverse():
+    # a reversible chain's inverse of I - A is symmetric; one off-diagonal entry
+    # scaled by 1 + 1e-12 moves ||eta*||_pi from 2e-16 to 2.8e-14 against a bound of 6.5e-15
+    rng = np.random.default_rng(4)
+    kernel, pi = random_reversible_kernel(8, rng)
+    f = random_centered_observable(pi, rng)
+    chain = ReducedChain(kernel, pi)
+    assert records_by_name(chain, f, trials=3)["eta* vanishes (reversible)"]["passed"]
+    bad = chain.inv.copy()
+    bad[0, 1] *= 1.0 + 1e-12
+    chain.inv = bad
+    record = records_by_name(chain, f, trials=3)["eta* vanishes (reversible)"]
+    assert record["passed"] is False
+    assert record["residual"] > 2.0 * record["bound"]
+
+
 def test_routes_agree_on_a_reversible_fixture(six):
     pi = stationary_distribution(six["P2"])
     sol, values, reversible = checks.routes(ReducedChain(six["P2"], pi), six["f1"])

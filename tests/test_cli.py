@@ -876,21 +876,23 @@ def test_verify_solves_only_the_resolvent_it_records(runner, tmp_path, monkeypat
     assert len(calls) == 4
 
 
-def birth_death_files(tmp_path, n):
-    """Up 0.2, down 0.5, the rest held: pi falls by a factor 0.4 per state."""
+def birth_death_files(tmp_path, n, up=0.2, down=0.5, f=np.cos):
+    """Up `up`, down `down`, the rest held: pi falls by a factor up/down per
+    state.  The observable is f(i)."""
     rows = np.zeros((n, n))
     i = np.arange(n - 1)
-    rows[i, i + 1] = 0.2
-    rows[i + 1, i] = 0.5
+    rows[i, i + 1] = up
+    rows[i + 1, i] = down
     rows[np.arange(n), np.arange(n)] = 1.0 - rows.sum(axis=1)
     return (write_json(tmp_path / "P.json", {"rows": rows.tolist()}),
-            write_json(tmp_path / "f.json", np.cos(np.arange(n)).tolist()))
+            write_json(tmp_path / "f.json", f(np.arange(n, dtype=float)).tolist()))
 
 
 @pytest.mark.parametrize("n, code, failed", [
     (14, 0, []),  # pi_min 4e-6
-    # pi_min 1.6e-8: the frame gives eta* only to about 2e-7 here
-    (20, 5, ["eta* vanishes (reversible)"]),
+    # pi_min 1.6e-8: max|eta*| is 2.2e-7 at the lightest states, but
+    # ||eta*||_pi is 3.5e-11, within the 7.1e-8 that rounding A can leave
+    (20, 0, []),
 ])
 def test_verify_on_small_stationary_weights(runner, tmp_path, n, code, failed):
     # the dual residual applies P* = P^T (pi .) / pi as defined; a kernel
@@ -901,6 +903,26 @@ def test_verify_on_small_stationary_weights(runner, tmp_path, n, code, failed):
     records = json.loads(result.stdout)["checks"]
     assert [c["name"] for c in records if not c["passed"]] == failed
     assert "sums to" not in result.stderr
+
+
+@pytest.mark.parametrize("up", [0.28, 0.25, 0.2])
+def test_verify_passes_eta_star_on_a_reversible_chain_with_tiny_weights(runner, tmp_path,
+                                                                        up):
+    # f = i; pi_min is 9.8e-9 at up = 0.28.  The record reads
+    # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), which rounding leaves at
+    # 7e-12 to 4e-9 here, each time hundreds of times below its bound
+    kernel, obs = birth_death_files(tmp_path, 20, up, 0.72, f=lambda i: i)
+    analyzed = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
+    assert analyzed.exit_code == 0, analyzed.stderr
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
+    assert result.exit_code == 0, result.stderr
+    record = next(c for c in json.loads(result.stdout)["checks"]
+                  if c["name"] == "eta* vanishes (reversible)")
+    report = json.loads(analyzed.stdout)
+    pi, phi, phi_star = (np.array(report[key]) for key in ("pi", "phi", "phi_star"))
+    assert record["residual"] == pytest.approx(
+        np.sqrt(pi @ (phi - phi_star) ** 2) / (2.0 * report["sigma2"]), rel=1e-12)
+    assert record["residual"] * 100.0 < record["bound"]
 
 
 def test_zero_variance_exits_2_from_verify_and_0_from_analyze(runner, tmp_path):

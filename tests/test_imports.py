@@ -1,0 +1,128 @@
+"""mavar registers its submodules lazily: a process runs only the layers it calls.
+
+Each check runs in a fresh interpreter, since this one has run every layer.
+A submodule that is registered but has not run is still a LazyLoader module;
+its class becomes types.ModuleType when its code runs.
+"""
+
+import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mavar
+from mavar import catalog
+
+SUBMODULES = ["catalog", "checks", "errors", "kernel", "montecarlo", "ordering",
+              "perturb", "poisson", "variational"]
+
+# prepended to each child's code: ran() lists the submodules, mavar.cli aside,
+# whose code has run
+RAN = """
+import sys, types
+def ran():
+    return sorted(name.removeprefix("mavar.") for name, module in sys.modules.items()
+                  if name.startswith("mavar.") and name != "mavar.cli"
+                  and type(module) is types.ModuleType)
+"""
+
+
+def child(code, *args):
+    src = str(Path(mavar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", RAN + code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def last_line(stream):
+    return json.loads(stream.splitlines()[-1])
+
+
+def test_import_mavar_registers_every_submodule_and_runs_none():
+    done = child("""
+import json, mavar
+print(json.dumps({"ran": ran(), "numpy": "numpy" in sys.modules,
+                  "bound": sorted(name for name in mavar.__all__
+                                  if sys.modules.get("mavar." + name) is getattr(mavar, name))}))
+""")
+    assert done.returncode == 0, done.stderr
+    assert last_line(done.stdout) == {"ran": [], "numpy": False, "bound": SUBMODULES}
+
+
+def public_functions(module):
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_") and inspect.isfunction(value)
+                  and value.__module__ == module.__name__)
+
+
+def test_after_import_mavar_cli_vars_of_each_layer_lists_its_functions():
+    # a tracer that wraps each layer's functions reads vars(sys.modules["mavar.<layer>"])
+    # right after importing mavar.cli, before any command has run
+    done = child("""
+import inspect, json
+import mavar.cli
+before = ran()
+layers = {}
+for name in sys.argv[1:]:
+    module = sys.modules["mavar." + name]
+    assert getattr(sys.modules["mavar"], name) is module, name
+    layers[name] = sorted(attr for attr, value in vars(module).items()
+                          if not attr.startswith("_") and inspect.isfunction(value)
+                          and value.__module__ == module.__name__)
+print(json.dumps({"before": before, "layers": layers, "after": ran()}))
+""", *SUBMODULES)
+    assert done.returncode == 0, done.stderr
+    seen = last_line(done.stdout)
+    assert seen["before"] == ["errors", "kernel"]
+    assert seen["after"] == SUBMODULES
+    assert seen["layers"] == {name: public_functions(getattr(mavar, name))
+                              for name in SUBMODULES}
+    assert all(seen["layers"][name] for name in SUBMODULES if name != "errors")
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fixtures")
+    catalog.dump_fixtures(directory)
+    return directory
+
+
+ANALYSIS = ["checks", "errors", "kernel", "poisson", "variational"]
+
+
+@pytest.mark.parametrize("args, footprint", [
+    pytest.param(["validate", "three-state-pair/P1.json"], ["errors", "kernel"],
+                 id="validate"),
+    pytest.param(["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"],
+                 ANALYSIS, id="analyze"),
+    pytest.param(["verify", "--trials", "3", "three-state-pair/P1.json",
+                  "three-state-pair/g1.json"], ANALYSIS, id="verify"),
+    pytest.param(["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"],
+                 ["errors", "kernel", "ordering"], id="compare"),
+    pytest.param(["perturb", "uniform3/K.json", "--gamma", "uniform3/vorticity.json"],
+                 ["errors", "kernel", "ordering", "perturb"], id="perturb --gamma"),
+    pytest.param(["perturb", "tridiag-drift/K.json", "--lambda", "tridiag-drift/drift.json"],
+                 ["errors", "kernel", "ordering", "perturb"], id="perturb --lambda"),
+    pytest.param(["simulate", "--n", "1000", "three-state-pair/P1.json",
+                  "three-state-pair/g1.json"],
+                 ["errors", "kernel", "montecarlo", "poisson"], id="simulate"),
+    pytest.param(["reproduce-examples"],
+                 ["catalog", "errors", "kernel", "ordering", "perturb", "poisson"],
+                 id="reproduce-examples"),
+])
+def test_each_command_runs_only_the_layers_it_calls(fixture_dir, args, footprint):
+    # a stray top-level import in mavar.cli or a layer would show as an extra name
+    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in args]
+    done = child("""
+import atexit, json
+atexit.register(lambda: print(json.dumps(ran()), file=sys.stderr))
+from mavar.cli import main
+main(sys.argv[1:])
+""", *argv)
+    assert done.returncode == 0, done.stderr
+    assert last_line(done.stderr) == footprint
