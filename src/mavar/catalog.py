@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import _as_chain, stationary_distribution, validate_kernel
+from .kernel import DEFAULT_TOL, _as_chain, stationary_distribution, validate_kernel
 from .ordering import fk_order
 from .perturb import apply_drift, make_nonreversible, validate_vorticity
 from .poisson import solve_dual_pair
@@ -337,7 +337,7 @@ FIXTURE_ROWS = (
 )
 
 
-def run_fixture(row: FixtureRow, tol: float = 1e-9) -> FixtureResult:
+def run_fixture(row: FixtureRow, tol: float = DEFAULT_TOL) -> FixtureResult:
     computed = row.compute(FIXTURES[row.group]())
     arr = np.asarray(computed, dtype=float)
     ds = float(np.max(np.abs(arr - _floats(row.stated))))
@@ -349,7 +349,7 @@ def run_fixture(row: FixtureRow, tol: float = 1e-9) -> FixtureResult:
     return FixtureResult(row, computed, ds, de, verdict)
 
 
-def run_all(tol: float = 1e-9, only: str | None = None) -> list:
+def run_all(tol: float = DEFAULT_TOL, only: str | None = None) -> list:
     results = []
     for row in FIXTURE_ROWS:
         if only is not None and only not in row.name and only != row.group:

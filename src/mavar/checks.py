@@ -16,7 +16,7 @@ record or an infinite route value, never an exception.
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernel import DEFAULT_TOL, _as_vector, is_reversible, pi_inner
+from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, is_reversible, pi_inner
 from .poisson import (
     ROUTE_TOL,
     avar_spectral,
@@ -35,10 +35,9 @@ from .variational import (
 
 RESOLVENT_BETA = 1e-4
 PROBE_BLOCK = 64
-UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
-def routes(chain, f, tol: float = DEFAULT_TOL):
+def routes(chain, f):
     """(dual-pair solution, {route: sigma^2}, reversible) for a ReducedChain.
 
     A route whose own cross-check raises NumericalFailureError reports
@@ -46,24 +45,18 @@ def routes(chain, f, tol: float = DEFAULT_TOL):
     weight of f, so a failed route is a value the caller compares.  The
     spectral route runs when is_reversible holds.
     """
-    sol = solve_dual_pair(chain, None, f, tol)
+    sol = solve_dual_pair(chain, None, f)
     reversible = is_reversible(chain, chain.pi)
     # the spectral route's eigenvectors are freed before cinv and T are built
-    spectral = avar_spectral(chain, None, f, tol) if reversible else None
+    spectral = avar_spectral(chain, None, f) if reversible else None
     values = {"dual-pair": sol.sigma2}
     try:
-        values["factored-operator"] = avar_via_factored_operator(chain, None, f, tol)
+        values["factored-operator"] = avar_via_factored_operator(chain, None, f)
     except NumericalFailureError:
         values["factored-operator"] = np.inf
     if reversible:
         values["spectral"] = spectral
     return sol, values, reversible
-
-
-def _gamma(k):
-    """gamma_k = k u / (1 - k u), the bound on the relative rounding error of
-    k floating-point operations in a row (Higham 2002, sec. 3.1)."""
-    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 def _backward_error(r, x, f, row_sums, diag, solve):
@@ -146,7 +139,7 @@ def _probe_blocks(rng, trials, f, w):
         yield project_to_constraint(rng.standard_normal((k, w.shape[0])).T, f, w, 0.0)
 
 
-def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL):
+def battery(chain, f, seed: int = 0, trials: int = 20):
     """(records, sigma^2): the verify battery for a ReducedChain and centered f.
 
     Each record is {"name", "residual", "bound", "passed"}.  The random
@@ -162,7 +155,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
                        "bound": float(bound), "passed": bool(residual <= bound)})
 
     f = _as_vector(f)
-    sol, values, reversible = routes(chain, f, tol)
+    sol, values, reversible = routes(chain, f)
     saddle = saddle_point(chain, None, f)
     P, w = chain.rows, chain.pi
     fscale = max(1.0, float(np.max(np.abs(f))))
@@ -181,7 +174,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
         if name != "dual-pair":
             record(f"{name} route", abs(value - sol.sigma2),
                    ROUTE_TOL * max(1.0, abs(sol.sigma2)))
-    tail = resolvent_curve(chain, None, f, RESOLVENT_BETA, tol)
+    tail = resolvent_curve(chain, None, f, RESOLVENT_BETA)
     phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
     record("resolvent tail", abs(tail - sol.sigma2), 10.0 * RESOLVENT_BETA * phi_norm)
     value = saddle.value
@@ -196,10 +189,10 @@ def battery(chain, f, seed: int = 0, trials: int = 20, tol: float = DEFAULT_TOL)
     record("saddle Dirichlet identity",
            abs(dirichlet_form(chain, None, combined, xi_star - eta_star) - value),
            ROUTE_TOL * max(1.0, value))
-    _, sup_at_star = inner_sup(chain, None, f, xi_star, tol)
+    _, sup_at_star = inner_sup(chain, None, f, xi_star)
     record("inner sup at xi*", abs(sup_at_star - value), ROUTE_TOL * max(1.0, value))
     rng = np.random.default_rng(seed)
-    worst_inf = min(np.min(inner_sup(chain, None, f, xi_star[:, None] + block, tol)[1])
+    worst_inf = min(np.min(inner_sup(chain, None, f, xi_star[:, None] + block)[1])
                     for block in _probe_blocks(rng, trials, f, w))
     record("inf side: min over random xi of sup >= 1/sigma^2",
            max(0.0, value - worst_inf), ROUTE_TOL * max(1.0, value))

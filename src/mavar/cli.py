@@ -13,9 +13,10 @@ identity disagreement (a route that failed its own cross-check is inf),
 library error that escapes a command gets its code from one table keyed by
 error class, EXIT_CODES, applied once by the command group, so every command
 maps an error the same way (a degenerate pair exits 4 from compare as from
-analyze).  The MAVAR_TOL environment variable overrides the
-default verification tolerance; an explicit --tol flag wins over both, and
-either must be positive and finite.
+analyze).  The MAVAR_TOL environment variable overrides the default
+validation tolerance, which reaches only what a command validates and
+reproduce-examples' pass/fail threshold; an explicit --tol flag wins over
+both, and either must be positive and finite.
 """
 
 import atexit
@@ -303,13 +304,13 @@ def validate(kernel_file, tol, as_json):
 @click.argument("kernel_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("observable_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--center", is_flag=True, help="subtract the pi-mean first")
-@click.option("--tol", type=float, default=None, help="verification tolerance")
+@click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def analyze(kernel_file, observable_file, center, tol, as_json):
     """Solve the Poisson equation and report the variance by every route."""
     tol = _resolve_tol(tol)
     f, was_centered, chain = _load_analysis(kernel_file, observable_file, tol, center)
-    sol, routes, reversible = checks.routes(chain, f, tol)
+    sol, routes, reversible = checks.routes(chain, f)
     # a route that failed is inf, so the spread is inf or NaN and agree is False
     spread = max(routes.values()) - min(routes.values())
     agree = spread <= poisson.ROUTE_TOL * max(1.0, abs(sol.sigma2))
@@ -362,7 +363,7 @@ def _order_line(label, report):
 @main.command()
 @click.argument("kernel_file_1", type=click.Path(exists=True, dir_okay=False))
 @click.argument("kernel_file_2", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=None, help="verification tolerance")
+@click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def compare(kernel_file_1, kernel_file_2, tol, as_json):
     """Report every kernel order plus uniform variance domination."""
@@ -469,13 +470,13 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
               help="seed for random test functions")
 @click.option("--trials", type=click.IntRange(min=1), default=20,
               help="random test functions per check")
-@click.option("--tol", type=float, default=None, help="verification tolerance")
+@click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     """Run the variational identity battery for one kernel and observable."""
     tol = _resolve_tol(tol)
     f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
-    records, sigma2 = checks.battery(chain, f, seed, trials, tol)
+    records, sigma2 = checks.battery(chain, f, seed, trials)
     all_pass = all(c["passed"] for c in records)
     if as_json:
         _echo_json({"checks": records, "all_pass": all_pass, "sigma2": sigma2,
@@ -520,7 +521,7 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
     if is_irreducible(kernel):
         pi = _resolve_pi(kernel, embedded)
         try:
-            sol = poisson.solve_dual_pair(kernel, pi, centered(f, pi), tol)
+            sol = poisson.solve_dual_pair(kernel, pi, centered(f, pi))
             report["analytic_avar"] = sol.avar
             if estimate.std_error > 0:
                 report["deviation_sigmas"] = (

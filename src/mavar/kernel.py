@@ -41,6 +41,13 @@ SOLVABLE_TOL = 1e-12
 # an inverse computed near singularity is itself inaccurate, so the norm gates
 # pass only with this margin over SOLVABLE_TOL and leave closer calls to the spectrum
 GATE_SAFETY = 1e6
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), the bound on the relative rounding error of
+    k floating-point operations in a row (Higham 2002, sec. 3.1)."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
 def _as_matrix(P):

@@ -39,13 +39,13 @@ class PoissonSolution:
     avar: float
 
 
-def _check_centered(fv, w, tol):
+def _check_centered(fv, w):
     mean = abs(float(w @ fv))
-    if mean > tol * max(1.0, np.max(np.abs(fv)) if fv.size else 1.0):
+    if mean > DEFAULT_TOL * max(1.0, np.max(np.abs(fv)) if fv.size else 1.0):
         raise ObservableError(f"observable has pi-mean {mean}")
 
 
-def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
+def solve_dual_pair(P, pi, f) -> PoissonSolution:
     """Solve the Poisson equation for P and its pi-adjoint together.
 
     One inverse of I - A serves both systems: the adjoint becomes the
@@ -60,7 +60,7 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    _check_centered(fv, chain.pi, tol)
+    _check_centered(fv, chain.pi)
     fy = chain.frame.reduce(fv)
     y = chain.inv @ fy
     y_star = fy @ chain.inv
@@ -77,7 +77,7 @@ def solve_dual_pair(P, pi, f, tol: float = DEFAULT_TOL) -> PoissonSolution:
     return PoissonSolution(chain.frame.lift(y), chain.frame.lift(y_star), sigma2, avar)
 
 
-def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
+def avar_via_factored_operator(P, pi, f) -> float:
     """Asymptotic variance through the symmetric factored operator.
 
     In mean-zero coordinates the operator
@@ -90,7 +90,7 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
     # first, so an uncentered f or a singular I - A raises before I - S is factored
-    ref = solve_dual_pair(chain, None, fv, tol)
+    ref = solve_dual_pair(chain, None, fv)
     fy = chain.frame.reduce(fv)
     ybar = np.linalg.solve(chain.T, fy)
     sigma2 = float(fy @ ybar)
@@ -104,7 +104,7 @@ def avar_via_factored_operator(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     return sigma2
 
 
-def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
+def avar_spectral(P, pi, f) -> float:
     """Spectral-route variance for a reversible kernel.
 
     In mean-zero coordinates a reversible chain's A is symmetric; with
@@ -118,7 +118,7 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    _check_centered(fv, chain.pi, tol)
+    _check_centered(fv, chain.pi)
     if not chain.reversible:
         raise KernelError("kernel is not reversible for the given pi")
     vals, vecs = chain._symmetric_eigh()
@@ -131,7 +131,7 @@ def avar_spectral(P, pi, f, tol: float = DEFAULT_TOL) -> float:
     return float(np.sum(coeffs[keep] ** 2 / (1.0 - vals[keep])))
 
 
-def resolvent_curve(P, pi, f, beta: float, tol: float = DEFAULT_TOL) -> float:
+def resolvent_curve(P, pi, f, beta: float) -> float:
     """Regularized route: solve ((1 + beta) I - P) phi_beta = f for beta > 0.
 
     Returns <f, phi_beta>_pi, which converges to sigma^2 as beta decreases
@@ -142,6 +142,6 @@ def resolvent_curve(P, pi, f, beta: float, tol: float = DEFAULT_TOL) -> float:
         raise ValueError(f"beta must be positive, got {beta}")
     w = _as_chain(P, pi).pi
     fv = _as_vector(f)
-    _check_centered(fv, w, tol)
+    _check_centered(fv, w)
     phi = np.linalg.solve(_shift_minus(_as_matrix(P), 1.0 + beta), fv)
     return pi_inner(fv, phi, w)

@@ -24,6 +24,7 @@ from .kernel import (
     _as_chain,
     _as_matrix,
     _as_vector,
+    _gamma,
     is_reversible,
     pi_inner,
 )
@@ -109,7 +110,7 @@ def saddle_point(P, pi, f) -> SaddlePoint:
     return SaddlePoint(xi, eta, 1.0 / sol.sigma2)
 
 
-def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
+def inner_sup(P, pi, f, xi):
     """Maximize <(I - P)(xi + eta), xi - eta>_pi over pi(f eta) = 0.
 
     The objective is concave in eta, with S = (A + A^T)/2 its curvature.
@@ -119,14 +120,23 @@ def inner_sup(P, pi, f, xi, tol: float = DEFAULT_TOL):
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
     equality at xi = xi*; for an n x k block xi, eta_opt is n x k and
     value holds the k column values.  Raises ObservableError if
-    pi(f xi) != 1 for some column.
+    pi(f xi) != 1 beyond rounding for some column.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    X = _block(xi, chain.frame.n)
-    norm = _pi_columns(_block(fv, chain.frame.n), X, chain.pi)
-    worst = np.argmax(np.abs(norm - 1.0))
-    if abs(norm[worst] - 1.0) > tol:
+    F, X = (_block(x, chain.frame.n) for x in (fv, xi))
+    norm = _pi_columns(F, X, chain.pi)
+    # pi(f xi) = 1 up to rounding, to first order in u, with s = sum pi |f| |xi|
+    # (Higham 2002, sec. 3.1): the n-term sum norm errs by at most gamma_{n+1} s
+    # and a sum xi* + probe by u s.  A probe x + c f that project_to_constraint
+    # built, c = (v - pi(f x)) / pi(f f), misses v by the rounding of its sum
+    # pi(f x), of c and of the update, at most gamma_{n+3} s each while x and
+    # c f are no larger than xi, as for random probes: 4 gamma_{n+3} s in all.
+    # DEFAULT_TOL covers the solve behind xi*.
+    s = _pi_columns(np.abs(F), np.abs(X), chain.pi)
+    bound = DEFAULT_TOL + 4.0 * _gamma(len(F) + 3) * s
+    worst = np.argmax(np.abs(norm - 1.0) - bound)
+    if abs(norm[worst] - 1.0) > bound[worst]:
         raise ObservableError(f"pi(f xi) = {float(norm[worst])}, expected 1")
     fy = chain.frame.reduce(fv)
     xy = chain.frame.reduce(X)

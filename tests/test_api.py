@@ -35,9 +35,7 @@ PUBLIC_MODULES = [
 # the public functions with a tol parameter, all reached by the CLI's --tol/MAVAR_TOL;
 # every other threshold is a constant of its module
 TOL_KNOBS = [
-    "avar_spectral", "avar_via_factored_operator", "catalog.run_all",
-    "catalog.run_fixture", "checks.battery", "checks.routes", "inner_sup",
-    "resolvent_curve", "solve_dual_pair", "validate_drift", "validate_kernel",
+    "catalog.run_all", "catalog.run_fixture", "validate_drift", "validate_kernel",
     "validate_vorticity",
 ]
 

@@ -14,7 +14,7 @@ import mavar.checks
 import mavar.cli
 from mavar import apply_drift, catalog
 from mavar.cli import main
-from mavar.kernel import stationary_distribution
+from mavar.kernel import centered, stationary_distribution
 from mavar.poisson import ROUTE_TOL
 
 from generators import (
@@ -1013,3 +1013,54 @@ def test_a_frozen_exit_keeps_piped_output_and_earlier_hooks(tmp_path):
     report = json.loads(done.stdout)
     assert len(report["pi"]) == 200 and report["domination"]["forward"]["holds"] is True
     assert frozen_at_exit(done.stderr) > 0
+
+
+def seeded_chain_files(tmp_path, scale=1.0):
+    """{(kind, n): (kernel file, observable file)}: rng = default_rng(1), then for
+    n = 10, 50 and 200 in turn B = rng.random((n, n)), the "nonrev" chain B and
+    the "rev" chain B + B^T with rows normalised, and the observable
+    scale * rng.standard_normal(n), not centered."""
+    rng = np.random.default_rng(1)
+    files = {}
+    for n in (10, 50, 200):
+        B = rng.random((n, n))
+        obs = write_json(tmp_path / f"f{n}.json", (scale * rng.standard_normal(n)).tolist())
+        for kind, weights in (("nonrev", B), ("rev", B + B.T)):
+            rows = weights / weights.sum(axis=1, keepdims=True)
+            files[kind, n] = write_json(tmp_path / f"{kind}{n}.json", {"rows": rows.tolist()}), obs
+    return files
+
+
+@pytest.mark.parametrize("kind", ["rev", "nonrev"])
+def test_verify_passes_a_large_observable(runner, tmp_path, kind):
+    # a probe's pi(f xi) carries rounding in proportion to f's scale, ~1e-8 here,
+    # which inner_sup must not take for a xi off the constraint
+    files = seeded_chain_files(tmp_path, 1e8)
+    for n in (10, 50, 200):
+        result = runner.invoke(main, ["verify", "--json", "--center", *files[kind, n]])
+        assert result.exit_code == 0, result.stderr
+        assert all(c["passed"] for c in json.loads(result.stdout)["checks"])
+
+
+def test_verify_tol_below_rounding_fails_no_check(runner, tmp_path):
+    # --tol reaches the observable's centering, not the battery's probes, whose
+    # pi(f xi) misses 1 by ~1e-15 here
+    kernel, obs = seeded_chain_files(tmp_path)["nonrev", 200]
+    result = runner.invoke(main, ["verify", "--center", "--tol", "1e-15", kernel, obs])
+    assert result.exit_code == 0, result.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_tol_leaves_the_report_of_a_centered_observable_unchanged(runner, tmp_path,
+                                                                  command):
+    # --tol reaches only what the command validates, none of it in play here
+    rng = np.random.default_rng(8)
+    rev, _ = random_reversible_kernel(12, rng)
+    for kernel in (rev, random_irreducible_kernel(12, rng)):
+        f = centered(rng.standard_normal(12), stationary_distribution(kernel))
+        args = [command, "--json", write_json(tmp_path / "P.json", {"rows": kernel.tolist()}),
+                write_json(tmp_path / "f.json", f.tolist())]
+        results = [runner.invoke(main, args + extra)
+                   for extra in ([], ["--tol", "1e-3"], ["--tol", "1e-12"])]
+        assert [r.exit_code for r in results] == [0, 0, 0]
+        assert results[0].stdout == results[1].stdout == results[2].stdout

@@ -102,6 +102,17 @@ def test_inner_sup_rejects_infeasible_xi(six):
         inner_sup(six["P1"], pi, six["f1"], np.zeros(6))
 
 
+def test_inner_sup_rejects_a_xi_off_the_constraint_by_1e_6(six):
+    # f is unit scale, so the rounding allowance is far below 1e-6
+    pi = stationary_distribution(six["P1"])
+    saddle = saddle_point(six["P1"], pi, six["f1"])
+    with pytest.raises(ObservableError, match=r"pi\(f xi\) = 1\.000001, expected 1"):
+        inner_sup(six["P1"], pi, six["f1"], (1.0 + 1e-6) * saddle.xi_star)
+    block = np.column_stack([saddle.xi_star, (1.0 + 1e-6) * saddle.xi_star])
+    with pytest.raises(ObservableError, match=r"pi\(f xi\) = 1\.000001, expected 1"):
+        inner_sup(six["P1"], pi, six["f1"], block)
+
+
 def test_minimax_sandwich_random(rng):
     for trial in range(15):
         n = int(rng.integers(3, 9))
