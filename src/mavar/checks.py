@@ -9,9 +9,15 @@ agreement, the resolvent limit at the one beta its record reads
 1/sigma^2, random probes of its inf and sup sides, and the reversible
 minimum.  The probes go through the
 variational functions as n x k blocks of at most PROBE_BLOCK, so their
-memory does not grow with the number of trials.  A failed check is a
-record or an infinite route value, never an exception.
+memory does not grow with the number of trials.  Their normals come from
+the standard library's random.Random(seed) by Box-Muller, so verify never
+imports numpy.random (and with it secrets and _hashlib); a seed draws
+other probes than it did when numpy.random.default_rng(seed) drew them.
+A failed check is a record or an infinite route value, never an exception.
 """
+
+import operator
+import random
 
 import numpy as np
 
@@ -45,10 +51,11 @@ def routes(chain, f):
     weight of f, so a failed route is a value the caller compares.  The
     spectral route runs when is_reversible holds.
     """
-    sol = solve_dual_pair(chain, None, f)
     reversible = is_reversible(chain, chain.pi)
-    # the spectral route's eigenvectors are freed before cinv and T are built
+    # the spectral route's eigensolve runs, and frees its eigenvectors, before
+    # the chain holds any inverse
     spectral = avar_spectral(chain, None, f) if reversible else None
+    sol = solve_dual_pair(chain, None, f)
     values = {"dual-pair": sol.sigma2}
     try:
         values["factored-operator"] = avar_via_factored_operator(chain, None, f)
@@ -130,24 +137,41 @@ def _asymmetry_bound(chain, f, sol, x_norm):
             + 3.0 * _gamma(chain.m + 3) * (y + y_star))
 
 
+def _standard_normals(rng, k, n):
+    """k x n standard normals from the random.Random rng, one row per probe.
+
+    Each row takes 2n uniforms on [0, 1), the top 53 bits of 16n bytes of
+    rng.randbytes read as little-endian 64-bit words, and Box-Muller maps
+    each pair (u, v) to sqrt(-2 log(1 - u)) cos(2 pi v).  randbytes takes
+    whole 32-bit outputs of the generator when asked for a multiple of 4
+    bytes, so k rows at once are the rows of k calls for one row each.
+    """
+    words = np.frombuffer(rng.randbytes(16 * k * n), dtype="<u8") >> np.uint64(11)
+    u = (words * 2.0 ** -53).reshape(k, 2, n)
+    return np.sqrt(-2.0 * np.log(1.0 - u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
+
+
 def _probe_blocks(rng, trials, f, w):
     """trials random directions with pi(f .) = 0, as n x k blocks of at most
-    PROBE_BLOCK; standard_normal((k, n)) draws what k calls of
-    standard_normal(n) would, so the probes do not depend on the blocking."""
+    PROBE_BLOCK; the draws do not depend on the blocking."""
     for start in range(0, trials, PROBE_BLOCK):
         k = min(PROBE_BLOCK, trials - start)
-        yield project_to_constraint(rng.standard_normal((k, w.shape[0])).T, f, w, 0.0)
+        yield project_to_constraint(_standard_normals(rng, k, w.shape[0]).T, f, w, 0.0)
 
 
 def battery(chain, f, seed: int = 0, trials: int = 20):
     """(records, sigma^2): the verify battery for a ReducedChain and centered f.
 
     Each record is {"name", "residual", "bound", "passed"}.  The random
-    probe checks draw trials test functions each from
-    numpy.random.default_rng(seed).
+    probe checks draw trials test functions each, in turn, from one
+    random.Random(seed) (see _standard_normals); a seed's probes differ
+    from those numpy.random.default_rng(seed) drew before.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    seed = operator.index(seed)  # random.Random takes no numpy integer
+    if seed < 0:  # random.Random would seed with its absolute value
+        raise ValueError(f"seed must be at least 0, got {seed}")
     checks = []
 
     def record(name, residual, bound):
@@ -191,7 +215,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
            ROUTE_TOL * max(1.0, value))
     _, sup_at_star = inner_sup(chain, None, f, xi_star)
     record("inner sup at xi*", abs(sup_at_star - value), ROUTE_TOL * max(1.0, value))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst_inf = min(np.min(inner_sup(chain, None, f, xi_star[:, None] + block)[1])
                     for block in _probe_blocks(rng, trials, f, w))
     record("inf side: min over random xi of sup >= 1/sigma^2",

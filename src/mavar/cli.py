@@ -467,7 +467,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 @click.argument("observable_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--center", is_flag=True, help="subtract the pi-mean first")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
-              help="seed for random test functions")
+              help="seed of random.Random for the random test functions")
 @click.option("--trials", type=click.IntRange(min=1), default=20,
               help="random test functions per check")
 @click.option("--tol", type=float, default=None, help="validation tolerance")

@@ -295,8 +295,10 @@ class MeanZeroFrame:
         return out
 
     def _contract(self, x):
-        """H[:, 1:]^T @ x for x of n rows."""
-        return x[1:] - 2.0 * np.multiply.outer(self.v[1:], self.v @ x)
+        """H[:, 1:]^T @ x for x of n rows, in one array of the result's size."""
+        out = np.multiply.outer(self.v[1:], self.v @ x)
+        out *= 2.0
+        return np.subtract(x[1:], out, out=out)
 
     def reduce(self, f) -> np.ndarray:
         """Coordinates of the centered part of f, column by column for a block."""
@@ -318,7 +320,8 @@ class MeanZeroFrame:
         """
         C = self.sqrt_pi[:, None] * _as_matrix(P)
         C /= self.sqrt_pi[None, :]
-        return self._contract(self._contract(C.T).T)
+        C = self._contract(C.T)  # frees the conjugate before the second product
+        return self._contract(C.T)
 
 
 class ReducedChain:
@@ -398,8 +401,13 @@ class ReducedChain:
     @cached_property
     def T(self) -> np.ndarray:
         """The symmetric positive definite factored operator."""
+        # cinv and the result are allocated before the two temporaries, so
+        # the inverse's workspace does not stack on B and the temporaries
+        # leave one free block behind
+        cinv = self.cinv
+        T = np.empty_like(cinv)
         B = _shift_minus(self.A)
-        return B @ self.cinv @ B.T
+        return np.matmul(B @ cinv, B.T, out=T)
 
     @cached_property
     def variance_form(self) -> np.ndarray:

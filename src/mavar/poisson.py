@@ -113,8 +113,8 @@ def avar_spectral(P, pi, f) -> float:
     constant out, so there is no Perron pair to skip.  If an eigenvalue
     within SOLVABLE_TOL of 1, the Poisson gate's threshold, carries weight
     of f (reducible input, or a chain decoupled to within 1e-12), the
-    variance is infinite and inf is returned.  Raises KernelError for
-    non-reversible input.
+    variance is infinite and inf is returned, as it is when the sum
+    overflows float64.  Raises KernelError for non-reversible input.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
@@ -128,7 +128,8 @@ def avar_spectral(P, pi, f) -> float:
     if np.any(np.abs(coeffs[unit]) > 1e-10 * scale):
         return np.inf
     keep = ~unit
-    return float(np.sum(coeffs[keep] ** 2 / (1.0 - vals[keep])))
+    with np.errstate(over="ignore"):  # an overflow is the inf the caller compares
+        return float(np.sum(coeffs[keep] ** 2 / (1.0 - vals[keep])))
 
 
 def resolvent_curve(P, pi, f, beta: float) -> float:

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,16 @@ def test_battery_rejects_fewer_than_one_trial(six):
     chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
     with pytest.raises(ValueError, match="trials"):
         checks.battery(chain, six["f1"], trials=0)
+
+
+def test_battery_takes_a_nonnegative_integer_seed(six):
+    chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
+    with pytest.raises(ValueError, match="seed"):
+        checks.battery(chain, six["f1"], seed=-1, trials=3)
+    with pytest.raises(TypeError):
+        checks.battery(chain, six["f1"], seed=1.5, trials=3)
+    assert (checks.battery(chain, six["f1"], seed=np.int64(7), trials=3)
+            == checks.battery(chain, six["f1"], seed=7, trials=3))
 
 
 def test_a_corrupted_inverse_fails_the_factored_operator_records():
@@ -235,18 +246,28 @@ PROBE_RECORDS = ["inf side: min over random xi of sup >= 1/sigma^2",
                  "orthogonality of phi against pi(f .) = 0"]
 
 
+def reference_normals(rng, n):
+    """One probe's n normals from the random.Random rng, by the generator's
+    definition: 2n uniforms, the top 53 bits of each little-endian 64-bit
+    word of 16n bytes, paired by Box-Muller as (u_i, u_{n+i})."""
+    data = rng.randbytes(16 * n)
+    u = np.array([(int.from_bytes(data[8 * i:8 * i + 8], "little") >> 11) * 2.0 ** -53
+                  for i in range(2 * n)])
+    return np.sqrt(-2.0 * np.log(1.0 - u[:n])) * np.cos(2.0 * np.pi * u[n:])
+
+
 def per_probe_records(chain, f, seed, trials):
     """battery's three probe records, one probe and one call at a time, and the
     normals they drew, one row per probe."""
     sol = solve_dual_pair(chain, None, f)
     saddle = saddle_point(chain, None, f)
     w, value, xi = chain.pi, saddle.value, saddle.xi_star
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     draws = []
 
     def probes():
         for _ in range(trials):
-            draws.append(rng.standard_normal(w.shape[0]))
+            draws.append(reference_normals(rng, w.shape[0]))
             yield project_to_constraint(draws[-1], f, w, 0.0)
 
     worst_inf = min(inner_sup(chain, None, f, xi + g)[1] for g in probes())
@@ -255,18 +276,6 @@ def per_probe_records(chain, f, seed, trials):
                          abs(dirichlet_form(chain, None, g, sol.phi_star))) for g in probes())
     residuals = [max(0.0, value - worst_inf), max(0.0, worst_sup - value), worst_orth]
     return dict(zip(PROBE_RECORDS, residuals)), np.array(draws)
-
-
-class RecordingGenerator:
-    """A numpy Generator that keeps every block of normals it hands out."""
-
-    def __init__(self, generator):
-        self.generator = generator
-        self.draws = []
-
-    def standard_normal(self, size):
-        self.draws.append(self.generator.standard_normal(size))
-        return self.draws[-1]
 
 
 def seeded_cases():
@@ -285,22 +294,31 @@ def test_blocked_probes_match_a_per_probe_loop(catalog_cases, trials, monkeypatc
     cases = list(catalog_cases) + list(seeded_cases())
     expected = [per_probe_records(ReducedChain(kernel, pi), f, 5, trials)
                 for kernel, pi, f in cases]
-    generators = []
-    default_rng = np.random.default_rng
+    blocks = []
+    standard_normals = checks._standard_normals
 
-    def recording_rng(seed):
-        generators.append(RecordingGenerator(default_rng(seed)))
-        return generators[-1]
+    def recording_normals(rng, k, n):
+        blocks.append(standard_normals(rng, k, n))
+        return blocks[-1]
 
-    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    monkeypatch.setattr(checks, "_standard_normals", recording_normals)
     for (kernel, pi, f), (reference, draws) in zip(cases, expected):
+        blocks.clear()
         records, _ = checks.battery(ReducedChain(kernel, pi), f, seed=5, trials=trials)
         got = {r["name"]: r["residual"] for r in records if r["name"] in reference}
         for name, value in reference.items():
             assert abs(got[name] - value) <= 1e-12 * max(1.0, abs(value)), (name, got[name], value)
-        blocks = generators[-1].draws
         assert all(b.shape[0] <= 64 for b in blocks)
         np.testing.assert_array_equal(np.concatenate(blocks), draws)
+
+
+def test_the_probe_normals_are_standard():
+    # 2 x 10^5 draws: mean and variance within 5 standard errors, tails as the normal's
+    z = checks._standard_normals(random.Random(0), 4, 50_000).ravel()
+    assert abs(z.mean()) < 5 * math.sqrt(1 / z.size)
+    assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / z.size)
+    assert abs(np.mean(np.abs(z) > 1.96) - 0.05) < 5 * math.sqrt(0.05 * 0.95 / z.size)
+    assert np.all(np.isfinite(z))
 
 
 def test_block_calls_match_their_columns():
@@ -347,3 +365,30 @@ def test_probe_memory_does_not_grow_with_trials():
             tracemalloc.stop()
     # probes run 64 at a time; drawing all at once would hold trials * n doubles (24 MB)
     assert peaks[1] <= peaks[0] + 64 * n * 8
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_the_battery_holds_at_most_six_arrays(reversible):
+    # the factored operator's two temporaries on A, (I - A)^-1, (I - S)^-1 and
+    # T set the peak; the chain keeps those four.  The rest is vectors and
+    # probe blocks of n x 64, at most 0.35 of an array at n = 200.  LAPACK's
+    # workspaces are malloc'd where tracemalloc does not see them.
+    n = 200
+    rng = np.random.default_rng(0)
+    if reversible:
+        kernel, pi = random_reversible_kernel(n, rng)
+    else:
+        kernel = random_irreducible_kernel(n, rng)
+        pi = stationary_distribution(kernel)
+    chain = ReducedChain(kernel, pi)
+    assert chain.reversible is reversible
+    f = random_centered_observable(pi, rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        checks.battery(chain, f)
+        held, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    array = 8 * n * n
+    assert peak < 6.35 * array and held < 4.35 * array, (peak / array, held / array)

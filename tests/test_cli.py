@@ -430,6 +430,40 @@ def test_verify_json_and_seed(runner, fixture_dir):
     assert all(c["passed"] for c in payload["checks"])
 
 
+@pytest.fixture(scope="module")
+def random_chain_files(tmp_path_factory):
+    """A seeded non-reversible 30-state kernel and a centered observable."""
+    directory = tmp_path_factory.mktemp("random-chain")
+    rng = np.random.default_rng(8)
+    kernel = random_irreducible_kernel(30, rng)
+    f = random_centered_observable(stationary_distribution(kernel), rng)
+    return (write_json(directory / "K.json", {"rows": kernel.tolist()}),
+            write_json(directory / "f.json", f.tolist()))
+
+
+def test_verify_json_repeats_for_a_seed(random_chain_files):
+    # two fresh interpreters, with different string hashing, print the same bytes
+    args = [sys.executable, "-m", "mavar.cli", "verify", "--json", "--seed", "3",
+            *random_chain_files]
+    outputs = [subprocess.run(args, capture_output=True, env=dict(child_env(), PYTHONHASHSEED=h),
+                              timeout=120).stdout for h in ("1", "2")]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["all_pass"] is True
+
+
+def test_the_seed_moves_only_the_probe_records(runner, random_chain_files):
+    reports = [json.loads(runner.invoke(main, ["verify", "--json", "--seed", seed,
+                                               *random_chain_files]).output)
+               for seed in ("3", "4")]
+    records = [{c["name"]: c for c in report["checks"]} for report in reports]
+    probes = [name for name in records[0] if "random" in name or name.startswith("orthogonality")]
+    assert len(probes) == 3
+    orthogonality = "orthogonality of phi against pi(f .) = 0"
+    assert records[0][orthogonality]["residual"] != records[1][orthogonality]["residual"]
+    assert all(records[0][name] == records[1][name] for name in records[0] if name not in probes)
+    assert all(report["all_pass"] for report in reports)
+
+
 def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     # force every bound negative to exercise the failure path
     monkeypatch.setattr(mavar.checks, "ROUTE_TOL", -1.0)

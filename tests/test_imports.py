@@ -126,3 +126,29 @@ main(sys.argv[1:])
 """, *argv)
     assert done.returncode == 0, done.stderr
     assert last_line(done.stderr) == footprint
+
+
+@pytest.mark.parametrize("args, loads_random", [
+    pytest.param(["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"], False,
+                 id="analyze"),
+    pytest.param(["verify", "--trials", "3", "three-state-pair/P1.json",
+                  "three-state-pair/g1.json"], False, id="verify"),
+    pytest.param(["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"], False,
+                 id="compare"),
+    pytest.param(["simulate", "--n", "1000", "three-state-pair/P1.json",
+                  "three-state-pair/g1.json"], True, id="simulate"),
+])
+def test_only_simulate_loads_numpy_random(fixture_dir, args, loads_random):
+    # numpy.random brings in secrets and _hashlib (libcrypto); verify's probes
+    # come from the stdlib's random.Random, and only simulate's paths need numpy's
+    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in args]
+    done = child("""
+import atexit, json
+atexit.register(lambda: print(json.dumps([name in sys.modules
+                                          for name in ("numpy.random", "_hashlib")]),
+                              file=sys.stderr))
+from mavar.cli import main
+main(sys.argv[1:])
+""", *argv)
+    assert done.returncode == 0, done.stderr
+    assert last_line(done.stderr) == [loads_random, loads_random]

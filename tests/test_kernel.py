@@ -526,3 +526,22 @@ def test_factors_keep_the_bits_of_their_defining_expressions(rng, reversible):
         got_vals, got_vecs = chain._symmetric_eigh()
         assert same_bits(got_vals, vals)
         assert same_bits(got_vecs, vecs)
+
+
+@pytest.mark.parametrize("n", [2, 40, 200])
+def test_the_frame_keeps_the_bits_of_its_householder_products(rng, n):
+    # x[1:] - 2 v[1:] (v^T x), each product with its own temporaries, as first
+    # written; the operator also keeps its C order, which its readers' BLAS
+    # calls sum by
+    kernel = random_irreducible_kernel(n, rng)
+    frame = MeanZeroFrame.from_pi(stationary_distribution(kernel))
+    v, s = frame.v, frame.sqrt_pi
+
+    def contract(x):
+        return x[1:] - 2.0 * np.multiply.outer(v[1:], v @ x)
+
+    A = frame.operator(kernel)
+    assert A.flags.c_contiguous
+    assert same_bits(A, contract(contract((s[:, None] * kernel / s[None, :]).T).T))
+    for g in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        assert same_bits(frame.reduce(g), contract((s * g.T).T))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -279,3 +281,21 @@ def test_each_reverse_report_equals_the_swapped_call(case):
     # compare reads both directions of each order from one matrix; the entrywise
     # orders must match the swapped call exactly, the eigenvalue tests to rounding
     reverse_reports_match(case)
+
+
+def test_order_pairs_stacks_at_most_four_arrays_above_its_kernels():
+    # the domination test's first variance form beside the second chain's A,
+    # I - A and (I - A)^-1 sets the peak; LAPACK's workspaces are malloc'd
+    # where tracemalloc does not see them
+    n = 200
+    rng = np.random.default_rng(0)
+    kernel, pi = random_reversible_kernel(n, rng)
+    other = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        order_pairs(kernel, other, pi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * n * n) < 4.35
