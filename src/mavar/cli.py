@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import click
@@ -148,8 +149,13 @@ def _brackets(data, limit):
     return count
 
 
-def _read_json(path):
+def _read_json(path, matrix_key=None):
     """The UTF-8 JSON document in path.
+
+    With matrix_key, a document whose top-level matrix_key holds an array
+    of equal-length arrays of plain JSON numbers gets that matrix as one
+    float64 array, parsed a row at a time by _matrix_document, so the
+    Python floats of only one row exist at once.
 
     orjson parses strict JSON.  A document it rejects, or one that may nest
     too deeply for it, goes to the json module, which also reads NaN,
@@ -162,6 +168,10 @@ def _read_json(path):
             data = handle.read()
     except OSError as exc:
         _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
+    if matrix_key is not None:
+        payload = _matrix_document(data, matrix_key)
+        if payload is not None:
+            return payload
     if _brackets(data, ORJSON_MAX_BRACKETS) <= ORJSON_MAX_BRACKETS:
         try:
             return orjson.loads(data)
@@ -175,6 +185,71 @@ def _read_json(path):
         _fail(EXIT_PARSE, f"{path} is not valid JSON: {exc}")
 
 
+# JSON whitespace; the bytes between a key and its matrix's first row, and
+# those after a row, up to the next row or the matrix's close
+_SPACE = rb"[ \t\n\r]*"
+_MATRIX_OPEN = re.compile(_SPACE + rb":" + _SPACE + rb"(\[)" + _SPACE + rb"\[")
+_AFTER_ROW = re.compile(_SPACE + rb"(?:," + _SPACE + rb"(\[)|\])")
+# every byte a row of plain JSON numbers may hold between its brackets
+_ROW_BYTES = b"0123456789+-.eE, \t\n\r"
+
+
+def _matrix_document(data, key):
+    """The document in data with its matrix at key as a float64 array, or None.
+
+    The array is bit for bit np.array(orjson.loads(data)[key], dtype=float).
+    None unless the rows parsed provably are the value of the top-level key:
+    data holds one '"key"' token and no backslash, so no key spells it
+    through an escape; the document with the rows replaced by [] is an
+    object whose key is []; and the rows are separated by single commas,
+    non-empty, of equal length, and hold only _ROW_BYTES.
+    """
+    token = b'"' + key.encode() + b'"'
+    at = data.find(token)
+    if at < 0 or data.find(token, at + 1) >= 0 or b"\\" in data:
+        return None
+    match = _MATRIX_OPEN.match(data, at + len(token))
+    if match is None:
+        return None
+    opened = match.start(1)
+    rows = []
+    start = match.end() - 1
+    while True:
+        end = data.find(b"]", start) + 1
+        match = _AFTER_ROW.match(data, end) if end else None
+        if match is None:
+            return None
+        rows.append((start, end))
+        if match.start(1) < 0:
+            break
+        start = match.start(1)
+    rest = data[:opened] + b"[]" + data[match.end():]
+    if _brackets(rest, ORJSON_MAX_BRACKETS) > ORJSON_MAX_BRACKETS:
+        return None
+    try:
+        payload = orjson.loads(rest)
+    except orjson.JSONDecodeError:
+        return None
+    if not isinstance(payload, dict) or payload.get(key) != []:
+        return None
+    matrix = None
+    with memoryview(data) as view:
+        for i, (start, end) in enumerate(rows):
+            if data[start + 1:end - 1].translate(None, _ROW_BYTES):
+                return None
+            try:
+                values = orjson.loads(view[start:end])
+            except orjson.JSONDecodeError:
+                return None
+            if matrix is None:
+                matrix = np.empty((len(rows), len(values)))
+            if not values or len(values) != matrix.shape[1]:
+                return None
+            matrix[i] = values
+    payload[key] = matrix
+    return payload
+
+
 def _checked(path, convert, *args):
     """convert(*args); a parse or validation failure exits 2 naming the file."""
     try:
@@ -185,11 +260,12 @@ def _checked(path, convert, *args):
 
 def _load_kernel_file(path, tol):
     """Returns (kernel, embedded stationary or None)."""
-    payload = _read_json(path)
+    payload = _read_json(path, "rows")
     if not isinstance(payload, dict) or "rows" not in payload:
         _fail(EXIT_PARSE, f"{path}: expected an object with a 'rows' matrix")
     rows = payload["rows"]
-    if "n" in payload and (not isinstance(rows, list) or len(rows) != payload["n"]):
+    if "n" in payload and (not isinstance(rows, (list, np.ndarray))
+                           or len(rows) != payload["n"]):
         _fail(EXIT_PARSE, f"{path}: 'n' does not match the matrix size")
     kernel = _checked(path, validate_kernel, rows, tol)
     if payload.get("pi") is None:
@@ -424,7 +500,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     kernel, embedded = _load_kernel_file(kernel_file, tol)
     pi = _resolve_pi(kernel, embedded)
     path = gamma_path or lam_path
-    payload = _read_json(path)
+    payload = _read_json(path, "matrix")
     if not isinstance(payload, dict) or "kind" not in payload or "matrix" not in payload:
         _fail(EXIT_PARSE, f"{path}: expected an object with 'kind' and 'matrix'")
     want = "vorticity" if gamma_path else "drift"

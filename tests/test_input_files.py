@@ -2,10 +2,16 @@
 
 The two parsers must give the same document wherever orjson accepts one,
 and each input only the json module reads (NaN, Infinity, 1e400, a UTF-8
-BOM, a lone surrogate) must keep its exit code and message.
+BOM, a lone surrogate) must keep its exit code and message.  A kernel's
+rows and a perturbation's matrix are read a row at a time when they are
+plain numbers; every document must read as the whole-document reader
+reads it.
 """
 
 import json
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import orjson
@@ -13,7 +19,16 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from mavar.cli import ORJSON_MAX_BRACKETS, _brackets, _read_json, main
+from mavar import catalog, cli
+from mavar.cli import (
+    ORJSON_MAX_BRACKETS,
+    _brackets,
+    _load_kernel_file,
+    _matrix_document,
+    _read_json,
+    main,
+)
+from mavar.kernel import DEFAULT_TOL
 
 TWO_STATES = b"[[0.5, 0.5], [0.5, 0.5]]"
 VALIDATE_TWO_STATES = ("states: 2\nrow sums: within tolerance\nirreducible: yes\n"
@@ -217,3 +232,234 @@ def test_an_unreadable_input_exits_2_naming_the_file(runner, tmp_path, data, com
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith(f"error: {path} is not ")
     assert "Traceback" not in result.stderr
+
+
+# ---- the row reader: every document reads as the whole-document reader
+# reads it, which _matrix_document declining forces
+
+
+def outcome(args):
+    """(exit code, stdout, stderr) of the command, and the same with the row
+    reader declining every document."""
+    runner = CliRunner()
+    results = [runner.invoke(main, args)]
+    with mock.patch.object(cli, "_matrix_document", lambda data, key: None):
+        results.append(runner.invoke(main, args))
+    return [(r.exit_code, r.stdout, r.stderr) for r in results]
+
+
+def assert_reads_as_the_document(data, key="rows"):
+    """The row reader accepts data and gives the bits and keys orjson gives."""
+    payload = _matrix_document(data, key)
+    assert payload is not None
+    whole = orjson.loads(data)
+    expected = np.array(whole[key], dtype=float)
+    assert payload[key].shape == expected.shape
+    assert payload[key].tobytes() == expected.tobytes()
+    whole[key] = []
+    payload[key] = []
+    assert exact(payload) == exact(whole)
+
+
+class Number(str):
+    """A number's spelling, written into a document as it is."""
+
+
+def dump(value, indent, item_sep, key_sep, level=0):
+    """value as JSON text, laid out as json.dumps(indent=...) lays it out."""
+    if isinstance(value, Number):
+        return value
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = [json.dumps(k) + key_sep + dump(v, indent, item_sep, key_sep, level + 1)
+                 for k, v in value.items()]
+        brackets = "{}"
+    else:
+        items = [dump(v, indent, item_sep, key_sep, level + 1) for v in value]
+        brackets = "[]"
+    if indent is None or not items:
+        return brackets[0] + item_sep.join(items) + brackets[1]
+    inner = "\n" + indent * (level + 1)
+    return (brackets[0] + inner + ("," + inner).join(items) + "\n" + indent * level
+            + brackets[1])
+
+
+SPELLINGS = ["{!r}", "{:.17e}", "{:.17E}", "{:.20g}", "{:.3f}"]
+entries = st.one_of(
+    st.integers(min_value=-(2**63), max_value=2**64 - 1).map(str),
+    st.sampled_from(["-0.0", "0.0", "-0", "0", "5e-324", "1e-320", "2.5E+2", "1e-5",
+                     "1.7976931348623157e308", "-1.7976931348623157E+308"]),
+    st.builds(lambda x, fmt: fmt.format(x),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(SPELLINGS)),
+).map(Number)
+
+
+@st.composite
+def matrices(draw):
+    """Rows of spelled numbers: a stochastic matrix, which validates, or any
+    entries, square or not."""
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 6))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        weights = rng.random((n, n))
+        rows = weights / weights.sum(axis=1, keepdims=True)
+        return [[Number(draw(st.sampled_from(["{!r}", "{:.17e}"])).format(x)) for x in row]
+                for row in rows.tolist()]
+    n = draw(st.integers(1, 6))
+    m = draw(st.one_of(st.just(n), st.integers(1, 6)))
+    return draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+@st.composite
+def kernel_documents(draw):
+    rows = draw(matrices())
+    fields = {"rows": rows}
+    if draw(st.booleans()):
+        fields["n"] = Number(str(len(rows) + draw(st.sampled_from([0, 0, 1]))))
+    if draw(st.booleans()):
+        fields["pi"] = ([Number(repr(1 / len(rows)))] * len(rows) if draw(st.booleans())
+                        else Number("null"))
+    if draw(st.booleans()):
+        fields["labels"] = draw(st.lists(st.sampled_from(["a", "b c", "ROWS", "x1"]),
+                                         max_size=6))
+    order = draw(st.permutations(list(fields)))
+    indent = draw(st.sampled_from([None, "", " ", "  ", "\t"]))
+    text = dump({key: fields[key] for key in order}, indent,
+                draw(st.sampled_from([",", ", ", " , "])),
+                draw(st.sampled_from([":", ": ", " :\t"])))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    return text.encode()
+
+
+@settings(max_examples=250, deadline=None)
+@given(kernel_documents())
+def test_the_row_reader_reads_every_kernel_as_the_document_reader(tmp_path_factory, data):
+    assert_reads_as_the_document(data)
+    path = write(tmp_path_factory.getbasetemp() / "kernel.json", data)
+    fast, whole = outcome(["validate", "--json", path])
+    assert fast == whole
+
+
+SQUARE = b"[[0.5, 0.5], [0.5, 0.5]]"
+
+
+@pytest.mark.parametrize("data, accepted", [
+    pytest.param(b'{"rows": [[0.5, null], [0.5, 0.5]]}', False, id="null"),
+    pytest.param(b'{"rows": [[0.5, true], [0.5, 0.5]]}', False, id="true"),
+    pytest.param(b'{"rows": [[0.5, NaN], [0.5, 0.5]]}', False, id="NaN"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [Infinity, 0.5]]}', False, id="Infinity"),
+    pytest.param(b'{"rows": [[0.5, 1e400], [0.5, 0.5]]}', False, id="1e400"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, 18446744073709551617]]}', True,
+                 id="integer beyond 64 bits"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, 1' + b"0" * 400 + b"]]}", False,
+                 id="integer beyond float64"),
+    pytest.param(b'{"rows": [[0.5, "0.5"], [0.5, 0.5]]}', False, id="string in a row"),
+    pytest.param(b'{"rows": [[+0.5, 0.5], [0.5, 0.5]]}', False, id="plus sign"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [1.0]]}', False, id="ragged rows"),
+    pytest.param(b'{"rows": [[], [1.0]]}', False, id="empty row"),
+    pytest.param(b'{"rows": [[], []]}', False, id="empty rows"),
+    pytest.param(b'{"rows": []}', False, id="no rows"),
+    pytest.param(b'{"rows": [[1.0]]}', True, id="one state"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, 0.5],]}', False, id="trailing comma"),
+    pytest.param(b'{"rows": [[0.5, 0.5,], [0.5, 0.5]]}', False,
+                 id="trailing comma in a row"),
+    pytest.param(b'{"rows": [[0.5, 0.5],, [0.5, 0.5]]}', False, id="double comma"),
+    pytest.param(b'{"rows": [[0.5, 0.5]\x0c, [0.5, 0.5]]}', False,
+                 id="form feed between rows"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, [0.5]]]}', False, id="nested row"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}', True, id="not square"),
+    pytest.param(b'{"rows": [[0.5, 0.5], [0.5, 0.5]], "n": 3}', True, id="wrong n"),
+    pytest.param(b'{"labels": ["rows"], "rows": ' + SQUARE + b"}", False,
+                 id="rows in a string"),
+    pytest.param(b'{"note": "\\"rows\\": [[1, 0], [0, 1]]", "rows": ' + SQUARE + b"}",
+                 False, id="rows in an escaped string"),
+    pytest.param(b'{"r\\u006fws": ' + SQUARE + b"}", False, id="rows spelled by an escape"),
+    pytest.param(b'{"rows": [[1, 0], [0, 1]], "rows": ' + SQUARE + b"}", False,
+                 id="two rows keys"),
+    pytest.param(b'{"rows": [], "meta": {"rows": ' + SQUARE + b"}}", False,
+                 id="rows nested under an empty matrix"),
+    pytest.param(b'{"meta": {"rows": ' + SQUARE + b'}, "rows": []}', False,
+                 id="rows nested over an empty matrix"),
+    pytest.param(b'{"meta": {"rows": ' + SQUARE + b"}}", False, id="rows only nested"),
+    pytest.param(b'[{"rows": ' + SQUARE + b"}]", False, id="top-level array"),
+    pytest.param(b'{"rows": ' + SQUARE + b"} x", False, id="trailing bytes"),
+    pytest.param(b'{"rows": ' + SQUARE + b', "n": }', False, id="broken rest"),
+    pytest.param(b'\xef\xbb\xbf{"rows": ' + SQUARE + b"}", False, id="BOM"),
+    pytest.param(b'{"labels": ["\xff"], "rows": ' + SQUARE + b"}", False,
+                 id="non-UTF-8 outside the rows"),
+    pytest.param(b'{"rows": [[0.5, 0.5\xff], [0.5, 0.5]]}', False,
+                 id="non-UTF-8 in a row"),
+    pytest.param(b'{"rows": ' + SQUARE + b', "labels": ' + b"[" * 100_000 + b"]" * 100_000
+                 + b"}", False, id="labels nested 100,000 deep"),
+    pytest.param(b'{"rows": [[0.5, 0.5],\r\n [0.5, 0.5]],\r\n "n": 2}\r\n', True,
+                 id="CRLF"),
+])
+def test_a_trap_reads_as_the_document_reader_reads_it(tmp_path, data, accepted):
+    if accepted:
+        assert_reads_as_the_document(data)
+    else:
+        assert _matrix_document(data, "rows") is None
+    path = write(tmp_path / "kernel.json", data)
+    fast, whole = outcome(["validate", path])
+    assert fast == whole
+
+
+@pytest.mark.parametrize("data", [
+    b'{"rows": [], "meta": {"rows": ' + SQUARE + b"}}",
+    b'{"meta": {"rows": ' + SQUARE + b'}, "rows": []}',
+])
+def test_a_matrix_under_another_key_still_exits_2_as_not_square(tmp_path, data):
+    path = write(tmp_path / "kernel.json", data)
+    code, stdout, stderr = outcome(["validate", path])[0]
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {path}: kernel must be square, got shape (0,)\n"
+
+
+@pytest.mark.parametrize("group, flag, name", [
+    ("four-cycle-lift", "--gamma", "vorticity.json"),
+    ("tridiag-drift", "--lambda", "drift.json"),
+])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_perturbation_matrix_takes_the_row_reader(tmp_path, group, flag, name, as_json):
+    catalog.dump_fixtures(tmp_path)
+    perturbation = tmp_path / group / name
+    assert_reads_as_the_document(perturbation.read_bytes(), "matrix")
+    args = ["perturb", str(tmp_path / group / "K.json"), flag, str(perturbation)]
+    fast, whole = outcome(args + ["--json"] * as_json)
+    assert fast == whole
+    assert fast[0] == 0
+
+
+def test_the_row_reader_holds_no_python_float_of_the_whole_matrix(tmp_path):
+    # the document reader holds the file, its lists and a float object per
+    # entry, about 6 n^2 doubles; the row reader the file, the array and
+    # validate_kernel's copy
+    n = 300
+    weights = np.random.default_rng(0).random((n, n))
+    path = write(tmp_path / "kernel.json",
+                 json.dumps({"rows": (weights / weights.sum(axis=1, keepdims=True)).tolist()})
+                 .encode())
+    del weights
+    tracemalloc.start()
+    try:
+        kernel, _ = _load_kernel_file(path, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.shape == (n, n)
+    assert peak < os.path.getsize(path) + 2.5 * n * n * 8
+
+
+def test_a_kernel_over_the_bracket_limit_is_read_by_the_row_reader(tmp_path, monkeypatch):
+    # every row's '[' counts toward ORJSON_MAX_BRACKETS, so the document
+    # reader would hand these 20 rows to the json module
+    data = json.dumps({"rows": np.full((20, 20), 0.05).tolist()}).encode()
+    assert _brackets(data, 8) > 8
+    monkeypatch.setattr(cli, "ORJSON_MAX_BRACKETS", 8)
+    monkeypatch.setattr(cli.json, "load", mock.Mock(side_effect=AssertionError))
+    result = CliRunner().invoke(main, ["validate", write(tmp_path / "k.json", data)])
+    assert result.exit_code == 0
+    assert result.stdout.startswith("states: 20\n")
