@@ -29,8 +29,7 @@ _EXPORTS = {
     "kernel": (
         "DEFAULT_TOL", "MeanZeroFrame", "ReducedChain", "adjoint", "centered",
         "check_finite", "is_irreducible", "is_reversible", "pi_inner",
-        "reversibilization", "stationary_distribution", "stationary_residual",
-        "validate_kernel",
+        "stationary_distribution", "stationary_residual", "validate_kernel",
     ),
     "montecarlo": ("AvarEstimate", "Trajectory", "batch_means_avar", "simulate"),
     "ordering": ("OrderReport", "fk_order", "peskun_order"),

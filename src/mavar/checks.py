@@ -6,13 +6,15 @@ spectral decomposition.  battery() runs the identity battery behind
 `mavar verify`: the Poisson residuals as backward errors, route
 agreement, the resolvent limit at the one beta its record reads
 (RESOLVENT_BETA), the saddle point of the variational formula for
-1/sigma^2, random probes of its inf and sup sides, and the reversible
-minimum.  The probes go through the
-variational functions as n x k blocks of at most PROBE_BLOCK, so their
-memory does not grow with the number of trials.  Their normals come from
-the standard library's random.Random(seed) by Box-Muller, so verify never
-imports numpy.random (and with it secrets and _hashlib); a seed draws
-other probes than it did when numpy.random.default_rng(seed) drew them.
+1/sigma^2 (its Dirichlet identity, the inner sup and the factored-operator
+minimum), the orthogonality of phi against random directions, and the
+reversible minimum.  Every record can fail: each catches some corruption
+of the chain's factors (tests/test_battery_mutants.py).  The random
+directions go through the variational functions as n x k blocks of at
+most PROBE_BLOCK, so their memory does not grow with the number of
+trials.  Their normals come from the standard library's
+random.Random(seed) by Box-Muller, so verify never imports numpy.random
+(and with it secrets and _hashlib).
 A failed check is a record or an infinite route value, never an exception.
 """
 
@@ -162,10 +164,9 @@ def _probe_blocks(rng, trials, f, w):
 def battery(chain, f, seed: int = 0, trials: int = 20):
     """(records, sigma^2): the verify battery for a ReducedChain and centered f.
 
-    Each record is {"name", "residual", "bound", "passed"}.  The random
-    probe checks draw trials test functions each, in turn, from one
-    random.Random(seed) (see _standard_normals); a seed's probes differ
-    from those numpy.random.default_rng(seed) drew before.
+    Each record is {"name", "residual", "bound", "passed"}.  The
+    orthogonality record draws trials random directions from
+    random.Random(seed) (see _standard_normals).
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -191,9 +192,6 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     # the adjoint by its definition, P* g = P^T (pi g) / pi, with row sums P^T pi / pi
     record("poisson residual (dual)",
            *_backward_error(star - P.T @ (w * star) / w - f, star, f, P.T @ w / w, diag, dual))
-    record("pairing equality <phi,f> vs <f,phi*>",
-           abs(pi_inner(sol.phi, f, w) - pi_inner(f, sol.phi_star, w)),
-           1e-10 * max(1.0, abs(sol.sigma2)))
     for name, value in values.items():
         if name != "dual-pair":
             record(f"{name} route", abs(value - sol.sigma2),
@@ -203,28 +201,11 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     record("resolvent tail", abs(tail - sol.sigma2), 10.0 * RESOLVENT_BETA * phi_norm)
     value = saddle.value
     xi_star, eta_star = saddle.xi_star, saddle.eta_star
-    record("saddle value vs 1/sigma^2", abs(value * sol.sigma2 - 1.0), ROUTE_TOL)
-    record("constraint pi(f xi*) = 1", abs(pi_inner(f, xi_star, w) - 1.0), 1e-10)
-    record("constraint pi(f eta*) = 0", abs(pi_inner(f, eta_star, w)), 1e-10)
-    combined = xi_star + eta_star
-    record("xi* + eta* = phi / sigma^2",
-           np.max(np.abs(combined - sol.phi / sol.sigma2)),
-           ROUTE_TOL * max(1.0, np.max(np.abs(combined))))
     record("saddle Dirichlet identity",
-           abs(dirichlet_form(chain, None, combined, xi_star - eta_star) - value),
+           abs(dirichlet_form(chain, None, xi_star + eta_star, xi_star - eta_star) - value),
            ROUTE_TOL * max(1.0, value))
     _, sup_at_star = inner_sup(chain, None, f, xi_star)
     record("inner sup at xi*", abs(sup_at_star - value), ROUTE_TOL * max(1.0, value))
-    rng = random.Random(seed)
-    worst_inf = min(np.min(inner_sup(chain, None, f, xi_star[:, None] + block)[1])
-                    for block in _probe_blocks(rng, trials, f, w))
-    record("inf side: min over random xi of sup >= 1/sigma^2",
-           max(0.0, value - worst_inf), ROUTE_TOL * max(1.0, value))
-    worst_sup = max(np.max(dirichlet_form(chain, None, xi_star[:, None] + block,
-                                          xi_star[:, None] - block))
-                    for block in _probe_blocks(rng, trials, f, w))
-    record("sup side: max over random eta <= 1/sigma^2",
-           max(0.0, worst_sup - value), ROUTE_TOL * max(1.0, value))
     try:
         _, t_inf = factored_operator_inf(chain, None, f)
         record("factored-operator minimum", abs(t_inf - value),
@@ -233,7 +214,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
         record("factored-operator minimum", np.inf, ROUTE_TOL)
     worst_orth = max(max(np.max(np.abs(dirichlet_form(chain, None, sol.phi, block))),
                          np.max(np.abs(dirichlet_form(chain, None, block, sol.phi_star))))
-                     for block in _probe_blocks(rng, trials, f, w))
+                     for block in _probe_blocks(random.Random(seed), trials, f, w))
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            1e-10 * max(1.0, abs(sol.sigma2)) * fscale * 10)
     if reversible:

@@ -545,7 +545,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               help="seed of random.Random for the random test functions")
 @click.option("--trials", type=click.IntRange(min=1), default=20,
-              help="random test functions per check")
+              help="random directions for the orthogonality record")
 @click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):

@@ -6,8 +6,7 @@ stationary distribution pi.  Kernels, pi, an observable f and every
 function the package returns (Poisson solutions, test functions,
 witnesses) are plain float arrays indexed by state; validate_kernel
 returns a read-only copy.  A kernel carries no tolerance: adjoint checks
-pi P = pi at DEFAULT_TOL and normalises the rows it builds,
-reversibilization checks what it builds at DEFAULT_TOL, and
+pi P = pi at DEFAULT_TOL and normalises the rows it builds, and
 is_reversible holds the one detailed-balance threshold, STRICT_TOL.
 The workhorse is MeanZeroFrame, an orthonormal basis of the
 pi-mean-zero subspace in which the pi-inner product becomes Euclidean
@@ -220,11 +219,6 @@ def adjoint(P, pi) -> np.ndarray:
     star /= star.sum(axis=1)[:, None]
     star.setflags(write=False)
     return star
-
-
-def reversibilization(P, pi) -> np.ndarray:
-    """The additive reversibilization (P + P*)/2."""
-    return validate_kernel(0.5 * (_as_matrix(P) + adjoint(P, pi)))
 
 
 def is_reversible(P, pi) -> bool:

@@ -9,9 +9,9 @@ primal and dual Poisson solutions.  For reversible kernels (by
 kernel.is_reversible) the supremum collapses and 1/sigma^2 is a plain
 infimum of the Dirichlet form.
 
-dirichlet_form, project_to_constraint and inner_sup also take an n x k
-block of k functions and work column by column; one function is the
-k = 1 block, computed by the same operations.
+dirichlet_form and project_to_constraint also take an n x k block of k
+functions and work column by column; one function is the k = 1 block,
+computed by the same operations.
 """
 
 from dataclasses import dataclass
@@ -53,11 +53,6 @@ def _block(x, n):
 def _pi_columns(F, G, w):
     """pi_inner of each column of F with the same column of G, summed as pi_inner sums."""
     return np.sum(w[:, None] * F * G, axis=0)
-
-
-def _column_dots(X, Y):
-    """X[:, j] @ Y[:, j] for each column j, each one dot product as for vectors."""
-    return np.matmul(X.T[:, None, :], Y.T[:, :, None])[:, 0, 0]
 
 
 def dirichlet_form(P, pi, xi, eta):
@@ -118,14 +113,13 @@ def inner_sup(P, pi, f, xi):
     e = (I - S)^{-1} (drive - mu f) / 2, with mu chosen so that f^T e = 0:
     one product with the chain's inverse of I - S.  Returns
     (eta_opt, value) with value >= 1/sigma^2 for every feasible xi and
-    equality at xi = xi*; for an n x k block xi, eta_opt is n x k and
-    value holds the k column values.  Raises ObservableError if
-    pi(f xi) != 1 beyond rounding for some column.
+    equality at xi = xi*.  Raises ObservableError unless xi is one
+    function on the chain's states with pi(f xi) = 1 up to rounding.
     """
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
-    F, X = (_block(x, chain.frame.n) for x in (fv, xi))
-    norm = _pi_columns(F, X, chain.pi)
+    xv = _as_vector(xi)
+    norm = pi_inner(fv, xv, chain.pi)  # ObservableError unless f, xi and pi share a shape
     # pi(f xi) = 1 up to rounding, to first order in u, with s = sum pi |f| |xi|
     # (Higham 2002, sec. 3.1): the n-term sum norm errs by at most gamma_{n+1} s
     # and a sum xi* + probe by u s.  A probe x + c f that project_to_constraint
@@ -133,24 +127,19 @@ def inner_sup(P, pi, f, xi):
     # pi(f x), of c and of the update, at most gamma_{n+3} s each while x and
     # c f are no larger than xi, as for random probes: 4 gamma_{n+3} s in all.
     # DEFAULT_TOL covers the solve behind xi*.
-    s = _pi_columns(np.abs(F), np.abs(X), chain.pi)
-    bound = DEFAULT_TOL + 4.0 * _gamma(len(F) + 3) * s
-    worst = np.argmax(np.abs(norm - 1.0) - bound)
-    if abs(norm[worst] - 1.0) > bound[worst]:
-        raise ObservableError(f"pi(f xi) = {float(norm[worst])}, expected 1")
+    s = pi_inner(np.abs(fv), np.abs(xv), chain.pi)
+    bound = DEFAULT_TOL + 4.0 * _gamma(len(fv) + 3) * s
+    if abs(norm - 1.0) > bound:
+        raise ObservableError(f"pi(f xi) = {norm}, expected 1")
     fy = chain.frame.reduce(fv)
-    xy = chain.frame.reduce(X)
+    xy = chain.frame.reduce(xv)
     Ax = chain.A @ xy
     drive = Ax - chain.A.T @ xy
-    W = chain.cinv @ np.column_stack([drive, fy])
-    U, v = W[:, :-1], W[:, -1]
-    ey = 0.5 * (U - (fy @ U) / (fy @ v) * v[:, None])
+    u, v = (chain.cinv @ np.column_stack([drive, fy])).T
+    ey = 0.5 * (u - (fy @ u) / (fy @ v) * v)
     # (I - S) e = (drive - mu f)/2 and f^T e = 0 give e^T (I - S) e = e^T drive / 2
-    value = _column_dots(xy, xy - Ax) + 0.5 * _column_dots(ey, drive)
-    eta = chain.frame.lift(ey)
-    if np.ndim(xi) == 1:
-        return eta[:, 0], float(value[0])
-    return eta, value
+    value = float(xy @ (xy - Ax) + 0.5 * (ey @ drive))
+    return chain.frame.lift(ey), value
 
 
 def reversible_inf(P, pi, f):

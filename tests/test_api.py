@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "centered", "check_finite", "dirichlet_form", "factored_operator_inf", "family_alpha",
     "fk_order", "inner_sup", "is_irreducible", "is_reversible", "make_nonreversible",
     "peskun_order", "peskun_residual", "pi_inner", "project_to_constraint",
-    "resolvent_curve", "reversibilization", "reversible_inf", "saddle_point", "simulate",
+    "resolvent_curve", "reversible_inf", "saddle_point", "simulate",
     "solve_dual_pair", "stationary_distribution", "stationary_residual", "validate_drift",
     "validate_kernel", "validate_vorticity",
 ]

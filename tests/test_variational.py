@@ -108,9 +108,10 @@ def test_inner_sup_rejects_a_xi_off_the_constraint_by_1e_6(six):
     saddle = saddle_point(six["P1"], pi, six["f1"])
     with pytest.raises(ObservableError, match=r"pi\(f xi\) = 1\.000001, expected 1"):
         inner_sup(six["P1"], pi, six["f1"], (1.0 + 1e-6) * saddle.xi_star)
-    block = np.column_stack([saddle.xi_star, (1.0 + 1e-6) * saddle.xi_star])
-    with pytest.raises(ObservableError, match=r"pi\(f xi\) = 1\.000001, expected 1"):
-        inner_sup(six["P1"], pi, six["f1"], block)
+    # a 2-D xi raises, naming its shape, however feasible its columns
+    for xi in (np.column_stack([saddle.xi_star, saddle.xi_star]), saddle.xi_star[:, None]):
+        with pytest.raises(ObservableError, match=rf"\(6, {xi.shape[1]}\), \(6,\) do not"):
+            inner_sup(six["P1"], pi, six["f1"], xi)
 
 
 def test_minimax_sandwich_random(rng):
