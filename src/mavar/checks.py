@@ -13,8 +13,8 @@ of the chain's factors (tests/test_battery_mutants.py).  The random
 directions go through the variational functions as n x k blocks of at
 most PROBE_BLOCK, so their memory does not grow with the number of
 trials.  Their normals come from the standard library's
-random.Random(seed) by Box-Muller, so verify never imports numpy.random
-(and with it secrets and _hashlib).
+random.Random(seed) by Box-Muller, so verify never imports numpy's random
+subpackage (and with it secrets and _hashlib).
 A failed check is a record or an infinite route value, never an exception.
 """
 

@@ -595,8 +595,8 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
         "seed": trajectory.seed,
     }
     if is_irreducible(kernel):
-        pi = _resolve_pi(kernel, embedded)
         try:
+            pi = _resolve_pi(kernel, embedded)
             sol = poisson.solve_dual_pair(kernel, pi, centered(f, pi))
             report["analytic_avar"] = sol.avar
             if estimate.std_error > 0:

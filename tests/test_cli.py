@@ -513,6 +513,32 @@ def test_simulate_reports_estimate(runner, fixture_dir):
     assert payload["deviation_sigmas"] < 5.0
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+def test_simulate_on_a_degenerate_chain_reports_the_estimate_alone(runner, tmp_path, as_json):
+    # the stationary solve of this irreducible kernel fails, so there is no
+    # analytic value to compare with, but the simulation itself is sound
+    eps = 1e-16
+    on, off = 0.5 - eps / 2, eps / 2
+    kernel = write_json(tmp_path / "deg.json", {
+        "rows": [[on, on, off, off],
+                 [on, on, off, off],
+                 [off, off, on, on],
+                 [off, off, on, on]],
+    })
+    obs = write_json(tmp_path / "f.json", [1.0, -1.0, 1.0, -1.0])
+    result = runner.invoke(main, ["simulate", "--n", "2000", kernel, obs]
+                           + ["--json"] * as_json)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    if as_json:
+        assert set(json.loads(result.stdout)) == {
+            "value", "std_error", "n_batches", "batch_len", "seed"}
+    else:
+        assert result.stdout.splitlines()[0].startswith("estimate: ")
+        assert "analytic" not in result.stdout
+        assert "deviation" not in result.stdout
+
+
 @pytest.mark.parametrize("seed", ["-1", "-7"])
 def test_simulate_rejects_a_negative_seed(runner, fixture_dir, seed):
     result = runner.invoke(main, [

@@ -8,6 +8,7 @@ its class becomes types.ModuleType when its code runs.
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -94,61 +95,65 @@ def fixture_dir(tmp_path_factory):
 
 ANALYSIS = ["checks", "errors", "kernel", "poisson", "variational"]
 
-
-@pytest.mark.parametrize("args, footprint", [
-    pytest.param(["validate", "three-state-pair/P1.json"], ["errors", "kernel"],
-                 id="validate"),
-    pytest.param(["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"],
-                 ANALYSIS, id="analyze"),
-    pytest.param(["verify", "--trials", "3", "three-state-pair/P1.json",
-                  "three-state-pair/g1.json"], ANALYSIS, id="verify"),
-    pytest.param(["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"],
-                 ["errors", "kernel", "ordering"], id="compare"),
-    pytest.param(["perturb", "uniform3/K.json", "--gamma", "uniform3/vorticity.json"],
-                 ["errors", "kernel", "ordering", "perturb"], id="perturb --gamma"),
-    pytest.param(["perturb", "tridiag-drift/K.json", "--lambda", "tridiag-drift/drift.json"],
-                 ["errors", "kernel", "ordering", "perturb"], id="perturb --lambda"),
-    pytest.param(["simulate", "--n", "1000", "three-state-pair/P1.json",
+# each command's arguments, with fixture paths relative to the dumped fixtures,
+# and the submodules it runs
+COMMANDS = {
+    "validate": (["validate", "three-state-pair/P1.json"], ["errors", "kernel"]),
+    "analyze": (["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"],
+                ANALYSIS),
+    "verify": (["verify", "--trials", "3", "three-state-pair/P1.json",
+                "three-state-pair/g1.json"], ANALYSIS),
+    "compare": (["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"],
+                ["errors", "kernel", "ordering"]),
+    "perturb --gamma": (["perturb", "uniform3/K.json", "--gamma", "uniform3/vorticity.json"],
+                        ["errors", "kernel", "ordering", "perturb"]),
+    "perturb --lambda": (["perturb", "tridiag-drift/K.json", "--lambda",
+                          "tridiag-drift/drift.json"],
+                         ["errors", "kernel", "ordering", "perturb"]),
+    "simulate": (["simulate", "--n", "1000", "three-state-pair/P1.json",
                   "three-state-pair/g1.json"],
-                 ["errors", "kernel", "montecarlo", "poisson"], id="simulate"),
-    pytest.param(["reproduce-examples"],
-                 ["catalog", "errors", "kernel", "ordering", "perturb", "poisson"],
-                 id="reproduce-examples"),
-])
-def test_each_command_runs_only_the_layers_it_calls(fixture_dir, args, footprint):
+                 ["errors", "kernel", "montecarlo", "poisson"]),
+    "reproduce-examples": (["reproduce-examples"],
+                           ["catalog", "errors", "kernel", "ordering", "perturb", "poisson"]),
+}
+
+
+@pytest.fixture(scope="module", params=list(COMMANDS))
+def command_run(request, fixture_dir):
+    """One command in a fresh process: its expected footprint, and what the
+    process left in sys.modules at exit."""
+    args, footprint = COMMANDS[request.param]
+    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in args]
+    done = child("""
+import atexit, json
+atexit.register(lambda: print(json.dumps({
+    "ran": ran(),
+    "loaded": [name for name in ("numpy.random", "_hashlib") if name in sys.modules]}),
+    file=sys.stderr))
+from mavar.cli import main
+main(sys.argv[1:])
+""", *argv)
+    assert done.returncode == 0, done.stderr
+    return footprint, last_line(done.stderr)
+
+
+def test_each_command_runs_only_the_layers_it_calls(command_run):
     # a stray top-level import in mavar.cli or a layer would show as an extra name
-    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in args]
-    done = child("""
-import atexit, json
-atexit.register(lambda: print(json.dumps(ran()), file=sys.stderr))
-from mavar.cli import main
-main(sys.argv[1:])
-""", *argv)
-    assert done.returncode == 0, done.stderr
-    assert last_line(done.stderr) == footprint
+    footprint, seen = command_run
+    assert seen["ran"] == footprint
 
 
-@pytest.mark.parametrize("args, loads_random", [
-    pytest.param(["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"], False,
-                 id="analyze"),
-    pytest.param(["verify", "--trials", "3", "three-state-pair/P1.json",
-                  "three-state-pair/g1.json"], False, id="verify"),
-    pytest.param(["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"], False,
-                 id="compare"),
-    pytest.param(["simulate", "--n", "1000", "three-state-pair/P1.json",
-                  "three-state-pair/g1.json"], True, id="simulate"),
-])
-def test_only_simulate_loads_numpy_random(fixture_dir, args, loads_random):
+def test_no_command_loads_numpy_random(command_run):
     # numpy.random brings in secrets and _hashlib (libcrypto); verify's probes
-    # come from the stdlib's random.Random, and only simulate's paths need numpy's
-    argv = [str(fixture_dir / arg) if arg.endswith(".json") else arg for arg in args]
-    done = child("""
-import atexit, json
-atexit.register(lambda: print(json.dumps([name in sys.modules
-                                          for name in ("numpy.random", "_hashlib")]),
-                              file=sys.stderr))
-from mavar.cli import main
-main(sys.argv[1:])
-""", *argv)
-    assert done.returncode == 0, done.stderr
-    assert last_line(done.stderr) == [loads_random, loads_random]
+    # come from the stdlib's random.Random, and simulate draws numpy's PCG64
+    # stream itself
+    assert command_run[1]["loaded"] == []
+
+
+def test_no_source_file_names_numpy_random():
+    # a lazy import inside a function would pass the test above until a
+    # command reached it
+    src = Path(mavar.__file__).resolve().parent
+    named = [path.name for path in sorted(src.rglob("*.py"))
+             if re.search(r"\b(numpy|np)\.random\b", path.read_text(encoding="utf-8"))]
+    assert named == []

@@ -1,8 +1,10 @@
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, strategies as st
 
 from mavar import (
     NumericalFailureError,
@@ -12,7 +14,7 @@ from mavar import (
     solve_dual_pair,
     stationary_distribution,
 )
-from mavar.montecarlo import SIMULATE_CHUNK
+from mavar.montecarlo import SIMULATE_CHUNK, _DefaultRng
 
 from generators import random_irreducible_kernel
 
@@ -65,6 +67,83 @@ def test_chunked_steps_draw_the_reference_path(n_steps, start):
     initial = 7 if start == "state" else rng.dirichlet(np.ones(30))
     traj = simulate(P, n_steps, seed=11, initial=initial)
     npt.assert_array_equal(traj.states, reference_states(P, n_steps, 11, initial))
+
+
+# numpy.random is the oracle of simulate's stream: _DefaultRng draws numpy's
+# default_rng(seed) itself, so that no command imports numpy.random
+
+
+@given(st.integers(0, 2**256 - 1))
+@example(0)
+@example(2**32 - 1)
+@example(2**32)
+@example(2**64)
+@example(2**128 + 1)
+def test_stream_is_numpys_default_rng(seed):
+    # seeds past 2^128 fill more words than SeedSequence's pool holds
+    assert _DefaultRng(seed).random(5) == np.random.default_rng(seed).random(5).tolist()
+
+
+@pytest.mark.parametrize("seed", [np.int8(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1)])
+def test_a_numpy_integer_seed_draws_the_reference_path(seed):
+    P = random_irreducible_kernel(6, np.random.default_rng(1))
+    traj = simulate(P, 100, seed=seed)
+    npt.assert_array_equal(traj.states, reference_states(P, 100, seed, 0))
+    assert type(traj.seed) is int and traj.seed == int(seed)
+
+
+@pytest.mark.parametrize("sizes", [
+    [1, SIMULATE_CHUNK],
+    [SIMULATE_CHUNK - 1, SIMULATE_CHUNK, 2],
+    [SIMULATE_CHUNK, SIMULATE_CHUNK, SIMULATE_CHUNK],
+    [3, SIMULATE_CHUNK - 3, 1, SIMULATE_CHUNK],
+])
+def test_draws_in_chunks_continue_numpys_stream(sizes):
+    rng = _DefaultRng(2**70 + 9)
+    drawn = [u for size in sizes for u in rng.random(size)]
+    assert drawn == np.random.default_rng(2**70 + 9).random(sum(sizes)).tolist()
+
+
+@pytest.mark.parametrize("law", [
+    [0.0, 0.25, 0.0, 0.5, 0.25, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [1 / 6] * 6,
+])
+@pytest.mark.parametrize("seed", [0, 5, 2**31 - 1, 3**80])
+def test_law_start_is_numpys_choice(law, seed):
+    law = np.array(law)
+    assert _DefaultRng(seed).choice(law / law.sum()) == \
+        np.random.default_rng(seed).choice(6, p=law / law.sum())
+    P = random_irreducible_kernel(6, np.random.default_rng(seed % 97))
+    npt.assert_array_equal(simulate(P, 50, seed=seed, initial=law).states,
+                           reference_states(P, 50, seed, law))
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (-(2**70), ValueError), (np.int64(-3), ValueError),
+    (1.5, TypeError), (2.0, TypeError), (np.float64(2.0), TypeError), ("3", TypeError),
+])
+def test_a_bad_seed_raises_what_numpy_raises(six, seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        simulate(six["P1"], 10, seed=seed)
+
+
+def test_simulate_memory_is_its_path_plus_a_few_chunks():
+    # the uniforms are drawn a chunk at a time, not as one n_steps-long array
+    P = random_irreducible_kernel(30, np.random.default_rng(0))
+    simulate(P, 1, seed=0)  # the first call builds the per-process jump table
+    n_steps = 200_000
+    tracemalloc.start()
+    try:
+        simulate(P, n_steps, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (n_steps + 1) + 16 * 8 * SIMULATE_CHUNK
 
 
 def test_deterministic_rotation_path(four):
