@@ -46,8 +46,8 @@ _EXPORTS = {
         "project_to_constraint", "reversible_inf", "saddle_point",
     ),
 }
-_SUBMODULES = ("catalog", "checks", "errors", "kernel", "montecarlo", "ordering",
-               "perturb", "poisson", "variational")
+_SUBMODULES = ("catalog", "checks", "errors", "files", "kernel", "montecarlo",
+               "ordering", "perturb", "poisson", "variational")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME) + list(_SUBMODULES)

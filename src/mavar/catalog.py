@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import files
 from .kernel import DEFAULT_TOL, _as_chain, stationary_distribution, validate_kernel
 from .ordering import fk_order
 from .perturb import apply_drift, make_nonreversible, validate_vorticity
@@ -358,26 +359,10 @@ def run_all(tol: float = DEFAULT_TOL, only: str | None = None) -> list:
     return results
 
 
-def _fixture_file(key, value, pi):
-    """The file name and JSON payload of one builder entry other than pi."""
-    if key == "gamma":
-        return "vorticity.json", {"kind": "vorticity", "matrix": value.tolist()}
-    if key.startswith("lam"):
-        return f"drift{key[3:]}.json", {"kind": "drift", "matrix": value.tolist()}
-    if value.ndim == 2:
-        return f"{key}.json", {"n": len(value), "rows": value.tolist(), "pi": pi.tolist()}
-    return f"{key}.json", value.tolist()
-
-
 def dump_fixtures(directory) -> list:
-    """Write every group's inputs under directory/<group>/.
-
-    A kernel K becomes K.json with the group's pi embedded, an observable
-    f becomes f.json (a list), gamma becomes vorticity.json and lam<i>
-    becomes drift<i>.json; pi itself gets no file.
-    """
-    import json
-
+    """Write every group's inputs under directory/<group>/ by
+    files.write_fixture, with the group's pi embedded in each kernel; pi
+    itself gets no file."""
     written = []
     base = Path(directory)
     for group, build in FIXTURES.items():
@@ -385,10 +370,6 @@ def dump_fixtures(directory) -> list:
         folder.mkdir(parents=True, exist_ok=True)
         fx = build()
         for key, value in fx.items():
-            if key == "pi":
-                continue
-            name, payload = _fixture_file(key, value, fx["pi"])
-            path = folder / name
-            path.write_text(json.dumps(payload, indent=1))
-            written.append(str(path))
+            if key != "pi":
+                written.append(str(files.write_fixture(folder, key, value, fx["pi"])))
     return written

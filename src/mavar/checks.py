@@ -24,7 +24,7 @@ import random
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, is_reversible, pi_inner
+from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, pi_inner
 from .poisson import (
     ROUTE_TOL,
     avar_spectral,
@@ -51,9 +51,9 @@ def routes(chain, f):
     A route whose own cross-check raises NumericalFailureError reports
     inf, as does the spectral route when a unit eigenvalue carries
     weight of f, so a failed route is a value the caller compares.  The
-    spectral route runs when is_reversible holds.
+    spectral route runs when the chain is reversible.
     """
-    reversible = is_reversible(chain, chain.pi)
+    reversible = chain.reversible
     # the spectral route's eigensolve runs, and frees its eigenvectors, before
     # the chain holds any inverse
     spectral = avar_spectral(chain, None, f) if reversible else None

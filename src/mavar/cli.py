@@ -1,4 +1,8 @@
-"""Command-line interface: load the inputs, call the library, render.
+"""Command-line interface: read the inputs, call the library, render.
+
+The input files are read by mavar.files, which raises the input error
+classes with a message naming the file; a command resolves the tolerance,
+pi and the observable's centering itself.
 
 analyze and verify render mavar.checks: the routes and the verify battery
 are computed there, and a command only prints them and picks the exit code.
@@ -21,20 +25,17 @@ both, and either must be positive and finite.
 
 import atexit
 import gc
-import io
 import json
 import math
 import os
-import re
 import sys
 
 import click
 import numpy as np
-import orjson
 
-# Every command reads a kernel, so errors and kernel load here.  The other
-# layers are bound lazily by mavar/__init__ and reached as module attributes
-# inside the commands, so a command runs only the layers it calls.
+# Every command reads a kernel, so errors, files and kernel load here.  The
+# other layers are bound lazily by mavar/__init__ and reached as module
+# attributes inside the commands, so a command runs only the layers it calls.
 from . import __version__, catalog, checks, montecarlo, ordering, poisson
 from . import perturb as perturbation
 from .errors import (
@@ -48,16 +49,15 @@ from .errors import (
     SimulationError,
     StationaryMismatchError,
 )
+from .files import kernel_document, read_kernel, read_observable, read_perturbation
 from .kernel import (
     DEFAULT_TOL,
     ReducedChain,
     centered,
-    check_finite,
     is_irreducible,
     is_reversible,
     stationary_distribution,
     stationary_residual,
-    validate_kernel,
 )
 
 # The interpreter's exit ends with a full collection, ~40 ms spent walking and
@@ -132,172 +132,6 @@ def _resolve_tol(tol):
     return tol
 
 
-# orjson 3.8 recurses on the C stack once per nesting level and overflows it
-# (a segfault) past ~120,000 levels with an 8 MB stack, ~5,000 with 1 MB; a
-# document holding at most this many '[' and '{' bytes cannot nest deeper
-ORJSON_MAX_BRACKETS = 2048
-
-
-def _brackets(data, limit):
-    """The number of '[' and '{' bytes in data, counted up to limit + 1."""
-    count = 0
-    for bracket in (b"[", b"{"):
-        at = data.find(bracket)
-        while at >= 0 and count <= limit:
-            count += 1
-            at = data.find(bracket, at + 1)
-    return count
-
-
-def _read_json(path, matrix_key=None):
-    """The UTF-8 JSON document in path.
-
-    With matrix_key, a document whose top-level matrix_key holds an array
-    of equal-length arrays of plain JSON numbers gets that matrix as one
-    float64 array, parsed a row at a time by _matrix_document, so the
-    Python floats of only one row exist at once.
-
-    orjson parses strict JSON.  A document it rejects, or one that may nest
-    too deeply for it, goes to the json module, which also reads NaN,
-    Infinity and 1e400 (rejected later as non-finite) and lone surrogates,
-    and words every error message.  It reads the text as open() does, so an
-    error names the same line and column.
-    """
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
-    if matrix_key is not None:
-        payload = _matrix_document(data, matrix_key)
-        if payload is not None:
-            return payload
-    if _brackets(data, ORJSON_MAX_BRACKETS) <= ORJSON_MAX_BRACKETS:
-        try:
-            return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
-    try:
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        _fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        _fail(EXIT_PARSE, f"{path} is not valid JSON: {exc}")
-
-
-# JSON whitespace; the bytes between a key and its matrix's first row, and
-# those after a row, up to the next row or the matrix's close
-_SPACE = rb"[ \t\n\r]*"
-_MATRIX_OPEN = re.compile(_SPACE + rb":" + _SPACE + rb"(\[)" + _SPACE + rb"\[")
-_AFTER_ROW = re.compile(_SPACE + rb"(?:," + _SPACE + rb"(\[)|\])")
-# every byte a row of plain JSON numbers may hold between its brackets
-_ROW_BYTES = b"0123456789+-.eE, \t\n\r"
-
-
-def _matrix_document(data, key):
-    """The document in data with its matrix at key as a float64 array, or None.
-
-    The array is bit for bit np.array(orjson.loads(data)[key], dtype=float).
-    None unless the rows parsed provably are the value of the top-level key:
-    data holds one '"key"' token and no backslash, so no key spells it
-    through an escape; the document with the rows replaced by [] is an
-    object whose key is []; and the rows are separated by single commas,
-    non-empty, of equal length, and hold only _ROW_BYTES.
-    """
-    token = b'"' + key.encode() + b'"'
-    at = data.find(token)
-    if at < 0 or data.find(token, at + 1) >= 0 or b"\\" in data:
-        return None
-    match = _MATRIX_OPEN.match(data, at + len(token))
-    if match is None:
-        return None
-    opened = match.start(1)
-    rows = []
-    start = match.end() - 1
-    while True:
-        end = data.find(b"]", start) + 1
-        match = _AFTER_ROW.match(data, end) if end else None
-        if match is None:
-            return None
-        rows.append((start, end))
-        if match.start(1) < 0:
-            break
-        start = match.start(1)
-    rest = data[:opened] + b"[]" + data[match.end():]
-    if _brackets(rest, ORJSON_MAX_BRACKETS) > ORJSON_MAX_BRACKETS:
-        return None
-    try:
-        payload = orjson.loads(rest)
-    except orjson.JSONDecodeError:
-        return None
-    if not isinstance(payload, dict) or payload.get(key) != []:
-        return None
-    matrix = None
-    with memoryview(data) as view:
-        for i, (start, end) in enumerate(rows):
-            if data[start + 1:end - 1].translate(None, _ROW_BYTES):
-                return None
-            try:
-                values = orjson.loads(view[start:end])
-            except orjson.JSONDecodeError:
-                return None
-            if matrix is None:
-                matrix = np.empty((len(rows), len(values)))
-            if not values or len(values) != matrix.shape[1]:
-                return None
-            matrix[i] = values
-    payload[key] = matrix
-    return payload
-
-
-def _checked(path, convert, *args):
-    """convert(*args); a parse or validation failure exits 2 naming the file."""
-    try:
-        return convert(*args)
-    except (MavarError, TypeError, ValueError, OverflowError) as exc:
-        _fail(EXIT_PARSE, f"{path}: {exc}")
-
-
-def _load_kernel_file(path, tol):
-    """Returns (kernel, embedded stationary or None)."""
-    payload = _read_json(path, "rows")
-    if not isinstance(payload, dict) or "rows" not in payload:
-        _fail(EXIT_PARSE, f"{path}: expected an object with a 'rows' matrix")
-    rows = payload["rows"]
-    if "n" in payload and (not isinstance(rows, (list, np.ndarray))
-                           or len(rows) != payload["n"]):
-        _fail(EXIT_PARSE, f"{path}: 'n' does not match the matrix size")
-    kernel = _checked(path, validate_kernel, rows, tol)
-    if payload.get("pi") is None:
-        return kernel, None
-    pi = _checked(path, np.asarray, payload["pi"], float)
-    # written so that a NaN entry fails too
-    if pi.shape != (len(kernel),) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
-        _fail(EXIT_PARSE, f"{path}: embedded pi is not a probability vector")
-    if stationary_residual(kernel, pi) > min(tol, DEFAULT_TOL):
-        _fail(EXIT_PARSE, f"{path}: embedded pi is not stationary")
-    return kernel, pi
-
-
-def _load_observable_file(path, n):
-    if str(path).endswith(".json"):
-        values = _read_json(path)
-        if not isinstance(values, list):
-            _fail(EXIT_PARSE, f"{path}: expected a JSON array of numbers")
-    else:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                values = [line for line in handle if line.strip()]
-        except OSError as exc:
-            _fail(EXIT_PARSE, f"cannot read {path}: {exc}")
-        except UnicodeDecodeError as exc:
-            _fail(EXIT_PARSE, f"{path} is not UTF-8 text: {exc}")
-    f = _checked(path, check_finite, values, "observable")
-    if f.ndim != 1 or f.shape[0] != n:
-        _fail(EXIT_PARSE, f"{path}: expected {n} values, got shape {f.shape}")
-    return f
-
-
 def _resolve_pi(kernel, embedded):
     if embedded is not None:
         return embedded
@@ -323,11 +157,11 @@ def _resolve_observable(f, pi, tol, center):
 
 def _load_analysis(kernel_file, observable_file, tol, center):
     """The start of analyze and verify: (f, centered?, chain)."""
-    kernel, embedded = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = read_kernel(kernel_file, tol)
     if not is_irreducible(kernel):
         raise ReducibleError("kernel is reducible")
     pi = _resolve_pi(kernel, embedded)
-    raw = _load_observable_file(observable_file, len(kernel))
+    raw = read_observable(observable_file, len(kernel))
     f, was_centered = _resolve_observable(raw, pi, tol, center)
     return f, was_centered, ReducedChain(kernel, pi)
 
@@ -356,7 +190,7 @@ def main():
 def validate(kernel_file, tol, as_json):
     """Check stochasticity and irreducibility of a kernel file."""
     tol = _resolve_tol(tol)
-    kernel, embedded = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = read_kernel(kernel_file, tol)
     irreducible = is_irreducible(kernel)
     info = {"n": len(kernel), "valid": True, "irreducible": irreducible}
     if irreducible:
@@ -444,8 +278,8 @@ def _order_line(label, report):
 def compare(kernel_file_1, kernel_file_2, tol, as_json):
     """Report every kernel order plus uniform variance domination."""
     tol = _resolve_tol(tol)
-    k1, pi1 = _load_kernel_file(kernel_file_1, tol)
-    k2, pi2 = _load_kernel_file(kernel_file_2, tol)
+    k1, pi1 = read_kernel(kernel_file_1, tol)
+    k2, pi2 = read_kernel(kernel_file_2, tol)
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
     # order_pairs checks that the sizes match and that both kernels keep pi
     orders = ordering.order_pairs(k1, k2, pi)
@@ -497,17 +331,10 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     tol = _resolve_tol(tol)
     if (gamma_path is None) == (lam_path is None):
         _fail(EXIT_PARSE, "pass exactly one of --gamma or --lambda")
-    kernel, embedded = _load_kernel_file(kernel_file, tol)
+    kernel, embedded = read_kernel(kernel_file, tol)
     pi = _resolve_pi(kernel, embedded)
-    path = gamma_path or lam_path
-    payload = _read_json(path, "matrix")
-    if not isinstance(payload, dict) or "kind" not in payload or "matrix" not in payload:
-        _fail(EXIT_PARSE, f"{path}: expected an object with 'kind' and 'matrix'")
     want = "vorticity" if gamma_path else "drift"
-    if payload["kind"] != want:
-        _fail(EXIT_PARSE,
-              f"{path}: kind {payload['kind']!r} does not match the flag ({want})")
-    matrix = _checked(path, check_finite, payload["matrix"], "perturbation matrix")
+    matrix = read_perturbation(gamma_path or lam_path, want)
     tol = min(tol, DEFAULT_TOL)  # the library rechecks at DEFAULT_TOL: --tol only tightens
     diagnostics = {}
     if want == "vorticity":
@@ -524,12 +351,7 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
         diagnostics["peskun_margin"] = ordering.peskun_order(kernel, result, pi).margin
     diagnostics["stationary_residual"] = stationary_residual(result, pi)
     if as_json:
-        _echo_json({
-            "n": len(result),
-            "rows": result.tolist(),
-            "pi": pi.tolist(),
-            "diagnostics": diagnostics,
-        })
+        _echo_json({**kernel_document(result, pi), "diagnostics": diagnostics})
     else:
         click.echo(f"perturbed kernel ({want}, {len(kernel)} states):")
         for row in result:
@@ -580,8 +402,8 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
              tol, as_json):
     """Estimate the asymptotic variance from a simulated trajectory."""
     tol = _resolve_tol(tol)
-    kernel, embedded = _load_kernel_file(kernel_file, tol)
-    f = _load_observable_file(observable_file, len(kernel))
+    kernel, embedded = read_kernel(kernel_file, tol)
+    f = read_observable(observable_file, len(kernel))
     try:
         trajectory = montecarlo.simulate(kernel, n_steps, seed, initial)
     except MemoryError:

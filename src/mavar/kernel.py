@@ -224,12 +224,9 @@ def adjoint(P, pi) -> np.ndarray:
 def is_reversible(P, pi) -> bool:
     """Detailed balance within STRICT_TOL, the package's one reversibility test.
 
-    A ReducedChain asked about its own pi answers from its cached
-    `reversible`, so the routes and checks of one chain share one pass.
+    A ReducedChain keeps the answer for its own pi as `reversible`.
     """
     w = _as_vector(pi)
-    if isinstance(P, ReducedChain) and w is P.pi:
-        return P.reversible
     M = _as_matrix(P)
     F = w[:, None] * M
     D = F - F.T

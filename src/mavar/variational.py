@@ -25,7 +25,6 @@ from .kernel import (
     _as_matrix,
     _as_vector,
     _gamma,
-    is_reversible,
     pi_inner,
 )
 from .poisson import ROUTE_TOL, solve_dual_pair
@@ -152,7 +151,7 @@ def reversible_inf(P, pi, f):
     variance is always finite.
     """
     chain = _as_chain(P, pi)
-    if not is_reversible(chain, chain.pi):
+    if not chain.reversible:
         raise KernelError("kernel is not reversible for the given pi")
     sol = _positive_solution(chain, None, f)
     xi = sol.phi / sol.sigma2

@@ -27,16 +27,16 @@ PUBLIC_NAMES = [
 
 # the subpackages bound by `import mavar`; mavar.cli joins once something imports it
 PUBLIC_MODULES = [
-    "catalog", "checks", "errors", "kernel", "montecarlo", "ordering", "perturb",
-    "poisson", "variational",
+    "catalog", "checks", "errors", "files", "kernel", "montecarlo", "ordering",
+    "perturb", "poisson", "variational",
 ]
 
 
 # the public functions with a tol parameter, all reached by the CLI's --tol/MAVAR_TOL;
 # every other threshold is a constant of its module
 TOL_KNOBS = [
-    "catalog.run_all", "catalog.run_fixture", "validate_drift", "validate_kernel",
-    "validate_vorticity",
+    "catalog.run_all", "catalog.run_fixture", "files.read_kernel", "validate_drift",
+    "validate_kernel", "validate_vorticity",
 ]
 
 
@@ -78,7 +78,8 @@ def test_star_import_gives_the_pinned_names_and_modules():
 
 def test_tol_knobs_are_pinned():
     knobs = []
-    for prefix, module in (("", mavar), ("checks.", mavar.checks), ("catalog.", mavar.catalog)):
+    for prefix, module in (("", mavar), ("checks.", mavar.checks), ("catalog.", mavar.catalog),
+                           ("files.", mavar.files)):
         for name, value in members(module).items():
             if (inspect.isfunction(value) and not name.startswith("_")
                     and (module is mavar or value.__module__ == module.__name__)
@@ -119,7 +120,8 @@ def test_every_error_class_has_a_reader():
 
 
 def test_the_library_imports_neither_orjson_nor_scipy():
-    # only mavar.cli parses files; the library itself needs numpy alone
+    # only mavar.files parses files, and mavar.cli imports it; the rest of the
+    # library needs numpy alone
     code = ("import sys, mavar; loaded = lambda: [m for m in ('orjson', 'scipy') "
             "if m in sys.modules]; before = loaded(); import mavar.cli; "
             "print(before, loaded())")

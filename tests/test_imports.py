@@ -18,7 +18,7 @@ import pytest
 import mavar
 from mavar import catalog
 
-SUBMODULES = ["catalog", "checks", "errors", "kernel", "montecarlo", "ordering",
+SUBMODULES = ["catalog", "checks", "errors", "files", "kernel", "montecarlo", "ordering",
               "perturb", "poisson", "variational"]
 
 # prepended to each child's code: ran() lists the submodules, mavar.cli aside,
@@ -79,7 +79,7 @@ print(json.dumps({"before": before, "layers": layers, "after": ran()}))
 """, *SUBMODULES)
     assert done.returncode == 0, done.stderr
     seen = last_line(done.stdout)
-    assert seen["before"] == ["errors", "kernel"]
+    assert seen["before"] == ["errors", "files", "kernel"]
     assert seen["after"] == SUBMODULES
     assert seen["layers"] == {name: public_functions(getattr(mavar, name))
                               for name in SUBMODULES}
@@ -93,28 +93,29 @@ def fixture_dir(tmp_path_factory):
     return directory
 
 
-ANALYSIS = ["checks", "errors", "kernel", "poisson", "variational"]
+ANALYSIS = ["checks", "errors", "files", "kernel", "poisson", "variational"]
 
 # each command's arguments, with fixture paths relative to the dumped fixtures,
 # and the submodules it runs
 COMMANDS = {
-    "validate": (["validate", "three-state-pair/P1.json"], ["errors", "kernel"]),
+    "validate": (["validate", "three-state-pair/P1.json"], ["errors", "files", "kernel"]),
     "analyze": (["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"],
                 ANALYSIS),
     "verify": (["verify", "--trials", "3", "three-state-pair/P1.json",
                 "three-state-pair/g1.json"], ANALYSIS),
     "compare": (["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"],
-                ["errors", "kernel", "ordering"]),
+                ["errors", "files", "kernel", "ordering"]),
     "perturb --gamma": (["perturb", "uniform3/K.json", "--gamma", "uniform3/vorticity.json"],
-                        ["errors", "kernel", "ordering", "perturb"]),
+                        ["errors", "files", "kernel", "ordering", "perturb"]),
     "perturb --lambda": (["perturb", "tridiag-drift/K.json", "--lambda",
                           "tridiag-drift/drift.json"],
-                         ["errors", "kernel", "ordering", "perturb"]),
+                         ["errors", "files", "kernel", "ordering", "perturb"]),
     "simulate": (["simulate", "--n", "1000", "three-state-pair/P1.json",
                   "three-state-pair/g1.json"],
-                 ["errors", "kernel", "montecarlo", "poisson"]),
+                 ["errors", "files", "kernel", "montecarlo", "poisson"]),
     "reproduce-examples": (["reproduce-examples"],
-                           ["catalog", "errors", "kernel", "ordering", "perturb", "poisson"]),
+                           ["catalog", "errors", "files", "kernel", "ordering", "perturb",
+                            "poisson"]),
 }
 
 

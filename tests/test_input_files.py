@@ -1,11 +1,11 @@
-"""Input files: orjson parses strict JSON, the json module everything else.
+"""Input files: the json module parses every document, orjson a matrix's rows.
 
-The two parsers must give the same document wherever orjson accepts one,
-and each input only the json module reads (NaN, Infinity, 1e400, a UTF-8
-BOM, a lone surrogate) must keep its exit code and message.  A kernel's
-rows and a perturbation's matrix are read a row at a time when they are
-plain numbers; every document must read as the whole-document reader
-reads it.
+orjson must read each row as the json module reads it, and each input
+orjson rejects (NaN, Infinity, 1e400, a UTF-8 BOM, a lone surrogate) must
+keep its exit code and message.  A kernel's rows and a perturbation's
+matrix are read a row at a time when they are plain numbers; every
+document must read as the whole-document reader reads it.  The readers
+raise their input error class, with a message that begins with the path.
 """
 
 import json
@@ -19,14 +19,15 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from mavar import catalog, cli
-from mavar.cli import (
-    ORJSON_MAX_BRACKETS,
-    _brackets,
-    _load_kernel_file,
+from mavar import catalog, files
+from mavar.cli import main
+from mavar.errors import KernelError, ObservableError, PerturbationError
+from mavar.files import (
     _matrix_document,
-    _read_json,
-    main,
+    _read,
+    read_kernel,
+    read_observable,
+    read_perturbation,
 )
 from mavar.kernel import DEFAULT_TOL
 
@@ -204,14 +205,18 @@ def test_a_null_entry_exits_2_named_null_not_nan(runner, tmp_path, kind, data, m
     assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
 
 
-def test_a_deep_document_never_reaches_orjson(tmp_path):
-    # orjson recurses once per nesting level on the C stack; a million levels
-    # would crash the process, so such a document goes to the json module
-    assert _brackets(b"[" * 5000, ORJSON_MAX_BRACKETS) == ORJSON_MAX_BRACKETS + 1
-    assert _brackets(b'{"a": "[[{"}', 10) == 4  # brackets in strings only over-count
-    wide = [[k] for k in range(ORJSON_MAX_BRACKETS)]
+def test_json_nested_past_the_recursion_limit_exits_2_as_not_valid_json(runner, tmp_path):
+    # the json module parses every whole document and stops at the
+    # interpreter's recursion limit (1,000 levels by default)
+    path = write(tmp_path / "deep.json", b"[" * 1500 + b"]" * 1500)
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2 and result.stdout == ""
+    assert result.stderr.startswith(
+        f"error: {path} is not valid JSON: maximum recursion depth exceeded")
+    # a document wide rather than deep reads whole
+    wide = [[k] for k in range(2048)]
     path = write(tmp_path / "wide.json", json.dumps(wide).encode())
-    assert _read_json(path) == wide
+    assert _read(path, KernelError) == wide
 
 
 @pytest.mark.parametrize("data, command", [
@@ -243,16 +248,17 @@ def outcome(args):
     reader declining every document."""
     runner = CliRunner()
     results = [runner.invoke(main, args)]
-    with mock.patch.object(cli, "_matrix_document", lambda data, key: None):
+    with mock.patch.object(files, "_matrix_document", lambda data, key: None):
         results.append(runner.invoke(main, args))
     return [(r.exit_code, r.stdout, r.stderr) for r in results]
 
 
 def assert_reads_as_the_document(data, key="rows"):
-    """The row reader accepts data and gives the bits and keys orjson gives."""
+    """The row reader accepts data and gives the bits and keys the json module
+    gives."""
     payload = _matrix_document(data, key)
     assert payload is not None
-    whole = orjson.loads(data)
+    whole = json.loads(data)
     expected = np.array(whole[key], dtype=float)
     assert payload[key].shape == expected.shape
     assert payload[key].tobytes() == expected.tobytes()
@@ -445,7 +451,7 @@ def test_the_row_reader_holds_no_python_float_of_the_whole_matrix(tmp_path):
     del weights
     tracemalloc.start()
     try:
-        kernel, _ = _load_kernel_file(path, DEFAULT_TOL)
+        kernel, _ = read_kernel(path, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -453,13 +459,76 @@ def test_the_row_reader_holds_no_python_float_of_the_whole_matrix(tmp_path):
     assert peak < os.path.getsize(path) + 2.5 * n * n * 8
 
 
-def test_a_kernel_over_the_bracket_limit_is_read_by_the_row_reader(tmp_path, monkeypatch):
-    # every row's '[' counts toward ORJSON_MAX_BRACKETS, so the document
-    # reader would hand these 20 rows to the json module
-    data = json.dumps({"rows": np.full((20, 20), 0.05).tolist()}).encode()
-    assert _brackets(data, 8) > 8
-    monkeypatch.setattr(cli, "ORJSON_MAX_BRACKETS", 8)
-    monkeypatch.setattr(cli.json, "load", mock.Mock(side_effect=AssertionError))
-    result = CliRunner().invoke(main, ["validate", write(tmp_path / "k.json", data)])
-    assert result.exit_code == 0
-    assert result.stdout.startswith("states: 20\n")
+# ---- the readers as a library: each failure raises its input error class,
+# with a message that begins with the path
+
+
+READERS = {
+    "kernel": (KernelError, lambda path: read_kernel(path, DEFAULT_TOL)),
+    "observable": (ObservableError, lambda path: read_observable(path, 2)),
+    "text observable": (ObservableError, lambda path: read_observable(path, 2)),
+    "perturbation": (PerturbationError, lambda path: read_perturbation(path, "vorticity")),
+}
+FAILURES = {
+    "missing file": {kind: None for kind in READERS},
+    "non-UTF-8 bytes": {kind: b"\xff\xfe[" for kind in READERS},
+    "invalid JSON": {"kernel": b'{"rows": ', "observable": b"[1, ",
+                     "perturbation": b'{"kind": "vorticity", "matrix": }'},
+    "wrong shape": {"kernel": b"[[0.5, 0.5], [0.5, 0.5]]", "observable": b"[1, 2, 3]",
+                    "text observable": b"1\n2\n3\n",
+                    "perturbation": b'{"kind": "vorticity", "rows": [[0, 0], [0, 0]]}'},
+    "non-finite entry": {"kernel": b'{"rows": [[0.5, NaN], [0.5, 0.5]]}',
+                         "observable": b"[Infinity, 0]", "text observable": b"nan\n0\n",
+                         "perturbation": b'{"kind": "vorticity", "matrix": [[0, 1e400], '
+                                         b"[0, 0]]}"},
+    "null entry": {"kernel": b'{"rows": [[0.5, null], [0.5, 0.5]]}',
+                   "observable": b"[1, null]",
+                   "perturbation": b'{"kind": "vorticity", "matrix": [[0, null], [0, 0]]}'},
+    "wrong kind": {"perturbation": b'{"kind": "drift", "matrix": [[0, 0], [0, 0]]}'},
+}
+
+
+@pytest.mark.parametrize("kind, failure, data", [
+    pytest.param(kind, failure, data, id=f"{kind}: {failure}")
+    for failure, cases in FAILURES.items() for kind, data in cases.items()
+])
+def test_a_reader_raises_its_input_error_naming_the_file(tmp_path, kind, failure, data):
+    error, reader = READERS[kind]
+    path = tmp_path / ("f.txt" if kind == "text observable" else "f.json")
+    if data is not None:
+        path.write_bytes(data)
+    with pytest.raises(error) as raised:
+        reader(str(path))
+    assert type(raised.value) is error
+    assert str(raised.value).startswith(f"{path} " if failure in (
+        "missing file", "non-UTF-8 bytes", "invalid JSON") else f"{path}: ")
+
+
+def test_the_fixture_writer_and_the_readers_round_trip(tmp_path):
+    fx = catalog.FIXTURES["tridiag-drift"]()
+    kernel_path = files.write_fixture(tmp_path, "K", fx["K"], fx["pi"])
+    drift_path = files.write_fixture(tmp_path, "lam", fx["lam"], fx["pi"])
+    kernel, pi = read_kernel(kernel_path)
+    assert kernel.tobytes() == fx["K"].tobytes() and pi.tobytes() == fx["pi"].tobytes()
+    assert read_perturbation(drift_path, "drift").tobytes() == fx["lam"].tobytes()
+    f = np.arange(len(kernel), dtype=float)
+    observable_path = files.write_fixture(tmp_path, "f", f, fx["pi"])
+    assert read_observable(observable_path, len(kernel)).tobytes() == f.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["kernel", "observable"])
+def test_an_integer_past_the_digit_limit_exits_2_as_not_valid_json(runner, tmp_path, kind):
+    # the json module refuses an integer literal of more than 4,300 digits
+    # with a ValueError that is not a JSONDecodeError
+    digits = "1" * 5000
+    kernel = write(tmp_path / "k.json", b'{"rows": ' + TWO_STATES + b"}")
+    if kind == "kernel":
+        path = write(tmp_path / "big.json",
+                     f'{{"rows": {TWO_STATES.decode()}, "pi": [{digits}, 0]}}'.encode())
+        args = ["validate", path]
+    else:
+        path = write(tmp_path / "big.json", f"[{digits}, 0]".encode())
+        args = ["analyze", kernel, path]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith(f"error: {path} is not valid JSON: Exceeds the limit")
