@@ -10,9 +10,9 @@ agreement, the resolvent limit at the one beta its record reads
 minimum), the orthogonality of phi against random directions, and the
 reversible minimum.  Every record can fail: each catches some corruption
 of the chain's factors (tests/test_battery_mutants.py).  The random
-directions go through the variational functions as n x k blocks of at
-most PROBE_BLOCK, so their memory does not grow with the number of
-trials.  Their normals come from the standard library's
+directions are dotted with the two Poisson drives, projected once, and
+are drawn PROBE_BLOCK at a time, so their memory does not grow with the
+number of trials.  Their normals come from the standard library's
 random.Random(seed) by Box-Muller, so verify never imports numpy's random
 subpackage (and with it secrets and _hashlib).
 A failed check is a record or an infinite route value, never an exception.
@@ -153,14 +153,6 @@ def _standard_normals(rng, k, n):
     return np.sqrt(-2.0 * np.log(1.0 - u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
-def _probe_blocks(rng, trials, f, w):
-    """trials random directions with pi(f .) = 0, as n x k blocks of at most
-    PROBE_BLOCK; the draws do not depend on the blocking."""
-    for start in range(0, trials, PROBE_BLOCK):
-        k = min(PROBE_BLOCK, trials - start)
-        yield project_to_constraint(_standard_normals(rng, k, w.shape[0]).T, f, w, 0.0)
-
-
 def battery(chain, f, seed: int = 0, trials: int = 20):
     """(records, sigma^2): the verify battery for a ReducedChain and centered f.
 
@@ -187,11 +179,13 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     diag = np.diag(P)
     primal, dual, x_norm = _solve_bounds(chain, f, sol)
     phi, star = sol.phi, sol.phi_star
+    # the drives (I - P) phi and (I - P*) phi*, the adjoint by its definition,
+    # P* g = P^T (pi g) / pi, with row sums P^T pi / pi
+    drives = phi - P @ phi, star - P.T @ (w * star) / w
     record("poisson residual (primal)",
-           *_backward_error(phi - P @ phi - f, phi, f, P.sum(axis=1), diag, primal))
-    # the adjoint by its definition, P* g = P^T (pi g) / pi, with row sums P^T pi / pi
+           *_backward_error(drives[0] - f, phi, f, P.sum(axis=1), diag, primal))
     record("poisson residual (dual)",
-           *_backward_error(star - P.T @ (w * star) / w - f, star, f, P.T @ w / w, diag, dual))
+           *_backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual))
     for name, value in values.items():
         if name != "dual-pair":
             record(f"{name} route", abs(value - sol.sigma2),
@@ -212,9 +206,14 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
                ROUTE_TOL * max(1.0, value))
     except NumericalFailureError:
         record("factored-operator minimum", np.inf, ROUTE_TOL)
-    worst_orth = max(max(np.max(np.abs(dirichlet_form(chain, None, sol.phi, block))),
-                         np.max(np.abs(dirichlet_form(chain, None, block, sol.phi_star))))
-                     for block in _probe_blocks(random.Random(seed), trials, f, w))
+    # with Pi the projection onto pi(f .) = 0, self-adjoint in <., .>_pi, a probe
+    # Pi g has <(I - P) phi, Pi g>_pi = <Pi (I - P) phi, g>_pi and
+    # <(I - P) Pi g, phi*>_pi = <Pi (I - P*) phi*, g>_pi
+    weighted = np.column_stack([w * project_to_constraint(d, f, w) for d in drives])
+    rng = random.Random(seed)
+    blocks = (_standard_normals(rng, min(PROBE_BLOCK, trials - start), w.shape[0])
+              for start in range(0, trials, PROBE_BLOCK))
+    worst_orth = max(np.max(np.abs(normals @ weighted)) for normals in blocks)
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            1e-10 * max(1.0, abs(sol.sigma2)) * fscale * 10)
     if reversible:

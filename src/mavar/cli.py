@@ -9,18 +9,19 @@ are computed there, and a command only prints them and picks the exit code.
 Every --json report is strict JSON: a non-finite float (a failed route) is null.
 
 Exit codes: 0 success, 2 parse or validation error (including a NaN or
-infinite input, a variance that overflows float64, and a zero variance in
-verify, whose variational formula for 1/sigma^2 needs sigma^2 > 0), 3 reducible
-kernel, 4 degenerate kernel (Poisson equation unsolvable), 5 route or
-identity disagreement (a route that failed its own cross-check is inf),
-6 stationary-distribution mismatch, 7 unexplained fixture deviation.  A
-library error that escapes a command gets its code from one table keyed by
-error class, EXIT_CODES, applied once by the command group, so every command
-maps an error the same way (a degenerate pair exits 4 from compare as from
-analyze).  The MAVAR_TOL environment variable overrides the default
-validation tolerance, which reaches only what a command validates and
-reproduce-examples' pass/fail threshold; an explicit --tol flag wins over
-both, and either must be positive and finite.
+infinite input, a variance that overflows or underflows float64, and a zero
+variance in verify, whose variational formula for 1/sigma^2 needs
+sigma^2 > 0; an observable that centering cannot tell from a constant is
+zero), 3 reducible kernel, 4 degenerate kernel (Poisson equation
+unsolvable), 5 route or identity disagreement (a route that failed its own
+cross-check is inf), 6 stationary-distribution mismatch, 7 unexplained
+fixture deviation.  A library error that escapes a command gets its code
+from one table keyed by error class, EXIT_CODES, applied once by the
+command group, so every command maps an error the same way (a degenerate
+pair exits 4 from compare as from analyze).  The MAVAR_TOL environment
+variable overrides the default validation tolerance, which reaches only what
+a command validates and reproduce-examples' pass/fail threshold; an explicit
+--tol flag wins over both, and either must be positive and finite.
 """
 
 import atexit
@@ -148,10 +149,10 @@ def _resolve_observable(f, pi, tol, center):
     scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
     if abs(mean) <= tol * scale:
         # sub-tolerance mean is treated as noise and removed quietly
-        return f - mean, False
+        return centered(f, pi), False
     if center:
         click.echo(f"note: centering observable (pi-mean was {_fmt(mean)})", err=True)
-        return f - mean, True
+        return centered(f, pi), True
     _fail(EXIT_PARSE, f"observable has pi-mean {mean}; pass --center to subtract it")
 
 

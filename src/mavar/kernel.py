@@ -106,7 +106,10 @@ def _is_null(source, idx) -> bool:
 
 
 def centered(values, pi) -> np.ndarray:
-    """values minus their pi-mean.
+    """values minus their pi-mean, or exact zeros when every centered value is
+    within gamma_{n+1} max|values| of zero: the most rounding that centering
+    a constant can leave (an n-term sum and a subtraction), so a constant has
+    zero variance however its mean rounds.
 
     Raises ObservableError when the lengths differ or at a NaN or inf entry.
     """
@@ -116,7 +119,9 @@ def centered(values, pi) -> np.ndarray:
         raise ObservableError(
             f"observable has length {v.shape}, distribution has {w.shape}")
     check_finite(v, "observable")
-    return v - w @ v
+    c = v - w @ v
+    bound = _gamma(len(v) + 1) * np.max(np.abs(v), initial=0.0)
+    return np.zeros_like(c) if np.max(np.abs(c), initial=0.0) <= bound else c
 
 
 def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -52,7 +52,9 @@ def solve_dual_pair(P, pi, f) -> PoissonSolution:
     transpose in mean-zero coordinates, so the dual solution is the
     product from the left.  Returns phi, phi*, sigma^2 = <phi, f>_pi and
     avar = 2 sigma^2 - <f, f>_pi.  Raises NumericalFailureError when
-    either variance overflows float64.
+    either variance overflows float64, or when a nonzero sigma^2 underflows
+    it (below the smallest normal float, where most of its digits are
+    rounding).
 
     An avar below 0 by at most the rounding bound of that subtraction,
     4 eps (2 sigma^2 + <f, f>_pi), is returned as 0.0: an exact zero (P f = -f
@@ -72,6 +74,9 @@ def solve_dual_pair(P, pi, f) -> PoissonSolution:
         raise NumericalFailureError(
             f"variance overflows float64 (sigma^2 = {sigma2}, avar = {avar}); "
             f"rescale the observable")
+    if 0.0 < abs(sigma2) < np.finfo(float).tiny:
+        raise NumericalFailureError(
+            f"variance underflows float64 (sigma^2 = {sigma2}); rescale the observable")
     if -4.0 * np.finfo(float).eps * (2.0 * abs(sigma2) + ff) <= avar < 0.0:
         avar = 0.0
     return PoissonSolution(chain.frame.lift(y), chain.frame.lift(y_star), sigma2, avar)

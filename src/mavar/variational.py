@@ -1,17 +1,12 @@
 """Variational formulas for the reciprocal asymptotic variance.
 
-With sigma^2 = sigma^2(P, f) finite and above ZERO_VARIANCE_TOL
-(ObservableError otherwise), 1/sigma^2 equals a saddle value of the
-bilinear Dirichlet form: an infimum over test functions xi normalized
-by pi(f xi) = 1 of a supremum over directions eta constrained by
-pi(f eta) = 0.  The saddle is attained at explicit combinations of the
-primal and dual Poisson solutions.  For reversible kernels (by
-kernel.is_reversible) the supremum collapses and 1/sigma^2 is a plain
-infimum of the Dirichlet form.
-
-dirichlet_form and project_to_constraint also take an n x k block of k
-functions and work column by column; one function is the k = 1 block,
-computed by the same operations.
+With sigma^2 = sigma^2(P, f) finite and positive (ObservableError
+otherwise), 1/sigma^2 equals a saddle value of the bilinear Dirichlet
+form: an infimum over test functions xi normalized by pi(f xi) = 1 of a
+supremum over directions eta constrained by pi(f eta) = 0.  The saddle is
+attained at explicit combinations of the primal and dual Poisson
+solutions.  For reversible kernels (by kernel.is_reversible) the supremum
+collapses and 1/sigma^2 is a plain infimum of the Dirichlet form.
 """
 
 from dataclasses import dataclass
@@ -29,8 +24,6 @@ from .kernel import (
 )
 from .poisson import ROUTE_TOL, solve_dual_pair
 
-ZERO_VARIANCE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SaddlePoint:
@@ -41,51 +34,35 @@ class SaddlePoint:
     value: float
 
 
-def _block(x, n):
-    """x as an n x k block of k functions; one function is the n x 1 block."""
-    v = _as_vector(x)
-    if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise ObservableError(f"expected functions on {n} states, got shape {v.shape}")
-    return v.reshape(n, -1)
-
-
-def _pi_columns(F, G, w):
-    """pi_inner of each column of F with the same column of G, summed as pi_inner sums."""
-    return np.sum(w[:, None] * F * G, axis=0)
-
-
-def dirichlet_form(P, pi, xi, eta):
+def dirichlet_form(P, pi, xi, eta) -> float:
     """The bilinear form <(I - P) xi, eta>_pi.
 
     Invariant under adding constants to either argument when pi is
-    stationary for P.  A float for two functions; when xi or eta is an
-    n x k block (the other may be one function), the k forms of its
-    columns as an array.
+    stationary for P.
     """
-    M = _as_matrix(P)
     w = _as_chain(P, pi).pi
-    X = _block(xi, w.shape[0])
-    values = _pi_columns(X - M @ X, _block(eta, w.shape[0]), w)
-    return float(values[0]) if np.ndim(xi) == np.ndim(eta) == 1 else values
+    xv = _as_vector(xi)
+    if xv.shape != w.shape:
+        raise ObservableError(f"expected a function on {w.shape[0]} states, "
+                              f"got shape {xv.shape}")
+    return pi_inner(xv - _as_matrix(P) @ xv, eta, w)
 
 
 def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
-    """Shift g along f so that pi(f g) equals value, column by column for a block."""
+    """Shift g along f so that pi(f g) equals value."""
     fv = _as_vector(f)
+    gv = _as_vector(g)
     w = _as_vector(pi)
     ff = pi_inner(fv, fv, w)
-    if ff <= ZERO_VARIANCE_TOL:
+    if ff <= 0.0:
         raise ObservableError("cannot normalize against a null observable")
-    G = _block(g, w.shape[0]).copy()
-    F = fv[:, None]
-    G += (value - _pi_columns(F, G, w)) / ff * F
-    return G.reshape(np.shape(g))
+    return gv + (value - pi_inner(fv, gv, w)) / ff * fv
 
 
 def _positive_solution(P, pi, f):
-    """solve_dual_pair(P, pi, f); ObservableError if sigma^2 <= ZERO_VARIANCE_TOL."""
+    """solve_dual_pair(P, pi, f); ObservableError if sigma^2 <= 0."""
     sol = solve_dual_pair(P, pi, f)
-    if sol.sigma2 <= ZERO_VARIANCE_TOL:
+    if sol.sigma2 <= 0.0:
         raise ObservableError(f"sigma^2 = {sol.sigma2} is not positive")
     return sol
 
@@ -95,7 +72,7 @@ def saddle_point(P, pi, f) -> SaddlePoint:
 
     xi* = (phi + phi*) / (2 sigma^2) and eta* = (phi - phi*) /
     (2 sigma^2), with value 1/sigma^2.  Raises ObservableError when
-    sigma^2 <= ZERO_VARIANCE_TOL.
+    sigma^2 <= 0.
     """
     sol = _positive_solution(P, pi, f)
     scale = 0.5 / sol.sigma2

@@ -14,7 +14,6 @@ from mavar import (
     is_reversible,
     project_to_constraint,
     reversible_inf,
-    saddle_point,
     solve_dual_pair,
     stationary_distribution,
     validate_kernel,
@@ -309,30 +308,6 @@ def test_the_probe_normals_are_standard():
     assert abs(z.var() - 1.0) < 5 * math.sqrt(2 / z.size)
     assert abs(np.mean(np.abs(z) > 1.96) - 0.05) < 5 * math.sqrt(0.05 * 0.95 / z.size)
     assert np.all(np.isfinite(z))
-
-
-def test_block_calls_match_their_columns():
-    rng = np.random.default_rng(4)
-    for kernel, pi, f in seeded_cases():
-        chain = ReducedChain(kernel, pi)
-        n = pi.shape[0]
-        normals = rng.standard_normal((n, 65))
-        block = project_to_constraint(normals, f, pi, 0.0)
-        xi = saddle_point(chain, None, f).xi_star[:, None] + block
-        phi = solve_dual_pair(chain, None, f).phi
-        forms = dirichlet_form(chain, None, xi, block)
-        mixed = dirichlet_form(chain, None, phi, block)
-        for j in range(block.shape[1]):
-            np.testing.assert_allclose(
-                block[:, j], project_to_constraint(normals[:, j], f, pi, 0.0),
-                rtol=1e-12, atol=1e-12)
-            assert forms[j] == pytest.approx(dirichlet_form(chain, None, xi[:, j], block[:, j]),
-                                             rel=1e-12, abs=1e-12)
-            assert mixed[j] == pytest.approx(dirichlet_form(chain, None, phi, block[:, j]),
-                                             abs=1e-12)
-        # one function is the n x 1 block, computed by the same operations
-        assert (dirichlet_form(chain, None, xi[:, :1], block[:, :1])[0]
-                == dirichlet_form(chain, None, xi[:, 0], block[:, 0]))
 
 
 def test_probe_memory_does_not_grow_with_trials():

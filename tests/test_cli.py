@@ -996,6 +996,70 @@ def test_zero_variance_exits_2_from_verify_and_0_from_analyze(runner, tmp_path):
     assert result.stderr == "error: sigma^2 = 0.0 is not positive\n"
 
 
+@pytest.mark.parametrize("value, flags", [(1.0, ["--center"]), (3e-12, [])])
+def test_a_centered_constant_has_zero_variance(runner, tmp_path, value, flags):
+    # a mean above --tol is centered with a note, one below it quietly; either
+    # way the rounding that centering leaves of a constant is not a variance
+    rows = random_irreducible_kernel(10, np.random.default_rng(0))
+    f = np.full(10, value)
+    assert np.any(f - stationary_distribution(rows) @ f)  # centering leaves noise
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    obs = write_json(tmp_path / "f.json", f.tolist())
+    result = runner.invoke(main, ["analyze", kernel, obs, *flags])
+    assert result.exit_code == 0
+    assert "sigma^2: 0\n" in result.stdout
+    result = runner.invoke(main, ["verify", kernel, obs, *flags])
+    assert result.exit_code == 2
+    assert result.stderr.endswith("error: sigma^2 = 0.0 is not positive\n")
+
+
+def test_a_small_observable_verifies(runner, tmp_path):
+    # sigma^2 near 8e-13 is small because f is, not zero
+    rng = np.random.default_rng(1)
+    kernel = write_json(tmp_path / "P.json",
+                        {"rows": random_irreducible_kernel(10, rng).tolist()})
+    obs = write_json(tmp_path / "f.json", (1e-6 * rng.standard_normal(10)).tolist())
+    result = runner.invoke(main, ["verify", kernel, obs, "--center", "--json"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["all_pass"] and 0.0 < report["sigma2"] < 1e-11
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_underflowing_variance_exits_2(runner, tmp_path, command):
+    # sigma^2 near 3e-320 is subnormal: most of its digits would be rounding
+    kernel = write_json(tmp_path / "P.json", {"rows": [[0.9, 0.1], [0.2, 0.8]]})
+    obs = write_json(tmp_path / "f.json", [1e-160, -1e-160])
+    result = runner.invoke(main, [command, kernel, obs, "--center"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: variance underflows float64 (sigma^2 = ")
+    assert result.stderr.endswith("); rescale the observable\n")
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_scaling_the_observable_scales_sigma2_by_its_square(runner, tmp_path, reversible):
+    # sigma^2(P, c f) = c^2 sigma^2(P, f), through both commands, over 300 decades
+    rng = np.random.default_rng(7)
+    if reversible:
+        rows, _ = random_reversible_kernel(12, rng)
+    else:
+        rows = random_irreducible_kernel(12, rng)
+    f = rng.standard_normal(12)
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    sigma2 = {}
+    for c in (1.0, 2.0 ** -500, 1e-150, 1e-6, 1e6, 1e150):
+        obs = write_json(tmp_path / "f.json", (c * f).tolist())
+        for command, verdict in (("analyze", "routes_agree"), ("verify", "all_pass")):
+            result = runner.invoke(main, [command, kernel, obs, "--center", "--json"])
+            assert result.exit_code == 0, (c, command, result.stderr)
+            report = json.loads(result.stdout)
+            assert report[verdict] is True, (c, command)
+            sigma2[c, command] = report["sigma2"]
+    for (c, command), value in sigma2.items():
+        assert value / c ** 2 == pytest.approx(sigma2[1.0, "analyze"], rel=1e-12), (c, command)
+
+
 IMPORT_GUARD = """
 import json, sys
 from mavar.cli import main

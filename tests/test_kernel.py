@@ -292,6 +292,10 @@ def test_observable_centering():
     flat = centered(f, pi)
     assert pi @ flat == pytest.approx(0.0, abs=1e-15)
     npt.assert_allclose(flat, f - 2.3, atol=1e-15)
+    # a constant is exactly zero once centered, though its pi-mean rounds
+    pi = np.array([0.3, 0.6, 0.1])
+    assert np.any(np.ones(3) - pi @ np.ones(3))
+    assert np.array_equal(centered(np.ones(3), pi), np.zeros(3))
 
 
 # pi, observables and every function the package returns are plain arrays

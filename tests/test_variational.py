@@ -54,6 +54,19 @@ def test_project_to_constraint():
         project_to_constraint(g, np.zeros(3), pi, 1.0)
 
 
+def test_the_variational_functions_take_one_function(six):
+    pi = stationary_distribution(six["P1"])
+    g = np.ones((6, 2))
+    with pytest.raises(ObservableError, match=r"got shape \(6, 2\)"):
+        dirichlet_form(six["P1"], pi, g, np.ones(6))
+    with pytest.raises(ObservableError, match=r"got shape \(5,\)"):
+        dirichlet_form(six["P1"], pi, np.ones(5), np.ones(6))
+    with pytest.raises(ObservableError, match=r"\(6,\), \(6, 2\), \(6,\) do not agree"):
+        dirichlet_form(six["P1"], pi, np.ones(6), g)
+    with pytest.raises(ObservableError, match=r"\(6,\), \(6, 2\), \(6,\) do not agree"):
+        project_to_constraint(g, six["f1"], pi, 0.0)
+
+
 def test_saddle_point_identities(six):
     pi = stationary_distribution(six["P1"])
     sol = solve_dual_pair(six["P1"], pi, six["f1"])
