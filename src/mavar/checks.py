@@ -26,10 +26,10 @@ import numpy as np
 from .errors import NumericalFailureError
 from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, pi_inner
 from .poisson import (
-    ROUTE_TOL,
     avar_spectral,
     avar_via_factored_operator,
     resolvent_curve,
+    route_bound,
     solve_dual_pair,
 )
 from .variational import (
@@ -175,7 +175,6 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     sol, values, reversible = routes(chain, f)
     saddle = saddle_point(chain, None, f)
     P, w = chain.rows, chain.pi
-    fscale = max(1.0, float(np.max(np.abs(f))))
     diag = np.diag(P)
     primal, dual, x_norm = _solve_bounds(chain, f, sol)
     phi, star = sol.phi, sol.phi_star
@@ -188,24 +187,22 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
            *_backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual))
     for name, value in values.items():
         if name != "dual-pair":
-            record(f"{name} route", abs(value - sol.sigma2),
-                   ROUTE_TOL * max(1.0, abs(sol.sigma2)))
+            record(f"{name} route", abs(value - sol.sigma2), route_bound(sol.sigma2))
     tail = resolvent_curve(chain, None, f, RESOLVENT_BETA)
-    phi_norm = max(1.0, pi_inner(sol.phi, sol.phi, w))
-    record("resolvent tail", abs(tail - sol.sigma2), 10.0 * RESOLVENT_BETA * phi_norm)
+    record("resolvent tail", abs(tail - sol.sigma2),
+           10.0 * RESOLVENT_BETA * pi_inner(phi, phi, w))
     value = saddle.value
     xi_star, eta_star = saddle.xi_star, saddle.eta_star
     record("saddle Dirichlet identity",
            abs(dirichlet_form(chain, None, xi_star + eta_star, xi_star - eta_star) - value),
-           ROUTE_TOL * max(1.0, value))
+           route_bound(value))
     _, sup_at_star = inner_sup(chain, None, f, xi_star)
-    record("inner sup at xi*", abs(sup_at_star - value), ROUTE_TOL * max(1.0, value))
+    record("inner sup at xi*", abs(sup_at_star - value), route_bound(value))
     try:
         _, t_inf = factored_operator_inf(chain, None, f)
-        record("factored-operator minimum", abs(t_inf - value),
-               ROUTE_TOL * max(1.0, value))
     except NumericalFailureError:
-        record("factored-operator minimum", np.inf, ROUTE_TOL)
+        t_inf = np.inf
+    record("factored-operator minimum", abs(t_inf - value), route_bound(value))
     # with Pi the projection onto pi(f .) = 0, self-adjoint in <., .>_pi, a probe
     # Pi g has <(I - P) phi, Pi g>_pi = <Pi (I - P) phi, g>_pi and
     # <(I - P) Pi g, phi*>_pi = <Pi (I - P*) phi*, g>_pi
@@ -215,11 +212,14 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
               for start in range(0, trials, PROBE_BLOCK))
     worst_orth = max(np.max(np.abs(normals @ weighted)) for normals in blocks)
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
-           1e-10 * max(1.0, abs(sol.sigma2)) * fscale * 10)
+           max(route_bound(phi), route_bound(star)))
     if reversible:
         _, inf_val = reversible_inf(chain, None, f)
-        record("reversible minimum", abs(inf_val - value), ROUTE_TOL * max(1.0, value))
-        # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), against what rounding can leave
-        record("eta* vanishes (reversible)", np.sqrt(w @ (eta_star * eta_star)),
+        record("reversible minimum", abs(inf_val - value), route_bound(value))
+        # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), against what rounding can
+        # leave; eta* is scaled by a power of two first, so its square cannot underflow
+        _, e = np.frexp(np.max(np.abs(eta_star)))
+        eta = np.ldexp(eta_star, -e)
+        record("eta* vanishes (reversible)", np.ldexp(np.sqrt(w @ (eta * eta)), e),
                0.5 * value * _asymmetry_bound(chain, f, sol, x_norm))
     return checks, sol.sigma2

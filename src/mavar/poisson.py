@@ -29,6 +29,13 @@ from .kernel import (
 ROUTE_TOL = 1e-9
 
 
+def route_bound(reference) -> float:
+    """ROUTE_TOL times max|reference|: how far a second computation may stray
+    from the value it checks.  Relative, so no verdict depends on the units
+    of f (sigma^2 >= <f, f>_pi / 2 never cancels against f)."""
+    return ROUTE_TOL * float(np.max(np.abs(reference), initial=0.0))
+
+
 @dataclass(frozen=True)
 class PoissonSolution:
     """Primal and dual Poisson solutions with the derived variances."""
@@ -41,7 +48,7 @@ class PoissonSolution:
 
 def _check_centered(fv, w):
     mean = abs(float(w @ fv))
-    if mean > DEFAULT_TOL * max(1.0, np.max(np.abs(fv)) if fv.size else 1.0):
+    if mean > DEFAULT_TOL * np.max(np.abs(fv), initial=0.0):
         raise ObservableError(f"observable has pi-mean {mean}")
 
 
@@ -89,7 +96,7 @@ def avar_via_factored_operator(P, pi, f) -> float:
     T = (I - A) (I - S)^{-1} (I - A)^T with S = (A + A^T)/2 is symmetric
     positive definite and sigma^2 = <f, T^{-1} f>.  The route solves
     with T alone, never with the inverse of I - A.  Cross-checked against
-    the dual-pair route at 1e-9; disagreement raises
+    the dual-pair route within route_bound; disagreement raises
     NumericalFailureError.
     """
     chain = _as_chain(P, pi)
@@ -99,12 +106,11 @@ def avar_via_factored_operator(P, pi, f) -> float:
     fy = chain.frame.reduce(fv)
     ybar = np.linalg.solve(chain.T, fy)
     sigma2 = float(fy @ ybar)
-    scale = max(1.0, abs(ref.sigma2))
-    if abs(sigma2 - ref.sigma2) > ROUTE_TOL * scale:
+    if abs(sigma2 - ref.sigma2) > route_bound(ref.sigma2):
         raise NumericalFailureError(
             f"factored-operator route {sigma2} disagrees with dual pair {ref.sigma2}")
     mid = 0.5 * (chain.frame.reduce(ref.phi) + chain.frame.reduce(ref.phi_star))
-    if np.max(np.abs(ybar - mid), initial=0.0) > ROUTE_TOL * max(1.0, np.max(np.abs(mid), initial=0.0)):
+    if np.max(np.abs(ybar - mid), initial=0.0) > route_bound(mid):
         raise NumericalFailureError("T^{-1} f differs from (phi + phi*)/2")
     return sigma2
 
@@ -129,8 +135,7 @@ def avar_spectral(P, pi, f) -> float:
     vals, vecs = chain._symmetric_eigh()
     coeffs = vecs.T @ chain.frame.reduce(fv)
     unit = 1.0 - vals <= SOLVABLE_TOL
-    scale = max(1.0, np.max(np.abs(fv), initial=0.0))
-    if np.any(np.abs(coeffs[unit]) > 1e-10 * scale):
+    if np.any(np.abs(coeffs[unit]) > 1e-10 * np.max(np.abs(fv), initial=0.0)):
         return np.inf
     keep = ~unit
     with np.errstate(over="ignore"):  # an overflow is the inf the caller compares

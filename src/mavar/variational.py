@@ -22,7 +22,7 @@ from .kernel import (
     _gamma,
     pi_inner,
 )
-from .poisson import ROUTE_TOL, solve_dual_pair
+from .poisson import route_bound, solve_dual_pair
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def factored_operator_inf(P, pi, f):
 
     The minimizer is the symmetrized Poisson solution
     (phi + phi*) / 2 normalized by its pairing with f; the minimum
-    equals 1/sigma^2.  Cross-checked against the saddle value at 1e-9.
+    equals 1/sigma^2.  Cross-checked against 1/sigma^2 within route_bound.
     """
     chain = _as_chain(P, pi)
     sol = _positive_solution(chain, None, f)
@@ -150,7 +150,7 @@ def factored_operator_inf(P, pi, f):
     xy = chain.frame.reduce(xi)
     value = float(xy @ (chain.T @ xy))
     expected = 1.0 / sol.sigma2
-    if abs(value - expected) > ROUTE_TOL * max(1.0, expected):
+    if abs(value - expected) > route_bound(expected):
         raise NumericalFailureError(
             f"factored-operator minimum {value} disagrees with 1/sigma^2 {expected}")
     return xi, value

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import mavar.kernel
 from mavar import (
@@ -160,6 +161,57 @@ def test_the_eta_star_record_catches_an_asymmetric_inverse():
     record = records_by_name(chain, f, trials=3)["eta* vanishes (reversible)"]
     assert record["passed"] is False
     assert record["residual"] > 2.0 * record["bound"]
+
+
+def seeded_chain(reversible, n, seed):
+    """(ReducedChain, centered f) drawn from default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    if reversible:
+        kernel, pi = random_reversible_kernel(n, rng)
+    else:
+        kernel = random_irreducible_kernel(n, rng)
+        pi = stationary_distribution(kernel)
+    return ReducedChain(kernel, pi), random_centered_observable(pi, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.booleans(), st.integers(3, 12), st.integers(0, 2**32 - 1), st.integers(-480, 480))
+@example(True, 3, 0, -480)
+@example(True, 7, 1, -100)
+@example(True, 12, 2, 480)
+@example(False, 3, 3, -7)
+@example(False, 7, 4, 9)
+@example(False, 12, 5, 200)
+def test_scaling_f_by_a_power_of_two_scales_every_record_alike(reversible, n, seed, k):
+    # sigma^2(P, c f) = c^2 sigma^2(P, f), and c = 2^k scales every computation
+    # exactly, so each record's residual and bound scale by one power of two
+    chain, f = seeded_chain(reversible, n, seed)
+    base, sigma2 = checks.battery(chain, f, trials=3)
+    scaled, scaled_sigma2 = checks.battery(chain, np.ldexp(f, k), trials=3)
+    assert scaled_sigma2 == np.ldexp(sigma2, 2 * k)
+    assert [(r["name"], r["passed"]) for r in scaled] == [(r["name"], r["passed"]) for r in base]
+    for r, r0 in zip(scaled, base):
+        assert r["residual"] * r0["bound"] == r0["residual"] * r["bound"], (r, r0)
+
+
+def test_a_wrong_factored_route_fails_its_record_at_any_scale(monkeypatch):
+    # at f 2^-500 the doubled route misses sigma^2 = 4.2e-302 by as much, which
+    # an absolute bound of 1e-9 let pass
+    monkeypatch.setattr(checks, "avar_via_factored_operator",
+                        lambda chain, pi, f: 2.0 * solve_dual_pair(chain, pi, f).sigma2)
+    chain, f = seeded_chain(True, 12, 7)
+    for k in (-500, 0, 500):
+        record = records_by_name(chain, np.ldexp(f, k), trials=3)["factored-operator route"]
+        assert record["passed"] is False, k
+
+
+def test_a_shifted_operator_fails_the_orthogonality_record_at_a_huge_scale():
+    # at f 1e150 a bound that grew as sigma^2 max|f| overflowed to inf
+    chain, f = seeded_chain(True, 12, 7)
+    chain.A = chain.A + 1e-6 * np.eye(chain.m)
+    record = records_by_name(chain, 1e150 * f, trials=3)[
+        "orthogonality of phi against pi(f .) = 0"]
+    assert record["passed"] is False and math.isfinite(record["bound"])
 
 
 def test_routes_agree_on_a_reversible_fixture(six):

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import mavar.checks
 import mavar.cli
+import mavar.poisson
 from mavar import apply_drift, catalog
 from mavar.cli import main
 from mavar.kernel import centered, stationary_distribution
@@ -465,7 +466,7 @@ def test_the_seed_moves_only_the_probe_records(runner, random_chain_files):
 
 def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     # force every bound negative to exercise the failure path
-    monkeypatch.setattr(mavar.checks, "ROUTE_TOL", -1.0)
+    monkeypatch.setattr(mavar.poisson, "ROUTE_TOL", -1.0)
     result = runner.invoke(main, [
         "verify",
         str(fixture_dir / "six-cycle" / "P2.json"),
@@ -537,6 +538,18 @@ def test_simulate_on_a_degenerate_chain_reports_the_estimate_alone(runner, tmp_p
         assert result.stdout.splitlines()[0].startswith("estimate: ")
         assert "analytic" not in result.stdout
         assert "deviation" not in result.stdout
+
+
+def test_simulate_keeps_its_estimate_when_the_variance_underflows(runner, tmp_path):
+    # sigma^2 near 3e-320 is subnormal, so there is no analytic value to compare with
+    kernel = write_json(tmp_path / "P.json", {"rows": [[0.9, 0.1], [0.2, 0.8]]})
+    obs = write_json(tmp_path / "f.json", [1e-160, -1e-160])
+    result = runner.invoke(main, ["simulate", "--n", "2000", "--json", kernel, obs])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert set(report) == {"value", "std_error", "n_batches", "batch_len", "seed"}
+    assert 0.0 < report["value"] < 1e-310
 
 
 @pytest.mark.parametrize("seed", ["-1", "-7"])
@@ -740,9 +753,10 @@ def near_decomposable_files(tmp_path, eps=1.1e-12):
             write_json(tmp_path / "f.json", [1, 1, -1, -1]))
 
 
-def two_block_files(tmp_path, seed, eps, reversible):
-    """Two random 10-state blocks joined by weight eps, f = +1 on one and -1 on
-    the other (not centered).  Symmetric block weights make the chain reversible."""
+def two_block_files(tmp_path, seed, eps, reversible, scale=1.0):
+    """Two random 10-state blocks joined by weight eps, f = +scale on one and
+    -scale on the other (not centered).  Symmetric block weights make the chain
+    reversible."""
     rng = np.random.default_rng(seed)
     weights = np.full((20, 20), eps)
     for block in (slice(0, 10), slice(10, 20)):
@@ -750,7 +764,7 @@ def two_block_files(tmp_path, seed, eps, reversible):
         weights[block, block] = B + B.T if reversible else B
     rows = weights / weights.sum(axis=1, keepdims=True)
     return (write_json(tmp_path / "P.json", {"rows": rows.tolist()}),
-            write_json(tmp_path / "f.json", [1.0] * 10 + [-1.0] * 10))
+            write_json(tmp_path / "f.json", [scale] * 10 + [-scale] * 10))
 
 
 def json_line(output):
@@ -818,6 +832,48 @@ def test_a_failed_route_is_null_in_strict_json(runner, tmp_path):
     records = {c["name"]: c for c in strict_json(json_line(result.output))["checks"]}
     assert records["factored-operator route"]["residual"] is None
     assert records["factored-operator route"]["passed"] is False
+
+
+def test_the_units_of_f_do_not_move_the_verdicts(runner, tmp_path):
+    # f 2^-13 repeats f's arithmetic exactly; on blocks joined by 1e-8 the
+    # factored-operator minimum misses 1/sigma^2 = 4.2e-8 by 1.4e-9 relative
+    for scale in (1.0, 2.0 ** -13):
+        kernel, obs = two_block_files(tmp_path, 5, 1e-8, reversible=False, scale=scale)
+        result = runner.invoke(main, ["verify", "--trials", "3", "--center", kernel, obs])
+        assert result.exit_code == 5, scale
+        assert "FAIL factored-operator minimum" in result.stdout
+        assert runner.invoke(main, ["analyze", "--center", kernel, obs]).exit_code == 0
+
+
+@pytest.mark.parametrize("miss, code", [(0.9e-9, 0), (1.1e-9, 5)])
+def test_analyze_judges_the_routes_as_verify_does(runner, tmp_path, monkeypatch, miss, code):
+    # the two routes straddle the dual pair by miss and miss / 2 relative, so
+    # they spread by 1.5 miss; each command judges every route against the dual pair
+    routes = mavar.checks.routes
+
+    def straddling(chain, f):
+        sol, values, reversible = routes(chain, f)
+        values["factored-operator"] = sol.sigma2 * (1.0 + miss)
+        values["spectral"] = sol.sigma2 * (1.0 - 0.5 * miss)
+        return sol, values, reversible
+
+    monkeypatch.setattr(mavar.checks, "routes", straddling)
+    rows, _ = random_reversible_kernel(8, np.random.default_rng(3))
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    obs = write_json(tmp_path / "f.json", list(range(8)))
+    result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
+    assert result.exit_code == code, result.stderr
+    report = json.loads(json_line(result.stdout))
+    assert report["routes_agree"] is (code == 0)
+    if code:
+        distance = abs(report["sigma2"] * (1.0 + miss) - report["sigma2"])
+        assert (f"error: variance routes disagree: the factored-operator route is "
+                f"{distance} from the dual pair" in result.stderr)
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    assert result.exit_code == code, result.stderr
+    records = {c["name"]: c for c in json.loads(json_line(result.stdout))["checks"]}
+    assert records["factored-operator route"]["passed"] is (code == 0)
+    assert records["spectral route"]["passed"] is True
 
 
 def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
