@@ -2,9 +2,10 @@
 
 routes() computes sigma^2 by every independent route: the dual-pair
 solve, the factored symmetric operator and, for a reversible chain, the
-spectral decomposition.  battery() runs the identity battery behind
-`mavar verify`: the Poisson residuals as backward errors, route
-agreement, the resolvent limit at the one beta its record reads
+spectral decomposition; each route returns its value, and routes() is
+where they are judged.  battery() runs the identity battery behind
+`mavar verify`: the Poisson residuals as backward errors, the route
+records, the resolvent limit at the one beta its record reads
 (RESOLVENT_BETA), the saddle point of the variational formula for
 1/sigma^2 (its Dirichlet identity, the inner sup and the factored-operator
 minimum), the orthogonality of phi against random directions, and the
@@ -15,7 +16,7 @@ are drawn PROBE_BLOCK at a time, so their memory does not grow with the
 number of trials.  Their normals come from the standard library's
 random.Random(seed) by Box-Muller, so verify never imports numpy's random
 subpackage (and with it secrets and _hashlib).
-A failed check is a record or an infinite route value, never an exception.
+A failed check is a failed record, never an exception.
 """
 
 import operator
@@ -23,11 +24,10 @@ import random
 
 import numpy as np
 
-from .errors import NumericalFailureError
 from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, pi_inner
 from .poisson import (
+    _factored_solve,
     avar_spectral,
-    avar_via_factored_operator,
     resolvent_curve,
     route_bound,
     solve_dual_pair,
@@ -45,27 +45,38 @@ RESOLVENT_BETA = 1e-4
 PROBE_BLOCK = 64
 
 
-def routes(chain, f):
-    """(dual-pair solution, {route: sigma^2}, reversible) for a ReducedChain.
+def _record(name, residual, bound):
+    """One record: it passes when the residual is at most the bound."""
+    return {"name": name, "residual": float(residual), "bound": float(bound),
+            "passed": bool(residual <= bound)}
 
-    A route whose own cross-check raises NumericalFailureError reports
-    inf, as does the spectral route when a unit eigenvalue carries
-    weight of f, so a failed route is a value the caller compares.  The
-    spectral route runs when the chain is reversible.
+
+def routes(chain, f):
+    """(dual-pair solution, {route: sigma^2}, records) for a ReducedChain.
+
+    The spectral route runs when the chain is reversible, and is inf when a
+    unit eigenvalue carries weight of f.  The records judge every route
+    against the dual pair: each route's sigma^2 within route_bound(sigma^2),
+    and the solution T^{-1} y the factored route reads its sigma^2 from
+    within route_bound of the dual pair's (reduce phi + reduce phi*)/2.
     """
-    reversible = chain.reversible
     # the spectral route's eigensolve runs, and frees its eigenvectors, before
     # the chain holds any inverse
-    spectral = avar_spectral(chain, None, f) if reversible else None
+    spectral = avar_spectral(chain, None, f) if chain.reversible else None
     sol = solve_dual_pair(chain, None, f)
-    values = {"dual-pair": sol.sigma2}
-    try:
-        values["factored-operator"] = avar_via_factored_operator(chain, None, f)
-    except NumericalFailureError:
-        values["factored-operator"] = np.inf
-    if reversible:
+    factored, solution = _factored_solve(chain, None, f)
+    mid = 0.5 * (chain.frame.reduce(sol.phi) + chain.frame.reduce(sol.phi_star))
+    values = {"dual-pair": sol.sigma2, "factored-operator": factored}
+    records = [
+        _record("factored-operator route", abs(factored - sol.sigma2), route_bound(sol.sigma2)),
+        _record("factored-operator solution", np.max(np.abs(solution - mid), initial=0.0),
+                route_bound(mid)),
+    ]
+    if spectral is not None:
         values["spectral"] = spectral
-    return sol, values, reversible
+        records.append(_record("spectral route", abs(spectral - sol.sigma2),
+                               route_bound(sol.sigma2)))
+    return sol, values, records
 
 
 def _backward_error(r, x, f, row_sums, diag, solve):
@@ -165,14 +176,13 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     seed = operator.index(seed)  # random.Random takes no numpy integer
     if seed < 0:  # random.Random would seed with its absolute value
         raise ValueError(f"seed must be at least 0, got {seed}")
+    f = _as_vector(f)
+    sol, _, route_records = routes(chain, f)
     checks = []
 
     def record(name, residual, bound):
-        checks.append({"name": name, "residual": float(residual),
-                       "bound": float(bound), "passed": bool(residual <= bound)})
+        checks.append(_record(name, residual, bound))
 
-    f = _as_vector(f)
-    sol, values, reversible = routes(chain, f)
     saddle = saddle_point(chain, None, f)
     P, w = chain.rows, chain.pi
     diag = np.diag(P)
@@ -185,9 +195,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
            *_backward_error(drives[0] - f, phi, f, P.sum(axis=1), diag, primal))
     record("poisson residual (dual)",
            *_backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual))
-    for name, value in values.items():
-        if name != "dual-pair":
-            record(f"{name} route", abs(value - sol.sigma2), route_bound(sol.sigma2))
+    checks += route_records
     tail = resolvent_curve(chain, None, f, RESOLVENT_BETA)
     record("resolvent tail", abs(tail - sol.sigma2),
            10.0 * RESOLVENT_BETA * pi_inner(phi, phi, w))
@@ -198,10 +206,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
            route_bound(value))
     _, sup_at_star = inner_sup(chain, None, f, xi_star)
     record("inner sup at xi*", abs(sup_at_star - value), route_bound(value))
-    try:
-        _, t_inf = factored_operator_inf(chain, None, f)
-    except NumericalFailureError:
-        t_inf = np.inf
+    _, t_inf = factored_operator_inf(chain, None, f)
     record("factored-operator minimum", abs(t_inf - value), route_bound(value))
     # with Pi the projection onto pi(f .) = 0, self-adjoint in <., .>_pi, a probe
     # Pi g has <(I - P) phi, Pi g>_pi = <Pi (I - P) phi, g>_pi and
@@ -213,7 +218,7 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     worst_orth = max(np.max(np.abs(normals @ weighted)) for normals in blocks)
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            max(route_bound(phi), route_bound(star)))
-    if reversible:
+    if chain.reversible:
         _, inf_val = reversible_inf(chain, None, f)
         record("reversible minimum", abs(inf_val - value), route_bound(value))
         # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), against what rounding can

@@ -13,15 +13,15 @@ infinite input, a variance that overflows or underflows float64, and a zero
 variance in verify, whose variational formula for 1/sigma^2 needs
 sigma^2 > 0; an observable that centering cannot tell from a constant is
 zero), 3 reducible kernel, 4 degenerate kernel (Poisson equation
-unsolvable), 5 route or identity disagreement (a route that failed its own
-cross-check is inf), 6 stationary-distribution mismatch, 7 unexplained
-fixture deviation.  A library error that escapes a command gets its code
-from one table keyed by error class, EXIT_CODES, applied once by the
-command group, so every command maps an error the same way (a degenerate
-pair exits 4 from compare as from analyze).  The MAVAR_TOL environment
-variable overrides the default validation tolerance, which reaches only what
-a command validates and reproduce-examples' pass/fail threshold; an explicit
---tol flag wins over both, and either must be positive and finite.
+unsolvable), 5 route or identity disagreement, 6 stationary-distribution
+mismatch, 7 unexplained fixture deviation.  A library error that escapes a
+command gets its code from one table keyed by error class, EXIT_CODES,
+applied once by the command group, so every command maps an error the same
+way (a degenerate pair exits 4 from compare as from analyze).  The
+MAVAR_TOL environment variable overrides the default validation tolerance,
+which reaches only what a command validates and reproduce-examples'
+pass/fail threshold; an explicit --tol flag wins over both, and either must
+be positive and finite.
 """
 
 import atexit
@@ -221,16 +221,14 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     """Solve the Poisson equation and report the variance by every route."""
     tol = _resolve_tol(tol)
     f, was_centered, chain = _load_analysis(kernel_file, observable_file, tol, center)
-    sol, routes, reversible = checks.routes(chain, f)
-    # verify's route records: a route that failed is inf, so it does not agree
-    distance = {name: abs(value - sol.sigma2) for name, value in routes.items()}
-    agree = all(d <= poisson.route_bound(sol.sigma2) for d in distance.values())
+    sol, routes, records = checks.routes(chain, f)
+    agree = all(r["passed"] for r in records)
     # the mean-zero spectral radius; a reversible chain's spectral route
     # filled the spectrum
     radius = float(np.max(np.abs(chain.spectrum)))
     report = {
         "n": chain.m + 1,
-        "reversible": reversible,
+        "reversible": chain.reversible,
         "spectral_radius_mean_zero": radius,
         "pi": chain.pi.tolist(),
         "centered_applied": was_centered,
@@ -245,7 +243,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
         _echo_json(report)
     else:
         click.echo(f"states: {chain.m + 1}")
-        click.echo(f"reversible: {'yes' if reversible else 'no'}")
+        click.echo(f"reversible: {'yes' if chain.reversible else 'no'}")
         click.echo(f"spectral radius (mean-zero): {_fmt(radius)}")
         click.echo(f"pi: {_fmt_vec(chain.pi)}")
         click.echo(f"phi: {_fmt_vec(sol.phi)}")
@@ -256,9 +254,11 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
             click.echo(f"route {name}: {_fmt(value)}")
         click.echo(f"routes agree within {poisson.ROUTE_TOL:g}: {'yes' if agree else 'no'}")
     if not agree:
-        worst = max(distance, key=distance.get)
-        _fail(EXIT_ROUTES, f"variance routes disagree: the {worst} route is "
-                           f"{distance[worst]} from the dual pair (values {routes})")
+        # the route furthest from the dual pair, or else the failed solution record
+        worst = max((r for r in records if not r["passed"]),
+                    key=lambda r: (r["name"].endswith(" route"), r["residual"]))
+        _fail(EXIT_ROUTES, f"variance routes disagree: the {worst['name']} is "
+                           f"{worst['residual']} from the dual pair (values {routes})")
 
 
 def _order_line(label, report):
@@ -382,9 +382,9 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
                     "seed": seed})
     else:
         for c in records:
-            mark = "PASS" if c["passed"] else "FAIL"
+            mark, relation = ("PASS", "<=") if c["passed"] else ("FAIL", ">")
             click.echo(f"{mark} {c['name']} (residual {_fmt(c['residual'])}"
-                       f" <= {_fmt(c['bound'])})")
+                       f" {relation} {_fmt(c['bound'])})")
         click.echo(f"sigma^2: {_fmt(sigma2)}")
     if not all_pass:
         _fail(EXIT_ROUTES, "at least one variational identity failed")

@@ -3,10 +3,9 @@
 The three classes with an exit code of their own (cli.EXIT_CODES) say
 what is wrong with the chain: reducible, degenerate, or not sharing the
 given stationary law.  NumericalFailureError marks a solve or cross-check
-that missed its accuracy budget; the variance routes report it as an
-infinite value.  The input classes name the input to fix: the kernel, the
-observable, the perturbation or the simulation arguments.  Any other
-MavarError exits 2.
+that missed its accuracy budget, or a variance beyond float64.  The input
+classes name the input to fix: the kernel, the observable, the
+perturbation or the simulation arguments.  Any other MavarError exits 2.
 """
 
 

@@ -5,10 +5,11 @@ f, the solution phi of (I - P) phi = f gives the asymptotic variance of
 the ergodic averages of f through sigma^2 = <phi, f>_pi and
 avar = 2 sigma^2 - <f, f>_pi.  Four routes are provided: the direct
 dual-pair solve, a factored symmetric operator, the eigendecomposition of
-the reduced operator (reversible case), and a resolvent limit.  The first
-three share a chain's mean-zero frame and reduced operator A; the
-full-space records of checks.battery (the Poisson residuals and the
-resolvent tail) check the frame itself.
+the reduced operator (reversible case), and a resolvent limit.  Each
+returns its value, and mavar.checks alone compares them.  The first three
+share a chain's mean-zero frame and reduced operator A; the full-space
+records of checks.battery (the Poisson residuals and the resolvent tail)
+check the frame itself.
 """
 
 from dataclasses import dataclass
@@ -89,30 +90,28 @@ def solve_dual_pair(P, pi, f) -> PoissonSolution:
     return PoissonSolution(chain.frame.lift(y), chain.frame.lift(y_star), sigma2, avar)
 
 
+def _factored_solve(P, pi, f):
+    """(sigma^2, T^{-1} y) with y = frame.reduce(f): the factored route and
+    the solution it reads sigma^2 from.  An uncentered f or a singular I - A
+    raises before I - S is factored."""
+    chain = _as_chain(P, pi)
+    fv = _as_vector(f)
+    _check_centered(fv, chain.pi)
+    chain.inv  # the Poisson gate; the route itself never reads the inverse
+    fy = chain.frame.reduce(fv)
+    ybar = np.linalg.solve(chain.T, fy)
+    return float(fy @ ybar), ybar
+
+
 def avar_via_factored_operator(P, pi, f) -> float:
     """Asymptotic variance through the symmetric factored operator.
 
     In mean-zero coordinates the operator
     T = (I - A) (I - S)^{-1} (I - A)^T with S = (A + A^T)/2 is symmetric
     positive definite and sigma^2 = <f, T^{-1} f>.  The route solves
-    with T alone, never with the inverse of I - A.  Cross-checked against
-    the dual-pair route within route_bound; disagreement raises
-    NumericalFailureError.
+    with T alone, never with the inverse of I - A.
     """
-    chain = _as_chain(P, pi)
-    fv = _as_vector(f)
-    # first, so an uncentered f or a singular I - A raises before I - S is factored
-    ref = solve_dual_pair(chain, None, fv)
-    fy = chain.frame.reduce(fv)
-    ybar = np.linalg.solve(chain.T, fy)
-    sigma2 = float(fy @ ybar)
-    if abs(sigma2 - ref.sigma2) > route_bound(ref.sigma2):
-        raise NumericalFailureError(
-            f"factored-operator route {sigma2} disagrees with dual pair {ref.sigma2}")
-    mid = 0.5 * (chain.frame.reduce(ref.phi) + chain.frame.reduce(ref.phi_star))
-    if np.max(np.abs(ybar - mid), initial=0.0) > route_bound(mid):
-        raise NumericalFailureError("T^{-1} f differs from (phi + phi*)/2")
-    return sigma2
+    return _factored_solve(P, pi, f)[0]
 
 
 def avar_spectral(P, pi, f) -> float:

@@ -9,10 +9,19 @@ emits it.  A record that catches nothing holds by construction and shows
 nothing; the battery must emit none.
 """
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
-from mavar import ReducedChain, checks, stationary_distribution
+from mavar import (
+    ReducedChain,
+    avar_spectral,
+    avar_via_factored_operator,
+    checks,
+    solve_dual_pair,
+    stationary_distribution,
+)
 
 from generators import (
     random_centered_observable,
@@ -69,6 +78,10 @@ MUST_CATCH = {
         "A + 1e-6 I", "A + 1e-2 I", "inv[0, 0] x (1 + 1e-6)", "inv[0, 0] x (1 + 1e-2)",
         "inv[0, 1] x (1 + 1e-6)", "inv[0, 1] x (1 + 1e-2)", "inv x 1.001", "pi off by 1e-10"],
     "factored-operator route": [
+        "inv[0, 0] x (1 + 1e-2)", "inv[0, 1] x (1 + 1e-2)", "cinv[0, 0] x (1 + 1e-6)",
+        "cinv[0, 0] x (1 + 1e-2)", "cinv[0, 1] x (1 + 1e-2)", "T[0, 0] x (1 + 1e-2)",
+        "T[0, 1] x (1 + 1e-2)", "inv x 1.001"],
+    "factored-operator solution": [
         "inv[0, 0] x (1 + 1e-6)", "inv[0, 0] x (1 + 1e-2)", "inv[0, 1] x (1 + 1e-6)",
         "inv[0, 1] x (1 + 1e-2)", "cinv[0, 0] x (1 + 1e-6)", "cinv[0, 0] x (1 + 1e-2)",
         "cinv[0, 1] x (1 + 1e-2)", "T[0, 0] x (1 + 1e-6)", "T[0, 0] x (1 + 1e-2)",
@@ -132,7 +145,7 @@ def caught(failures, record):
 def test_the_clean_chains_pass_every_record(failures):
     for run in failures[None]:
         assert not any(run.values()), [name for name, failed in run.items() if failed]
-    assert [len(run) for run in failures[None]] == [11] * 5 + [8] * 5
+    assert [len(run) for run in failures[None]] == [12] * 5 + [9] * 5
 
 
 def test_every_record_catches_a_corruption(failures):
@@ -151,3 +164,27 @@ def test_the_battery_catches_each_corruption_on_every_chain(failures):
     missed = {name: sum(not any(run.values()) for run in runs)
               for name, runs in failures.items() if name is not None}
     assert {name for name, count in missed.items() if count} <= BELOW_ROUTE_TOL, missed
+
+
+# The routes are the package's oracle only while each reads factors the
+# others do not: a route's value must not move when a factor it does not
+# read is scaled.
+ROUTES = {
+    "dual-pair": lambda chain, f: solve_dual_pair(chain, None, f).sigma2,
+    "factored-operator": lambda chain, f: avar_via_factored_operator(chain, None, f),
+    "spectral": lambda chain, f: avar_spectral(chain, None, f),
+}
+IGNORES = {
+    "inv": ["factored-operator", "spectral"],
+    "cinv": ["dual-pair", "spectral"],
+    "T": ["dual-pair", "spectral"],
+}
+
+
+@pytest.mark.parametrize("factor", list(IGNORES))
+def test_each_route_ignores_the_factors_it_does_not_read(factor):
+    for kernel, pi, f in islice(seeded_chains(), 5):  # the reversible five
+        clean, bad = ReducedChain(kernel, pi), ReducedChain(kernel, pi)
+        setattr(bad, factor, getattr(bad, factor) * 1.001)
+        for route in IGNORES[factor]:
+            assert ROUTES[route](bad, f) == ROUTES[route](clean, f), route

@@ -54,10 +54,11 @@ def test_battery_record_order_and_reversible_extras(six):
     pi = stationary_distribution(six["P2"])
     records, sigma2 = checks.battery(ReducedChain(six["P2"], pi), six["f1"], trials=3)
     names = [r["name"] for r in records]
-    assert names[:4] == ["poisson residual (primal)", "poisson residual (dual)",
-                         "factored-operator route", "spectral route"]
+    assert names[:5] == ["poisson residual (primal)", "poisson residual (dual)",
+                         "factored-operator route", "factored-operator solution",
+                         "spectral route"]
     assert names[-2:] == ["reversible minimum", "eta* vanishes (reversible)"]
-    assert len(names) == 11
+    assert len(names) == 12
     assert sigma2 == pytest.approx(0.5, abs=1e-13)
     records, _ = checks.battery(ReducedChain(six["P1"], pi), six["f1"], trials=3)
     rest = [r["name"] for r in records]
@@ -93,13 +94,16 @@ def test_a_corrupted_inverse_fails_the_factored_operator_records():
     pi = stationary_distribution(kernel)
     f = random_centered_observable(pi, rng)
     chain = ReducedChain(kernel, pi)
+    _, clean, _ = checks.routes(chain, f)
     bad = chain.inv.copy()
     bad[0, 0] *= 1.001
     chain.inv = bad
+    # the route returns its value through T; only the records compare it
     _, values, _ = checks.routes(chain, f)
-    assert values["factored-operator"] == math.inf
+    assert values["factored-operator"] == clean["factored-operator"]
     records = records_by_name(chain, f, trials=3)
     assert records["factored-operator route"]["passed"] is False
+    assert records["factored-operator solution"]["passed"] is False
     assert records["factored-operator minimum"]["passed"] is False
     assert records["poisson residual (primal)"]["passed"] is False
 
@@ -197,8 +201,9 @@ def test_scaling_f_by_a_power_of_two_scales_every_record_alike(reversible, n, se
 def test_a_wrong_factored_route_fails_its_record_at_any_scale(monkeypatch):
     # at f 2^-500 the doubled route misses sigma^2 = 4.2e-302 by as much, which
     # an absolute bound of 1e-9 let pass
-    monkeypatch.setattr(checks, "avar_via_factored_operator",
-                        lambda chain, pi, f: 2.0 * solve_dual_pair(chain, pi, f).sigma2)
+    factored = checks._factored_solve
+    monkeypatch.setattr(checks, "_factored_solve", lambda chain, pi, f: (
+        2.0 * solve_dual_pair(chain, pi, f).sigma2, factored(chain, pi, f)[1]))
     chain, f = seeded_chain(True, 12, 7)
     for k in (-500, 0, 500):
         record = records_by_name(chain, np.ldexp(f, k), trials=3)["factored-operator route"]
@@ -216,9 +221,11 @@ def test_a_shifted_operator_fails_the_orthogonality_record_at_a_huge_scale():
 
 def test_routes_agree_on_a_reversible_fixture(six):
     pi = stationary_distribution(six["P2"])
-    sol, values, reversible = checks.routes(ReducedChain(six["P2"], pi), six["f1"])
-    assert reversible
+    sol, values, records = checks.routes(ReducedChain(six["P2"], pi), six["f1"])
     assert list(values) == ["dual-pair", "factored-operator", "spectral"]
+    assert [r["name"] for r in records] == [
+        "factored-operator route", "factored-operator solution", "spectral route"]
+    assert all(r["passed"] for r in records)
     assert values["dual-pair"] == sol.sigma2
     for value in values.values():
         assert value == pytest.approx(0.5, abs=1e-12)
@@ -227,8 +234,8 @@ def test_routes_agree_on_a_reversible_fixture(six):
 def test_the_spectral_route_solves_a_chain_the_gate_passes():
     chain = near_decomposable()
     f = np.array([1.0, 1.0, -1.0, -1.0])
-    sol, values, reversible = checks.routes(chain, f)
-    assert reversible
+    sol, values, _ = checks.routes(chain, f)
+    assert chain.reversible
     assert math.isfinite(values["dual-pair"]) and values["dual-pair"] == sol.sigma2
     assert abs(values["spectral"] - sol.sigma2) <= ROUTE_TOL * sol.sigma2
     records = records_by_name(chain, f, trials=3)
@@ -238,8 +245,8 @@ def test_the_spectral_route_solves_a_chain_the_gate_passes():
 def test_the_chain_keeps_no_eigenvectors(rng):
     kernel, pi = random_reversible_kernel(30, rng)
     chain = ReducedChain(kernel, pi)
-    _, values, reversible = checks.routes(chain, random_centered_observable(pi, rng))
-    assert reversible and "spectral" in values
+    _, values, _ = checks.routes(chain, random_centered_observable(pi, rng))
+    assert chain.reversible and "spectral" in values
     square = {name for name, value in vars(chain).items()
               if isinstance(value, np.ndarray) and value.shape == (chain.m, chain.m)}
     assert square == {"A", "inv", "cinv", "T"}
@@ -253,8 +260,8 @@ def test_a_nearly_reversible_chain_skips_the_spectral_route():
     kernel = validate_kernel(np.full((3, 3), 1 / 3) + 1e-10 * circulation)
     chain = ReducedChain(kernel, stationary_distribution(kernel))
     f = np.array([1.0, 0.0, -1.0])
-    _, values, reversible = checks.routes(chain, f)
-    assert not reversible
+    _, values, _ = checks.routes(chain, f)
+    assert not chain.reversible
     assert list(values) == ["dual-pair", "factored-operator"]
     records, _ = checks.battery(chain, f, trials=3)
     assert all(r["passed"] for r in records)
@@ -268,7 +275,7 @@ def test_every_reversibility_test_uses_one_threshold():
     pi = stationary_distribution(kernel)
     f = np.array([1.0, 0.0, -1.0])
     assert not is_reversible(kernel, pi)
-    assert not checks.routes(ReducedChain(kernel, pi), f)[2]
+    assert "spectral" not in checks.routes(ReducedChain(kernel, pi), f)[1]
     with pytest.raises(KernelError, match="not reversible"):
         reversible_inf(kernel, pi, f)
 

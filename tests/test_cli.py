@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -820,18 +821,48 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_a_failed_route_is_null_in_strict_json(runner, tmp_path):
-    # the factored operator cannot reach ROUTE_TOL on blocks joined by 1e-9
-    kernel, obs = two_block_files(tmp_path, 0, 1e-9, reversible=False)
+def test_a_failed_route_is_null_in_strict_json(runner, tmp_path, monkeypatch):
+    # the spectral route is inf when a unit eigenvalue carries weight of f
+    monkeypatch.setattr(mavar.checks, "avar_spectral", lambda chain, pi, f: float("inf"))
+    kernel, obs = two_block_files(tmp_path, 0, 0.1, reversible=True)
     result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
     assert result.exit_code == 5
     assert isinstance(result.exception, SystemExit)
-    assert strict_json(json_line(result.output))["routes"]["factored-operator"] is None
+    assert strict_json(json_line(result.output))["routes"]["spectral"] is None
     result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
     assert result.exit_code == 5
     records = {c["name"]: c for c in strict_json(json_line(result.output))["checks"]}
-    assert records["factored-operator route"]["residual"] is None
-    assert records["factored-operator route"]["passed"] is False
+    assert records["spectral route"]["residual"] is None
+    assert records["spectral route"]["passed"] is False
+
+
+def test_a_failed_route_reports_its_value(runner, tmp_path):
+    # the factored operator cannot reach ROUTE_TOL on blocks joined by 1e-9;
+    # the route still returns its sigma^2, and the records show how far it is
+    kernel, obs = two_block_files(tmp_path, 0, 1e-9, reversible=False)
+    result = runner.invoke(main, ["analyze", "--json", "--center", kernel, obs])
+    assert result.exit_code == 5
+    report = strict_json(json_line(result.output))
+    assert report["routes_agree"] is False
+    assert report["routes"]["factored-operator"] == pytest.approx(report["sigma2"], rel=1e-2)
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    assert result.exit_code == 5
+    records = [c for c in strict_json(json_line(result.output))["checks"] if not c["passed"]]
+    assert records and all(c["residual"] > c["bound"] for c in records)
+
+
+def test_verify_prints_a_failed_record_against_its_bound(runner, tmp_path):
+    # nonrev eps = 1e-8: the factored-operator minimum misses 1/sigma^2 = 4.2e-8
+    # by 1.6e-9 relative
+    kernel, obs = two_block_files(tmp_path, 5, 1e-8, reversible=False)
+    result = runner.invoke(main, ["verify", "--center", kernel, obs])
+    assert result.exit_code == 5
+    (line,) = [line for line in result.stdout.splitlines() if line.startswith("FAIL")]
+    assert re.fullmatch(r"FAIL factored-operator minimum \(residual 6\.667\d*e-17 > "
+                        r"4\.19640756051e-17\)", line), line
+    assert "<=" not in line
+    assert all(" <= " in line for line in result.stdout.splitlines()
+               if line.startswith("PASS"))
 
 
 def test_the_units_of_f_do_not_move_the_verdicts(runner, tmp_path):
@@ -849,15 +880,15 @@ def test_the_units_of_f_do_not_move_the_verdicts(runner, tmp_path):
 def test_analyze_judges_the_routes_as_verify_does(runner, tmp_path, monkeypatch, miss, code):
     # the two routes straddle the dual pair by miss and miss / 2 relative, so
     # they spread by 1.5 miss; each command judges every route against the dual pair
-    routes = mavar.checks.routes
+    factored = mavar.checks._factored_solve
 
-    def straddling(chain, f):
-        sol, values, reversible = routes(chain, f)
-        values["factored-operator"] = sol.sigma2 * (1.0 + miss)
-        values["spectral"] = sol.sigma2 * (1.0 - 0.5 * miss)
-        return sol, values, reversible
+    def sigma2(chain, f):
+        return mavar.poisson.solve_dual_pair(chain, None, f).sigma2
 
-    monkeypatch.setattr(mavar.checks, "routes", straddling)
+    monkeypatch.setattr(mavar.checks, "_factored_solve", lambda chain, pi, f: (
+        sigma2(chain, f) * (1.0 + miss), factored(chain, pi, f)[1]))
+    monkeypatch.setattr(mavar.checks, "avar_spectral",
+                        lambda chain, pi, f: sigma2(chain, f) * (1.0 - 0.5 * miss))
     rows, _ = random_reversible_kernel(8, np.random.default_rng(3))
     kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
     obs = write_json(tmp_path / "f.json", list(range(8)))
@@ -874,6 +905,31 @@ def test_analyze_judges_the_routes_as_verify_does(runner, tmp_path, monkeypatch,
     records = {c["name"]: c for c in json.loads(json_line(result.stdout))["checks"]}
     assert records["factored-operator route"]["passed"] is (code == 0)
     assert records["spectral route"]["passed"] is True
+
+
+def test_analyze_names_a_failed_solution_record(runner, tmp_path, monkeypatch):
+    # T^{-1} y off by 1e-6 relative while the route's sigma^2 agrees: only the
+    # solution record fails, and analyze names it
+    factored = mavar.checks._factored_solve
+
+    def off(chain, pi, f):
+        sigma2, solution = factored(chain, pi, f)
+        return sigma2, solution * (1.0 + 1e-6)
+
+    monkeypatch.setattr(mavar.checks, "_factored_solve", off)
+    rows, _ = random_reversible_kernel(8, np.random.default_rng(3))
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    obs = write_json(tmp_path / "f.json", list(range(8)))
+    result = runner.invoke(main, ["analyze", "--center", kernel, obs])
+    assert result.exit_code == 5
+    assert "routes agree within 1e-09: no" in result.stdout
+    assert ("error: variance routes disagree: the factored-operator solution is "
+            in result.stderr)
+    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    assert result.exit_code == 5
+    failed = [c["name"] for c in json.loads(json_line(result.stdout))["checks"]
+              if not c["passed"]]
+    assert failed == ["factored-operator solution"]
 
 
 def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
