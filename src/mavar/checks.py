@@ -5,11 +5,10 @@ solve, the factored symmetric operator and, for a reversible chain, the
 spectral decomposition; each route returns its value, and routes() is
 where they are judged.  battery() runs the identity battery behind
 `mavar verify`: the Poisson residuals as backward errors, the route
-records, the resolvent limit at the one beta its record reads
-(RESOLVENT_BETA), the saddle point of the variational formula for
-1/sigma^2 (its Dirichlet identity, the inner sup and the factored-operator
-minimum), the orthogonality of phi against random directions, and the
-reversible minimum.  Every record can fail: each catches some corruption
+records, the saddle point of the variational formula for 1/sigma^2 (its
+Dirichlet identity, the inner sup and the factored-operator minimum),
+the orthogonality of phi against random directions, and the reversible
+minimum.  Every record can fail: each catches some corruption
 of the chain's factors (tests/test_battery_mutants.py).  The random
 directions are dotted with the two Poisson drives, projected once, and
 are drawn PROBE_BLOCK at a time, so their memory does not grow with the
@@ -24,14 +23,8 @@ import random
 
 import numpy as np
 
-from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma, pi_inner
-from .poisson import (
-    _factored_solve,
-    avar_spectral,
-    resolvent_curve,
-    route_bound,
-    solve_dual_pair,
-)
+from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma
+from .poisson import _factored_solve, avar_spectral, route_bound, solve_dual_pair
 from .variational import (
     dirichlet_form,
     factored_operator_inf,
@@ -41,7 +34,6 @@ from .variational import (
     saddle_point,
 )
 
-RESOLVENT_BETA = 1e-4
 PROBE_BLOCK = 64
 
 
@@ -196,9 +188,6 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     record("poisson residual (dual)",
            *_backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual))
     checks += route_records
-    tail = resolvent_curve(chain, None, f, RESOLVENT_BETA)
-    record("resolvent tail", abs(tail - sol.sigma2),
-           10.0 * RESOLVENT_BETA * pi_inner(phi, phi, w))
     value = saddle.value
     xi_star, eta_star = saddle.xi_star, saddle.eta_star
     record("saddle Dirichlet identity",

@@ -146,9 +146,8 @@ def _resolve_pi(kernel, embedded):
 
 def _resolve_observable(f, pi, tol, center):
     mean = float(pi @ f)
-    scale = max(1.0, float(np.max(np.abs(f), initial=0.0)))
-    if abs(mean) <= tol * scale:
-        # sub-tolerance mean is treated as noise and removed quietly
+    if abs(mean) <= tol * float(np.max(np.abs(f), initial=0.0)):
+        # a mean below tol relative to f is treated as noise and removed quietly
         return centered(f, pi), False
     if center:
         click.echo(f"note: centering observable (pi-mean was {_fmt(mean)})", err=True)
@@ -284,23 +283,10 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
     # order_pairs checks that the sizes match and that both kernels keep pi
     orders = ordering.order_pairs(k1, k2, pi)
-    dom_fwd, dom_rev = orders.pop("domination")
-
-    def _dom_payload(result):
-        holds, witness = result
-        payload = {"holds": holds}
-        if witness is not None:
-            payload["witness"] = witness.tolist()
-        return payload
-
     if as_json:
         report = {
             name: {"forward": fwd.as_dict(), "reverse": rev.as_dict()}
             for name, (fwd, rev) in orders.items()
-        }
-        report["domination"] = {
-            "forward": _dom_payload(dom_fwd),
-            "reverse": _dom_payload(dom_rev),
         }
         report["pi"] = pi.tolist()
         _echo_json(report)
@@ -309,12 +295,6 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     for name, (fwd, rev) in orders.items():
         click.echo(_order_line(f"{name} 1->2", fwd))
         click.echo(_order_line(f"{name} 2->1", rev))
-    for label, (holds, witness) in (("domination 1->2", dom_fwd),
-                                    ("domination 2->1", dom_rev)):
-        if holds:
-            click.echo(f"{label}: holds (second argument never worse)")
-        else:
-            click.echo(f"{label}: fails, witness f = {_fmt_vec(witness)}")
 
 
 @main.command()

@@ -356,7 +356,8 @@ class ReducedChain:
         """
         try:
             inv = np.linalg.inv(_shift_minus(self.A))
-            bound = np.sqrt(self.m) * np.linalg.norm(inv, 1)
+            self._inv_norm1 = np.linalg.norm(inv, 1)  # the orders' rounding reads it too
+            bound = np.sqrt(self.m) * self._inv_norm1
         except np.linalg.LinAlgError:
             bound = np.inf
         if not bound < 1.0 / (GATE_SAFETY * SOLVABLE_TOL):

@@ -1,15 +1,15 @@
 """Partial orders on kernels tied to asymptotic variance.
 
-Three kernel orders (Peskun, Dirichlet-form, partial-sum) plus a
-uniform variance domination test over all centered observables.  Each
-decides at ORDER_TOL, for kernels that share pi within DEFAULT_TOL.
+Four orders on kernels that share pi within DEFAULT_TOL: Peskun,
+Dirichlet-form and partial-sum, which decide at ORDER_TOL, and uniform
+variance domination over all centered observables, which decides at its
+variance forms' rounding.
 
-Each kernel order and the domination test is computed for both
-directions from one matrix: the reverse difference is the negated
-forward one, so the entrywise orders scan its negation and the
-eigenvalue tests read the other end of one eigensolve.  order_pairs
-returns every pair; peskun_order and fk_order are the forward halves of
-their pairs.
+Each order is computed for both directions from one matrix: the reverse
+difference is the negated forward one, so the entrywise orders scan its
+negation and the eigenvalue orders read the other end of one eigensolve.
+order_pairs returns every pair; peskun_order and fk_order are the forward
+halves of their pairs.
 """
 
 from dataclasses import dataclass
@@ -22,6 +22,7 @@ from .kernel import (
     _as_chain,
     _as_matrix,
     _as_vector,
+    _gamma,
     stationary_distribution,
     stationary_residual,
 )
@@ -33,9 +34,11 @@ ORDER_TOL = 1e-10
 class OrderReport:
     """Outcome of a kernel-order test.
 
-    holds iff margin >= -ORDER_TOL; witness locates the worst
-    violation, as an (i, j) entry or, for the Dirichlet order, as a
-    function on states, and is present only when the order fails.
+    holds iff margin >= -ORDER_TOL, or for domination iff the margin is
+    within the forms' rounding of 0 or above; witness locates the worst
+    violation, as an (i, j) entry or, for the Dirichlet order and
+    domination, as a function on states, and is present only when the
+    order fails.
     """
 
     relation: str
@@ -97,24 +100,30 @@ def _peskun_pair(M1, M2):
     return _entry_pair("peskun", M1, M2, skip_diagonal=True)
 
 
-def _dirichlet_pair(M1, M2, w):
-    """The form order <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all
-    xi, both ways: the forward margin is the smallest eigenvalue of the
-    symmetrized weighted difference G (constants are a structural null
-    direction, so a comparable pair has margin 0).  One eigh of G serves
-    both directions: the reverse matrix is -G, whose smallest eigenvalue
-    is -lambda_max(G) with the same eigenvector."""
-    G = w[:, None] * (M1 - M2)
-    G += G.T  # numpy reads G.T as it was before the sum
-    G *= 0.5
+def _eigen_pair(relation, G, tol, witness):
+    """Reports of G >= 0 and of -G >= 0, in the Loewner order, from one eigh
+    of the symmetric G: -G's smallest eigenvalue is -lambda_max(G), with the
+    same eigenvector.  A margin holds at -tol; the witness, present only on
+    failure, is witness(eigenvector)."""
     vals, vecs = np.linalg.eigh(G)
     reports = []
     # 0.0 - x, unlike -x, reports an exact zero as +0.0, as the swapped eigh does
     for margin, col in ((float(vals[0]), 0), (0.0 - float(vals[-1]), -1)):
-        holds = margin >= -ORDER_TOL
-        reports.append(OrderReport("dirichlet", holds, margin,
-                                   None if holds else vecs[:, col].copy()))
+        holds = margin >= -tol
+        reports.append(OrderReport(relation, holds, margin,
+                                   None if holds else witness(vecs[:, col])))
     return tuple(reports)
+
+
+def _dirichlet_pair(M1, M2, w):
+    """The form order <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all
+    xi, both ways: the forward margin is the smallest eigenvalue of the
+    symmetrized weighted difference G (constants are a structural null
+    direction, so a comparable pair has margin 0)."""
+    G = w[:, None] * (M1 - M2)
+    G += G.T  # numpy reads G.T as it was before the sum
+    G *= 0.5
+    return _eigen_pair("dirichlet", G, ORDER_TOL, np.copy)
 
 
 def _double_partial_sums(M, w):
@@ -126,29 +135,26 @@ def _fk_pair(M1, M2, w):
 
 
 def _domination_pair(P1, P2, w):
-    """Does sigma^2(P2, f) <= sigma^2(P1, f) hold for every centered f, and
-    the reverse, as (holds, witness) pairs from one eigh of the difference
-    of the two variance forms on the mean-zero subspace: the reverse
-    difference is its negation.  The witness is a centered observable
-    whose variance ordering fails, present only on failure.  Passing
-    ReducedChains reuses their variance forms; each chain drops its A and
-    (I - A)^{-1} once its form is built."""
+    """Uniform variance domination, sigma^2(P2, f) <= sigma^2(P1, f) for every
+    centered f, both ways: the forward margin is the smallest eigenvalue of
+    the difference of the two variance forms on the mean-zero subspace, and
+    the witness is a centered observable whose variance ordering fails.  The
+    forms scale as sigma^2, so a margin holds down to their rounding, not
+    ORDER_TOL.  Passing ReducedChains reuses their variance forms."""
     c1 = _as_chain(P1, w)
-    frame = c1.frame
-    diff = _variance_form(c1) - _variance_form(_as_chain(P2, w))
-    del c1  # a chain built here takes its form with it before the eigensolve
-    vals, vecs = np.linalg.eigh(diff)
-    return tuple((True, None) if margin >= -ORDER_TOL else (False, frame.lift(vecs[:, col]))
-                 for margin, col in ((vals[0], 0), (-vals[-1], -1)))
+    lift = c1.frame.lift
+    (F1, e1), (F2, e2) = _variance_form(c1), _variance_form(_as_chain(P2, w))
+    diff = F1 - F2
+    del c1, F1, F2  # a chain built here takes its form with it before the eigensolve
+    return _eigen_pair("domination", diff, e1 + e2, lift)
 
 
 def order_pairs(P1, P2, pi=None) -> dict:
     """Every order of `mavar compare`, each as (P1 -> P2, P2 -> P1).
 
-    Keys peskun, dirichlet and fill_kahn hold OrderReports; domination
-    holds two (holds, witness) results of uniform variance domination.  pi
-    is checked once, and each order's matrix is freed before the next one
-    is built.
+    Keys peskun, dirichlet, fill_kahn and domination each hold two
+    OrderReports.  pi is checked once, and each order's matrix is freed
+    before the next one is built.
     """
     M1, M2, w = _shared_stationary(P1, P2, pi)
     return {
@@ -176,8 +182,19 @@ def fk_order(P, Q, pi=None) -> OrderReport:
 
 
 def _variance_form(chain):
-    """chain.variance_form, the one array a comparison reads of a chain, so
-    the chain's two other n x n arrays are dropped once it is built."""
+    """(F, e): chain.variance_form F = (X + X^T)/2, X the inverse of B = I - A,
+    and e = 2 gamma_m ||X||_1^2, how far rounding may move an eigenvalue of F.
+    The chain drops its A and X, the two other m x m arrays, once F is built.
+
+    An inverse from an LU factorization has a forward error of about
+    gamma_m kappa(B) ||X|| = gamma_m ||B|| ||X||^2 (Higham 2002, sec. 14.1),
+    with ||B||_2 <= 2, a pi-stationary kernel being a pi-norm contraction; A's
+    rounding, of order u, moves X by ||X||^2 times as much; and by Weyl's
+    inequality no eigenvalue moves by more than the error's 2-norm.  ||X||_1,
+    from the chain's Poisson gate, stands for ||X||_2, which it bounds for a
+    reversible chain (X symmetric) and within sqrt(m) for any other.  To
+    first order in u, as the records of mavar.checks.
+    """
     form = chain.variance_form
     chain.drop_factors()
-    return form
+    return form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)

@@ -4,7 +4,9 @@ Two constructions: adding a vorticity matrix (antisymmetric in the
 pi-weighted sense) makes the chain non-reversible without changing the
 Dirichlet form, and adding a scaled drift with zero row and column sums
 moves holding mass onto off-diagonal transitions.  Both preserve the
-stationary distribution and never increase the asymptotic variance.
+stationary distribution and, on a reversible base, never increase the
+asymptotic variance; on any other base either can raise it, so both
+refuse one.
 A vorticity gamma, a drift Lambda and every perturbed kernel are plain
 float arrays; the validators check their input at the tol they are
 given, and the perturbed kernel is checked at DEFAULT_TOL.
@@ -17,6 +19,7 @@ from .kernel import (
     DEFAULT_TOL,
     _as_matrix,
     _as_vector,
+    is_reversible,
     stationary_distribution,
     stationary_residual,
     validate_kernel,
@@ -82,8 +85,17 @@ def _perturbed(M, w) -> np.ndarray:
     return P
 
 
+def _reversible_base(K, w):
+    """PerturbationError unless (K, pi) is reversible (is_reversible)."""
+    if not is_reversible(K, w):
+        raise PerturbationError(
+            "base kernel is not reversible, so the perturbation may raise its variance")
+
+
 def make_nonreversible(K, pi, gamma) -> np.ndarray:
-    """The perturbed kernel K + gamma; gamma and stationarity of pi are verified."""
+    """The perturbed kernel K + gamma for a reversible K; gamma and
+    stationarity of pi are verified."""
+    _reversible_base(K, pi)
     try:
         checked = validate_vorticity(K, pi, gamma)
     except MavarError as exc:
@@ -128,11 +140,12 @@ def validate_drift(K, pi, lam, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 
 def apply_drift(K, pi, lam) -> np.ndarray:
-    """The perturbed kernel K + diag(pi)^{-1} Lambda.
+    """The perturbed kernel K + diag(pi)^{-1} Lambda for a reversible K.
 
     The result dominates K in the Peskun order and keeps pi stationary;
     both are verified.
     """
+    _reversible_base(K, pi)
     try:
         checked = validate_drift(K, pi, lam)
     except MavarError as exc:
@@ -150,8 +163,8 @@ def peskun_residual(P, Q, pi=None) -> np.ndarray:
     """The drift Lambda = diag(pi)(Q - P) for a Peskun-ordered pair.
 
     Every Peskun-above kernel arises from the base by applying this
-    residual: apply_drift(P, pi, residual) reconstructs Q.  Raises
-    KernelError when P is not below Q.
+    residual: for a reversible P, apply_drift(P, pi, residual) reconstructs
+    Q.  Raises KernelError when P is not below Q.
     """
     report = peskun_order(P, Q, pi)
     if not report.holds:

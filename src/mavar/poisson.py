@@ -6,10 +6,9 @@ the ergodic averages of f through sigma^2 = <phi, f>_pi and
 avar = 2 sigma^2 - <f, f>_pi.  Four routes are provided: the direct
 dual-pair solve, a factored symmetric operator, the eigendecomposition of
 the reduced operator (reversible case), and a resolvent limit.  Each
-returns its value, and mavar.checks alone compares them.  The first three
+returns its value.  mavar.checks alone compares the first three, which
 share a chain's mean-zero frame and reduced operator A; the full-space
-records of checks.battery (the Poisson residuals and the resolvent tail)
-check the frame itself.
+records of checks.battery (the Poisson residuals) check the frame itself.
 """
 
 from dataclasses import dataclass

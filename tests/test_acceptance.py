@@ -188,8 +188,8 @@ def test_criterion_5_order_implications():
         orders = order_pairs(kernel, better, pi)
         d = orders["dirichlet"][0]
         f = fk_order(better, kernel, pi)
-        dom, _ = orders["domination"][0]
-        if not (d.holds and f.holds and dom):
+        dom = orders["domination"][0]
+        if not (d.holds and f.holds and dom.holds):
             violations += 1
         worst_margin = min(worst_margin, d.margin, f.margin)
     ok = violations == 0

@@ -89,7 +89,6 @@ MUST_CATCH = {
     "spectral route": [
         "inv[0, 0] x (1 + 1e-6)", "inv[0, 0] x (1 + 1e-2)", "inv[0, 1] x (1 + 1e-2)",
         "inv x 1.001"],
-    "resolvent tail": ["A + 1e-2 I"],
     "saddle Dirichlet identity": [
         "A + 1e-6 I", "A + 1e-2 I", "inv[0, 0] x (1 + 1e-2)", "inv[0, 1] x (1 + 1e-2)",
         "inv x 1.001"],
@@ -145,7 +144,7 @@ def caught(failures, record):
 def test_the_clean_chains_pass_every_record(failures):
     for run in failures[None]:
         assert not any(run.values()), [name for name, failed in run.items() if failed]
-    assert [len(run) for run in failures[None]] == [12] * 5 + [9] * 5
+    assert [len(run) for run in failures[None]] == [11] * 5 + [8] * 5
 
 
 def test_every_record_catches_a_corruption(failures):

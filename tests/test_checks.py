@@ -58,7 +58,7 @@ def test_battery_record_order_and_reversible_extras(six):
                          "factored-operator route", "factored-operator solution",
                          "spectral route"]
     assert names[-2:] == ["reversible minimum", "eta* vanishes (reversible)"]
-    assert len(names) == 12
+    assert len(names) == 11
     assert sigma2 == pytest.approx(0.5, abs=1e-13)
     records, _ = checks.battery(ReducedChain(six["P1"], pi), six["f1"], trials=3)
     rest = [r["name"] for r in records]

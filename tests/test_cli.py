@@ -121,6 +121,23 @@ def test_analyze_requires_centered_or_flag(runner, fixture_dir, tmp_path):
     assert "note: centering observable" in result.output
 
 
+@pytest.mark.parametrize("shift", [0.0, 5.0])
+def test_the_centering_verdict_does_not_depend_on_units(runner, tmp_path, shift):
+    # a pi-mean is noise only relative to f: g (centered up to rounding) is
+    # centered quietly at every scale, g + 5 at none
+    rng = np.random.default_rng(0)
+    rows = random_irreducible_kernel(5, rng)
+    g = random_centered_observable(stationary_distribution(rows), rng)
+    kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
+    for flags, expected in (([], (2, False)), (["--center"], (0, True))):
+        outcomes = set()
+        for k in (-60, -40, 0, 40):
+            obs = write_json(tmp_path / "f.json", np.ldexp(g + shift, k).tolist())
+            result = runner.invoke(main, ["analyze", kernel, obs, *flags])
+            outcomes.add((result.exit_code, "note: centering" in result.stderr))
+        assert outcomes == ({(0, False)} if shift == 0.0 else {expected})
+
+
 def test_analyze_reducible_exit_code(runner, tmp_path):
     kernel = write_json(tmp_path / "red.json", {
         "rows": [[1.0, 0.0], [0.0, 1.0]],
@@ -250,6 +267,58 @@ def test_compare_size_mismatch(runner, fixture_dir):
         str(fixture_dir / "uniform3" / "K.json"),
     ])
     assert result.exit_code == 2
+
+
+def two_state_drift(kernel, pi):
+    """Lambda_01 = Lambda_10 = t, Lambda_00 = Lambda_11 = -t, with
+    t = min(pi_0 K_00, pi_1 K_11) / 2: a drift that fits any kernel holding
+    mass on states 0 and 1."""
+    t = 0.5 * min(pi[0] * kernel[0, 0], pi[1] * kernel[1, 1])
+    drift = np.zeros_like(kernel)
+    drift[:2, :2] = [[-t, t], [t, -t]]
+    return {"kind": "drift", "matrix": drift.tolist()}
+
+
+def test_compare_a_drift_of_a_near_decomposable_chain(runner, tmp_path):
+    # both kernels are reversible and Peskun-ordered, so the second never has the
+    # larger variance (Peskun 1973; Tierney 1998).  The forms reach 4.9e4, and
+    # reading the two files moves their smallest difference to -1e-5; an absolute
+    # 1e-10 called that a failure
+    rows, _ = reversible_two_blocks(1e-6)
+    pi = stationary_distribution(rows)
+    kernel = write_json(tmp_path / "K.json", {"rows": rows.tolist(), "pi": pi.tolist()})
+    drift = write_json(tmp_path / "L.json", two_state_drift(rows, pi))
+    result = runner.invoke(main, ["perturb", kernel, "--lambda", drift, "--json"])
+    assert result.exit_code == 0, result.output
+    perturbed = json.loads(result.output)
+    second = write_json(tmp_path / "P.json", {"rows": perturbed["rows"], "pi": perturbed["pi"]})
+    result = runner.invoke(main, ["compare", kernel, second])
+    assert result.exit_code == 0, result.output
+    assert "peskun 1->2: holds" in result.output
+    assert "domination 1->2: holds (margin " in result.output
+    # the drift lowers some variance by 0.019, far above the forms' rounding
+    assert "domination 2->1: fails (margin -0.0189" in result.output
+    result = runner.invoke(main, ["compare", "--json", kernel, second])
+    report = json.loads(result.output)["domination"]
+    assert report["forward"] == {"relation": "domination", "holds": True,
+                                 "margin": report["forward"]["margin"], "witness": None}
+    assert -1e-4 < report["forward"]["margin"] < 0.0
+    assert len(report["reverse"]["witness"]) == 20
+
+
+def test_perturb_refuses_a_nonreversible_base(runner, tmp_path):
+    # a drift of a non-reversible kernel can raise a variance: from 0.94769 to
+    # 0.94878 for one observable here
+    rows = np.random.default_rng(7).random((12, 12))
+    rows /= rows.sum(axis=1, keepdims=True)
+    pi = stationary_distribution(rows)
+    kernel = write_json(tmp_path / "K.json", {"rows": rows.tolist()})
+    drift = write_json(tmp_path / "L.json", two_state_drift(rows, pi))
+    result = runner.invoke(main, ["perturb", kernel, "--lambda", drift])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("error: base kernel is not reversible, so the "
+                             "perturbation may raise its variance\n")
 
 
 def two_block_rows(coupling):
@@ -934,7 +1003,7 @@ def test_analyze_names_a_failed_solution_record(runner, tmp_path, monkeypatch):
 
 def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
     # every route reads the one A, so they agree on a wrong one; the Poisson
-    # residuals and the resolvent tail work with P itself and fail
+    # residuals work with P itself and fail
     operator = mavar.kernel.MeanZeroFrame.operator
 
     def shifted(self, P):
@@ -952,7 +1021,7 @@ def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
     records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
     for name in ("factored-operator route", "spectral route"):
         assert records[name]["passed"] is True
-    for name in ("poisson residual (primal)", "poisson residual (dual)", "resolvent tail"):
+    for name in ("poisson residual (primal)", "poisson residual (dual)"):
         assert records[name]["passed"] is False
 
 
@@ -1037,14 +1106,15 @@ def test_a_reversible_analyze_runs_one_eigensolve(runner, tmp_path, monkeypatch)
 
 
 def test_verify_solves_only_the_resolvent_it_records(runner, tmp_path, monkeypatch):
-    # two solves for pi, one for the factored-operator route, one resolvent
+    # two solves for pi and one for the factored-operator route: no record
+    # reads a resolvent, so none is solved
     kernel, obs = nonreversible_files(tmp_path, 30, 9)
     calls = counting(monkeypatch, np.linalg, "solve")
     result = runner.invoke(main, ["verify", "--json", kernel, obs])
     assert result.exit_code == 0
     records = json.loads(result.output)["checks"]
-    assert "resolvent tail" in [r["name"] for r in records]
-    assert len(calls) == 4
+    assert not [r["name"] for r in records if "resolvent" in r["name"]]
+    assert len(calls) == 3
 
 
 def birth_death_files(tmp_path, n, up=0.2, down=0.5, f=np.cos):
@@ -1108,10 +1178,10 @@ def test_zero_variance_exits_2_from_verify_and_0_from_analyze(runner, tmp_path):
     assert result.stderr == "error: sigma^2 = 0.0 is not positive\n"
 
 
-@pytest.mark.parametrize("value, flags", [(1.0, ["--center"]), (3e-12, [])])
+@pytest.mark.parametrize("value, flags", [(1.0, ["--center"]), (3e-12, ["--center"])])
 def test_a_centered_constant_has_zero_variance(runner, tmp_path, value, flags):
-    # a mean above --tol is centered with a note, one below it quietly; either
-    # way the rounding that centering leaves of a constant is not a variance
+    # a constant's mean is its whole size, so it is centered only on request;
+    # at any scale the rounding that centering leaves of it is not a variance
     rows = random_irreducible_kernel(10, np.random.default_rng(0))
     f = np.full(10, value)
     assert np.any(f - stationary_distribution(rows) @ f)  # centering leaves noise
@@ -1145,8 +1215,11 @@ def test_an_underflowing_variance_exits_2(runner, tmp_path, command):
     result = runner.invoke(main, [command, kernel, obs, "--center"])
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert result.stderr.startswith("error: variance underflows float64 (sigma^2 = ")
-    assert result.stderr.endswith("); rescale the observable\n")
+    # the pi-mean, a third of f's size, is no rounding noise: centered with a note
+    note, error = result.stderr.splitlines()
+    assert note.startswith("note: centering observable (pi-mean was 3.33333333333e-161)")
+    assert error.startswith("error: variance underflows float64 (sigma^2 = ")
+    assert error.endswith("); rescale the observable")
 
 
 @pytest.mark.parametrize("reversible", [True, False])

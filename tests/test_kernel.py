@@ -315,7 +315,7 @@ PLAIN_ARRAY_RESULTS = {
     "dirichlet_order witness": lambda six, fk: order_pairs(
         fk["P"], fk["Q"], fk["pi"])["dirichlet"][0].witness,
     "domination witness": lambda six, fk: order_pairs(
-        six["P1"], six["P2"], six["pi"])["domination"][0][1],
+        six["P1"], six["P2"], six["pi"])["domination"][0].witness,
 }
 
 

@@ -10,10 +10,12 @@ from mavar import (
     StationaryMismatchError,
     apply_drift,
     fk_order,
+    is_reversible,
     make_nonreversible,
     peskun_order,
     solve_dual_pair,
     stationary_distribution,
+    validate_kernel,
 )
 from mavar import catalog
 from mavar.ordering import order_pairs
@@ -23,6 +25,7 @@ from generators import (
     random_drift,
     random_reversible_kernel,
     random_vorticity,
+    reversible_two_blocks,
 )
 
 
@@ -32,7 +35,7 @@ def forward_dirichlet(P1, P2, pi=None):
 
 
 def forward_domination(P1, P2, pi=None):
-    """(holds, witness) of uniform variance domination of P1 -> P2."""
+    """The uniform variance domination report of P1 -> P2."""
     return order_pairs(P1, P2, pi)["domination"][0]
 
 
@@ -113,8 +116,8 @@ def test_peskun_implies_weaker_orders(rng):
         assert peskun_order(kernel, better, pi).holds
         assert forward_dirichlet(kernel, better, pi).holds
         assert fk_order(better, kernel, pi).holds
-        dominated, witness = forward_domination(kernel, better, pi)
-        assert dominated and witness is None
+        dominated = forward_domination(kernel, better, pi)
+        assert dominated.holds and dominated.witness is None
 
 
 def test_vorticity_preserves_dirichlet_form(rng):
@@ -125,8 +128,7 @@ def test_vorticity_preserves_dirichlet_form(rng):
     skewed = make_nonreversible(kernel, pi, spec)
     assert forward_dirichlet(kernel, skewed, pi).holds
     assert forward_dirichlet(skewed, kernel, pi).holds
-    dominated, _ = forward_domination(kernel, skewed, pi)
-    assert dominated
+    assert forward_domination(kernel, skewed, pi).holds
     f = random_centered_observable(pi, rng)
     assert solve_dual_pair(skewed, pi, f).sigma2 <= (
         solve_dual_pair(kernel, pi, f).sigma2 + 1e-12)
@@ -141,35 +143,32 @@ def test_orders_require_shared_stationary(three, uniform3):
 
 def test_domination_six_cycle_fails_both_ways(six):
     pi = stationary_distribution(six["P1"])
-    fwd, wit_fwd = forward_domination(six["P1"], six["P2"], pi)
-    rev, wit_rev = forward_domination(six["P2"], six["P1"], pi)
-    assert not fwd and not rev
+    fwd = forward_domination(six["P1"], six["P2"], pi)
+    rev = forward_domination(six["P2"], six["P1"], pi)
+    assert not fwd.holds and not rev.holds
     # witnesses certify a strict violation in each direction
-    f = wit_fwd
+    f = fwd.witness
     assert solve_dual_pair(six["P2"], pi, f).sigma2 > (
         solve_dual_pair(six["P1"], pi, f).sigma2 + 1e-6)
-    g = wit_rev
+    g = rev.witness
     assert solve_dual_pair(six["P1"], pi, g).sigma2 > (
         solve_dual_pair(six["P2"], pi, g).sigma2 + 1e-6)
 
 
 def test_domination_uniform3_fixture(uniform3):
     pi = uniform3["pi"]
-    holds, witness = forward_domination(uniform3["P"],
-                                                 uniform3["P2"], pi)
-    assert holds and witness is None
-    back, witness = forward_domination(uniform3["P2"],
-                                                uniform3["P"], pi)
-    assert not back
-    assert witness is not None
+    report = forward_domination(uniform3["P"], uniform3["P2"], pi)
+    assert report.holds and report.witness is None
+    back = forward_domination(uniform3["P2"], uniform3["P"], pi)
+    assert not back.holds
+    assert back.witness is not None
 
 
 def test_domination_transitive_chain(rng):
     # two stacked drifts on one base produce a transitive ordering
     kernel, pi = random_reversible_kernel(5, rng)
     first = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
-    ok_ab, _ = forward_domination(kernel, first, pi)
-    assert ok_ab
+    assert forward_domination(kernel, first, pi).holds
 
 
 def test_domination_keeps_only_the_variance_forms(rng):
@@ -184,11 +183,52 @@ def test_domination_keeps_only_the_variance_forms(rng):
         assert "A" not in vars(chain) and "inv" not in vars(chain)
     reverse = forward_domination(c2, c1, pi)
     assert c1.variance_form is forms[0] and c2.variance_form is forms[1]  # reused
-    assert forward == forward_domination(kernel, better, pi) == (True, None)
-    assert not reverse[0]
-    np.testing.assert_array_equal(reverse[1],
-                                  forward_domination(better, kernel, pi)[1])
+    assert forward == forward_domination(kernel, better, pi)
+    assert forward.holds and forward.witness is None
+    assert not reverse.holds
+    np.testing.assert_array_equal(reverse.witness,
+                                  forward_domination(better, kernel, pi).witness)
     np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
+
+
+def drift_pair_as_read(case):
+    """(K, P, pi): a reversible K and a symmetric drift P of it, so P is
+    reversible too, each renormalised by validate_kernel as a command reading
+    it from a file does.  A case is ("random", n, seed), the symmetric part
+    of a random_drift of a random reversible kernel, or ("two-blocks", eps),
+    the drift t on states 0 and 1 of the two-block chain,
+    t = min(pi_0 K_00, pi_1 K_11) / 2."""
+    if case[0] == "random":
+        rng = np.random.default_rng(case[2])
+        kernel, pi = random_reversible_kernel(case[1], rng)
+        drift = random_drift(kernel, pi, rng)
+        drift = 0.5 * (drift + drift.T)
+    else:
+        kernel, _ = reversible_two_blocks(case[1])
+        pi = stationary_distribution(kernel)
+        t = 0.5 * min(pi[0] * kernel[0, 0], pi[1] * kernel[1, 1])
+        drift = np.zeros_like(kernel)
+        drift[:2, :2] = [[-t, t], [t, -t]]
+    better = apply_drift(kernel, pi, drift)
+    return validate_kernel(kernel), validate_kernel(better), pi
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("random"), st.integers(2, 12), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("two-blocks"), st.sampled_from([1e-4, 1e-6, 1e-8]))))
+@example(("two-blocks", 1e-6))
+@example(("random", 5, 0))
+def test_peskun_implies_domination_for_reversible_pairs(case):
+    # Peskun (1973), Tierney (1998): for reversible kernels sharing pi, P2 above
+    # P1 off the diagonal gives sigma^2(P2, f) <= sigma^2(P1, f) for every f.  At
+    # eps = 1e-6 the forms reach 4.9e4 and the smallest eigenvalue of their
+    # difference reads -7.5e-6, which an absolute 1e-10 called a failure
+    kernel, better, pi = drift_pair_as_read(case)
+    assert is_reversible(kernel, pi) and is_reversible(better, pi)
+    orders = order_pairs(kernel, better, pi)
+    assert orders["peskun"][0].holds
+    assert orders["domination"][0].holds, orders["domination"][0].margin
 
 
 # the catalog pairs that share pi: (builder, first kernel, second kernel)
@@ -249,16 +289,16 @@ def reverse_reports_match(case):
         G = pi[:, None] * (P2 - P1)
         assert eigen_witness_agrees(reverse.witness, swapped.witness, 0.5 * (G + G.T),
                                     swapped.margin)
-    (holds, witness), (back, back_witness) = pairs["domination"]
-    assert holds == forward_domination(P1, P2, pi)[0]
-    swapped_holds, swapped_witness = forward_domination(P2, P1, pi)
-    assert back == swapped_holds
-    if not back:
+    forward, reverse = pairs["domination"]
+    assert forward.margin == forward_domination(P1, P2, pi).margin
+    swapped = forward_domination(P2, P1, pi)
+    assert reverse.holds == swapped.holds
+    assert abs(reverse.margin - swapped.margin) <= 1e-12 * max(1.0, abs(swapped.margin))
+    if not swapped.holds:
         frame = MeanZeroFrame.from_pi(pi)
         D = ReducedChain(P2, pi).variance_form - ReducedChain(P1, pi).variance_form
-        y = frame.reduce(back_witness)
-        assert eigen_witness_agrees(y, frame.reduce(swapped_witness), D,
-                                    np.linalg.eigvalsh(D)[0])
+        y = frame.reduce(reverse.witness)
+        assert eigen_witness_agrees(y, frame.reduce(swapped.witness), D, swapped.margin)
 
 
 @settings(max_examples=40, deadline=None)

@@ -243,8 +243,11 @@ def test_peskun_residual_six_cycle(six):
     spec = peskun_residual(six["P1"], six["P2"], pi)
     npt.assert_allclose(spec, (six["P2"] - six["P1"]) / 6.0,
                         atol=1e-14)
-    rebuilt = apply_drift(six["P1"], pi, spec)
-    npt.assert_allclose(rebuilt, six["P2"], atol=1e-13)
+    npt.assert_allclose(six["P1"] + spec / pi[:, None], six["P2"], atol=1e-13)
+    # the lazy rotation P1 is not reversible, so no drift of it promises a
+    # smaller variance, and apply_drift refuses it
+    with pytest.raises(PerturbationError, match="not reversible"):
+        apply_drift(six["P1"], pi, spec)
 
 
 def test_peskun_residual_recovers_drift(tridiag):
