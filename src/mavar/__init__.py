@@ -31,7 +31,7 @@ _EXPORTS = {
         "check_finite", "is_irreducible", "is_reversible", "pi_inner",
         "stationary_distribution", "stationary_residual", "validate_kernel",
     ),
-    "montecarlo": ("AvarEstimate", "Trajectory", "batch_means_avar", "simulate"),
+    "montecarlo": ("AvarEstimate", "batch_means_avar", "simulate"),
     "ordering": ("OrderReport", "fk_order", "peskun_order"),
     "perturb": (
         "apply_drift", "family_alpha", "make_nonreversible", "peskun_residual",

@@ -337,24 +337,22 @@ FIXTURE_ROWS = (
 )
 
 
-def run_fixture(row: FixtureRow, tol: float = DEFAULT_TOL) -> FixtureResult:
-    computed = row.compute(FIXTURES[row.group]())
-    arr = np.asarray(computed, dtype=float)
-    ds = float(np.max(np.abs(arr - _floats(row.stated))))
-    de = float(np.max(np.abs(arr - _floats(row.expected))))
-    if row.flagged:
-        verdict = DOCUMENTED if de <= tol else FAIL
-    else:
-        verdict = PASS if ds <= tol else FAIL
-    return FixtureResult(row, computed, ds, de, verdict)
-
-
 def run_all(tol: float = DEFAULT_TOL, only: str | None = None) -> list:
+    """The FixtureResult of each row whose name holds only or whose group is
+    only (every row when None), its value judged within tol."""
     results = []
     for row in FIXTURE_ROWS:
         if only is not None and only not in row.name and only != row.group:
             continue
-        results.append(run_fixture(row, tol))
+        computed = row.compute(FIXTURES[row.group]())
+        arr = np.asarray(computed, dtype=float)
+        ds = float(np.max(np.abs(arr - _floats(row.stated))))
+        de = float(np.max(np.abs(arr - _floats(row.expected))))
+        if row.flagged:
+            verdict = DOCUMENTED if de <= tol else FAIL
+        else:
+            verdict = PASS if ds <= tol else FAIL
+        results.append(FixtureResult(row, computed, ds, de, verdict))
     return results
 
 

@@ -117,6 +117,17 @@ def _checked(path, error, convert, *args):
         raise error(f"{path}: {exc}") from exc
 
 
+def _no_booleans(path, error, values, what):
+    """values, a parsed JSON array of numbers or of rows; a true or false in
+    it, which float() reads as 1 or 0, raises error naming the entry."""
+    for i, row in enumerate(values if isinstance(values, list) else ()):
+        for j, value in enumerate(row) if isinstance(row, list) else [(None, row)]:
+            if isinstance(value, bool):
+                where = i if j is None else (i, j)
+                raise error(f"{path}: {what} entry {where} is {json.dumps(value)}")
+    return values
+
+
 def read_kernel(path, tol=DEFAULT_TOL):
     """(validate_kernel(rows, tol), embedded pi or None) of the kernel file.
 
@@ -125,14 +136,15 @@ def read_kernel(path, tol=DEFAULT_TOL):
     payload = _read(path, KernelError, matrix_key="rows")
     if not isinstance(payload, dict) or "rows" not in payload:
         raise KernelError(f"{path}: expected an object with a 'rows' matrix")
-    rows = payload["rows"]
+    rows = _no_booleans(path, KernelError, payload["rows"], "kernel")
     if "n" in payload and (not isinstance(rows, (list, np.ndarray))
                            or len(rows) != payload["n"]):
         raise KernelError(f"{path}: 'n' does not match the matrix size")
     kernel = _checked(path, KernelError, validate_kernel, rows, tol)
     if payload.get("pi") is None:
         return kernel, None
-    pi = _checked(path, KernelError, np.asarray, payload["pi"], float)
+    pi = _no_booleans(path, KernelError, payload["pi"], "embedded pi")
+    pi = _checked(path, KernelError, np.asarray, pi, float)
     # written so that a NaN entry fails too
     if pi.shape != (len(kernel),) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
         raise KernelError(f"{path}: embedded pi is not a probability vector")
@@ -147,6 +159,7 @@ def read_observable(path, n):
         values = _read(path, ObservableError)
         if not isinstance(values, list):
             raise ObservableError(f"{path}: expected a JSON array of numbers")
+        _no_booleans(path, ObservableError, values, "observable")
     else:
         values = _read(path, ObservableError,
                        lambda text: [line for line in text if line.strip()])
@@ -165,8 +178,8 @@ def read_perturbation(path, kind):
     if payload["kind"] != kind:
         raise PerturbationError(
             f"{path}: kind {payload['kind']!r} does not match the flag ({kind})")
-    return _checked(path, PerturbationError, check_finite, payload["matrix"],
-                    "perturbation matrix")
+    matrix = _no_booleans(path, PerturbationError, payload["matrix"], "perturbation matrix")
+    return _checked(path, PerturbationError, check_finite, matrix, "perturbation matrix")
 
 
 def kernel_document(kernel, pi):

@@ -1,12 +1,13 @@
 """Trajectory simulation and batch-means variance estimation.
 
-simulate draws its path from the stream of numpy's default_rng(seed):
-PCG64, O'Neill's 128-bit LCG with the XSL-RR output (HMC-CS-2014-0905),
-seeded through numpy's SeedSequence.  This module reproduces that stream
-bit for bit, for the draws simulate makes, so a seed names the same path
-as it did when simulate called numpy.  It does not import numpy's random
-subpackage, which brings secrets and _hashlib (libcrypto) with it: about
-5 MB of resident memory and 20 ms per process.
+simulate returns a path as a read-only int64 array of states, which
+batch_means_avar reads.  It draws the path from the stream of numpy's
+default_rng(seed): PCG64, O'Neill's 128-bit LCG with the XSL-RR output
+(HMC-CS-2014-0905), seeded through numpy's SeedSequence.  This module
+reproduces that stream bit for bit, for the draws simulate makes, so a
+seed names the same path as it did when simulate called numpy.  It does
+not import numpy's random subpackage, which brings secrets and _hashlib
+(libcrypto) with it: about 5 MB of resident memory and 20 ms per process.
 """
 
 from bisect import bisect_right
@@ -165,22 +166,6 @@ class _DefaultRng:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """A simulated path and the seed that reproduces it."""
-
-    states: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.int64)
-        object.__setattr__(self, "states", states)
-        self.states.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
-@dataclass(frozen=True)
 class AvarEstimate:
     """Batch-means estimate of the asymptotic variance of averages."""
 
@@ -190,14 +175,15 @@ class AvarEstimate:
     batch_len: int
 
 
-def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
+def simulate(P, n_steps: int, seed: int, initial=0) -> np.ndarray:
     """Run the chain for n_steps transitions from a state or a law.
 
     initial is a state index or a probability vector to draw the start
-    from; anything else, NaN included, raises SimulationError.  The path
-    has n_steps + 1 entries.  Sampling inverts each row's cumulative
-    distribution at the uniforms of numpy's default_rng(seed); a negative
-    seed raises ValueError and one that is not an integer TypeError.
+    from; anything else, NaN included, raises SimulationError.  Returns the
+    path, a read-only int64 array of n_steps + 1 states.  Sampling inverts
+    each row's cumulative distribution at the uniforms of numpy's
+    default_rng(seed); a negative seed raises ValueError and one that is
+    not an integer TypeError.
     """
     M = _as_matrix(P)
     n = M.shape[0]
@@ -229,11 +215,13 @@ def simulate(P, n_steps: int, seed: int, initial=0) -> Trajectory:
         chunk = [s := bisect_right(cums[s], u)
                  for u in rng.random(min(SIMULATE_CHUNK, n_steps - lo))]
         states[lo + 1:lo + 1 + len(chunk)] = chunk
-    return Trajectory(states, int(seed))
+    states.setflags(write=False)
+    return states
 
 
-def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) -> AvarEstimate:
-    """Batch-means estimate of avar(f) from a trajectory.
+def batch_means_avar(states, f, batch_len: int | None = None) -> AvarEstimate:
+    """Batch-means estimate of avar(f) from a path of states, as simulate
+    returns it.
 
     Splits the path into consecutive batches of batch_len (default
     round(sqrt(length))) and scales the empirical variance of batch
@@ -243,7 +231,7 @@ def batch_means_avar(trajectory: Trajectory, f, batch_len: int | None = None) ->
     estimate overflows float64.
     """
     fv = _as_vector(f)
-    values = fv[trajectory.states]
+    values = fv[states]
     total = values.shape[0]
     if batch_len is None:
         batch_len = max(1, round(np.sqrt(total)))

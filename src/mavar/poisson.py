@@ -91,12 +91,12 @@ def solve_dual_pair(P, pi, f) -> PoissonSolution:
 
 def _factored_solve(P, pi, f):
     """(sigma^2, T^{-1} y) with y = frame.reduce(f): the factored route and
-    the solution it reads sigma^2 from.  An uncentered f or a singular I - A
-    raises before I - S is factored."""
+    the solution it reads sigma^2 from.  Builds no inverse of I - A: the gate
+    on I - S implies the Poisson gate, as each eigenvalue of A has real part
+    at most lambda_max(S) (Bendixson 1902), so is at least lambda_min(I - S) from 1."""
     chain = _as_chain(P, pi)
     fv = _as_vector(f)
     _check_centered(fv, chain.pi)
-    chain.inv  # the Poisson gate; the route itself never reads the inverse
     fy = chain.frame.reduce(fv)
     ybar = np.linalg.solve(chain.T, fy)
     return float(fy @ ybar), ybar
@@ -107,8 +107,8 @@ def avar_via_factored_operator(P, pi, f) -> float:
 
     In mean-zero coordinates the operator
     T = (I - A) (I - S)^{-1} (I - A)^T with S = (A + A^T)/2 is symmetric
-    positive definite and sigma^2 = <f, T^{-1} f>.  The route solves
-    with T alone, never with the inverse of I - A.
+    positive definite and sigma^2 = <f, T^{-1} f>.  The route solves with
+    T alone; a singular I - S, as on a decoupled chain, raises KernelError.
     """
     return _factored_solve(P, pi, f)[0]
 

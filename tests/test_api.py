@@ -15,12 +15,12 @@ PUBLIC_NAMES = [
     "AvarEstimate", "DEFAULT_TOL", "DegenerateKernelError", "KernelError", "MavarError",
     "MeanZeroFrame", "NumericalFailureError", "ObservableError", "OrderReport",
     "PerturbationError", "PoissonSolution", "ReducedChain", "ReducibleError",
-    "SaddlePoint", "SimulationError", "StationaryMismatchError", "Trajectory", "adjoint",
-    "apply_drift", "avar_spectral", "avar_via_factored_operator", "batch_means_avar",
-    "centered", "check_finite", "dirichlet_form", "factored_operator_inf", "family_alpha",
-    "fk_order", "inner_sup", "is_irreducible", "is_reversible", "make_nonreversible",
-    "peskun_order", "peskun_residual", "pi_inner", "project_to_constraint",
-    "resolvent_curve", "reversible_inf", "saddle_point", "simulate",
+    "SaddlePoint", "SimulationError", "StationaryMismatchError", "adjoint", "apply_drift",
+    "avar_spectral", "avar_via_factored_operator", "batch_means_avar", "centered",
+    "check_finite", "dirichlet_form", "factored_operator_inf", "family_alpha", "fk_order",
+    "inner_sup", "is_irreducible", "is_reversible", "make_nonreversible", "peskun_order",
+    "peskun_residual", "pi_inner", "project_to_constraint", "resolvent_curve",
+    "reversible_inf", "saddle_point", "simulate",
     "solve_dual_pair", "stationary_distribution", "stationary_residual", "validate_drift",
     "validate_kernel", "validate_vorticity",
 ]
@@ -35,8 +35,8 @@ PUBLIC_MODULES = [
 # the public functions with a tol parameter, all reached by the CLI's --tol/MAVAR_TOL;
 # every other threshold is a constant of its module
 TOL_KNOBS = [
-    "catalog.run_all", "catalog.run_fixture", "files.read_kernel", "validate_drift",
-    "validate_kernel", "validate_vorticity",
+    "catalog.run_all", "files.read_kernel", "validate_drift", "validate_kernel",
+    "validate_vorticity",
 ]
 
 

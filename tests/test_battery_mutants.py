@@ -180,6 +180,25 @@ IGNORES = {
 }
 
 
+# ...and while each builds only the factors it reads: a route run alone on a
+# fresh chain leaves the others unbuilt.
+UNBUILT = {
+    "factored-operator": ["inv"],
+    "dual-pair": ["cinv", "T"],
+    "spectral": ["inv", "cinv", "T"],
+}
+
+
+@pytest.mark.parametrize("route", list(UNBUILT))
+def test_each_route_builds_only_the_factors_it_reads(route):
+    for kernel, pi, f in seeded_chains():
+        chain = ReducedChain(kernel, pi)
+        if route == "spectral" and not chain.reversible:
+            continue
+        ROUTES[route](chain, f)
+        assert not set(UNBUILT[route]) & set(vars(chain)), route
+
+
 @pytest.mark.parametrize("factor", list(IGNORES))
 def test_each_route_ignores_the_factors_it_does_not_read(factor):
     for kernel, pi, f in islice(seeded_chains(), 5):  # the reversible five

@@ -205,6 +205,30 @@ def test_a_null_entry_exits_2_named_null_not_nan(runner, tmp_path, kind, data, m
     assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
 
 
+# the json module reads true and false as bools, which float() takes for 1 and 0
+@pytest.mark.parametrize("kind, data, message", [
+    ("kernel", b'{"rows": [[true, false], [0.25, 0.75]]}', "kernel entry (0, 0) is true"),
+    ("embedded pi", b'{"rows": [[0.5, 0.5], [0.5, 0.5]], "pi": [0.5, false]}',
+     "embedded pi entry 1 is false"),
+    ("observable", b"[true, false]", "observable entry 0 is true"),
+    ("perturbation", b'{"kind": "drift", "matrix": [[false, false], [false, false]]}',
+     "perturbation matrix entry (0, 0) is false"),
+])
+def test_a_boolean_entry_exits_2_named_not_read_as_a_number(
+        runner, tmp_path, kind, data, message):
+    kernel = write(tmp_path / "k.json", b'{"rows": ' + TWO_STATES + b"}")
+    path = write(tmp_path / "input.json", data)
+    args = {
+        "kernel": ["validate", path],
+        "embedded pi": ["validate", path],
+        "observable": ["analyze", kernel, path, "--center"],
+        "perturbation": ["perturb", kernel, "--lambda", path],
+    }[kind]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
+
+
 def test_json_nested_past_the_recursion_limit_exits_2_as_not_valid_json(runner, tmp_path):
     # the json module parses every whole document and stops at the
     # interpreter's recursion limit (1,000 levels by default)
@@ -484,6 +508,9 @@ FAILURES = {
     "null entry": {"kernel": b'{"rows": [[0.5, null], [0.5, 0.5]]}',
                    "observable": b"[1, null]",
                    "perturbation": b'{"kind": "vorticity", "matrix": [[0, null], [0, 0]]}'},
+    "boolean entry": {"kernel": b'{"rows": [[0.5, 0.5], [false, true]]}',
+                      "observable": b"[1, true]",
+                      "perturbation": b'{"kind": "vorticity", "matrix": [[0, true], [0, 0]]}'},
     "wrong kind": {"perturbation": b'{"kind": "drift", "matrix": [[0, 0], [0, 0]]}'},
 }
 

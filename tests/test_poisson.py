@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from click.testing import CliRunner
 
 from mavar import (
     DegenerateKernelError,
@@ -21,6 +23,7 @@ from mavar import (
     stationary_distribution,
     validate_kernel,
 )
+from mavar.cli import main
 from mavar.kernel import SOLVABLE_TOL
 
 from generators import (
@@ -133,6 +136,29 @@ def coupled_blocks(eps):
     rows = np.full((6, 6), eps / 3.0)
     rows[:3, :3] = rows[3:, 3:] = (1.0 - eps) * rotation
     return validate_kernel(rows), np.full(6, 1.0 / 6.0)
+
+
+@pytest.mark.parametrize("chain, f, exit_code", [
+    pytest.param(coupled_blocks(1e-14), [1.0, 1.0, 1.0, -1.0, -1.0, -1.0], 4,
+                 id="coupled-1e-14"),
+    # reducible: the commands refuse it before any route
+    pytest.param(block_kernel(), [1.0, -1.0, 1.0, -1.0], 3, id="two-blocks"),
+])
+def test_the_factored_route_alone_meets_its_own_gate_on_a_decoupled_chain(
+        tmp_path, chain, f, exit_code):
+    # I - S is singular wherever I - A is, so the route's own gate raises
+    # without the inverse of I - A; the commands build that inverse first
+    kernel, pi = chain
+    fresh = ReducedChain(kernel, pi)
+    with pytest.raises(KernelError, match="reversibilized operator singular"):
+        avar_via_factored_operator(fresh, None, f)
+    assert "inv" not in vars(fresh)
+    kernel_path, f_path = tmp_path / "k.json", tmp_path / "f.json"
+    kernel_path.write_text(json.dumps({"rows": kernel.tolist(), "pi": pi.tolist()}))
+    f_path.write_text(json.dumps(f))
+    for command in ("analyze", "verify"):
+        result = CliRunner().invoke(main, [command, str(kernel_path), str(f_path)])
+        assert result.exit_code == exit_code, result.output
 
 
 def test_condition_gates_raise_exactly_where_the_spectrum_does(monkeypatch):
