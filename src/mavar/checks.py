@@ -9,7 +9,10 @@ records, the saddle point of the variational formula for 1/sigma^2 (its
 Dirichlet identity, the inner sup and the factored-operator minimum),
 the orthogonality of phi against random directions, and the reversible
 minimum.  Every record can fail: each catches some corruption
-of the chain's factors (tests/test_battery_mutants.py).  The random
+of the chain's factors (tests/test_battery_mutants.py).  The battery solves
+the dual pair once and frees each n x n array after its last reader: the
+inverse of I - A after the dual pair, and the kernel once its full-space
+records are read, before the spectral eigh and the inverse of I - S.  The random
 directions are dotted with the two Poisson drives, projected once, and
 are drawn PROBE_BLOCK at a time, so their memory does not grow with the
 number of trials.  Their normals come from the standard library's
@@ -18,6 +21,7 @@ subpackage (and with it secrets and _hashlib).
 A failed check is a failed record, never an exception.
 """
 
+import copy
 import operator
 import random
 
@@ -26,12 +30,13 @@ import numpy as np
 from .kernel import UNIT_ROUNDOFF, _as_vector, _gamma
 from .poisson import _factored_solve, avar_spectral, route_bound, solve_dual_pair
 from .variational import (
+    _factored_min,
+    _positive,
+    _reversible_min,
+    _saddle,
     dirichlet_form,
-    factored_operator_inf,
     inner_sup,
     project_to_constraint,
-    reversible_inf,
-    saddle_point,
 )
 
 PROBE_BLOCK = 64
@@ -56,6 +61,12 @@ def routes(chain, f):
     # the chain holds any inverse
     spectral = avar_spectral(chain, None, f) if chain.reversible else None
     sol = solve_dual_pair(chain, None, f)
+    return (sol, *_judge(chain, f, sol, spectral))
+
+
+def _judge(chain, f, sol, spectral):
+    """({route: sigma^2}, records): runs the factored route and judges it, and
+    the spectral sigma^2 when it is not None, against the dual pair sol."""
     factored, solution = _factored_solve(chain, None, f)
     mid = 0.5 * (chain.frame.reduce(sol.phi) + chain.frame.reduce(sol.phi_star))
     values = {"dual-pair": sol.sigma2, "factored-operator": factored}
@@ -68,7 +79,7 @@ def routes(chain, f):
         values["spectral"] = spectral
         records.append(_record("spectral route", abs(spectral - sol.sigma2),
                                route_bound(sol.sigma2)))
-    return sol, values, records
+    return values, records
 
 
 def _backward_error(r, x, f, row_sums, diag, solve):
@@ -161,7 +172,22 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
 
     Each record is {"name", "residual", "bound", "passed"}.  The
     orthogonality record draws trials random directions from
-    random.Random(seed) (see _standard_normals).
+    random.Random(seed) (see _standard_normals).  The battery runs on a
+    shallow copy of chain: it frees the copy's kernel and factors as it
+    goes, and the caller's chain keeps its kernel and every factor it held.
+    """
+    return _battery(copy.copy(chain), f, seed, trials)
+
+
+def _battery(chain, f, seed, trials):
+    """battery on a chain it takes apart, for a caller done with the chain.
+
+    The dual pair is solved once, and every record reads that one solution.
+    The chain forgets (I - A)^{-1} once the dual pair and the norms of
+    _solve_bounds are read.  Then every full-space quantity of the kernel
+    is read (the two Poisson drives, the row sums, the diagonal and the
+    two Dirichlet forms), and the chain drops the kernel: the spectral
+    eigh and the inverse of I - S run beside A alone.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -169,47 +195,54 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     if seed < 0:  # random.Random would seed with its absolute value
         raise ValueError(f"seed must be at least 0, got {seed}")
     f = _as_vector(f)
-    sol, _, route_records = routes(chain, f)
+    sol = solve_dual_pair(chain, None, f)
+    saddle = _saddle(_positive(sol))
+    primal, dual, x_norm = _solve_bounds(chain, f, sol)
+    chain.forget("inv")
+    P, w = chain.rows, chain.pi
+    phi, star = sol.phi, sol.phi_star
+    # the drives (I - P) phi and (I - P*) phi*, the adjoint by its definition,
+    # P* g = P^T (pi g) / pi, with row sums P^T pi / pi; a copy of the
+    # diagonal, as np.diag's view would keep the whole kernel
+    drives = phi - P @ phi, star - P.T @ (w * star) / w
+    diag = P.diagonal().copy()
+    residuals = [_backward_error(drives[0] - f, phi, f, P.sum(axis=1), diag, primal),
+                 _backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual)]
+    del P
+    value = saddle.value
+    xi_star, eta_star = saddle.xi_star, saddle.eta_star
+    identity = dirichlet_form(chain, None, xi_star + eta_star, xi_star - eta_star)
+    minimum = _reversible_min(chain, sol)[1] if chain.reversible else None
+    chain.drop_kernel()
+    spectral = avar_spectral(chain, None, f) if chain.reversible else None
+    _, route_records = _judge(chain, f, sol, spectral)
     checks = []
 
     def record(name, residual, bound):
         checks.append(_record(name, residual, bound))
 
-    saddle = saddle_point(chain, None, f)
-    P, w = chain.rows, chain.pi
-    diag = np.diag(P)
-    primal, dual, x_norm = _solve_bounds(chain, f, sol)
-    phi, star = sol.phi, sol.phi_star
-    # the drives (I - P) phi and (I - P*) phi*, the adjoint by its definition,
-    # P* g = P^T (pi g) / pi, with row sums P^T pi / pi
-    drives = phi - P @ phi, star - P.T @ (w * star) / w
-    record("poisson residual (primal)",
-           *_backward_error(drives[0] - f, phi, f, P.sum(axis=1), diag, primal))
-    record("poisson residual (dual)",
-           *_backward_error(drives[1] - f, star, f, P.T @ w / w, diag, dual))
+    record("poisson residual (primal)", *residuals[0])
+    record("poisson residual (dual)", *residuals[1])
     checks += route_records
-    value = saddle.value
-    xi_star, eta_star = saddle.xi_star, saddle.eta_star
-    record("saddle Dirichlet identity",
-           abs(dirichlet_form(chain, None, xi_star + eta_star, xi_star - eta_star) - value),
-           route_bound(value))
+    record("saddle Dirichlet identity", abs(identity - value), route_bound(value))
     _, sup_at_star = inner_sup(chain, None, f, xi_star)
     record("inner sup at xi*", abs(sup_at_star - value), route_bound(value))
-    _, t_inf = factored_operator_inf(chain, None, f)
+    _, t_inf = _factored_min(chain, f, sol)
     record("factored-operator minimum", abs(t_inf - value), route_bound(value))
     # with Pi the projection onto pi(f .) = 0, self-adjoint in <., .>_pi, a probe
     # Pi g has <(I - P) phi, Pi g>_pi = <Pi (I - P) phi, g>_pi and
     # <(I - P) Pi g, phi*>_pi = <Pi (I - P*) phi*, g>_pi
     weighted = np.column_stack([w * project_to_constraint(d, f, w) for d in drives])
     rng = random.Random(seed)
-    blocks = (_standard_normals(rng, min(PROBE_BLOCK, trials - start), w.shape[0])
-              for start in range(0, trials, PROBE_BLOCK))
-    worst_orth = max(np.max(np.abs(normals @ weighted)) for normals in blocks)
+    # each block is a temporary, freed before the next is drawn
+    worst_orth = max(
+        np.max(np.abs(_standard_normals(rng, min(PROBE_BLOCK, trials - start), w.shape[0])
+                      @ weighted))
+        for start in range(0, trials, PROBE_BLOCK))
     record("orthogonality of phi against pi(f .) = 0", worst_orth,
            max(route_bound(phi), route_bound(star)))
-    if chain.reversible:
-        _, inf_val = reversible_inf(chain, None, f)
-        record("reversible minimum", abs(inf_val - value), route_bound(value))
+    if minimum is not None:
+        record("reversible minimum", abs(minimum - value), route_bound(value))
         # ||eta*||_pi = ||phi - phi*||_pi / (2 sigma^2), against what rounding can
         # leave; eta* is scaled by a power of two first, so its square cannot underflow
         _, e = np.frexp(np.max(np.abs(eta_star)))

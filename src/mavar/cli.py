@@ -281,8 +281,12 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
     k1, pi1 = read_kernel(kernel_file_1, tol)
     k2, pi2 = read_kernel(kernel_file_2, tol)
     pi = _resolve_pi(k1, pi1 if pi1 is not None else pi2)
-    # order_pairs checks that the sizes match and that both kernels keep pi
-    orders = ordering.order_pairs(k1, k2, pi)
+    # the orders check that the sizes match and that both kernels keep pi; the
+    # list is their only name on the kernels, which they take out of it and
+    # free after the last reader
+    kernels = [k1, k2]
+    del k1, k2
+    orders = ordering._order_pairs(kernels, pi)
     if as_json:
         report = {
             name: {"forward": fwd.as_dict(), "reverse": rev.as_dict()}
@@ -355,7 +359,8 @@ def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
     """Run the variational identity battery for one kernel and observable."""
     tol = _resolve_tol(tol)
     f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
-    records, sigma2 = checks.battery(chain, f, seed, trials)
+    # the battery frees the chain's kernel and factors after their last reader
+    records, sigma2 = checks._battery(chain, f, seed, trials)
     all_pass = all(c["passed"] for c in records)
     if as_json:
         _echo_json({"checks": records, "all_pass": all_pass, "sigma2": sigma2,

@@ -72,6 +72,17 @@ def _shift_minus(X, shift=1.0, out=None):
     return out
 
 
+def _norm1(X):
+    """np.linalg.norm(X, 1) bit for bit, with no temporary of X's size:
+    numpy sums |X| down the columns a row at a time, in order, and so does
+    this."""
+    sums = np.zeros(X.shape[1])
+    row_abs = np.empty_like(sums)
+    for row in X:
+        sums += np.abs(row, out=row_abs)
+    return sums.max()
+
+
 # the error check_finite raises for each kind of input it names
 _INPUT_ERRORS = {"kernel": KernelError, "observable": ObservableError,
                  "perturbation matrix": PerturbationError}
@@ -291,8 +302,14 @@ class MeanZeroFrame:
         return out
 
     def _contract(self, x):
-        """H[:, 1:]^T @ x for x of n rows, in one array of the result's size."""
-        out = np.multiply.outer(self.v[1:], self.v @ x)
+        """H[:, 1:]^T @ x for x of n rows, in one array of the result's size.
+
+        A block's rank-one term v[1:] (v^T x) is a matrix product, bit for bit
+        the outer product (one rounded product per entry), which numpy would
+        compute with a 128 KB broadcast buffer beside the result.
+        """
+        w = self.v @ x
+        out = np.multiply.outer(self.v[1:], w) if np.ndim(w) == 0 else self.v[1:, None] @ w[None]
         out *= 2.0
         return np.subtract(x[1:], out, out=out)
 
@@ -323,12 +340,18 @@ class MeanZeroFrame:
 class ReducedChain:
     """One chain (P, pi) in mean-zero coordinates, factored at most once.
 
-    Holds the frame, the reduced operator A, the inverse of I - A, the
-    inverse of I - S with S = (A + A^T)/2, the factored operator
-    T = (I - A)(I - S)^{-1}(I - A)^T, the variance form, the spectrum of A
-    and whether the chain is reversible, each built on first use.  Every
-    function that takes (P, pi) accepts a chain in place of P, and then
-    uses the chain's pi.
+    Holds the kernel rows, the frame, the reduced operator A, the inverse
+    of I - A, the inverse of I - S with S = (A + A^T)/2, the factored
+    operator T = (I - A)(I - S)^{-1}(I - A)^T, the variance form, the
+    spectrum of A and whether the chain is reversible, each built on first
+    use.  Every function that takes (P, pi) accepts a chain in place of P,
+    and then uses the chain's pi.
+
+    A chain frees what its owner says it is done with: forget(name) drops a
+    factor, which a later use rebuilds from the kernel; drop_kernel() drops
+    the rows once A and reversible, all the chain reads of them, are built;
+    and the variance form is the last use of A and (I - A)^{-1}, so building
+    it drops both.
     """
 
     def __init__(self, P, pi):
@@ -344,23 +367,36 @@ class ReducedChain:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """(I - A)^{-1}; raises DegenerateKernelError if I - A is singular.
+        """(I - A)^{-1}; raises DegenerateKernelError if I - A is singular
+        (see _gated_inverse)."""
+        return self._gated_inverse(_shift_minus(self.A))
+
+    def _gated_inverse(self, B, diagonal=None) -> np.ndarray:
+        """The inverse of B = I - A behind the Poisson gate.
 
         |1 - lambda| >= sigma_min(I - A) >= 1 / (sqrt(m) ||(I - A)^{-1}||_1)
         for every eigenvalue of A, so a bound clearing SOLVABLE_TOL by
         GATE_SAFETY passes.  Otherwise the chain's spectrum decides: an
         eigenvalue within SOLVABLE_TOL of 1 (a chain reducible up to 1e-12;
         periodic chains, with eigenvalues on the unit circle away from 1,
-        pass) raises, and an inverse that failed or overflowed raises
-        NumericalFailureError.
+        pass) raises DegenerateKernelError, and an inverse that failed or
+        overflowed raises NumericalFailureError.
+
+        diagonal is A's diagonal when B was formed in A's own memory.  The
+        spectrum then reads A rebuilt from B bit for bit: off the diagonal
+        B holds 0 - a, and 0 - (0 - a) = a exactly.
         """
         try:
-            inv = np.linalg.inv(_shift_minus(self.A))
-            self._inv_norm1 = np.linalg.norm(inv, 1)  # the orders' rounding reads it too
+            inv = np.linalg.inv(B)
+            self._inv_norm1 = _norm1(inv)  # the orders' rounding reads it too
             bound = np.sqrt(self.m) * self._inv_norm1
         except np.linalg.LinAlgError:
             bound = np.inf
         if not bound < 1.0 / (GATE_SAFETY * SOLVABLE_TOL):
+            if diagonal is not None:
+                np.subtract(0.0, B, out=B)
+                np.fill_diagonal(B, diagonal)
+                self.A = B
             separation = float(np.min(np.abs(1.0 - self.spectrum)))
             if separation <= SOLVABLE_TOL:
                 radius = float(np.max(np.abs(self.spectrum)))
@@ -408,8 +444,22 @@ class ReducedChain:
 
     @cached_property
     def variance_form(self) -> np.ndarray:
-        """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y."""
-        form = self.inv + self.inv.T
+        """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y.
+
+        The form is the last use of A and (I - A)^{-1}: the chain drops both
+        once it is built.  Unless the chain already holds the inverse, I - A
+        is formed in A's own memory, so inverting it takes no m x m
+        temporary, and an array read from chain.A before then holds I - A
+        after; a failed gate turns it back into A for the spectrum.
+        """
+        inv = self.__dict__.pop("inv", None)
+        if inv is None:
+            A = self.A
+            diagonal = A.diagonal().copy()
+            inv = self._gated_inverse(_shift_minus(A, out=A), diagonal)
+            del A
+        self.forget("A")  # I - A when it was inverted here, freed before the form
+        form = inv + inv.T
         form *= 0.5
         return form
 
@@ -439,11 +489,17 @@ class ReducedChain:
         """is_reversible(rows, pi), computed once."""
         return is_reversible(self.rows, self.pi)
 
-    def drop_factors(self):
-        """Forget A and (I - A)^{-1}; the forms built from them stay, and a
-        later use rebuilds them."""
-        for name in ("A", "inv"):
-            self.__dict__.pop(name, None)
+    def forget(self, name):
+        """Drop the named factor if the chain holds it; a later use rebuilds it
+        from the kernel."""
+        self.__dict__.pop(name, None)
+
+    def drop_kernel(self):
+        """Drop the kernel rows, once reversible and A, all the chain reads of
+        them, are built (reversible first, so its temporaries do not stack on
+        A).  The chain can then rebuild no factor it forgets."""
+        _ = self.reversible, self.A
+        del self.rows
 
 
 def _as_chain(P, pi=None) -> ReducedChain:

@@ -10,6 +10,8 @@ not import numpy's random subpackage, which brings secrets and _hashlib
 (libcrypto) with it: about 5 MB of resident memory and 20 ms per process.
 """
 
+import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -233,8 +235,8 @@ def batch_means_avar(states, f, batch_len: int | None = None) -> AvarEstimate:
     fv = _as_vector(f)
     values = fv[states]
     total = values.shape[0]
-    if batch_len is None:
-        batch_len = max(1, round(np.sqrt(total)))
+    # Python numbers throughout, so each field of the estimate is a plain int or float
+    batch_len = max(1, round(math.sqrt(total))) if batch_len is None else operator.index(batch_len)
     if batch_len < 1:
         raise SimulationError(f"batch_len {batch_len} invalid")
     n_batches = total // batch_len
@@ -245,7 +247,7 @@ def batch_means_avar(states, f, batch_len: int | None = None) -> AvarEstimate:
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         means = used.reshape(n_batches, batch_len).mean(axis=1)
         value = batch_len * float(np.var(means, ddof=1))
-        std_error = value * np.sqrt(2.0 / (n_batches - 1))
+        std_error = value * math.sqrt(2.0 / (n_batches - 1))
     if not (np.isfinite(value) and np.isfinite(std_error)):
         raise NumericalFailureError(
             f"batch-means estimate overflows float64 (value = {value}, "

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import KernelError, StationaryMismatchError
 from .kernel import (
     DEFAULT_TOL,
-    _as_chain,
+    ReducedChain,
     _as_matrix,
     _as_vector,
     _gamma,
@@ -115,15 +115,16 @@ def _eigen_pair(relation, G, tol, witness):
     return tuple(reports)
 
 
-def _dirichlet_pair(M1, M2, w):
-    """The form order <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all
-    xi, both ways: the forward margin is the smallest eigenvalue of the
-    symmetrized weighted difference G (constants are a structural null
+def _dirichlet_matrix(M1, M2, w):
+    """The symmetrized weighted difference G of the form order
+    <(I - P1) xi, xi>_pi <= <(I - P2) xi, xi>_pi for all xi: the forward
+    margin is G's smallest eigenvalue (constants are a structural null
     direction, so a comparable pair has margin 0)."""
-    G = w[:, None] * (M1 - M2)
+    G = M1 - M2
+    G *= w[:, None]  # in the difference's memory, bit for bit w[:, None] * G
     G += G.T  # numpy reads G.T as it was before the sum
     G *= 0.5
-    return _eigen_pair("dirichlet", G, ORDER_TOL, np.copy)
+    return G
 
 
 def _double_partial_sums(M, w):
@@ -134,18 +135,22 @@ def _fk_pair(M1, M2, w):
     return _entry_pair("fill_kahn", _double_partial_sums(M1, w), _double_partial_sums(M2, w))
 
 
-def _domination_pair(P1, P2, w):
+def _domination_pair(chains, in_place):
     """Uniform variance domination, sigma^2(P2, f) <= sigma^2(P1, f) for every
-    centered f, both ways: the forward margin is the smallest eigenvalue of
-    the difference of the two variance forms on the mean-zero subspace, and
-    the witness is a centered observable whose variance ordering fails.  The
-    forms scale as sigma^2, so a margin holds down to their rounding, not
-    ORDER_TOL.  Passing ReducedChains reuses their variance forms."""
-    c1 = _as_chain(P1, w)
+    centered f, both ways, for the two chains it takes out of the list
+    chains: the forward margin is the smallest eigenvalue of the difference
+    of the two variance forms on the mean-zero subspace, and the witness is a
+    centered observable whose variance ordering fails.  The forms scale as
+    sigma^2, so a margin holds down to their rounding, not ORDER_TOL.
+    in_place subtracts into the first form, which only its chain may hold.
+    """
+    c1, c2 = chains
+    chains.clear()
     lift = c1.frame.lift
-    (F1, e1), (F2, e2) = _variance_form(c1), _variance_form(_as_chain(P2, w))
-    diff = F1 - F2
-    del c1, F1, F2  # a chain built here takes its form with it before the eigensolve
+    (F1, e1), (F2, e2) = _variance_form(c1), _variance_form(c2)
+    del c1, c2
+    diff = np.subtract(F1, F2, out=F1 if in_place else None)
+    del F1, F2  # the second form goes before the eigensolve
     return _eigen_pair("domination", diff, e1 + e2, lift)
 
 
@@ -153,15 +158,44 @@ def order_pairs(P1, P2, pi=None) -> dict:
     """Every order of `mavar compare`, each as (P1 -> P2, P2 -> P1).
 
     Keys peskun, dirichlet, fill_kahn and domination each hold two
-    OrderReports.  pi is checked once, and each order's matrix is freed
-    before the next one is built.
+    OrderReports.  pi is checked once.  Passing ReducedChains reuses their
+    variance forms; a chain keeps its kernel and its form, and drops A and
+    (I - A)^{-1}.  See _order_pairs for the order of the work.
     """
-    M1, M2, w = _shared_stationary(P1, P2, pi)
+    return _order_pairs([P1, P2], pi)
+
+
+def _order_pairs(kernels, pi) -> dict:
+    """order_pairs on the two kernels it takes out of the list kernels, so
+    that a caller who keeps no other name on them has each n x n array freed
+    after its last reader.
+
+    Peskun, Fill-Kahn and the Dirichlet matrix G are built first.  Then each
+    chain built here builds A and drops its kernel, so the second A is built
+    in the first kernel's place.  The domination test inverts each I - A in
+    A's memory and takes the difference of the forms in place in the first
+    one when it was built here; its eigh runs beside G alone, and the
+    Dirichlet eigh runs last.
+    """
+    M1, M2, w = _shared_stationary(*kernels, pi)
+    # a ReducedChain passed in is the caller's: it keeps its kernel and its form
+    owned = [not isinstance(P, ReducedChain) for P in kernels]
+    chains = [ReducedChain(M, w) if own else P
+              for P, M, own in zip(kernels, (M1, M2), owned)]
+    kernels.clear()
+    peskun, fill_kahn = _peskun_pair(M1, M2), _fk_pair(M1, M2, w)
+    G = _dirichlet_matrix(M1, M2, w)
+    del M1, M2  # the chains built here hold the last names on their kernels
+    for chain, own in zip(chains, owned):
+        if own:
+            chain.drop_kernel()
+    del chain  # the loop's name on the second chain would keep its form alive
+    domination = _domination_pair(chains, owned[0])
     return {
-        "peskun": _peskun_pair(M1, M2),
-        "dirichlet": _dirichlet_pair(M1, M2, w),
-        "fill_kahn": _fk_pair(M1, M2, w),
-        "domination": _domination_pair(P1, P2, w),
+        "peskun": peskun,
+        "dirichlet": _eigen_pair("dirichlet", G, ORDER_TOL, np.copy),
+        "fill_kahn": fill_kahn,
+        "domination": domination,
     }
 
 
@@ -184,7 +218,7 @@ def fk_order(P, Q, pi=None) -> OrderReport:
 def _variance_form(chain):
     """(F, e): chain.variance_form F = (X + X^T)/2, X the inverse of B = I - A,
     and e = 2 gamma_m ||X||_1^2, how far rounding may move an eigenvalue of F.
-    The chain drops its A and X, the two other m x m arrays, once F is built.
+    Building F drops the chain's A and X, the two other m x m arrays.
 
     An inverse from an LU factorization has a forward error of about
     gamma_m kappa(B) ||X|| = gamma_m ||B|| ||X||^2 (Higham 2002, sec. 14.1),
@@ -195,6 +229,4 @@ def _variance_form(chain):
     reversible chain (X symmetric) and within sqrt(m) for any other.  To
     first order in u, as the records of mavar.checks.
     """
-    form = chain.variance_form
-    chain.drop_factors()
-    return form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)
+    return chain.variance_form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)

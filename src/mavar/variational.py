@@ -59,9 +59,8 @@ def project_to_constraint(g, f, pi, value: float = 0.0) -> np.ndarray:
     return gv + (value - pi_inner(fv, gv, w)) / ff * fv
 
 
-def _positive_solution(P, pi, f):
-    """solve_dual_pair(P, pi, f); ObservableError if sigma^2 <= 0."""
-    sol = solve_dual_pair(P, pi, f)
+def _positive(sol):
+    """sol, a PoissonSolution; ObservableError if its sigma^2 <= 0."""
     if sol.sigma2 <= 0.0:
         raise ObservableError(f"sigma^2 = {sol.sigma2} is not positive")
     return sol
@@ -74,7 +73,11 @@ def saddle_point(P, pi, f) -> SaddlePoint:
     (2 sigma^2), with value 1/sigma^2.  Raises ObservableError when
     sigma^2 <= 0.
     """
-    sol = _positive_solution(P, pi, f)
+    return _saddle(_positive(solve_dual_pair(P, pi, f)))
+
+
+def _saddle(sol) -> SaddlePoint:
+    """The saddle point read off a dual-pair solution with sigma^2 > 0."""
     scale = 0.5 / sol.sigma2
     xi = scale * (sol.phi + sol.phi_star)
     eta = scale * (sol.phi - sol.phi_star)
@@ -130,10 +133,13 @@ def reversible_inf(P, pi, f):
     chain = _as_chain(P, pi)
     if not chain.reversible:
         raise KernelError("kernel is not reversible for the given pi")
-    sol = _positive_solution(chain, None, f)
+    return _reversible_min(chain, _positive(solve_dual_pair(chain, None, f)))
+
+
+def _reversible_min(chain, sol):
+    """(phi / sigma^2, its Dirichlet form) for the chain's dual-pair solution."""
     xi = sol.phi / sol.sigma2
-    value = dirichlet_form(chain, chain.pi, xi, xi)
-    return xi, value
+    return xi, dirichlet_form(chain, chain.pi, xi, xi)
 
 
 def factored_operator_inf(P, pi, f):
@@ -144,7 +150,11 @@ def factored_operator_inf(P, pi, f):
     equals 1/sigma^2.  Returns xi and the form's value there.
     """
     chain = _as_chain(P, pi)
-    sol = _positive_solution(chain, None, f)
+    return _factored_min(chain, f, _positive(solve_dual_pair(chain, None, f)))
+
+
+def _factored_min(chain, f, sol):
+    """factored_operator_inf's (xi, value) from the chain's dual-pair solution."""
     bar = 0.5 * (sol.phi + sol.phi_star)
     xi = bar / pi_inner(bar, f, chain.pi)
     xy = chain.frame.reduce(xi)

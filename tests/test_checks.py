@@ -389,11 +389,13 @@ def test_probe_memory_does_not_grow_with_trials():
 
 
 @pytest.mark.parametrize("reversible", [True, False])
-def test_the_battery_holds_at_most_six_arrays(reversible):
-    # the factored operator's two temporaries on A, (I - A)^-1, (I - S)^-1 and
-    # T set the peak; the chain keeps those four.  The rest is vectors and
-    # probe blocks of n x 64, at most 0.35 of an array at n = 200.  LAPACK's
-    # workspaces are malloc'd where tracemalloc does not see them.
+def test_the_battery_holds_at_most_five_arrays(reversible):
+    # the factored operator's two temporaries on A, (I - S)^-1 and T set the
+    # peak: (I - A)^-1 is gone by then.  The battery runs on a copy of the
+    # chain, which takes every factor with it, so it holds no array after.
+    # The rest is vectors and probe blocks of n x 64, at most 0.35 of an
+    # array at n = 200.  LAPACK's workspaces are malloc'd where tracemalloc
+    # does not see them.
     n = 200
     rng = np.random.default_rng(0)
     if reversible:
@@ -404,12 +406,13 @@ def test_the_battery_holds_at_most_six_arrays(reversible):
     chain = ReducedChain(kernel, pi)
     assert chain.reversible is reversible
     f = random_centered_observable(pi, rng)
+    battery = checks.battery  # loads the lazy module before tracing: its code is no array
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        checks.battery(chain, f)
+        battery(chain, f)
         held, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     array = 8 * n * n
-    assert peak < 6.35 * array and held < 4.35 * array, (peak / array, held / array)
+    assert peak < 5.35 * array and held < 0.35 * array, (peak / array, held / array)

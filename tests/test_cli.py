@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1088,6 +1089,60 @@ def test_compare_runs_one_eigensolve_per_order_pair(runner, tmp_path, monkeypatc
     assert report["domination"]["forward"]["holds"] is True
     assert report["domination"]["reverse"]["holds"] is False
     assert len(calls) == 2
+
+
+def lifetime_inputs(tmp_path, job):
+    """The arguments of a verify ("rev" or "nonrev") or compare job on seeded
+    60-state chains; compare reads a reversible kernel and a drift of it."""
+    rng = np.random.default_rng(12)
+    kernel, pi = random_reversible_kernel(60, rng)
+    if job == "compare":
+        better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+        return ["compare", "--json", write_json(tmp_path / "K.json", {"rows": kernel.tolist()}),
+                write_json(tmp_path / "P.json", {"rows": better.tolist()})]
+    if job == "nonrev":
+        kernel = random_irreducible_kernel(60, rng)
+        pi = stationary_distribution(kernel)
+    return ["verify", "--json", write_json(tmp_path / "P.json", {"rows": kernel.tolist()}),
+            write_json(tmp_path / "f.json", random_centered_observable(pi, rng).tolist())]
+
+
+@pytest.mark.parametrize("job, calls", [
+    # the inverse of I - A feeds the dual pair, which the kernel's full-space
+    # records read; the eigh and the inverse of I - S run after the kernel is gone
+    ("rev", [("inv", 1), ("eigh", 0), ("inv", 0)]),
+    ("nonrev", [("inv", 1), ("inv", 0)]),
+    ("compare", [("inv", 0), ("inv", 0), ("eigh", 0), ("eigh", 0)]),
+], ids=["rev", "nonrev", "compare"])
+def test_no_kernel_is_alive_in_an_inverse_or_eigensolve_that_does_not_read_it(
+        runner, tmp_path, monkeypatch, job, calls):
+    # each kernel the command reads is freed after its last reader, so no O(n^3)
+    # step holds it; a weak reference sees whether anything still names it
+    kernels = []
+    read_kernel = mavar.cli.read_kernel
+
+    def reading(*args):
+        kernel, pi = read_kernel(*args)
+        kernels.append(weakref.ref(kernel))
+        return kernel, pi
+
+    seen = []
+
+    def watching(name):
+        solver = getattr(np.linalg, name)
+
+        def watched(a):
+            seen.append((name, sum(ref() is not None for ref in kernels)))
+            return solver(a)
+        return watched
+
+    monkeypatch.setattr(mavar.cli, "read_kernel", reading)
+    for name in ("inv", "eigh"):
+        monkeypatch.setattr(np.linalg, name, watching(name))
+    result = runner.invoke(main, lifetime_inputs(tmp_path, job))
+    assert result.exit_code == 0, result.output
+    assert len(kernels) == (2 if job == "compare" else 1)
+    assert seen == calls
 
 
 def test_a_reversible_analyze_runs_one_eigensolve(runner, tmp_path, monkeypatch):

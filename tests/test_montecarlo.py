@@ -243,6 +243,18 @@ def test_batch_means_explicit_batch_len(six):
         est.value * np.sqrt(2.0 / (est.n_batches - 1)), abs=1e-15)
 
 
+@pytest.mark.parametrize("batch_len", [None, 500, np.int64(500)],
+                         ids=["default", "int", "numpy-int"])
+def test_batch_means_returns_plain_python_numbers(six, batch_len):
+    # a numpy scalar beside a Python float in one result, and in simulate --json's
+    # deviation_sigmas, is the mixed typing the package's plain values rule out
+    traj = simulate(six["P2"], 10000, seed=0)
+    est = batch_means_avar(traj, six["f1"], batch_len)
+    assert type(est.value) is float and type(est.std_error) is float
+    assert type(est.n_batches) is int and type(est.batch_len) is int
+    assert est.std_error > 0.0
+
+
 def test_batch_means_needs_two_batches(six):
     traj = simulate(six["P2"], 100, seed=0)
     with pytest.raises(SimulationError, match="cannot fill two batches"):

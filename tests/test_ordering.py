@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mavar import (
+    DegenerateKernelError,
     MeanZeroFrame,
     ReducedChain,
     StationaryMismatchError,
@@ -17,7 +18,7 @@ from mavar import (
     stationary_distribution,
     validate_kernel,
 )
-from mavar import catalog
+from mavar import catalog, ordering
 from mavar.ordering import order_pairs
 
 from generators import (
@@ -191,6 +192,59 @@ def test_domination_keeps_only_the_variance_forms(rng):
     np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
 
 
+def decoupled_chain(reversible):
+    """(kernel, pi) of two 10-state blocks coupled at 1e-14, which the Poisson
+    gate refuses: rev 1e-14, or nonrev 1e-14 from default_rng(5)."""
+    if reversible:
+        rows, _ = reversible_two_blocks(1e-14)
+    else:
+        rng = np.random.default_rng(5)
+        rows = np.full((20, 20), 1e-14)
+        rows[:10, :10], rows[10:, 10:] = rng.random((10, 10)), rng.random((10, 10))
+        rows /= rows.sum(axis=1, keepdims=True)
+    kernel = validate_kernel(rows)
+    return kernel, stationary_distribution(kernel)
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_a_form_whose_gate_fails_rebuilds_the_operator_it_overwrote(reversible):
+    # the variance form inverts I - A in A's memory; a failed gate turns it back
+    # into A bit for bit, so the error reports the spectrum chain.inv's gate reads
+    kernel, pi = decoupled_chain(reversible)
+    assert is_reversible(kernel, pi) is reversible
+    reference = ReducedChain(kernel, pi)
+    A = reference.A.copy()
+    with pytest.raises(DegenerateKernelError) as want:
+        reference.inv
+    chain = ReducedChain(kernel, pi)
+    with pytest.raises(DegenerateKernelError) as got:
+        chain.variance_form
+    assert np.array_equal(chain.A, A) and np.array_equal(np.signbit(chain.A), np.signbit(A))
+    assert str(got.value) == str(want.value)
+    assert (got.value.radius, got.value.separation) == (want.value.radius,
+                                                        want.value.separation)
+    # compare's order drops each kernel before the inverse, and still reports it
+    with pytest.raises(DegenerateKernelError) as pair:
+        order_pairs(kernel, kernel.copy(), pi)
+    assert str(pair.value) == str(want.value)
+
+
+def test_order_pairs_takes_the_kernels_it_is_handed():
+    # the private entry empties the list, so the caller's list names no kernel;
+    # order_pairs keeps the caller's arrays and chains intact
+    rng = np.random.default_rng(3)
+    kernel, pi = random_reversible_kernel(8, rng)
+    better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    kernels = [kernel.copy(), better.copy()]
+    handed = ordering._order_pairs(kernels, pi)
+    assert kernels == []
+    chain = ReducedChain(kernel, pi)
+    kept = order_pairs(chain, better, pi)
+    assert np.array_equal(chain.rows, kernel) and "variance_form" in vars(chain)
+    assert ({name: [r.as_dict() for r in pair] for name, pair in handed.items()}
+            == {name: [r.as_dict() for r in pair] for name, pair in kept.items()})
+
+
 def drift_pair_as_read(case):
     """(K, P, pi): a reversible K and a symmetric drift P of it, so P is
     reversible too, each renormalised by validate_kernel as a command reading
@@ -324,9 +378,10 @@ def test_each_reverse_report_equals_the_swapped_call(case):
 
 
 def test_order_pairs_stacks_at_most_four_arrays_above_its_kernels():
-    # the domination test's first variance form beside the second chain's A,
-    # I - A and (I - A)^-1 sets the peak; LAPACK's workspaces are malloc'd
-    # where tracemalloc does not see them
+    # four arrays set the peak at several points: G with the first A and the
+    # second A's two temporaries, or G with the second A, the first I - A
+    # (in the first A's memory) and its inverse.  LAPACK's workspaces are
+    # malloc'd where tracemalloc does not see them
     n = 200
     rng = np.random.default_rng(0)
     kernel, pi = random_reversible_kernel(n, rng)
