@@ -220,6 +220,7 @@ def analyze(kernel_file, observable_file, center, tol, as_json):
     """Solve the Poisson equation and report the variance by every route."""
     tol = _resolve_tol(tol)
     f, was_centered, chain = _load_analysis(kernel_file, observable_file, tol, center)
+    chain.drop_kernel()  # neither the routes nor the radius reads the rows
     sol, routes, records = checks.routes(chain, f)
     agree = all(r["passed"] for r in records)
     # the mean-zero spectral radius; a reversible chain's spectral route

@@ -117,12 +117,13 @@ def _checked(path, error, convert, *args):
         raise error(f"{path}: {exc}") from exc
 
 
-def _no_booleans(path, error, values, what):
-    """values, a parsed JSON array of numbers or of rows; a true or false in
-    it, which float() reads as 1 or 0, raises error naming the entry."""
+def _no_literals(path, error, values, what):
+    """values, a parsed JSON array of numbers or of rows; a true, false or
+    null in it, which numpy reads as 1, 0 or nan, raises error naming the
+    entry before any shape or value check."""
     for i, row in enumerate(values if isinstance(values, list) else ()):
         for j, value in enumerate(row) if isinstance(row, list) else [(None, row)]:
-            if isinstance(value, bool):
+            if value is None or isinstance(value, bool):
                 where = i if j is None else (i, j)
                 raise error(f"{path}: {what} entry {where} is {json.dumps(value)}")
     return values
@@ -136,14 +137,14 @@ def read_kernel(path, tol=DEFAULT_TOL):
     payload = _read(path, KernelError, matrix_key="rows")
     if not isinstance(payload, dict) or "rows" not in payload:
         raise KernelError(f"{path}: expected an object with a 'rows' matrix")
-    rows = _no_booleans(path, KernelError, payload["rows"], "kernel")
+    rows = _no_literals(path, KernelError, payload["rows"], "kernel")
     if "n" in payload and (not isinstance(rows, (list, np.ndarray))
                            or len(rows) != payload["n"]):
         raise KernelError(f"{path}: 'n' does not match the matrix size")
     kernel = _checked(path, KernelError, validate_kernel, rows, tol)
     if payload.get("pi") is None:
         return kernel, None
-    pi = _no_booleans(path, KernelError, payload["pi"], "embedded pi")
+    pi = _no_literals(path, KernelError, payload["pi"], "embedded pi")
     pi = _checked(path, KernelError, np.asarray, pi, float)
     # written so that a NaN entry fails too
     if pi.shape != (len(kernel),) or not (pi.min() > 0 and abs(pi.sum() - 1.0) <= tol):
@@ -159,7 +160,7 @@ def read_observable(path, n):
         values = _read(path, ObservableError)
         if not isinstance(values, list):
             raise ObservableError(f"{path}: expected a JSON array of numbers")
-        _no_booleans(path, ObservableError, values, "observable")
+        _no_literals(path, ObservableError, values, "observable")
     else:
         values = _read(path, ObservableError,
                        lambda text: [line for line in text if line.strip()])
@@ -178,7 +179,7 @@ def read_perturbation(path, kind):
     if payload["kind"] != kind:
         raise PerturbationError(
             f"{path}: kind {payload['kind']!r} does not match the flag ({kind})")
-    matrix = _no_booleans(path, PerturbationError, payload["matrix"], "perturbation matrix")
+    matrix = _no_literals(path, PerturbationError, payload["matrix"], "perturbation matrix")
     return _checked(path, PerturbationError, check_finite, matrix, "perturbation matrix")
 
 

@@ -88,32 +88,17 @@ _INPUT_ERRORS = {"kernel": KernelError, "observable": ObservableError,
                  "perturbation matrix": PerturbationError}
 
 
-def check_finite(values, what: str, source=None):
+def check_finite(values, what: str):
     """values as a float array; at a NaN or inf entry raises the input error
     of what (KernelError, ObservableError or PerturbationError; MavarError
-    for any other name).
-
-    source is what values were converted from (default values).  The
-    message names an entry that is None there, a JSON null, as null, not as
-    the nan it converts to.
-    """
+    for any other name)."""
     a = np.asarray(values, dtype=float)
     bad = np.argwhere(~np.isfinite(a))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
-        shown = "null" if _is_null(values if source is None else source, idx) else a[idx]
         where = idx[0] if a.ndim == 1 else idx
-        raise _INPUT_ERRORS.get(what, MavarError)(f"{what} entry {where} is {shown}")
+        raise _INPUT_ERRORS.get(what, MavarError)(f"{what} entry {where} is {a[idx]}")
     return a
-
-
-def _is_null(source, idx) -> bool:
-    """True iff source, read as nested lists (parsed JSON), holds None at idx."""
-    for i in idx:
-        if not isinstance(source, list):
-            return False
-        source = source[i]
-    return source is None
 
 
 def centered(values, pi) -> np.ndarray:
@@ -146,7 +131,7 @@ def validate_kernel(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise KernelError(f"kernel must be square, got shape {M.shape}")
     if M.shape[0] < 2:
         raise KernelError("kernel needs at least 2 states")
-    check_finite(M, "kernel", matrix)
+    check_finite(M, "kernel")
     low = M.min()
     if low < -tol:
         i, j = np.unravel_index(np.argmin(M), M.shape)

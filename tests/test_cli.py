@@ -1092,18 +1092,20 @@ def test_compare_runs_one_eigensolve_per_order_pair(runner, tmp_path, monkeypatc
 
 
 def lifetime_inputs(tmp_path, job):
-    """The arguments of a verify ("rev" or "nonrev") or compare job on seeded
-    60-state chains; compare reads a reversible kernel and a drift of it."""
+    """The arguments of a verify ("rev" or "nonrev"), analyze ("analyze-rev"
+    or "analyze-nonrev") or compare job on seeded 60-state chains; compare
+    reads a reversible kernel and a drift of it."""
     rng = np.random.default_rng(12)
     kernel, pi = random_reversible_kernel(60, rng)
     if job == "compare":
         better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
         return ["compare", "--json", write_json(tmp_path / "K.json", {"rows": kernel.tolist()}),
                 write_json(tmp_path / "P.json", {"rows": better.tolist()})]
-    if job == "nonrev":
+    if job.endswith("nonrev"):
         kernel = random_irreducible_kernel(60, rng)
         pi = stationary_distribution(kernel)
-    return ["verify", "--json", write_json(tmp_path / "P.json", {"rows": kernel.tolist()}),
+    command = "analyze" if job.startswith("analyze") else "verify"
+    return [command, "--json", write_json(tmp_path / "P.json", {"rows": kernel.tolist()}),
             write_json(tmp_path / "f.json", random_centered_observable(pi, rng).tolist())]
 
 
@@ -1113,7 +1115,10 @@ def lifetime_inputs(tmp_path, job):
     ("rev", [("inv", 1), ("eigh", 0), ("inv", 0)]),
     ("nonrev", [("inv", 1), ("inv", 0)]),
     ("compare", [("inv", 0), ("inv", 0), ("eigh", 0), ("eigh", 0)]),
-], ids=["rev", "nonrev", "compare"])
+    # analyze drops the kernel before its routes and the radius, none of which read it
+    ("analyze-rev", [("eigh", 0), ("inv", 0), ("inv", 0)]),
+    ("analyze-nonrev", [("inv", 0), ("inv", 0), ("eigvals", 0)]),
+], ids=["rev", "nonrev", "compare", "analyze-rev", "analyze-nonrev"])
 def test_no_kernel_is_alive_in_an_inverse_or_eigensolve_that_does_not_read_it(
         runner, tmp_path, monkeypatch, job, calls):
     # each kernel the command reads is freed after its last reader, so no O(n^3)
@@ -1137,7 +1142,7 @@ def test_no_kernel_is_alive_in_an_inverse_or_eigensolve_that_does_not_read_it(
         return watched
 
     monkeypatch.setattr(mavar.cli, "read_kernel", reading)
-    for name in ("inv", "eigh"):
+    for name in ("inv", "eigh", "eigvals"):
         monkeypatch.setattr(np.linalg, name, watching(name))
     result = runner.invoke(main, lifetime_inputs(tmp_path, job))
     assert result.exit_code == 0, result.output
@@ -1275,6 +1280,37 @@ def test_an_underflowing_variance_exits_2(runner, tmp_path, command):
     assert note.startswith("note: centering observable (pi-mean was 3.33333333333e-161)")
     assert error.startswith("error: variance underflows float64 (sigma^2 = ")
     assert error.endswith("); rescale the observable")
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+@pytest.mark.parametrize("case", ["1e-170", "1e-320", "6 states"])
+def test_a_variance_underflowing_to_zero_exits_2(runner, tmp_path, command, case):
+    # sigma^2 >= <f, f>_pi / 2 > 0 for a nonzero f, so a sigma^2 of 0 has
+    # underflowed: it is no zero variance and no disagreement of the routes
+    if case == "6 states":
+        rng = np.random.default_rng(0)
+        rows = random_irreducible_kernel(6, rng)
+        f = 1e-170 * random_centered_observable(stationary_distribution(rows), rng)
+    else:
+        rows, f = [[0.5, 0.5], [0.5, 0.5]], [float(case), -float(case)]
+    kernel = write_json(tmp_path / "P.json", {"rows": np.asarray(rows).tolist()})
+    obs = write_json(tmp_path / "f.json", np.asarray(f).tolist())
+    result = runner.invoke(main, [command, kernel, obs, "--json"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: variance underflows float64 (sigma^2 = 0.0); rescale the observable\n")
+
+
+def test_simulate_has_no_analytic_value_when_the_variance_underflows_to_zero(
+        runner, tmp_path):
+    kernel = write_json(tmp_path / "P.json", {"rows": [[0.5, 0.5], [0.5, 0.5]]})
+    obs = write_json(tmp_path / "f.json", [1e-170, -1e-170])
+    result = runner.invoke(main, ["simulate", "--n", "1000", "--json", kernel, obs])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    assert set(json.loads(result.stdout)) == {
+        "value", "std_error", "n_batches", "batch_len", "seed"}
 
 
 @pytest.mark.parametrize("reversible", [True, False])

@@ -205,6 +205,21 @@ def test_a_null_entry_exits_2_named_null_not_nan(runner, tmp_path, kind, data, m
     assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
 
 
+# a null is named as the json module parsed it, before numpy reads the array:
+# not as the nan it would read, nor as a wrong shape or a wrong pi
+@pytest.mark.parametrize("data, message", [
+    (b'{"rows": [[0.5, 0.5], [0.5, 0.5]], "pi": [0.5, null]}', "embedded pi entry 1 is null"),
+    (b'{"rows": [[0.5, null], [0.5]]}', "kernel entry (0, 1) is null"),
+    (b'{"rows": [[0.5, 0.5], null]}', "kernel entry 1 is null"),
+    (b'{"rows": [[NaN, null], [0.5, 0.5]]}', "kernel entry (0, 1) is null"),
+], ids=["embedded pi", "ragged kernel", "kernel row", "after a NaN"])
+def test_a_null_is_named_before_any_shape_or_value_check(runner, tmp_path, data, message):
+    path = write(tmp_path / "k.json", data)
+    result = runner.invoke(main, ["validate", path])
+    assert result.exit_code == 2
+    assert result.stdout == "" and result.stderr == f"error: {path}: {message}\n"
+
+
 # the json module reads true and false as bools, which float() takes for 1 and 0
 @pytest.mark.parametrize("kind, data, message", [
     ("kernel", b'{"rows": [[true, false], [0.25, 0.75]]}', "kernel entry (0, 0) is true"),
