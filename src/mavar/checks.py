@@ -10,9 +10,10 @@ Dirichlet identity, the inner sup and the factored-operator minimum),
 the orthogonality of phi against random directions, and the reversible
 minimum.  Every record can fail: each catches some corruption
 of the chain's factors (tests/test_battery_mutants.py).  The battery solves
-the dual pair once and frees each n x n array after its last reader: the
-inverse of I - A after the dual pair, and the kernel once its full-space
-records are read, before the spectral eigh and the inverse of I - S.  The random
+the dual pair once and takes its chain apart, as ReducedChain states: the
+inverse of I - A goes after the dual pair, and the kernel once its
+full-space records are read, before the spectral eigh and the inverse of
+I - S.  The random
 directions are dotted with the two Poisson drives, projected once, and
 are drawn PROBE_BLOCK at a time, so their memory does not grow with the
 number of trials.  Their normals come from the standard library's
@@ -21,7 +22,6 @@ subpackage (and with it secrets and _hashlib).
 A failed check is a failed record, never an exception.
 """
 
-import copy
 import operator
 import random
 
@@ -172,22 +172,17 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
 
     Each record is {"name", "residual", "bound", "passed"}.  The
     orthogonality record draws trials random directions from
-    random.Random(seed) (see _standard_normals).  The battery runs on a
-    shallow copy of chain: it frees the copy's kernel and factors as it
-    goes, and the caller's chain keeps its kernel and every factor it held.
-    """
-    return _battery(copy.copy(chain), f, seed, trials)
-
-
-def _battery(chain, f, seed, trials):
-    """battery on a chain it takes apart, for a caller done with the chain.
+    random.Random(seed) (see _standard_normals).  The battery takes chain
+    apart (see ReducedChain).
 
     The dual pair is solved once, and every record reads that one solution.
     The chain forgets (I - A)^{-1} once the dual pair and the norms of
     _solve_bounds are read.  Then every full-space quantity of the kernel
     is read (the two Poisson drives, the row sums, the diagonal and the
     two Dirichlet forms), and the chain drops the kernel: the spectral
-    eigh and the inverse of I - S run beside A alone.
+    eigh and the inverse of I - S run beside A alone.  A, (I - S)^{-1} and
+    T go once the last record is read, with any factor the chain held
+    before.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -249,4 +244,6 @@ def _battery(chain, f, seed, trials):
         eta = np.ldexp(eta_star, -e)
         record("eta* vanishes (reversible)", np.ldexp(np.sqrt(w @ (eta * eta)), e),
                0.5 * value * _asymmetry_bound(chain, f, sol, x_norm))
+    for name in chain._FACTORS:
+        chain.forget(name)
     return checks, sol.sigma2

@@ -335,9 +335,18 @@ class ReducedChain:
     A chain frees what its owner says it is done with: forget(name) drops a
     factor, which a later use rebuilds from the kernel; drop_kernel() drops
     the rows once A and reversible, all the chain reads of them, are built;
-    and the variance form is the last use of A and (I - A)^{-1}, so building
-    it drops both.
+    and the variance form inverts I - A in A's own memory, so building it
+    drops A.
+
+    A chain handed to checks.battery or ordering.order_pairs is taken apart:
+    its kernel rows and every m x m factor are dropped after their last
+    reader, and afterwards it holds only its frame, pi, m, its spectrum and
+    its flags.  A caller who wants to keep a chain hands over
+    ReducedChain(chain.rows, chain.pi) instead.
     """
+
+    # the m x m factors, each a name forget drops
+    _FACTORS = ("A", "inv", "cinv", "T", "variance_form")
 
     def __init__(self, P, pi):
         self.rows = _as_matrix(P)
@@ -410,7 +419,7 @@ class ReducedChain:
         except np.linalg.LinAlgError:
             cinv = None
         # for symmetric positive definite C, 1 / lambda_min <= ||C^-1||_1
-        if cinv is None or (not np.linalg.norm(cinv, 1) < 1.0 / (GATE_SAFETY * SOLVABLE_TOL)
+        if cinv is None or (not _norm1(cinv) < 1.0 / (GATE_SAFETY * SOLVABLE_TOL)
                             and np.min(np.linalg.eigvalsh(C)) <= SOLVABLE_TOL):
             raise KernelError(
                 "reversibilized operator singular on the mean-zero subspace")
@@ -431,19 +440,16 @@ class ReducedChain:
     def variance_form(self) -> np.ndarray:
         """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y.
 
-        The form is the last use of A and (I - A)^{-1}: the chain drops both
-        once it is built.  Unless the chain already holds the inverse, I - A
-        is formed in A's own memory, so inverting it takes no m x m
+        I - A is formed in A's own memory, so inverting it takes no m x m
         temporary, and an array read from chain.A before then holds I - A
-        after; a failed gate turns it back into A for the spectrum.
+        after; a failed gate turns it back into A for the spectrum.  The
+        chain drops that memory before the form is built.
         """
-        inv = self.__dict__.pop("inv", None)
-        if inv is None:
-            A = self.A
-            diagonal = A.diagonal().copy()
-            inv = self._gated_inverse(_shift_minus(A, out=A), diagonal)
-            del A
-        self.forget("A")  # I - A when it was inverted here, freed before the form
+        A = self.A
+        diagonal = A.diagonal().copy()
+        inv = self._gated_inverse(_shift_minus(A, out=A), diagonal)
+        del A
+        self.forget("A")
         form = inv + inv.T
         form *= 0.5
         return form

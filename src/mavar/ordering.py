@@ -9,7 +9,8 @@ Each order is computed for both directions from one matrix: the reverse
 difference is the negated forward one, so the entrywise orders scan its
 negation and the eigenvalue orders read the other end of one eigensolve.
 order_pairs returns every pair; peskun_order and fk_order are the forward
-halves of their pairs.
+halves of their pairs.  order_pairs takes apart the chains it is handed,
+as ReducedChain states, and never changes a kernel array.
 """
 
 from dataclasses import dataclass
@@ -135,21 +136,17 @@ def _fk_pair(M1, M2, w):
     return _entry_pair("fill_kahn", _double_partial_sums(M1, w), _double_partial_sums(M2, w))
 
 
-def _domination_pair(chains, in_place):
+def _domination_pair(c1, c2):
     """Uniform variance domination, sigma^2(P2, f) <= sigma^2(P1, f) for every
-    centered f, both ways, for the two chains it takes out of the list
-    chains: the forward margin is the smallest eigenvalue of the difference
-    of the two variance forms on the mean-zero subspace, and the witness is a
-    centered observable whose variance ordering fails.  The forms scale as
-    sigma^2, so a margin holds down to their rounding, not ORDER_TOL.
-    in_place subtracts into the first form, which only its chain may hold.
+    centered f, both ways: the forward margin is the smallest eigenvalue of
+    the difference of the two variance forms on the mean-zero subspace, and
+    the witness is a centered observable whose variance ordering fails.  The
+    forms scale as sigma^2, so a margin holds down to their rounding, not
+    ORDER_TOL.  The difference is taken in the first form's memory.
     """
-    c1, c2 = chains
-    chains.clear()
     lift = c1.frame.lift
     (F1, e1), (F2, e2) = _variance_form(c1), _variance_form(c2)
-    del c1, c2
-    diff = np.subtract(F1, F2, out=F1 if in_place else None)
+    diff = np.subtract(F1, F2, out=F1)
     del F1, F2  # the second form goes before the eigensolve
     return _eigen_pair("domination", diff, e1 + e2, lift)
 
@@ -158,39 +155,26 @@ def order_pairs(P1, P2, pi=None) -> dict:
     """Every order of `mavar compare`, each as (P1 -> P2, P2 -> P1).
 
     Keys peskun, dirichlet, fill_kahn and domination each hold two
-    OrderReports.  pi is checked once.  Passing ReducedChains reuses their
-    variance forms; a chain keeps its kernel and its form, and drops A and
-    (I - A)^{-1}.  See _order_pairs for the order of the work.
-    """
-    return _order_pairs([P1, P2], pi)
-
-
-def _order_pairs(kernels, pi) -> dict:
-    """order_pairs on the two kernels it takes out of the list kernels, so
-    that a caller who keeps no other name on them has each n x n array freed
-    after its last reader.
+    OrderReports.  pi is checked once.  P1 and P2 are kernels or
+    ReducedChains; a chain is taken apart (see ReducedChain), and a chain
+    passed twice is built again from its kernel the second time.
 
     Peskun, Fill-Kahn and the Dirichlet matrix G are built first.  Then each
-    chain built here builds A and drops its kernel, so the second A is built
-    in the first kernel's place.  The domination test inverts each I - A in
-    A's memory and takes the difference of the forms in place in the first
-    one when it was built here; its eigh runs beside G alone, and the
-    Dirichlet eigh runs last.
+    chain builds A and drops its kernel, so the second A is built in the
+    first kernel's place when the caller keeps no other name on it.  The
+    domination test inverts each I - A in A's memory and takes the
+    difference of the forms in the first one; its eigh runs beside G alone,
+    and the Dirichlet eigh runs last.
     """
-    M1, M2, w = _shared_stationary(*kernels, pi)
-    # a ReducedChain passed in is the caller's: it keeps its kernel and its form
-    owned = [not isinstance(P, ReducedChain) for P in kernels]
-    chains = [ReducedChain(M, w) if own else P
-              for P, M, own in zip(kernels, (M1, M2), owned)]
-    kernels.clear()
+    M1, M2, w = _shared_stationary(P1, P2, pi)
+    c1 = P1 if isinstance(P1, ReducedChain) else ReducedChain(M1, w)
+    c2 = P2 if isinstance(P2, ReducedChain) and P2 is not c1 else ReducedChain(M2, w)
     peskun, fill_kahn = _peskun_pair(M1, M2), _fk_pair(M1, M2, w)
     G = _dirichlet_matrix(M1, M2, w)
-    del M1, M2  # the chains built here hold the last names on their kernels
-    for chain, own in zip(chains, owned):
-        if own:
-            chain.drop_kernel()
-    del chain  # the loop's name on the second chain would keep its form alive
-    domination = _domination_pair(chains, owned[0])
+    del M1, M2  # the chains hold the last names on their kernels here
+    c1.drop_kernel()
+    c2.drop_kernel()
+    domination = _domination_pair(c1, c2)
     return {
         "peskun": peskun,
         "dirichlet": _eigen_pair("dirichlet", G, ORDER_TOL, np.copy),
@@ -217,8 +201,8 @@ def fk_order(P, Q, pi=None) -> OrderReport:
 
 def _variance_form(chain):
     """(F, e): chain.variance_form F = (X + X^T)/2, X the inverse of B = I - A,
-    and e = 2 gamma_m ||X||_1^2, how far rounding may move an eigenvalue of F.
-    Building F drops the chain's A and X, the two other m x m arrays.
+    taken out of the chain, and e = 2 gamma_m ||X||_1^2, how far rounding may
+    move an eigenvalue of F.
 
     An inverse from an LU factorization has a forward error of about
     gamma_m kappa(B) ||X|| = gamma_m ||B|| ||X||^2 (Higham 2002, sec. 14.1),
@@ -229,4 +213,7 @@ def _variance_form(chain):
     reversible chain (X symmetric) and within sqrt(m) for any other.  To
     first order in u, as the records of mavar.checks.
     """
-    return chain.variance_form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)
+    form = chain.variance_form
+    for name in chain._FACTORS:  # with the form, any factor the chain held before
+        chain.forget(name)
+    return form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)

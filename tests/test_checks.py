@@ -66,10 +66,20 @@ def test_battery_record_order_and_reversible_extras(six):
 
 
 def test_battery_is_deterministic_in_the_seed(three):
-    chain = ReducedChain(three["P1"], stationary_distribution(three["P1"]))
-    first, _ = checks.battery(chain, three["g1"], seed=4, trials=5)
-    again, _ = checks.battery(chain, three["g1"], seed=4, trials=5)
+    pi = stationary_distribution(three["P1"])
+    first, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4, trials=5)
+    again, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4, trials=5)
     assert first == again
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_the_battery_takes_its_chain_apart(reversible):
+    # the chain keeps its frame, pi, m, spectrum and flags: no kernel, and no
+    # array of m^2 entries or more
+    chain, f = seeded_chain(reversible, 12, 3)
+    checks.battery(chain, f, trials=3)
+    assert "rows" not in vars(chain)
+    assert all(np.size(value) < chain.m ** 2 for value in vars(chain).values()), vars(chain)
 
 
 def test_battery_rejects_fewer_than_one_trial(six):
@@ -79,13 +89,17 @@ def test_battery_rejects_fewer_than_one_trial(six):
 
 
 def test_battery_takes_a_nonnegative_integer_seed(six):
-    chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
+    pi = stationary_distribution(six["P2"])
+
+    def chain():
+        return ReducedChain(six["P2"], pi)
+
     with pytest.raises(ValueError, match="seed"):
-        checks.battery(chain, six["f1"], seed=-1, trials=3)
+        checks.battery(chain(), six["f1"], seed=-1, trials=3)
     with pytest.raises(TypeError):
-        checks.battery(chain, six["f1"], seed=1.5, trials=3)
-    assert (checks.battery(chain, six["f1"], seed=np.int64(7), trials=3)
-            == checks.battery(chain, six["f1"], seed=7, trials=3))
+        checks.battery(chain(), six["f1"], seed=1.5, trials=3)
+    assert (checks.battery(chain(), six["f1"], seed=np.int64(7), trials=3)
+            == checks.battery(chain(), six["f1"], seed=7, trials=3))
 
 
 def test_a_corrupted_inverse_fails_the_factored_operator_records():
@@ -157,8 +171,9 @@ def test_the_eta_star_record_catches_an_asymmetric_inverse():
     rng = np.random.default_rng(4)
     kernel, pi = random_reversible_kernel(8, rng)
     f = random_centered_observable(pi, rng)
+    assert records_by_name(ReducedChain(kernel, pi), f, trials=3)[
+        "eta* vanishes (reversible)"]["passed"]
     chain = ReducedChain(kernel, pi)
-    assert records_by_name(chain, f, trials=3)["eta* vanishes (reversible)"]["passed"]
     bad = chain.inv.copy()
     bad[0, 1] *= 1.0 + 1e-12
     chain.inv = bad
@@ -191,6 +206,7 @@ def test_scaling_f_by_a_power_of_two_scales_every_record_alike(reversible, n, se
     # exactly, so each record's residual and bound scale by one power of two
     chain, f = seeded_chain(reversible, n, seed)
     base, sigma2 = checks.battery(chain, f, trials=3)
+    chain, _ = seeded_chain(reversible, n, seed)
     scaled, scaled_sigma2 = checks.battery(chain, np.ldexp(f, k), trials=3)
     assert scaled_sigma2 == np.ldexp(sigma2, 2 * k)
     assert [(r["name"], r["passed"]) for r in scaled] == [(r["name"], r["passed"]) for r in base]
@@ -204,8 +220,8 @@ def test_a_wrong_factored_route_fails_its_record_at_any_scale(monkeypatch):
     factored = checks._factored_solve
     monkeypatch.setattr(checks, "_factored_solve", lambda chain, pi, f: (
         2.0 * solve_dual_pair(chain, pi, f).sigma2, factored(chain, pi, f)[1]))
-    chain, f = seeded_chain(True, 12, 7)
     for k in (-500, 0, 500):
+        chain, f = seeded_chain(True, 12, 7)
         record = records_by_name(chain, np.ldexp(f, k), trials=3)["factored-operator route"]
         assert record["passed"] is False, k
 
@@ -290,11 +306,14 @@ def test_a_reversible_battery_tests_detailed_balance_once(six, monkeypatch):
         return test(P, pi)
 
     monkeypatch.setattr(mavar.kernel, "is_reversible", counted)
-    chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
+    pi = stationary_distribution(six["P2"])
+    chain = ReducedChain(six["P2"], pi)
     records, _ = checks.battery(chain, six["f1"], trials=3)
     assert "reversible minimum" in [r["name"] for r in records]
     assert len(passes) == 1 and chain.reversible is True
     # another pi is tested, not answered from the cache
+    chain = ReducedChain(six["P2"], pi)
+    assert chain.reversible
     assert not is_reversible(chain, np.full(6, 1 / 6) + np.linspace(-0.01, 0.01, 6))
 
 
@@ -375,9 +394,9 @@ def test_probe_memory_does_not_grow_with_trials():
     kernel = random_irreducible_kernel(n, rng)
     pi = stationary_distribution(kernel)
     f = random_centered_observable(pi, rng)
-    chain = ReducedChain(kernel, pi)
     peaks = []
     for trials in (64, 10**5):
+        chain = ReducedChain(kernel, pi)
         tracemalloc.start()
         try:
             checks.battery(chain, f, trials=trials)
@@ -391,8 +410,8 @@ def test_probe_memory_does_not_grow_with_trials():
 @pytest.mark.parametrize("reversible", [True, False])
 def test_the_battery_holds_at_most_five_arrays(reversible):
     # the factored operator's two temporaries on A, (I - S)^-1 and T set the
-    # peak: (I - A)^-1 is gone by then.  The battery runs on a copy of the
-    # chain, which takes every factor with it, so it holds no array after.
+    # peak: (I - A)^-1 is gone by then.  The battery takes the chain apart,
+    # so it holds no array after.
     # The rest is vectors and probe blocks of n x 64, at most 0.35 of an
     # array at n = 200.  LAPACK's workspaces are malloc'd where tracemalloc
     # does not see them.

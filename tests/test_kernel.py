@@ -30,7 +30,7 @@ from mavar import (
     validate_vorticity,
 )
 
-from mavar.kernel import _shift_minus
+from mavar.kernel import _norm1, _shift_minus
 from mavar.ordering import order_pairs
 
 from generators import random_drift, random_irreducible_kernel, random_reversible_kernel
@@ -490,6 +490,15 @@ def test_shift_minus_has_the_bits_of_the_identity_expression(rng):
     inplace = X.copy()
     assert _shift_minus(inplace, out=inplace) is inplace
     assert same_bits(inplace, np.eye(7) - X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 65, 199, 500, 1000])
+def test_norm1_has_the_bits_of_numpys_1_norm(rng, n):
+    # both Poisson gates read it; numpy's builds an n x n |X| to get the same sum
+    X = rng.standard_normal((n, n))
+    assert _norm1(X) == np.linalg.norm(X, 1)
+    X *= 10.0 ** rng.uniform(-300, 300, (n, 1))  # rows of every scale
+    assert _norm1(X) == np.linalg.norm(X, 1)
 
 
 @pytest.mark.parametrize("reversible", [True, False])

@@ -18,7 +18,7 @@ from mavar import (
     stationary_distribution,
     validate_kernel,
 )
-from mavar import catalog, ordering
+from mavar import catalog
 from mavar.ordering import order_pairs
 
 from generators import (
@@ -172,24 +172,32 @@ def test_domination_transitive_chain(rng):
     assert forward_domination(kernel, first, pi).holds
 
 
-def test_domination_keeps_only_the_variance_forms(rng):
-    # a comparison reads only each chain's form, so A and (I - A)^{-1} are dropped
+def test_order_pairs_takes_its_chains_apart(rng):
+    # neither chain keeps its kernel, a factor or its form, prebuilt factors included
     kernel, pi = random_reversible_kernel(6, rng)
     better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
     c1, c2 = ReducedChain(kernel, pi), ReducedChain(better, pi)
+    _ = c1.T, c2.inv  # factors a caller built before handing the chains over
     forward = forward_domination(c1, c2, pi)
-    forms = [c1.variance_form, c2.variance_form]
     for chain in (c1, c2):
-        assert "variance_form" in vars(chain)
-        assert "A" not in vars(chain) and "inv" not in vars(chain)
-    reverse = forward_domination(c2, c1, pi)
-    assert c1.variance_form is forms[0] and c2.variance_form is forms[1]  # reused
+        assert "rows" not in vars(chain)
+        assert all(np.ndim(value) < 2 for value in vars(chain).values()), vars(chain)
+    reverse = forward_domination(ReducedChain(better, pi), ReducedChain(kernel, pi), pi)
     assert forward == forward_domination(kernel, better, pi)
     assert forward.holds and forward.witness is None
     assert not reverse.holds
     np.testing.assert_array_equal(reverse.witness,
                                   forward_domination(better, kernel, pi).witness)
-    np.testing.assert_array_equal(c1.A, ReducedChain(kernel, pi).A)  # rebuilt on use
+    with pytest.raises(AttributeError):
+        c1.A  # nothing to rebuild it from
+
+
+def test_a_chain_passed_twice_is_built_again_from_its_kernel(rng):
+    kernel, pi = random_reversible_kernel(8, rng)
+    twice = order_pairs(*[ReducedChain(kernel, pi)] * 2, pi)
+    copied = order_pairs(kernel, kernel.copy(), pi)
+    assert ({name: [r.as_dict() for r in pair] for name, pair in twice.items()}
+            == {name: [r.as_dict() for r in pair] for name, pair in copied.items()})
 
 
 def decoupled_chain(reversible):
@@ -230,19 +238,18 @@ def test_a_form_whose_gate_fails_rebuilds_the_operator_it_overwrote(reversible):
 
 
 def test_order_pairs_takes_the_kernels_it_is_handed():
-    # the private entry empties the list, so the caller's list names no kernel;
-    # order_pairs keeps the caller's arrays and chains intact
+    # a kernel array is read, never changed, and a chain gives the reports its
+    # kernel gives
     rng = np.random.default_rng(3)
     kernel, pi = random_reversible_kernel(8, rng)
     better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
-    kernels = [kernel.copy(), better.copy()]
-    handed = ordering._order_pairs(kernels, pi)
-    assert kernels == []
-    chain = ReducedChain(kernel, pi)
-    kept = order_pairs(chain, better, pi)
-    assert np.array_equal(chain.rows, kernel) and "variance_form" in vars(chain)
+    bits = [kernel.tobytes(), better.tobytes()]
+    handed = order_pairs(kernel, better, pi)
+    assert [kernel.tobytes(), better.tobytes()] == bits
+    chains = order_pairs(ReducedChain(kernel, pi), ReducedChain(better, pi), pi)
+    assert [kernel.tobytes(), better.tobytes()] == bits
     assert ({name: [r.as_dict() for r in pair] for name, pair in handed.items()}
-            == {name: [r.as_dict() for r in pair] for name, pair in kept.items()})
+            == {name: [r.as_dict() for r in pair] for name, pair in chains.items()})
 
 
 def drift_pair_as_read(case):
