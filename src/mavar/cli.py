@@ -308,7 +308,7 @@ def compare(kernel_file_1, kernel_file_2, tol, as_json):
               default=None, help="vorticity perturbation file")
 @click.option("--lambda", "lam_path", type=click.Path(exists=True, dir_okay=False),
               default=None, help="drift perturbation file")
-@click.option("--alpha", type=float, default=1.0,
+@click.option("--alpha", type=float, default=None,
               help="vorticity interpolation parameter in [-1, 1]")
 @click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit the kernel as JSON")
@@ -324,13 +324,14 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
     tol = min(tol, DEFAULT_TOL)  # the library rechecks at DEFAULT_TOL: --tol only tightens
     diagnostics = {}
     if want == "vorticity":
+        alpha = 1.0 if alpha is None else alpha
         gamma = perturbation.validate_vorticity(kernel, pi, matrix, tol)
         result = perturbation.family_alpha(kernel, pi, gamma, alpha)
         h, _ = perturbation._density(kernel, pi, gamma)
         diagnostics["max_density"] = float(np.max(np.abs(alpha * h)))
         diagnostics["alpha"] = alpha
     else:
-        if alpha != 1.0:
+        if alpha is not None:
             _fail(EXIT_PARSE, "--alpha applies only to vorticity perturbations")
         drift = perturbation.validate_drift(kernel, pi, matrix, tol)
         result = perturbation.apply_drift(kernel, pi, drift)

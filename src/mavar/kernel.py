@@ -327,16 +327,15 @@ class ReducedChain:
 
     Holds the kernel rows, the frame, the reduced operator A, the inverse
     of I - A, the inverse of I - S with S = (A + A^T)/2, the factored
-    operator T = (I - A)(I - S)^{-1}(I - A)^T, the variance form, the
-    spectrum of A and whether the chain is reversible, each built on first
-    use.  Every function that takes (P, pi) accepts a chain in place of P,
-    and then uses the chain's pi.
+    operator T = (I - A)(I - S)^{-1}(I - A)^T, the spectrum of A and
+    whether the chain is reversible, each built on first use.  Every
+    function that takes (P, pi) accepts a chain in place of P, and then
+    uses the chain's pi.
 
     A chain frees what its owner says it is done with: forget(name) drops a
-    factor, which a later use rebuilds from the kernel; drop_kernel() drops
-    the rows once A and reversible, all the chain reads of them, are built;
-    and the variance form inverts I - A in A's own memory, so building it
-    drops A.
+    factor, which a later use rebuilds from the kernel, and drop_kernel()
+    drops the rows once A and reversible, all the chain reads of them, are
+    built.  inv and T form I - A in A's own memory and give A back.
 
     A chain handed to checks.battery or ordering.order_pairs is taken apart:
     its kernel rows and every m x m factor are dropped after their last
@@ -346,7 +345,7 @@ class ReducedChain:
     """
 
     # the m x m factors, each a name forget drops
-    _FACTORS = ("A", "inv", "cinv", "T", "variance_form")
+    _FACTORS = ("A", "inv", "cinv", "T")
 
     def __init__(self, P, pi):
         self.rows = _as_matrix(P)
@@ -361,12 +360,7 @@ class ReducedChain:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """(I - A)^{-1}; raises DegenerateKernelError if I - A is singular
-        (see _gated_inverse)."""
-        return self._gated_inverse(_shift_minus(self.A))
-
-    def _gated_inverse(self, B, diagonal=None) -> np.ndarray:
-        """The inverse of B = I - A behind the Poisson gate.
+        """(I - A)^{-1} behind the Poisson gate.
 
         |1 - lambda| >= sigma_min(I - A) >= 1 / (sqrt(m) ||(I - A)^{-1}||_1)
         for every eigenvalue of A, so a bound clearing SOLVABLE_TOL by
@@ -375,22 +369,14 @@ class ReducedChain:
         periodic chains, with eigenvalues on the unit circle away from 1,
         pass) raises DegenerateKernelError, and an inverse that failed or
         overflowed raises NumericalFailureError.
-
-        diagonal is A's diagonal when B was formed in A's own memory.  The
-        spectrum then reads A rebuilt from B bit for bit: off the diagonal
-        B holds 0 - a, and 0 - (0 - a) = a exactly.
         """
         try:
-            inv = np.linalg.inv(B)
+            inv = self._on_shifted(np.linalg.inv)
             self._inv_norm1 = _norm1(inv)  # the orders' rounding reads it too
             bound = np.sqrt(self.m) * self._inv_norm1
         except np.linalg.LinAlgError:
             bound = np.inf
         if not bound < 1.0 / (GATE_SAFETY * SOLVABLE_TOL):
-            if diagonal is not None:
-                np.subtract(0.0, B, out=B)
-                np.fill_diagonal(B, diagonal)
-                self.A = B
             separation = float(np.min(np.abs(1.0 - self.spectrum)))
             if separation <= SOLVABLE_TOL:
                 radius = float(np.max(np.abs(self.spectrum)))
@@ -403,6 +389,20 @@ class ReducedChain:
             if not np.isfinite(bound):
                 raise NumericalFailureError("I - A is singular to working precision")
         return inv
+
+    def _on_shifted(self, func):
+        """func(I - A), with I - A formed in A's own memory, so it takes no
+        m x m array of its own.  A is put back however func ends: off the
+        diagonal 0 - (0 - a) = a bit for bit (but a -0.0, which comes back
+        +0.0), and the diagonal comes from a copy.
+        """
+        A = self.A
+        diagonal = A.diagonal().copy()
+        try:
+            return func(_shift_minus(A, out=A))
+        finally:
+            np.subtract(0.0, A, out=A)
+            np.fill_diagonal(A, diagonal)
 
     @cached_property
     def cinv(self) -> np.ndarray:
@@ -428,31 +428,12 @@ class ReducedChain:
     @cached_property
     def T(self) -> np.ndarray:
         """The symmetric positive definite factored operator."""
-        # cinv and the result are allocated before the two temporaries, so
-        # the inverse's workspace does not stack on B and the temporaries
-        # leave one free block behind
+        # cinv reads A, so it is built before I - A takes A's memory; it and
+        # the result are allocated before the temporary, which then leaves a
+        # free block behind
         cinv = self.cinv
         T = np.empty_like(cinv)
-        B = _shift_minus(self.A)
-        return np.matmul(B @ cinv, B.T, out=T)
-
-    @cached_property
-    def variance_form(self) -> np.ndarray:
-        """((I - A)^{-1} + (I - A)^{-T}) / 2, so sigma^2(P, f) = y^T F y.
-
-        I - A is formed in A's own memory, so inverting it takes no m x m
-        temporary, and an array read from chain.A before then holds I - A
-        after; a failed gate turns it back into A for the spectrum.  The
-        chain drops that memory before the form is built.
-        """
-        A = self.A
-        diagonal = A.diagonal().copy()
-        inv = self._gated_inverse(_shift_minus(A, out=A), diagonal)
-        del A
-        self.forget("A")
-        form = inv + inv.T
-        form *= 0.5
-        return form
+        return self._on_shifted(lambda B: np.matmul(B @ cinv, B.T, out=T))
 
     @cached_property
     def spectrum(self) -> np.ndarray:

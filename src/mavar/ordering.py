@@ -162,9 +162,9 @@ def order_pairs(P1, P2, pi=None) -> dict:
     Peskun, Fill-Kahn and the Dirichlet matrix G are built first.  Then each
     chain builds A and drops its kernel, so the second A is built in the
     first kernel's place when the caller keeps no other name on it.  The
-    domination test inverts each I - A in A's memory and takes the
-    difference of the forms in the first one; its eigh runs beside G alone,
-    and the Dirichlet eigh runs last.
+    domination test drops each chain's A and inverse as it builds its form
+    and takes the difference of the forms in the first one; its eigh runs
+    beside G alone, and the Dirichlet eigh runs last.
     """
     M1, M2, w = _shared_stationary(P1, P2, pi)
     c1 = P1 if isinstance(P1, ReducedChain) else ReducedChain(M1, w)
@@ -200,9 +200,10 @@ def fk_order(P, Q, pi=None) -> OrderReport:
 
 
 def _variance_form(chain):
-    """(F, e): chain.variance_form F = (X + X^T)/2, X the inverse of B = I - A,
-    taken out of the chain, and e = 2 gamma_m ||X||_1^2, how far rounding may
-    move an eigenvalue of F.
+    """(F, e): the variance form F = (X + X^T)/2, X = chain.inv the inverse of
+    B = I - A, so sigma^2(P, f) = y^T F y, and e = 2 gamma_m ||X||_1^2, how far
+    rounding may move an eigenvalue of F.  The chain forgets every factor
+    before F is built.
 
     An inverse from an LU factorization has a forward error of about
     gamma_m kappa(B) ||X|| = gamma_m ||B|| ||X||^2 (Higham 2002, sec. 14.1),
@@ -213,7 +214,9 @@ def _variance_form(chain):
     reversible chain (X symmetric) and within sqrt(m) for any other.  To
     first order in u, as the records of mavar.checks.
     """
-    form = chain.variance_form
-    for name in chain._FACTORS:  # with the form, any factor the chain held before
+    X = chain.inv
+    for name in chain._FACTORS:
         chain.forget(name)
+    form = X + X.T
+    form *= 0.5
     return form, float(2.0 * _gamma(chain.m) * chain._inv_norm1 ** 2)

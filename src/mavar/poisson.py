@@ -71,9 +71,10 @@ def solve_dual_pair(P, pi, f) -> PoissonSolution:
     fv = _as_vector(f)
     _check_centered(fv, chain.pi)
     fy = chain.frame.reduce(fv)
-    y = chain.inv @ fy
-    y_star = fy @ chain.inv
+    X = chain.inv
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        y = X @ fy
+        y_star = fy @ X
         sigma2 = float(fy @ y)
         ff = float(fy @ fy)
         avar = 2.0 * sigma2 - ff

@@ -408,10 +408,10 @@ def test_probe_memory_does_not_grow_with_trials():
 
 
 @pytest.mark.parametrize("reversible", [True, False])
-def test_the_battery_holds_at_most_five_arrays(reversible):
-    # the factored operator's two temporaries on A, (I - S)^-1 and T set the
-    # peak: (I - A)^-1 is gone by then.  The battery takes the chain apart,
-    # so it holds no array after.
+def test_the_battery_holds_at_most_four_arrays(reversible):
+    # A, (I - S)^-1, T and the factored operator's one temporary set the peak:
+    # I - A takes A's own memory, and (I - A)^-1 is gone by then.  The battery
+    # takes the chain apart, so it holds no array after.
     # The rest is vectors and probe blocks of n x 64, at most 0.35 of an
     # array at n = 200.  LAPACK's workspaces are malloc'd where tracemalloc
     # does not see them.
@@ -434,4 +434,4 @@ def test_the_battery_holds_at_most_five_arrays(reversible):
     finally:
         tracemalloc.stop()
     array = 8 * n * n
-    assert peak < 5.35 * array and held < 0.35 * array, (peak / array, held / array)
+    assert peak < 4.35 * array and held < 0.35 * array, (peak / array, held / array)

@@ -416,10 +416,11 @@ def test_perturb_flag_validation(runner, fixture_dir):
     assert runner.invoke(main, [
         "perturb", kernel, "--gamma", gamma, "--alpha", "1.5",
     ]).exit_code == 2
-    assert runner.invoke(main, [
-        "perturb", str(fixture_dir / "tridiag-drift" / "K.json"),
-        "--lambda", drift, "--alpha", "0.5",
-    ]).exit_code == 2
+    for alpha in ("0.5", "1", "1.0"):
+        assert runner.invoke(main, [
+            "perturb", str(fixture_dir / "tridiag-drift" / "K.json"),
+            "--lambda", drift, "--alpha", alpha,
+        ]).exit_code == 2, alpha
 
 
 def test_perturb_tol_tightens_but_never_loosens_the_check(runner, tmp_path):
@@ -786,6 +787,31 @@ def test_analyze_overflow_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["analyze", kernel, obs])
     assert result.exit_code == 2
     assert "overflows float64" in result.output
+
+
+def overflowing_solution_files(tmp_path):
+    """The rev 1e-6 chain with f = +-1e306 by block: phi itself overflows."""
+    rows, f = reversible_two_blocks(1e-6)
+    return (write_json(tmp_path / "K.json", {"rows": rows.tolist()}),
+            write_json(tmp_path / "f.json", (1e306 * f).tolist()))
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_an_overflowing_solution_prints_only_the_note_and_the_error(runner, tmp_path, command):
+    result = runner.invoke(main, [command, "--center", *overflowing_solution_files(tmp_path)])
+    assert result.exit_code == 2
+    note, error = result.stderr.splitlines()
+    assert note.startswith("note: centering observable (pi-mean was ")
+    assert error.startswith("error: variance overflows float64 (sigma^2 = inf")
+
+
+def test_simulate_drops_an_overflowing_analytic_value_without_a_warning(runner, tmp_path):
+    # 100 steps stay in the first block, so the estimate is 0 and finite
+    result = runner.invoke(main, ["simulate", "--json", "--n", "100",
+                                  *overflowing_solution_files(tmp_path)])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    assert "analytic_avar" not in json.loads(result.stdout)
 
 
 def nonreversible_files(tmp_path, n, seed):

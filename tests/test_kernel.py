@@ -5,6 +5,7 @@ import pytest
 from mavar import (
     KernelError,
     MeanZeroFrame,
+    NumericalFailureError,
     ObservableError,
     ReducibleError,
     ReducedChain,
@@ -537,6 +538,32 @@ def test_factors_keep_the_bits_of_their_defining_expressions(rng, reversible):
         got_vals, got_vecs = chain._symmetric_eigh()
         assert same_bits(got_vals, vals)
         assert same_bits(got_vecs, vecs)
+
+
+@pytest.mark.parametrize("reversible", [True, False])
+def test_the_inverses_give_back_the_operator_they_shift(rng, monkeypatch, reversible):
+    # inv and T form I - A in A's own memory and put A back bit for bit, also
+    # when the inverse raises
+    if reversible:
+        kernel, pi = random_reversible_kernel(12, rng)
+    else:
+        kernel = random_irreducible_kernel(12, rng)
+        pi = stationary_distribution(kernel)
+    chain = ReducedChain(kernel, pi)
+    bits = chain.A.tobytes()
+    for name in ("inv", "T"):
+        getattr(chain, name)
+        assert chain.A.tobytes() == bits, name
+
+    def singular(B):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    chain.forget("inv")
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NumericalFailureError):
+        chain.inv
+    assert chain.A.tobytes() == bits
+    assert same_bits(chain.spectrum, ReducedChain(kernel, pi).spectrum)
 
 
 @pytest.mark.parametrize("n", [2, 40, 200])

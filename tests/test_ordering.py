@@ -216,25 +216,37 @@ def decoupled_chain(reversible):
 
 @pytest.mark.parametrize("reversible", [True, False])
 def test_a_form_whose_gate_fails_rebuilds_the_operator_it_overwrote(reversible):
-    # the variance form inverts I - A in A's memory; a failed gate turns it back
-    # into A bit for bit, so the error reports the spectrum chain.inv's gate reads
+    # chain.inv inverts I - A in A's memory and turns it back into A bit for
+    # bit, so a failed gate reports the spectrum of A, as a fresh chain reads it
     kernel, pi = decoupled_chain(reversible)
     assert is_reversible(kernel, pi) is reversible
-    reference = ReducedChain(kernel, pi)
-    A = reference.A.copy()
-    with pytest.raises(DegenerateKernelError) as want:
-        reference.inv
+    spectrum = ReducedChain(kernel, pi).spectrum
+    radius = float(np.max(np.abs(spectrum)))
+    separation = float(np.min(np.abs(1.0 - spectrum)))
     chain = ReducedChain(kernel, pi)
+    A = chain.A.copy()
     with pytest.raises(DegenerateKernelError) as got:
-        chain.variance_form
+        chain.inv
     assert np.array_equal(chain.A, A) and np.array_equal(np.signbit(chain.A), np.signbit(A))
-    assert str(got.value) == str(want.value)
-    assert (got.value.radius, got.value.separation) == (want.value.radius,
-                                                        want.value.separation)
+    assert str(got.value) == (f"Poisson operator singular: spectrum reaches 1 "
+                              f"(radius {radius}, separation {separation})")
+    assert (got.value.radius, got.value.separation) == (radius, separation)
     # compare's order drops each kernel before the inverse, and still reports it
     with pytest.raises(DegenerateKernelError) as pair:
         order_pairs(kernel, kernel.copy(), pi)
-    assert str(pair.value) == str(want.value)
+    assert str(pair.value) == str(got.value)
+
+
+def test_an_array_read_from_a_before_the_orders_keeps_its_bits(rng):
+    # order_pairs takes the chain apart, but the A it built is given back
+    # whole before the chain lets go of it
+    kernel, pi = random_reversible_kernel(8, rng)
+    better = apply_drift(kernel, pi, random_drift(kernel, pi, rng))
+    chain = ReducedChain(kernel, pi)
+    A = chain.A
+    bits = A.tobytes()
+    order_pairs(chain, better, pi)
+    assert A.tobytes() == bits
 
 
 def test_order_pairs_takes_the_kernels_it_is_handed():
@@ -357,7 +369,8 @@ def reverse_reports_match(case):
     assert abs(reverse.margin - swapped.margin) <= 1e-12 * max(1.0, abs(swapped.margin))
     if not swapped.holds:
         frame = MeanZeroFrame.from_pi(pi)
-        D = ReducedChain(P2, pi).variance_form - ReducedChain(P1, pi).variance_form
+        X1, X2 = ReducedChain(P1, pi).inv, ReducedChain(P2, pi).inv
+        D = (X2 + X2.T) / 2 - (X1 + X1.T) / 2
         y = frame.reduce(reverse.witness)
         assert eigen_witness_agrees(y, frame.reduce(swapped.witness), D, swapped.margin)
 

@@ -15,6 +15,7 @@ from mavar import (
     adjoint,
     avar_spectral,
     avar_via_factored_operator,
+    centered,
     checks,
     is_reversible,
     pi_inner,
@@ -30,6 +31,7 @@ from generators import (
     random_centered_observable,
     random_irreducible_kernel,
     random_reversible_kernel,
+    reversible_two_blocks,
 )
 
 
@@ -235,6 +237,15 @@ def test_overflowing_variance_is_a_numerical_failure():
         solve_dual_pair(kernel, pi, np.array([1e308, -1e308]))
 
 
+def test_an_overflowing_solution_is_a_numerical_failure_not_a_warning():
+    # on the rev 1e-6 chain phi itself overflows, not only sigma^2
+    rows, f = reversible_two_blocks(1e-6)
+    kernel = validate_kernel(rows)
+    pi = stationary_distribution(kernel)
+    with pytest.raises(NumericalFailureError, match="overflows float64"):
+        solve_dual_pair(kernel, pi, centered(1e306 * f, pi))
+
+
 @pytest.mark.parametrize("rows, f", [
     ([[0.0, 1.0], [1.0, 0.0]], [1.0, -1.0]),
     (np.roll(np.eye(6), 1, axis=1) / 2 + np.roll(np.eye(6), -1, axis=1) / 2,
@@ -351,7 +362,7 @@ def test_quadratic_form_reproduces_sigma2(rng):
         chain = ReducedChain(kernel, pi)
         # the reduced variance form lifted back to state space
         half = np.sqrt(pi)[:, None] * chain.frame._expand(np.eye(n - 1))
-        form = half @ chain.variance_form @ half.T
+        form = half @ ((chain.inv + chain.inv.T) / 2) @ half.T
         npt.assert_allclose(form, form.T, atol=1e-12)
         # constants are annihilated
         npt.assert_allclose(form @ np.ones(n), 0.0, atol=1e-10)
@@ -363,6 +374,7 @@ def test_quadratic_form_reproduces_sigma2(rng):
 def test_variance_form_reduced_symmetric(rng):
     kernel = random_irreducible_kernel(7, rng)
     pi = stationary_distribution(kernel)
-    m = ReducedChain(kernel, pi).variance_form
+    X = ReducedChain(kernel, pi).inv
+    m = (X + X.T) / 2
     npt.assert_allclose(m, m.T, atol=1e-12)
     assert m.shape == (6, 6)
