@@ -13,12 +13,11 @@ of the chain's factors (tests/test_battery_mutants.py).  The battery solves
 the dual pair once and takes its chain apart, as ReducedChain states: the
 inverse of I - A goes after the dual pair, and the kernel once its
 full-space records are read, before the spectral eigh and the inverse of
-I - S.  The random
-directions are dotted with the two Poisson drives, projected once, and
-are drawn PROBE_BLOCK at a time, so their memory does not grow with the
-number of trials.  Their normals come from the standard library's
-random.Random(seed) by Box-Muller, so verify never imports numpy's random
-subpackage (and with it secrets and _hashlib).
+I - S.  The TRIALS random
+directions are dotted with the two Poisson drives, projected once.  Their
+normals come from the standard library's random.Random(seed) by
+Box-Muller, so verify never imports numpy's random subpackage (and with
+it secrets and _hashlib).
 A failed check is a failed record, never an exception.
 """
 
@@ -39,7 +38,10 @@ from .variational import (
     project_to_constraint,
 )
 
-PROBE_BLOCK = 64
+# the random directions of the orthogonality record
+TRIALS = 20
+# rows of A per block of _asymmetry_bound's largest row sum
+ASYMMETRY_BLOCK = 64
 
 
 def _record(name, residual, bound):
@@ -144,8 +146,8 @@ def _asymmetry_bound(chain, f, sol, x_norm):
     """
     A = chain.A
     # ||E||_1 = ||E||_inf, the largest row sum of |E|, a block of rows at a time
-    asymmetry = max((np.abs(A[i:i + PROBE_BLOCK] - A[:, i:i + PROBE_BLOCK].T)
-                     .sum(axis=1).max() for i in range(0, chain.m, PROBE_BLOCK)),
+    asymmetry = max((np.abs(A[i:i + ASYMMETRY_BLOCK] - A[:, i:i + ASYMMETRY_BLOCK].T)
+                     .sum(axis=1).max() for i in range(0, chain.m, ASYMMETRY_BLOCK)),
                     default=0.0)
     y, y_star, b = (np.linalg.norm(chain.frame.reduce(x))
                     for x in (sol.phi, sol.phi_star, f))
@@ -167,11 +169,11 @@ def _standard_normals(rng, k, n):
     return np.sqrt(-2.0 * np.log(1.0 - u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
-def battery(chain, f, seed: int = 0, trials: int = 20):
+def battery(chain, f, seed: int = 0):
     """(records, sigma^2): the verify battery for a ReducedChain and centered f.
 
     Each record is {"name", "residual", "bound", "passed"}.  The
-    orthogonality record draws trials random directions from
+    orthogonality record draws TRIALS random directions from
     random.Random(seed) (see _standard_normals).  The battery takes chain
     apart (see ReducedChain).
 
@@ -184,8 +186,6 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     T go once the last record is read, with any factor the chain held
     before.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     seed = operator.index(seed)  # random.Random takes no numpy integer
     if seed < 0:  # random.Random would seed with its absolute value
         raise ValueError(f"seed must be at least 0, got {seed}")
@@ -228,13 +228,8 @@ def battery(chain, f, seed: int = 0, trials: int = 20):
     # Pi g has <(I - P) phi, Pi g>_pi = <Pi (I - P) phi, g>_pi and
     # <(I - P) Pi g, phi*>_pi = <Pi (I - P*) phi*, g>_pi
     weighted = np.column_stack([w * project_to_constraint(d, f, w) for d in drives])
-    rng = random.Random(seed)
-    # each block is a temporary, freed before the next is drawn
-    worst_orth = max(
-        np.max(np.abs(_standard_normals(rng, min(PROBE_BLOCK, trials - start), w.shape[0])
-                      @ weighted))
-        for start in range(0, trials, PROBE_BLOCK))
-    record("orthogonality of phi against pi(f .) = 0", worst_orth,
+    probes = _standard_normals(random.Random(seed), TRIALS, w.shape[0])
+    record("orthogonality of phi against pi(f .) = 0", np.max(np.abs(probes @ weighted)),
            max(route_bound(phi), route_bound(star)))
     if minimum is not None:
         record("reversible minimum", abs(minimum - value), route_bound(value))

@@ -17,18 +17,16 @@ unsolvable), 5 route or identity disagreement, 6 stationary-distribution
 mismatch, 7 unexplained fixture deviation.  A library error that escapes a
 command gets its code from one table keyed by error class, EXIT_CODES,
 applied once by the command group, so every command maps an error the same
-way (a degenerate pair exits 4 from compare as from analyze).  The
-MAVAR_TOL environment variable overrides the default validation tolerance,
-which reaches only what a command validates and reproduce-examples'
-pass/fail threshold; an explicit --tol flag wins over both, and either must
-be positive and finite.
+way (a degenerate pair exits 4 from compare as from analyze).  --tol
+overrides the default validation tolerance, which reaches only what a
+command validates and reproduce-examples' pass/fail threshold; it must be
+positive and finite.
 """
 
 import atexit
 import gc
 import json
 import math
-import os
 import sys
 
 import click
@@ -121,13 +119,7 @@ def _fail(code: int, message: str):
 
 def _resolve_tol(tol):
     if tol is None:
-        env = os.environ.get("MAVAR_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            tol = float(env)
-        except ValueError:
-            _fail(EXIT_PARSE, f"MAVAR_TOL = {env!r} is not a number")
+        return DEFAULT_TOL
     if not 0.0 < tol < np.inf:  # written so that NaN fails too
         _fail(EXIT_PARSE, f"tolerance must be positive and finite, got {tol}")
     return tol
@@ -353,16 +345,14 @@ def perturb(kernel_file, gamma_path, lam_path, alpha, tol, as_json):
 @click.option("--center", is_flag=True, help="subtract the pi-mean first")
 @click.option("--seed", type=click.IntRange(min=0), default=0,
               help="seed of random.Random for the random test functions")
-@click.option("--trials", type=click.IntRange(min=1), default=20,
-              help="random directions for the orthogonality record")
 @click.option("--tol", type=float, default=None, help="validation tolerance")
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def verify(kernel_file, observable_file, center, seed, trials, tol, as_json):
+def verify(kernel_file, observable_file, center, seed, tol, as_json):
     """Run the variational identity battery for one kernel and observable."""
     tol = _resolve_tol(tol)
     f, _, chain = _load_analysis(kernel_file, observable_file, tol, center)
     # the battery frees the chain's kernel and factors after their last reader
-    records, sigma2 = checks.battery(chain, f, seed, trials)
+    records, sigma2 = checks.battery(chain, f, seed)
     all_pass = all(c["passed"] for c in records)
     if as_json:
         _echo_json({"checks": records, "all_pass": all_pass, "sigma2": sigma2,
@@ -404,7 +394,9 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
         "batch_len": estimate.batch_len,
         "seed": seed,
     }
-    if is_irreducible(kernel):
+    if not is_irreducible(kernel):
+        report["analytic_note"] = "kernel is reducible"
+    else:
         try:
             pi = _resolve_pi(kernel, embedded)
             sol = poisson.solve_dual_pair(kernel, pi, centered(f, pi))
@@ -412,8 +404,9 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
             if estimate.std_error > 0:
                 report["deviation_sigmas"] = (
                     abs(estimate.value - sol.avar) / estimate.std_error)
-        except (DegenerateKernelError, NumericalFailureError):
-            pass  # no analytic value: a degenerate chain, or one float64 cannot hold
+        except (DegenerateKernelError, NumericalFailureError) as exc:
+            # a degenerate chain, or a variance float64 cannot hold
+            report["analytic_note"] = str(exc)
     if as_json:
         _echo_json(report)
     else:
@@ -423,6 +416,8 @@ def simulate(kernel_file, observable_file, n_steps, seed, batch_len, initial,
         click.echo(f"seed: {seed}")
         if "analytic_avar" in report:
             click.echo(f"analytic avar: {_fmt(report['analytic_avar'])}")
+        else:
+            click.echo(f"analytic avar: not computed ({report['analytic_note']})")
         if "deviation_sigmas" in report:
             click.echo(f"deviation: {_fmt(report['deviation_sigmas'])} std errors")
 

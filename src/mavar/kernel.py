@@ -174,7 +174,7 @@ def stationary_distribution(P) -> np.ndarray:
     """
     M = _as_matrix(P)
     if not is_irreducible(M):
-        raise ReducibleError("kernel is not irreducible")
+        raise ReducibleError("kernel is reducible")
     n = M.shape[0]
     # replace one balance equation with the normalization constraint
     A = M.T.copy()
@@ -460,6 +460,15 @@ class ReducedChain:
     def reversible(self) -> bool:
         """is_reversible(rows, pi), computed once."""
         return is_reversible(self.rows, self.pi)
+
+    def __getattr__(self, name):
+        # reached only when the usual lookup fails, as for rows once dropped
+        if name == "rows":
+            raise KernelError(
+                "the chain's kernel was dropped (checks.battery and ordering.order_pairs "
+                "take their chains apart); hand over ReducedChain(chain.rows, chain.pi) "
+                "to keep a copy")
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def forget(self, name):
         """Drop the named factor if the chain holds it; a later use rebuilds it

@@ -5,11 +5,12 @@
 OLD_SRC and NEW_SRC are the `src` directories of two checkouts.  The script
 writes seeded inputs to a temporary directory: chains from
 tests/generators.py, the test chains of ROADMAP.md ("rev eps", "nonrev eps",
-the "rev 1e-6" chain with an observable of +-1e306 by block) and the
-fixtures of `reproduce-examples --dump-fixtures`.  It runs every job once
-against each tree, in a fresh interpreter with OPENBLAS_NUM_THREADS=1, and
-prints each job whose exit code, stdout or stderr differs (a tree's own
-path in a message is read as SRC).  Exits 1 if any job differs, else 0.
+the "rev 1e-6" chain with an observable of +-1e306 by block), a reducible
+kernel, two blocks coupled at 1e-13 and the fixtures of
+`reproduce-examples --dump-fixtures`.  It runs every job once against each
+tree, in a fresh interpreter with OPENBLAS_NUM_THREADS=1, and prints each
+job whose exit code, stdout or stderr differs (a tree's own path in a
+message is read as SRC).  Exits 1 if any job differs, else 0.
 
 Pytest does not collect this file; it is a tool for reviewing a change
 that should keep every output, and lists the jobs a change does move.
@@ -94,8 +95,19 @@ def build_jobs(work, src):
     kernel = write(work, "rev-huge.json", {"rows": rows.tolist()})
     huge = write(work, "rev-huge-f.json", (1e306 * f).tolist())
     jobs += [["analyze", "--center", kernel, huge],
-             ["verify", "--center", kernel, huge],
-             ["simulate", "--n", "100", kernel, huge]]
+             ["verify", "--center", kernel, huge]]
+    jobs += both_formats("simulate", "--n", "100", kernel, huge)
+    # no analytic value for simulate: a reducible kernel and a degenerate one
+    reducible = write(work, "identity.json", {"rows": [[1.0, 0.0], [0.0, 1.0]]})
+    pair = write(work, "identity-f.json", [1.0, -1.0])
+    on, off = 0.5 - 0.5e-13, 0.5e-13
+    coupled = write(work, "coupled-1e-13.json", {"rows": [
+        [on, on, off, off], [on, on, off, off], [off, off, on, on], [off, off, on, on]]})
+    alternating = write(work, "coupled-1e-13-f.json", [1.0, -1.0, 1.0, -1.0])
+    jobs += both_formats("simulate", "--n", "100", reducible, pair)
+    jobs += both_formats("simulate", "--n", "100", coupled, alternating)
+    zero = write(work, "zero-drift.json", {"kind": "drift", "matrix": [[0.0, 0.0]] * 2})
+    jobs += [["compare", reducible, reducible], ["perturb", reducible, "--lambda", zero]]
     signed = write(work, "signed-zeros.json",
                    {"rows": [[0.5, 0.5, -0.0], [0.25, 0.5, 0.25], [-0.0, 0.5, 0.5]]})
     other = write(work, "signed-zeros-Q.json",

@@ -32,12 +32,24 @@ PUBLIC_MODULES = [
 ]
 
 
-# the public functions with a tol parameter, all reached by the CLI's --tol/MAVAR_TOL;
+# the public functions with a tol parameter, all reached by the CLI's --tol;
 # every other threshold is a constant of its module
 TOL_KNOBS = [
     "catalog.run_all", "files.read_kernel", "validate_drift", "validate_kernel",
     "validate_vorticity",
 ]
+
+# each command's parameters, arguments and options, in the order click lists them
+CLI_OPTIONS = {
+    "validate": ["kernel_file", "tol", "as_json"],
+    "analyze": ["kernel_file", "observable_file", "center", "tol", "as_json"],
+    "compare": ["kernel_file_1", "kernel_file_2", "tol", "as_json"],
+    "perturb": ["kernel_file", "gamma_path", "lam_path", "alpha", "tol", "as_json"],
+    "verify": ["kernel_file", "observable_file", "center", "seed", "tol", "as_json"],
+    "simulate": ["kernel_file", "observable_file", "n_steps", "seed", "batch_len", "initial",
+                 "tol", "as_json"],
+    "reproduce-examples": ["only", "dump_dir", "tol", "as_json"],
+}
 
 
 # the worked-example groups and the fields a catalog row sets: a row reads its
@@ -86,6 +98,13 @@ def test_tol_knobs_are_pinned():
                     and "tol" in inspect.signature(value).parameters):
                 knobs.append(prefix + name)
     assert sorted(knobs) == TOL_KNOBS
+
+
+def test_cli_options_are_pinned():
+    import mavar.cli
+
+    assert {name: [param.name for param in command.params]
+            for name, command in mavar.cli.main.commands.items()} == CLI_OPTIONS
 
 
 def test_catalog_groups_and_row_fields_are_pinned():

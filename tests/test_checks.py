@@ -10,6 +10,7 @@ import mavar.kernel
 from mavar import (
     KernelError,
     ReducedChain,
+    avar_via_factored_operator,
     checks,
     dirichlet_form,
     is_reversible,
@@ -52,7 +53,7 @@ def test_battery_passes_on_the_catalog_cases(catalog_cases):
 
 def test_battery_record_order_and_reversible_extras(six):
     pi = stationary_distribution(six["P2"])
-    records, sigma2 = checks.battery(ReducedChain(six["P2"], pi), six["f1"], trials=3)
+    records, sigma2 = checks.battery(ReducedChain(six["P2"], pi), six["f1"])
     names = [r["name"] for r in records]
     assert names[:5] == ["poisson residual (primal)", "poisson residual (dual)",
                          "factored-operator route", "factored-operator solution",
@@ -60,15 +61,15 @@ def test_battery_record_order_and_reversible_extras(six):
     assert names[-2:] == ["reversible minimum", "eta* vanishes (reversible)"]
     assert len(names) == 11
     assert sigma2 == pytest.approx(0.5, abs=1e-13)
-    records, _ = checks.battery(ReducedChain(six["P1"], pi), six["f1"], trials=3)
+    records, _ = checks.battery(ReducedChain(six["P1"], pi), six["f1"])
     rest = [r["name"] for r in records]
     assert rest == [name for name in names[:-2] if name != "spectral route"]
 
 
 def test_battery_is_deterministic_in_the_seed(three):
     pi = stationary_distribution(three["P1"])
-    first, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4, trials=5)
-    again, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4, trials=5)
+    first, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4)
+    again, _ = checks.battery(ReducedChain(three["P1"], pi), three["g1"], seed=4)
     assert first == again
 
 
@@ -77,15 +78,22 @@ def test_the_battery_takes_its_chain_apart(reversible):
     # the chain keeps its frame, pi, m, spectrum and flags: no kernel, and no
     # array of m^2 entries or more
     chain, f = seeded_chain(reversible, 12, 3)
-    checks.battery(chain, f, trials=3)
+    checks.battery(chain, f)
     assert "rows" not in vars(chain)
     assert all(np.size(value) < chain.m ** 2 for value in vars(chain).values()), vars(chain)
 
 
-def test_battery_rejects_fewer_than_one_trial(six):
-    chain = ReducedChain(six["P2"], stationary_distribution(six["P2"]))
-    with pytest.raises(ValueError, match="trials"):
-        checks.battery(chain, six["f1"], trials=0)
+@pytest.mark.parametrize("call", [
+    lambda chain, f: solve_dual_pair(chain, None, f),
+    lambda chain, f: dirichlet_form(chain, None, f, f),
+    lambda chain, f: avar_via_factored_operator(chain, None, f),
+    lambda chain, f: chain.A,
+], ids=["solve_dual_pair", "dirichlet_form", "avar_via_factored_operator", "A"])
+def test_a_taken_apart_chain_says_its_kernel_was_dropped(call):
+    chain, f = seeded_chain(False, 12, 3)
+    checks.battery(chain, f)
+    with pytest.raises(KernelError, match=r"kernel was dropped.*ReducedChain\(chain.rows"):
+        call(chain, f)
 
 
 def test_battery_takes_a_nonnegative_integer_seed(six):
@@ -95,11 +103,11 @@ def test_battery_takes_a_nonnegative_integer_seed(six):
         return ReducedChain(six["P2"], pi)
 
     with pytest.raises(ValueError, match="seed"):
-        checks.battery(chain(), six["f1"], seed=-1, trials=3)
+        checks.battery(chain(), six["f1"], seed=-1)
     with pytest.raises(TypeError):
-        checks.battery(chain(), six["f1"], seed=1.5, trials=3)
-    assert (checks.battery(chain(), six["f1"], seed=np.int64(7), trials=3)
-            == checks.battery(chain(), six["f1"], seed=7, trials=3))
+        checks.battery(chain(), six["f1"], seed=1.5)
+    assert (checks.battery(chain(), six["f1"], seed=np.int64(7))
+            == checks.battery(chain(), six["f1"], seed=7))
 
 
 def test_a_corrupted_inverse_fails_the_factored_operator_records():
@@ -115,7 +123,7 @@ def test_a_corrupted_inverse_fails_the_factored_operator_records():
     # the route returns its value through T; only the records compare it
     _, values, _ = checks.routes(chain, f)
     assert values["factored-operator"] == clean["factored-operator"]
-    records = records_by_name(chain, f, trials=3)
+    records = records_by_name(chain, f)
     assert records["factored-operator route"]["passed"] is False
     assert records["factored-operator solution"]["passed"] is False
     assert records["factored-operator minimum"]["passed"] is False
@@ -131,7 +139,7 @@ def test_the_residual_records_pass_a_backward_stable_solve_of_a_near_decomposabl
     rows, f = reversible_two_blocks(1e-6)
     kernel = validate_kernel(rows)
     pi = stationary_distribution(kernel)
-    records = records_by_name(ReducedChain(kernel, pi), f - pi @ f, trials=3)
+    records = records_by_name(ReducedChain(kernel, pi), f - pi @ f)
     for name in RESIDUAL_RECORDS:
         assert records[name]["residual"] <= 8 * checks.UNIT_ROUNDOFF < records[name]["bound"]
     assert all(r["passed"] for r in records.values())
@@ -159,7 +167,7 @@ def test_the_residual_records_catch_each_corruption(corrupt):
     f = random_centered_observable(pi, rng)
     chain = ReducedChain(kernel, pi)
     corrupt(chain)
-    records = records_by_name(chain, f, trials=3)
+    records = records_by_name(chain, f)
     for name in RESIDUAL_RECORDS:
         assert records[name]["passed"] is False
         assert records[name]["residual"] >= 1e-11 > 1e3 * records[name]["bound"]
@@ -171,13 +179,13 @@ def test_the_eta_star_record_catches_an_asymmetric_inverse():
     rng = np.random.default_rng(4)
     kernel, pi = random_reversible_kernel(8, rng)
     f = random_centered_observable(pi, rng)
-    assert records_by_name(ReducedChain(kernel, pi), f, trials=3)[
+    assert records_by_name(ReducedChain(kernel, pi), f)[
         "eta* vanishes (reversible)"]["passed"]
     chain = ReducedChain(kernel, pi)
     bad = chain.inv.copy()
     bad[0, 1] *= 1.0 + 1e-12
     chain.inv = bad
-    record = records_by_name(chain, f, trials=3)["eta* vanishes (reversible)"]
+    record = records_by_name(chain, f)["eta* vanishes (reversible)"]
     assert record["passed"] is False
     assert record["residual"] > 2.0 * record["bound"]
 
@@ -205,9 +213,9 @@ def test_scaling_f_by_a_power_of_two_scales_every_record_alike(reversible, n, se
     # sigma^2(P, c f) = c^2 sigma^2(P, f), and c = 2^k scales every computation
     # exactly, so each record's residual and bound scale by one power of two
     chain, f = seeded_chain(reversible, n, seed)
-    base, sigma2 = checks.battery(chain, f, trials=3)
+    base, sigma2 = checks.battery(chain, f)
     chain, _ = seeded_chain(reversible, n, seed)
-    scaled, scaled_sigma2 = checks.battery(chain, np.ldexp(f, k), trials=3)
+    scaled, scaled_sigma2 = checks.battery(chain, np.ldexp(f, k))
     assert scaled_sigma2 == np.ldexp(sigma2, 2 * k)
     assert [(r["name"], r["passed"]) for r in scaled] == [(r["name"], r["passed"]) for r in base]
     for r, r0 in zip(scaled, base):
@@ -222,7 +230,7 @@ def test_a_wrong_factored_route_fails_its_record_at_any_scale(monkeypatch):
         2.0 * solve_dual_pair(chain, pi, f).sigma2, factored(chain, pi, f)[1]))
     for k in (-500, 0, 500):
         chain, f = seeded_chain(True, 12, 7)
-        record = records_by_name(chain, np.ldexp(f, k), trials=3)["factored-operator route"]
+        record = records_by_name(chain, np.ldexp(f, k))["factored-operator route"]
         assert record["passed"] is False, k
 
 
@@ -230,7 +238,7 @@ def test_a_shifted_operator_fails_the_orthogonality_record_at_a_huge_scale():
     # at f 1e150 a bound that grew as sigma^2 max|f| overflowed to inf
     chain, f = seeded_chain(True, 12, 7)
     chain.A = chain.A + 1e-6 * np.eye(chain.m)
-    record = records_by_name(chain, 1e150 * f, trials=3)[
+    record = records_by_name(chain, 1e150 * f)[
         "orthogonality of phi against pi(f .) = 0"]
     assert record["passed"] is False and math.isfinite(record["bound"])
 
@@ -254,7 +262,7 @@ def test_the_spectral_route_solves_a_chain_the_gate_passes():
     assert chain.reversible
     assert math.isfinite(values["dual-pair"]) and values["dual-pair"] == sol.sigma2
     assert abs(values["spectral"] - sol.sigma2) <= ROUTE_TOL * sol.sigma2
-    records = records_by_name(chain, f, trials=3)
+    records = records_by_name(chain, f)
     assert records["spectral route"]["passed"] is True
 
 
@@ -279,7 +287,7 @@ def test_a_nearly_reversible_chain_skips_the_spectral_route():
     _, values, _ = checks.routes(chain, f)
     assert not chain.reversible
     assert list(values) == ["dual-pair", "factored-operator"]
-    records, _ = checks.battery(chain, f, trials=3)
+    records, _ = checks.battery(chain, f)
     assert all(r["passed"] for r in records)
 
 
@@ -308,7 +316,7 @@ def test_a_reversible_battery_tests_detailed_balance_once(six, monkeypatch):
     monkeypatch.setattr(mavar.kernel, "is_reversible", counted)
     pi = stationary_distribution(six["P2"])
     chain = ReducedChain(six["P2"], pi)
-    records, _ = checks.battery(chain, six["f1"], trials=3)
+    records, _ = checks.battery(chain, six["f1"])
     assert "reversible minimum" in [r["name"] for r in records]
     assert len(passes) == 1 and chain.reversible is True
     # another pi is tested, not answered from the cache
@@ -330,7 +338,7 @@ def reference_normals(rng, n):
     return np.sqrt(-2.0 * np.log(1.0 - u[:n])) * np.cos(2.0 * np.pi * u[n:])
 
 
-def per_probe_orthogonality(chain, f, seed, trials):
+def per_probe_orthogonality(chain, f, seed):
     """battery's orthogonality residual, one probe and one call at a time, and
     the normals it drew, one row per probe."""
     sol = solve_dual_pair(chain, None, f)
@@ -338,7 +346,7 @@ def per_probe_orthogonality(chain, f, seed, trials):
     rng = random.Random(seed)
     draws = []
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(checks.TRIALS):
         draws.append(reference_normals(rng, w.shape[0]))
         g = project_to_constraint(draws[-1], f, w, 0.0)
         worst = max(worst, abs(dirichlet_form(chain, None, sol.phi, g)),
@@ -356,11 +364,10 @@ def seeded_cases():
     yield kernel, pi, random_centered_observable(pi, rng)
 
 
-@pytest.mark.parametrize("trials", [1, 20, 65])
-def test_blocked_probes_match_a_per_probe_loop(catalog_cases, trials, monkeypatch):
-    # 65 probes cross a block boundary; the blocks draw the loop's normals in its order
+def test_blocked_probes_match_a_per_probe_loop(catalog_cases, monkeypatch):
+    # the one block of probes draws the loop's normals in its order
     cases = list(catalog_cases) + list(seeded_cases())
-    expected = [per_probe_orthogonality(ReducedChain(kernel, pi), f, 5, trials)
+    expected = [per_probe_orthogonality(ReducedChain(kernel, pi), f, 5)
                 for kernel, pi, f in cases]
     blocks = []
     standard_normals = checks._standard_normals
@@ -372,11 +379,11 @@ def test_blocked_probes_match_a_per_probe_loop(catalog_cases, trials, monkeypatc
     monkeypatch.setattr(checks, "_standard_normals", recording_normals)
     for (kernel, pi, f), (reference, draws) in zip(cases, expected):
         blocks.clear()
-        got = records_by_name(ReducedChain(kernel, pi), f, seed=5, trials=trials)[
+        got = records_by_name(ReducedChain(kernel, pi), f, seed=5)[
             ORTHOGONALITY]["residual"]
         assert abs(got - reference) <= 1e-12 * max(1.0, reference), (got, reference)
-        assert all(b.shape[0] <= 64 for b in blocks)
-        np.testing.assert_array_equal(np.concatenate(blocks), draws)
+        assert len(blocks) == 1
+        np.testing.assert_array_equal(blocks[0], draws)
 
 
 def test_the_probe_normals_are_standard():
@@ -388,31 +395,12 @@ def test_the_probe_normals_are_standard():
     assert np.all(np.isfinite(z))
 
 
-def test_probe_memory_does_not_grow_with_trials():
-    rng = np.random.default_rng(2)
-    n = 30
-    kernel = random_irreducible_kernel(n, rng)
-    pi = stationary_distribution(kernel)
-    f = random_centered_observable(pi, rng)
-    peaks = []
-    for trials in (64, 10**5):
-        chain = ReducedChain(kernel, pi)
-        tracemalloc.start()
-        try:
-            checks.battery(chain, f, trials=trials)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    # probes run 64 at a time; drawing all at once would hold trials * n doubles (24 MB)
-    assert peaks[1] <= peaks[0] + 64 * n * 8
-
-
 @pytest.mark.parametrize("reversible", [True, False])
 def test_the_battery_holds_at_most_four_arrays(reversible):
     # A, (I - S)^-1, T and the factored operator's one temporary set the peak:
     # I - A takes A's own memory, and (I - A)^-1 is gone by then.  The battery
     # takes the chain apart, so it holds no array after.
-    # The rest is vectors and probe blocks of n x 64, at most 0.35 of an
+    # The rest is vectors and the TRIALS x n probes, at most 0.35 of an
     # array at n = 200.  LAPACK's workspaces are malloc'd where tracemalloc
     # does not see them.
     n = 200

@@ -193,32 +193,24 @@ def test_analyze_wrong_length_observable(runner, fixture_dir, tmp_path):
     assert result.exit_code == 2
 
 
-def test_mavar_tol_env_override(runner, fixture_dir, tmp_path):
-    # mean is 1e-5: rejected at the default tolerance, accepted at 1e-3
+def test_tol_flag_override(runner, fixture_dir, tmp_path):
+    # mean is 1e-5: rejected at the default tolerance, accepted at --tol 1e-3
     values = [1.0 + 6e-5, 0.0, 1.0, 0.0, 0.0, -2.0]
     obs = write_json(tmp_path / "f.json", values)
     kernel = str(fixture_dir / "six-cycle" / "P2.json")
     result = runner.invoke(main, ["analyze", kernel, obs])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["analyze", kernel, obs],
-                           env={"MAVAR_TOL": "1e-3"})
+    result = runner.invoke(main, ["analyze", kernel, obs, "--tol", "1e-3"])
     assert result.exit_code == 0
-    result = runner.invoke(main, ["analyze", kernel, obs],
-                           env={"MAVAR_TOL": "banana"})
+    result = runner.invoke(main, ["analyze", kernel, obs, "--tol", "banana"])
     assert result.exit_code == 2
 
 
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-@pytest.mark.parametrize("source", ["flag", "env"])
-def test_nonpositive_or_non_finite_tolerance_exits_2(runner, tmp_path, source, value):
+def test_nonpositive_or_non_finite_tolerance_exits_2(runner, tmp_path, value):
     kernel = write_json(tmp_path / "flip.json", {"rows": [[0, 1], [1, 0]]})
     obs = write_json(tmp_path / "f.json", [1.0, -1.0])
-    args, env = ["analyze", kernel, obs], {}
-    if source == "flag":
-        args += ["--tol", value]
-    else:
-        env["MAVAR_TOL"] = value
-    result = runner.invoke(main, args, env=env)
+    result = runner.invoke(main, ["analyze", kernel, obs, "--tol", value])
     assert result.exit_code == 2
     assert "tolerance must be positive and finite" in result.output
     assert "below -tol" not in result.output
@@ -331,7 +323,7 @@ def two_block_rows(coupling):
 @pytest.mark.parametrize("kernels, code, message", [
     # KernelError from the orders: any other MavarError exits 2
     (["six-cycle/P1.json", "uniform3/K.json"], 2, "kernels have shapes"),
-    ([[[1.0, 0.0], [0.0, 1.0]]] * 2, 3, "kernel is not irreducible"),
+    ([[[1.0, 0.0], [0.0, 1.0]]] * 2, 3, "kernel is reducible"),
     # a near-decomposable pair: coupling 1e-13 between two blocks
     ([two_block_rows(1e-13)] * 2, 4, "Poisson operator singular"),
     (["uniform3/K.json", "three-state-pair/P1.json"], 6, "second kernel moves pi by"),
@@ -345,6 +337,18 @@ def test_library_errors_exit_by_class(runner, fixture_dir, tmp_path, kernels, co
     assert result.exit_code == code
     assert f"error: {message}" in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "compare", "perturb"])
+def test_every_command_words_a_reducible_kernel_alike(runner, tmp_path, command):
+    kernel = write_json(tmp_path / "K.json", {"rows": [[1.0, 0.0], [0.0, 1.0]]})
+    f = write_json(tmp_path / "f.json", [1.0, -1.0])
+    drift = write_json(tmp_path / "d.json", {"kind": "drift", "matrix": [[0.0, 0.0]] * 2})
+    rest = {"analyze": [f], "verify": [f], "compare": [kernel], "perturb": ["--lambda", drift]}
+    result = runner.invoke(main, [command, kernel, *rest[command]])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: kernel is reducible\n"
 
 
 @pytest.mark.parametrize("error, code", list(mavar.cli.EXIT_CODES.items()),
@@ -492,7 +496,7 @@ def test_verify_passes_on_fixture(runner, fixture_dir):
 
 def test_verify_json_and_seed(runner, fixture_dir):
     result = runner.invoke(main, [
-        "verify", "--json", "--seed", "3", "--trials", "5",
+        "verify", "--json", "--seed", "3",
         str(fixture_dir / "three-state-pair" / "P1.json"),
         str(fixture_dir / "three-state-pair" / "g1.json"),
     ])
@@ -548,18 +552,6 @@ def test_verify_failure_exit_code(runner, fixture_dir, monkeypatch):
     assert "FAIL" in result.output
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_verify_rejects_nonpositive_trials(runner, fixture_dir, trials):
-    result = runner.invoke(main, [
-        "verify", "--trials", trials,
-        str(fixture_dir / "six-cycle" / "P2.json"),
-        str(fixture_dir / "six-cycle" / "f1.json"),
-    ])
-    assert result.exit_code == 2
-    assert "--trials" in result.output
-    assert "PASS" not in result.output
-
-
 @pytest.mark.parametrize("seed", ["-1", "-7"])
 def test_verify_rejects_a_negative_seed(runner, fixture_dir, seed):
     result = runner.invoke(main, [
@@ -589,7 +581,8 @@ def test_simulate_reports_estimate(runner, fixture_dir):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_simulate_on_a_degenerate_chain_reports_the_estimate_alone(runner, tmp_path, as_json):
     # the stationary solve of this irreducible kernel fails, so there is no
-    # analytic value to compare with, but the simulation itself is sound
+    # analytic value to compare with, but the simulation itself is sound;
+    # the report says why
     eps = 1e-16
     on, off = 0.5 - eps / 2, eps / 2
     kernel = write_json(tmp_path / "deg.json", {
@@ -603,12 +596,16 @@ def test_simulate_on_a_degenerate_chain_reports_the_estimate_alone(runner, tmp_p
                            + ["--json"] * as_json)
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
+    note = "stationary solve failed: stationary solve produced a nonpositive weight"
     if as_json:
-        assert set(json.loads(result.stdout)) == {
-            "value", "std_error", "n_batches", "batch_len", "seed"}
+        report = json.loads(result.stdout)
+        assert set(report) == {"value", "std_error", "n_batches", "batch_len", "seed",
+                               "analytic_note"}
+        assert report["analytic_note"] == note
     else:
-        assert result.stdout.splitlines()[0].startswith("estimate: ")
-        assert "analytic" not in result.stdout
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith("estimate: ")
+        assert lines[-1] == f"analytic avar: not computed ({note})"
         assert "deviation" not in result.stdout
 
 
@@ -620,7 +617,10 @@ def test_simulate_keeps_its_estimate_when_the_variance_underflows(runner, tmp_pa
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
     report = json.loads(result.stdout)
-    assert set(report) == {"value", "std_error", "n_batches", "batch_len", "seed"}
+    assert set(report) == {"value", "std_error", "n_batches", "batch_len", "seed",
+                           "analytic_note"}
+    assert report["analytic_note"] == (
+        "variance underflows float64 (sigma^2 = 2.963e-320); rescale the observable")
     assert 0.0 < report["value"] < 1e-310
 
 
@@ -711,16 +711,8 @@ def test_reproduce_examples_json(runner):
 
 
 def test_reproduce_examples_strict_tol_fails(runner):
-    result = runner.invoke(main, ["reproduce-examples"],
-                           env={"MAVAR_TOL": "1e-30"})
+    result = runner.invoke(main, ["reproduce-examples", "--tol", "1e-30"])
     assert result.exit_code == 7
-
-
-@pytest.mark.parametrize("env", ["abc", ""])
-def test_reproduce_examples_rejects_a_bad_mavar_tol(runner, env):
-    result = runner.invoke(main, ["reproduce-examples"], env={"MAVAR_TOL": env})
-    assert result.exit_code == 2
-    assert f"MAVAR_TOL = {env!r} is not a number" in result.output
 
 
 def test_reproduce_examples_dump(runner, tmp_path):
@@ -811,7 +803,36 @@ def test_simulate_drops_an_overflowing_analytic_value_without_a_warning(runner, 
                                   *overflowing_solution_files(tmp_path)])
     assert result.exit_code == 0
     assert result.stderr == ""
-    assert "analytic_avar" not in json.loads(result.stdout)
+    report = json.loads(result.stdout)
+    assert "analytic_avar" not in report
+    assert report["analytic_note"].startswith("variance overflows float64 (sigma^2 = inf")
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("case, note", [
+    ("reducible", "kernel is reducible"),
+    ("degenerate", "Poisson operator singular: spectrum reaches 1 (radius "),
+    ("overflow", "variance overflows float64 (sigma^2 = inf, avar = nan); "
+                 "rescale the observable"),
+])
+def test_simulate_says_why_it_has_no_analytic_value(runner, tmp_path, case, note, as_json):
+    if case == "overflow":
+        files = overflowing_solution_files(tmp_path)
+    else:
+        rows, f = (([[1.0, 0.0], [0.0, 1.0]], [1.0, -1.0]) if case == "reducible"
+                   else (two_block_rows(1e-13), [1.0, -1.0, 1.0, -1.0]))
+        files = (write_json(tmp_path / "K.json", {"rows": rows}),
+                 write_json(tmp_path / "f.json", f))
+    result = runner.invoke(main, ["simulate", "--n", "100", *files] + ["--json"] * as_json)
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    if as_json:
+        report = json.loads(result.stdout)
+        assert report["analytic_note"].startswith(note)
+        assert "analytic_avar" not in report and "deviation_sigmas" not in report
+    else:
+        assert result.stdout.splitlines()[-1].startswith(f"analytic avar: not computed ({note}")
+        assert result.stdout.endswith(")\n")
 
 
 def nonreversible_files(tmp_path, n, seed):
@@ -832,7 +853,7 @@ def test_verify_route_record_catches_a_corrupted_lu(runner, tmp_path, monkeypatc
 
     monkeypatch.setattr(mavar.cli, "ReducedChain", CorruptedChain)
     kernel, obs = nonreversible_files(tmp_path, 8, 5)
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", kernel, obs])
     assert result.exit_code == 5
     payload = json.loads(result.output.splitlines()[0])
     records = {c["name"]: c for c in payload["checks"]}
@@ -883,7 +904,7 @@ def test_a_near_decomposable_chain_passes_the_spectral_route(runner, tmp_path):
     # sum, not an infinite variance
     kernel, obs = near_decomposable_files(tmp_path)
     assert_spectral_route_agrees(runner.invoke(main, ["analyze", "--json", kernel, obs]))
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", kernel, obs])
     records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
     assert records["spectral route"]["passed"] is True
 
@@ -902,7 +923,7 @@ def test_verify_passes_a_backward_stable_solve_of_a_near_decomposable_chain(runn
     rows, f = reversible_two_blocks(1e-6)
     kernel = write_json(tmp_path / "P.json", {"rows": rows.tolist()})
     obs = write_json(tmp_path / "f.json", f.tolist())
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
     assert result.exit_code == 0, result.output
     records = {c["name"]: c for c in json.loads(json_line(result.output))["checks"]}
     for name in ("poisson residual (primal)", "poisson residual (dual)"):
@@ -925,7 +946,7 @@ def test_a_failed_route_is_null_in_strict_json(runner, tmp_path, monkeypatch):
     assert result.exit_code == 5
     assert isinstance(result.exception, SystemExit)
     assert strict_json(json_line(result.output))["routes"]["spectral"] is None
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
     assert result.exit_code == 5
     records = {c["name"]: c for c in strict_json(json_line(result.output))["checks"]}
     assert records["spectral route"]["residual"] is None
@@ -941,7 +962,7 @@ def test_a_failed_route_reports_its_value(runner, tmp_path):
     report = strict_json(json_line(result.output))
     assert report["routes_agree"] is False
     assert report["routes"]["factored-operator"] == pytest.approx(report["sigma2"], rel=1e-2)
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
     assert result.exit_code == 5
     records = [c for c in strict_json(json_line(result.output))["checks"] if not c["passed"]]
     assert records and all(c["residual"] > c["bound"] for c in records)
@@ -966,7 +987,7 @@ def test_the_units_of_f_do_not_move_the_verdicts(runner, tmp_path):
     # factored-operator minimum misses 1/sigma^2 = 4.2e-8 by 1.4e-9 relative
     for scale in (1.0, 2.0 ** -13):
         kernel, obs = two_block_files(tmp_path, 5, 1e-8, reversible=False, scale=scale)
-        result = runner.invoke(main, ["verify", "--trials", "3", "--center", kernel, obs])
+        result = runner.invoke(main, ["verify", "--center", kernel, obs])
         assert result.exit_code == 5, scale
         assert "FAIL factored-operator minimum" in result.stdout
         assert runner.invoke(main, ["analyze", "--center", kernel, obs]).exit_code == 0
@@ -996,7 +1017,7 @@ def test_analyze_judges_the_routes_as_verify_does(runner, tmp_path, monkeypatch,
         distance = abs(report["sigma2"] * (1.0 + miss) - report["sigma2"])
         assert (f"error: variance routes disagree: the factored-operator route is "
                 f"{distance} from the dual pair" in result.stderr)
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
     assert result.exit_code == code, result.stderr
     records = {c["name"]: c for c in json.loads(json_line(result.stdout))["checks"]}
     assert records["factored-operator route"]["passed"] is (code == 0)
@@ -1021,7 +1042,7 @@ def test_analyze_names_a_failed_solution_record(runner, tmp_path, monkeypatch):
     assert "routes agree within 1e-09: no" in result.stdout
     assert ("error: variance routes disagree: the factored-operator solution is "
             in result.stderr)
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", "--center", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", "--center", kernel, obs])
     assert result.exit_code == 5
     failed = [c["name"] for c in json.loads(json_line(result.stdout))["checks"]
               if not c["passed"]]
@@ -1043,7 +1064,7 @@ def test_verify_catches_a_wrong_reduced_operator(runner, tmp_path, monkeypatch):
     kernel, pi = random_reversible_kernel(8, rng)
     obs = write_json(tmp_path / "f.json", random_centered_observable(pi, rng).tolist())
     kernel = write_json(tmp_path / "P.json", {"rows": kernel.tolist()})
-    result = runner.invoke(main, ["verify", "--json", "--trials", "3", kernel, obs])
+    result = runner.invoke(main, ["verify", "--json", kernel, obs])
     assert result.exit_code == 5
     records = {c["name"]: c for c in json.loads(result.output.splitlines()[0])["checks"]}
     for name in ("factored-operator route", "spectral route"):
@@ -1335,8 +1356,11 @@ def test_simulate_has_no_analytic_value_when_the_variance_underflows_to_zero(
     result = runner.invoke(main, ["simulate", "--n", "1000", "--json", kernel, obs])
     assert result.exit_code == 0, result.output
     assert result.stderr == ""
-    assert set(json.loads(result.stdout)) == {
-        "value", "std_error", "n_batches", "batch_len", "seed"}
+    report = json.loads(result.stdout)
+    assert set(report) == {"value", "std_error", "n_batches", "batch_len", "seed",
+                           "analytic_note"}
+    assert report["analytic_note"] == (
+        "variance underflows float64 (sigma^2 = 0.0); rescale the observable")
 
 
 @pytest.mark.parametrize("reversible", [True, False])
@@ -1382,7 +1406,7 @@ def test_cli_commands_never_import_scipy(fixture_dir):
         ["validate", str(six / "P1.json")],
         ["analyze", str(six / "P1.json"), str(six / "f1.json")],
         ["analyze", str(six / "P2.json"), str(six / "f1.json")],
-        ["verify", "--trials", "3", str(six / "P2.json"), str(six / "f1.json")],
+        ["verify", str(six / "P2.json"), str(six / "f1.json")],
         ["compare", str(six / "P1.json"), str(six / "P2.json")],
         ["perturb", str(four / "K.json"), "--gamma", str(four / "vorticity.json")],
         ["simulate", "--n", "1000", str(six / "P2.json"), str(six / "f1.json")],

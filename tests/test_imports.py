@@ -101,8 +101,8 @@ COMMANDS = {
     "validate": (["validate", "three-state-pair/P1.json"], ["errors", "files", "kernel"]),
     "analyze": (["analyze", "three-state-pair/P1.json", "three-state-pair/g1.json"],
                 ANALYSIS),
-    "verify": (["verify", "--trials", "3", "three-state-pair/P1.json",
-                "three-state-pair/g1.json"], ANALYSIS),
+    "verify": (["verify", "three-state-pair/P1.json", "three-state-pair/g1.json"],
+               ANALYSIS),
     "compare": (["compare", "three-state-pair/P1.json", "three-state-pair/P2.json"],
                 ["errors", "files", "kernel", "ordering"]),
     "perturb --gamma": (["perturb", "uniform3/K.json", "--gamma", "uniform3/vorticity.json"],

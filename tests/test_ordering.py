@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mavar import (
     DegenerateKernelError,
+    KernelError,
     MeanZeroFrame,
     ReducedChain,
     StationaryMismatchError,
@@ -188,7 +189,7 @@ def test_order_pairs_takes_its_chains_apart(rng):
     assert not reverse.holds
     np.testing.assert_array_equal(reverse.witness,
                                   forward_domination(better, kernel, pi).witness)
-    with pytest.raises(AttributeError):
+    with pytest.raises(KernelError, match="kernel was dropped"):
         c1.A  # nothing to rebuild it from
 
 

@@ -209,7 +209,7 @@ def test_factored_route_catches_a_corrupted_lu(rng):
     # judges nothing: the battery's records see the corrupted inverse
     chain.inv[0, 0] *= 1.001
     assert avar_via_factored_operator(chain, pi, f) == sigma2
-    records, _ = checks.battery(chain, f, trials=3)
+    records, _ = checks.battery(chain, f)
     failed = {r["name"] for r in records if not r["passed"]}
     assert {"factored-operator route", "factored-operator solution"} <= failed
 
